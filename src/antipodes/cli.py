@@ -5,6 +5,8 @@ Every verb prints one JSON report to stdout and exits with:
   1  property fails (a certificate is part of the report)
   2  usage or input error
   3  search budget exhausted
+  4  internal error: a solver or certificate self-check failed (the
+     report names the layer; this is a bug, never a verdict)
 
 Rationals appear as "p/q" strings; --decimal appends an approximate
 float rendering.  --verify re-parses the canonical report and re-checks
@@ -20,6 +22,7 @@ import sys
 from .antipodality import (
     AntipodalityCertificate,
     AntipodalityError,
+    CertificateError,
     erdos_rank_k,
     is_rank_k_antipodal,
     joint_antipodal_direct,
@@ -43,7 +46,7 @@ from .discrimination import (
     error_prob,
     min_error,
 )
-from .exact_lp import LPError
+from .exact_lp import LPError, SolverInvariantError
 from .geometry import (
     AffineMap,
     GeometryError,
@@ -67,6 +70,13 @@ EXIT_HOLDS = 0
 EXIT_FAILS = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
+
+#: Longest number, in decimal digits, that bounds and gap will build.  The
+#: size bound k((k+1)/k)^d is (k+1)^d / k^(d-1) in lowest terms, the
+#: largest number either report holds; Python refuses to render an int
+#: longer than 4300 digits by default.
+MAX_BOUND_DIGITS = 4300
 
 _INPUT_ERRORS = (
     AntipodalityError,
@@ -79,6 +89,9 @@ _INPUT_ERRORS = (
     OSError,
     json.JSONDecodeError,
 )
+
+# Self-checks of the kernel that failed: bugs, reported apart from verdicts.
+_INTERNAL_ERRORS = (SolverInvariantError, CertificateError)
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +394,26 @@ def _cmd_construct(args):
     return report, EXIT_HOLDS, replay
 
 
+def _refuse_oversized_bound(d: int, k: int):
+    """Refuse d, k whose size bound numerator (k+1)^d has more than
+    MAX_BOUND_DIGITS digits, without building it when it is far larger."""
+    if k < 1 or d < k:
+        return  # size_bound itself rejects these
+    base = k + 1
+    # (k+1)^d >= 2^(d*(bits-1)) and 10^L < 2^(4L): the first test settles
+    # every huge d, and the exact test then only sees powers of <= 8L bits.
+    if (
+        d * (base.bit_length() - 1) > 4 * MAX_BOUND_DIGITS
+        or base**d >= 10**MAX_BOUND_DIGITS
+    ):
+        raise ConstructionError(
+            f"the size bound for d={d}, k={k} has more than "
+            f"{MAX_BOUND_DIGITS} digits"
+        )
+
+
 def _cmd_bounds(args):
+    _refuse_oversized_bound(args.d, args.k)
     bound = size_bound(args.d, args.k)
     report = {
         "verb": "bounds",
@@ -398,6 +430,7 @@ def _cmd_bounds(args):
 
 
 def _cmd_gap(args):
+    _refuse_oversized_bound(args.d, args.k)
     result = gap_analysis(args.k, args.d, args.b)
     report = {
         "verb": "gap",
@@ -564,23 +597,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_error(exc, **extra):
+    print(json.dumps({"error": str(exc), **extra}, indent=2, sort_keys=True))
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         report, code, replay = args.handler(args)
-    except _INPUT_ERRORS as exc:
-        print(json.dumps({"error": str(exc)}, indent=2, sort_keys=True))
-        return EXIT_INPUT
-    if args.verify:
-        canonical = json.loads(json.dumps(_finalize(report, False), sort_keys=True))
-        try:
+        if args.verify:
+            canonical = json.loads(
+                json.dumps(_finalize(report, False), sort_keys=True)
+            )
             verified = bool(replay(canonical))
-        except _INPUT_ERRORS as exc:
-            print(json.dumps({"error": str(exc)}, indent=2, sort_keys=True))
-            return EXIT_INPUT
-        report["verified"] = verified
-        if not verified and code == EXIT_HOLDS:
-            code = EXIT_FAILS
+            report["verified"] = verified
+            if not verified and code == EXIT_HOLDS:
+                code = EXIT_FAILS
+    except _INPUT_ERRORS as exc:
+        _print_error(exc)
+        return EXIT_INPUT
+    except _INTERNAL_ERRORS as exc:
+        _print_error(exc, layer=type(exc).__module__.rpartition(".")[2])
+        return EXIT_INTERNAL
     print(json.dumps(_finalize(report, args.decimal), indent=2, sort_keys=True))
     return code
 

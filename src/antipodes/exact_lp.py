@@ -17,6 +17,16 @@ solver fast on typical inputs and terminating on all of them.  The whole
 pipeline is deterministic: identical programs produce identical outcomes,
 certificates included.
 
+The tableau stores each row as Python ints over one positive denominator
+of its own, the objective row likewise (fraction-free pivoting in the
+manner of Bareiss).  A pivot rescales every touched row by the pivot entry,
+cancels the pivot column and divides out the gcd of the row and its
+denominator; signs are read off numerators and ratio tests cross-multiply,
+so every decision is the one the rationals themselves give.  Values return
+to backend rationals only when a point, ray or multiplier vector is read
+out; the program, its standard form and the certificate checks stay in
+backend rationals.
+
 `solve_strict` decides systems in which selected inequality rows must hold
 strictly.  It maximises a margin variable bounded by 1; a positive optimum
 yields a strictly feasible point, a zero optimum yields dual multipliers
@@ -27,11 +37,12 @@ outright weak infeasibility).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
-from .rationals import ONE, ZERO, ratio
+from .rationals import ONE, ZERO, int_ratio, ratio
 
 LE = "<="
 EQ = "="
@@ -314,47 +325,69 @@ class _Standard:
 
 
 class _Tableau:
-    """Dense tableau with separate objective row and explicit basis."""
+    """Dense tableau with separate objective row and explicit basis.
+
+    Entries are held as integers: row r stands for rows[r][j] / dens[r],
+    and the objective row for obj[j] / obj_den, each denominator positive
+    and the row reduced to lowest terms.  Every sign test and ratio
+    comparison decides exactly as it would on the rationals themselves.
+    """
 
     def __init__(self, std: _Standard):
         self.std = std
         self.m = len(std.rows)
         self.nstruct = std.nstruct
         self.art = [self.nstruct + i for i in range(self.m)]
-        width = self.nstruct + self.m + 1
+        self.width = self.nstruct + self.m + 1
         self.rows = []
+        self.dens = []
         for i in range(self.m):
-            row = list(std.rows[i]) + [ZERO] * self.m + [std.rhs[i]]
-            row[self.art[i]] = ONE
+            entries = [
+                (int(a.numerator), int(a.denominator))
+                for a in (*std.rows[i], std.rhs[i])
+            ]
+            den = math.lcm(*(d for _, d in entries))
+            nums = [n * (den // d) for n, d in entries]
+            row = nums[:-1] + [0] * self.m + nums[-1:]
+            row[self.art[i]] = den
             self.rows.append(row)
-        self.width = width
+            self.dens.append(den)
         self.basis = list(self.art)
         self.active = [True] * self.m
-        self.obj = [ZERO] * width
+        self.obj = [0] * self.width
+        self.obj_den = 1
 
     # -- pivoting ---------------------------------------------------------
 
     def _pivot(self, prow, pcol, with_obj=True):
+        # Dividing the pivot row by its pivot entry keeps its integers and
+        # makes |pivot| the denominator.
         row = self.rows[prow]
         piv = row[pcol]
-        if piv != 1:
-            inv = ONE / piv
-            self.rows[prow] = row = [a * inv for a in row]
+        if piv < 0:
+            row = [-a for a in row]
+            piv = -piv
+        g = math.gcd(*row)
+        if g != 1:
+            row = [a // g for a in row]
+            piv //= g
+        self.rows[prow] = row
+        self.dens[prow] = piv
+        support = [(j, a) for j, a in enumerate(row) if a]
         for r in range(self.m):
             if r == prow or not self.active[r]:
                 continue
             factor = self.rows[r][pcol]
-            if factor != 0:
-                target = self.rows[r]
-                for j, a in enumerate(row):
-                    if a != 0:
-                        target[j] -= factor * a
+            if factor:
+                self.rows[r], self.dens[r] = _eliminate(
+                    self.rows[r], self.dens[r], factor, support, piv
+                )
         if with_obj:
             factor = self.obj[pcol]
-            if factor != 0:
-                for j, a in enumerate(row):
-                    if a != 0:
-                        self.obj[j] -= factor * a
+            if factor:
+                self.obj, self.obj_den = _eliminate(
+                    self.obj, self.obj_den, factor, support, piv
+                )
         self.basis[prow] = pcol
 
     def _optimize(self):
@@ -367,39 +400,46 @@ class _Tableau:
         stall = 0
         bland = False
         while True:
+            obj = self.obj
             pcol = None
             if bland:
                 for j in range(self.nstruct):
-                    if self.obj[j] < 0:
+                    if obj[j] < 0:
                         pcol = j
                         break
             else:
-                best = ZERO
+                best = 0
                 for j in range(self.nstruct):
-                    v = self.obj[j]
+                    v = obj[j]
                     if v < best:
                         best = v
                         pcol = j
             if pcol is None:
                 return None
+            # Ratio rhs/a over rows with a > 0; the row denominator cancels,
+            # and the comparison is made by cross-multiplying.
             prow = None
-            best_ratio = None
+            best_rhs = best_a = None
             for r in range(self.m):
                 if not self.active[r]:
                     continue
-                a = self.rows[r][pcol]
+                row = self.rows[r]
+                a = row[pcol]
                 if a > 0:
-                    q = self.rows[r][-1] / a
-                    if (
-                        best_ratio is None
-                        or q < best_ratio
-                        or (q == best_ratio and self.basis[r] < self.basis[prow])
-                    ):
-                        best_ratio = q
+                    if prow is None:
+                        better = True
+                    else:
+                        lhs = row[-1] * best_a
+                        rhs = best_rhs * a
+                        better = lhs < rhs or (
+                            lhs == rhs and self.basis[r] < self.basis[prow]
+                        )
+                    if better:
+                        best_rhs, best_a = row[-1], a
                         prow = r
             if prow is None:
                 return pcol
-            if best_ratio == 0:
+            if best_rhs == 0:
                 stall += 1
                 if stall >= _STALL_LIMIT:
                     bland = True
@@ -407,14 +447,37 @@ class _Tableau:
                 stall = 0
             self._pivot(prow, pcol)
 
+    def _price(self, cost):
+        """Load the objective row with the reduced costs of `cost`, one
+        (numerator, denominator) pair per column: cost minus, for every
+        active row, the cost of its basic column times the row.  The row
+        is built in integers over the lcm of every denominator that
+        enters."""
+        terms = []
+        for r in range(self.m):
+            if self.active[r]:
+                num, d = cost[self.basis[r]]
+                if num:
+                    terms.append((num, d * self.dens[r], self.rows[r]))
+        den = math.lcm(*(d for num, d in cost if num), *(d for _, d, _ in terms))
+        obj = [num * (den // d) for num, d in cost]
+        for num, d, row in terms:
+            factor = num * (den // d)
+            for j, a in enumerate(row):
+                if a:
+                    obj[j] -= factor * a
+        g = math.gcd(den, *obj)
+        if g != 1:
+            obj = [a // g for a in obj]
+            den //= g
+        self.obj, self.obj_den = obj, den
+
     # -- phases -----------------------------------------------------------
 
     def phase1(self) -> bool:
-        for j in range(self.width):
-            total = ZERO
-            for r in range(self.m):
-                total += self.rows[r][j]
-            self.obj[j] = (ONE if self.nstruct <= j < self.width - 1 else ZERO) - total
+        # Cost 1 on each artificial; every row starts with its artificial
+        # basic.
+        self._price([(0, 1)] * self.nstruct + [(1, 1)] * self.m + [(0, 1)])
         escape = self._optimize()
         if escape is not None:
             raise SolverInvariantError("phase one reported unbounded")
@@ -425,7 +488,8 @@ class _Tableau:
 
     def phase1_duals(self):
         # Reduced cost of artificial i is 1 - y_i, and the column is e_i.
-        return [ONE - self.obj[self.art[i]] for i in range(self.m)]
+        den = self.obj_den
+        return [int_ratio(den - self.obj[self.art[i]], den) for i in range(self.m)]
 
     def _evict_artificials(self):
         for r in range(self.m):
@@ -433,7 +497,7 @@ class _Tableau:
                 continue
             pcol = None
             for j in range(self.nstruct):
-                if self.rows[r][j] != 0:
+                if self.rows[r][j]:
                     pcol = j
                     break
             if pcol is None:
@@ -443,18 +507,8 @@ class _Tableau:
                 self._pivot(r, pcol, with_obj=False)
 
     def phase2(self, cost_struct):
-        cost = list(cost_struct) + [ZERO] * self.m + [ZERO]
-        obj = list(cost)
-        for r in range(self.m):
-            if not self.active[r]:
-                continue
-            cb = cost[self.basis[r]]
-            if cb != 0:
-                for j in range(self.width):
-                    a = self.rows[r][j]
-                    if a != 0:
-                        obj[j] -= cb * a
-        self.obj = obj
+        cost = [(int(c.numerator), int(c.denominator)) for c in cost_struct]
+        self._price(cost + [(0, 1)] * (self.m + 1))
         return self._optimize()
 
     # -- extraction -------------------------------------------------------
@@ -463,7 +517,7 @@ class _Tableau:
         values = [ZERO] * self.nstruct
         for r in range(self.m):
             if self.active[r] and self.basis[r] < self.nstruct:
-                values[self.basis[r]] = self.rows[r][-1]
+                values[self.basis[r]] = int_ratio(self.rows[r][-1], self.dens[r])
         return values
 
     def ray_values(self, pcol):
@@ -471,11 +525,30 @@ class _Tableau:
         direction[pcol] = ONE
         for r in range(self.m):
             if self.active[r] and self.basis[r] < self.nstruct:
-                direction[self.basis[r]] = -self.rows[r][pcol]
+                direction[self.basis[r]] = int_ratio(-self.rows[r][pcol], self.dens[r])
         return direction
 
     def duals(self):
-        return [-self.obj[self.art[i]] for i in range(self.m)]
+        den = self.obj_den
+        return [int_ratio(-self.obj[self.art[i]], den) for i in range(self.m)]
+
+
+def _eliminate(target, den, factor, support, piv):
+    """target/den - (factor/den) * (pivot row/piv) as an integer row over
+    den*piv, reduced to lowest terms.
+
+    factor is target's pivot-column entry; support lists the pivot row's
+    nonzero entries as (column, value) pairs.
+    """
+    row = [a * piv for a in target] if piv != 1 else list(target)
+    for j, b in support:
+        row[j] -= factor * b
+    den *= piv
+    g = math.gcd(den, *row)
+    if g != 1:
+        row = [a // g for a in row]
+        den //= g
+    return row, den
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,10 @@
 
 Every decision made by this package is carried out in arbitrary-precision
 rational arithmetic; floating point shows up only when a report asks for a
-decimal rendering.  gmpy2's mpq is used when available because it is much
-faster on the dense tableau work; plain fractions.Fraction is a drop-in
-fallback with identical semantics.
+decimal rendering.  gmpy2's mpq is used when it is installed (the `gmp`
+extra); plain fractions.Fraction is a drop-in fallback with identical
+semantics.  The simplex tableau does not use either: it pivots on integer
+rows (see exact_lp).
 """
 
 from __future__ import annotations
@@ -73,6 +74,12 @@ def ratio(value: RationalLike, denominator: RationalLike | None = None):
 
 ZERO = ratio(0)
 ONE = ratio(1)
+
+
+def int_ratio(num: int, den: int):
+    """num/den as a backend rational, for ints computed by this package
+    (no parsing and no float guard; den must be nonzero)."""
+    return _make(num, den)
 
 
 def is_rational(value) -> bool:

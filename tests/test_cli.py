@@ -5,7 +5,10 @@ from itertools import product
 
 import pytest
 
+from antipodes import antipodality
+from antipodes.antipodality import CertificateError
 from antipodes.cli import main
+from antipodes.exact_lp import SolverInvariantError
 from antipodes.geometry import PointSet, dump_point_set
 from antipodes.hashcodes import dump_code, greedy_code, max_code
 from antipodes.rationals import ratio
@@ -253,6 +256,48 @@ def test_input_errors(files, capsys):
         capsys, "check-joint", files["square"], "0", "3", "--lambda", "x,y"
     )
     assert code == 2
+
+
+def test_oversized_bound_is_refused(files, capsys):
+    # (k+1)^d with 4301 digits is refused; 4300 digits still render.
+    code, report, _ = run(capsys, "bounds", "--d", "14285", "--k", "1")
+    assert code == 2
+    assert "4300 digits" in report["error"]
+    code, report, _ = run(capsys, "bounds", "--d", "14284", "--k", "1")
+    assert code == 0
+    assert len(report["bound"]) == 4300
+    code, report, _ = run(capsys, "gap", "--k", "1", "--d", "20000", "--b", "3")
+    assert code == 2
+    assert "4300 digits" in report["error"]
+    code, _, _ = run(capsys, "bounds", "--d", "1000000", "--k", "5")
+    assert code == 2
+
+
+def test_internal_errors_exit_4(files, capsys, monkeypatch):
+    def broken_solve(lp):
+        raise SolverInvariantError("feasible point failed substitution")
+
+    monkeypatch.setattr(antipodality, "solve", broken_solve)
+    code, report, _ = run(capsys, "check-joint", files["square"], "0", "3")
+    assert code == 4
+    assert report == {
+        "error": "feasible point failed substitution",
+        "layer": "exact_lp",
+    }
+
+    def broken_verify(X, cert):
+        raise CertificateError("map certificate failed verification")
+
+    monkeypatch.undo()
+    monkeypatch.setattr("antipodes.cli.verify_joint_certificate", broken_verify)
+    code, report, _ = run(
+        capsys, "--verify", "check-joint", files["square"], "0", "3"
+    )
+    assert code == 4
+    assert report == {
+        "error": "map certificate failed verification",
+        "layer": "antipodality",
+    }
 
 
 def test_sampled_rank_requires_seed(files, capsys):

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from antipodes import exact_lp
 from antipodes.exact_lp import (
     EQ,
     GE,
@@ -19,6 +20,10 @@ from antipodes.exact_lp import (
     solve_strict,
 )
 from antipodes.rationals import ratio
+
+
+def _q(*texts):
+    return tuple(ratio(t) for t in texts)
 
 
 def test_infeasible_band_has_farkas_certificate():
@@ -136,10 +141,9 @@ def test_malformed_rows_rejected():
         make_lp(0, [((), LE, 0)])
 
 
-def test_degenerate_program_terminates():
-    # Beale's cycling trap for the classic most-negative rule; the stall
-    # switch to Bland's rule must get through it.
-    lp = make_lp(
+def _beale():
+    # Beale's cycling trap for the classic most-negative rule.
+    return make_lp(
         4,
         [
             (("1/4", -60, "-1/25", 9), LE, 0),
@@ -153,10 +157,140 @@ def test_degenerate_program_terminates():
         objective=("3/4", -150, "1/50", -6),
         maximize=True,
     )
+
+
+def test_degenerate_program_terminates():
+    lp = _beale()
     out = solve(lp)
     assert out.status is Status.FEASIBLE
     assert out.objective_value == ratio(1, 20)
     assert check_duals(lp, out.duals, out.objective_value)
+    assert out.point == _q("1/25", 0, 1, 0)
+    assert out.duals == _q(0, "3/2", "1/20", 0, 15, 0, "21/2")
+
+
+# ---------------------------------------------------------------------------
+# pinned outcomes: the exact point, multipliers and ray the engine returns.
+# Any change to pivot order, tie-breaking or the basis it stops at shows
+# up here, even when the new certificates would still verify.
+
+
+def test_pinned_beale_under_bland(monkeypatch):
+    # With the default stall limit Dantzig's rule gets through Beale's
+    # program unaided; a limit of 1 switches to Bland's rule at the first
+    # degenerate pivot.
+    monkeypatch.setattr(exact_lp, "_STALL_LIMIT", 1)
+    out = solve(_beale())
+    assert out.point == _q("1/25", 0, 1, 0)
+    assert out.objective_value == ratio(1, 20)
+    assert out.duals == _q(0, "3/2", "1/20", 0, 15, 0, "21/2")
+
+
+def test_pinned_degenerate_cone_switches_to_bland():
+    # Every row but the last passes through the origin; the run of
+    # degenerate pivots reaches the default stall limit.
+    lp = make_lp(
+        4,
+        [
+            ((2, 0, -2, -2), GE, 0),
+            ((0, 1, -2, 2), GE, 0),
+            ((-1, 2, -1, -1), GE, 0),
+            ((0, 0, -1, -1), LE, 0),
+            ((-2, 0, -2, -2), LE, 0),
+            ((-1, -1, -1, 2), GE, 0),
+            ((0, 1, -2, 2), GE, 0),
+            ((-1, 2, 1, -2), LE, 0),
+            ((-2, 2, -1, 1), LE, 0),
+            ((1, 1, 1, 1), LE, 1),
+        ],
+        objective=(-2, -3, -3, 1),
+    )
+    out = solve(lp)
+    assert out.point == _q(0, 0, 0, 0)
+    assert out.objective_value == 0
+    assert out.duals == _q("3/4", 0, "7/2", 6, 0, 0, 0, 0, 2, 0)
+
+
+def _redundant(objective=None):
+    # Row 1 is twice row 0: phase one leaves its artificial basic on a
+    # row with no structural entry, and the row is retired.
+    return make_lp(
+        2,
+        [((1, 1), EQ, 1), ((2, 2), EQ, 2), ((1, -1), LE, "1/3")],
+        objective=objective,
+        maximize=False,
+    )
+
+
+def test_pinned_redundant_equality():
+    out = solve(_redundant())
+    assert out.point == _q("2/3", "1/3")
+    out = solve(_redundant(objective=(1, 2)))
+    assert out.point == _q("2/3", "1/3")
+    assert out.objective_value == ratio(4, 3)
+    assert out.duals == _q("-3/2", 0, "1/2")
+
+
+def test_pinned_infeasible():
+    lp = make_lp(
+        3,
+        [
+            ((1, 1, 1), LE, 1),
+            ((1, 0, 0), GE, "1/2"),
+            ((0, 1, 0), GE, "1/3"),
+            ((0, 0, 1), GE, "1/4"),
+            ((1, -1, 0), EQ, "1/6"),
+        ],
+    )
+    out = solve(lp)
+    assert out.status is Status.INFEASIBLE
+    assert out.farkas == _q(1, 0, 2, 1, -1)
+
+
+def test_pinned_unbounded():
+    lp = make_lp(
+        2,
+        [((1, -1), LE, 1), ((-1, 1), LE, 3), ((1, 0), GE, 0)],
+        objective=(1, 2),
+    )
+    out = solve(lp)
+    assert out.status is Status.UNBOUNDED
+    assert out.ray == _q(1, 1)
+
+
+def _prime_rows():
+    # One distinct prime denominator per row, so row scales never agree.
+    return [
+        (("-10/53", "35/53", "29/53"), LE, "-22/53"),
+        (("7/59", "37/59", "20/59"), GE, "10/59"),
+        (("34/61", "-32/61", "37/61"), LE, "-30/61"),
+        (("20/67", "-7/67", "30/67"), GE, "-16/67"),
+        (("-16/71", "20/71", "29/71"), LE, "23/71"),
+        (("30/73", "20/73", "10/73"), GE, "10/73"),
+        ((1, 0, 0), LE, 4),
+        ((0, 1, 0), LE, 4),
+        ((0, 0, 1), LE, 4),
+        ((1, 1, 1), GE, -12),
+    ]
+
+
+def test_pinned_prime_denominators():
+    lp = make_lp(3, _prime_rows(), objective=("1/89", "-2/97", "3/83"))
+    out = solve(lp)
+    assert out.point == _q("4361/2217", "2716/2217", "-1152/739")
+    assert out.objective_value == ratio(-10949, 184011)
+    assert out.duals == _q(
+        "471931451/6354267852",
+        0,
+        "1173004807/6354267852",
+        "550925389/2118089284",
+        0, 0, 0, 0, 0, 0,
+    )
+    out = solve(make_lp(3, _prime_rows()))
+    assert out.point == _q("4361/2217", "2716/2217", "-1152/739")
+    out = solve_strict(make_lp(3, _prime_rows()), range(6))
+    assert out.point == _q(4, "645608/262527", "-216394/87509")
+    assert out.objective_value == ratio(18028, 262527)
 
 
 # ---------------------------------------------------------------------------
