@@ -207,12 +207,14 @@ def _validate_factors(k, factors) -> tuple:
 # the two decision routes
 
 
-def _map_lp(X: PointSet, chosen):
+def _map_lp(X: PointSet, chosen, objective=None, maximize=True):
     """Feasibility program for an affine map sending conv(X) into the
     simplex with the chosen points at its vertices.
 
     Variables are the (k+1) x (d+1) map entries, row-major, each output
-    row holding d linear coefficients followed by its offset.
+    row holding d linear coefficients followed by its offset.  An optional
+    objective over these variables turns it into an optimisation program
+    with the same rows.
     """
     k = len(chosen) - 1
     d = X.dim
@@ -244,7 +246,7 @@ def _map_lp(X: PointSet, chosen):
                 coeffs[col(i, t)] += x[t]
             coeffs[col(i, d)] = ONE
         rows.append((tuple(coeffs), EQ, ONE))
-    return make_lp(nv, rows)
+    return make_lp(nv, rows, objective=objective, maximize=maximize)
 
 
 def _decode_map(point, k, d) -> AffineMap:
@@ -744,7 +746,6 @@ def erdos_rank_k(X: PointSet, k: int) -> ProjectionReport:
 def _vertex_value_lp(X, chosen, x_idx, vertex_pos):
     """Minimise output coordinate vertex_pos at point x_idx over all
     certifying maps for the chosen tuple."""
-    lp = _map_lp(X, chosen)
     d = X.dim
     k = len(chosen) - 1
     nv = (k + 1) * (d + 1)
@@ -754,12 +755,7 @@ def _vertex_value_lp(X, chosen, x_idx, vertex_pos):
     for t in range(d):
         objective[base + t] = x[t]
     objective[base + d] = ONE
-    return make_lp(
-        nv,
-        [(c.coeffs, c.relation, c.rhs) for c in lp.constraints],
-        objective=tuple(objective),
-        maximize=False,
-    )
+    return _map_lp(X, chosen, objective=objective, maximize=False)
 
 
 def _blend_maps(m1: AffineMap, m2: AffineMap) -> AffineMap:

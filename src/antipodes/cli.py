@@ -72,10 +72,10 @@ EXIT_INPUT = 2
 EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
 
-#: Longest number, in decimal digits, that bounds and gap will build.  The
-#: size bound k((k+1)/k)^d is (k+1)^d / k^(d-1) in lowest terms, the
-#: largest number either report holds; Python refuses to render an int
-#: longer than 4300 digits by default.
+#: Longest number, in decimal digits, that bounds, gap, check-rank and
+#: construct will build.  The size bound k((k+1)/k)^d is (k+1)^d / k^(d-1)
+#: in lowest terms, the largest number these reports hold; Python refuses
+#: to render an int longer than 4300 digits by default.
 MAX_BOUND_DIGITS = 4300
 
 _INPUT_ERRORS = (
@@ -198,6 +198,7 @@ def _cmd_check_joint(args):
 
 def _cmd_check_rank(args):
     X = load_point_set(args.file)
+    _refuse_oversized_bound(X.dim, args.k)
     result = is_rank_k_antipodal(
         X, args.k, samples=args.sample, seed=args.seed, threads=args.threads
     )
@@ -354,8 +355,11 @@ def _cmd_hash_random(args):
 
 
 def _cmd_construct(args):
-    base = StartingConfig(load_point_set(args.base), rank=args.k)
+    points = load_point_set(args.base)
     code = load_code(args.code)
+    # The product has one d0-block per code coordinate.
+    _refuse_oversized_bound(points.dim * code.m, args.k)
+    base = StartingConfig(points, rank=args.k)
     built = product_construct(base, code)
     cap = floor_ratio(size_bound(built.result.dim, args.k))
     report = {

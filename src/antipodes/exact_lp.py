@@ -24,8 +24,14 @@ cancels the pivot column and divides out the gcd of the row and its
 denominator; signs are read off numerators and ratio tests cross-multiply,
 so every decision is the one the rationals themselves give.  Values return
 to backend rationals only when a point, ray or multiplier vector is read
-out; the program, its standard form and the certificate checks stay in
-backend rationals.
+out.
+
+A program reaches the tableau as integer rows: each constraint's
+coefficients and rhs scaled by the lcm D of the row's denominators,
+computed once per program and kept with it.  The same rows re-verify
+points: `check_point` clears the point's denominators to one lcm L and
+tests the sign of rhs*L - a.P in integers, the sign the rational slack
+has.  The multiplier and ray checks stay in backend rationals.
 
 `solve_strict` decides systems in which selected inequality rows must hold
 strictly.  It maximises a margin variable bounded by 1; a positive optimum
@@ -40,6 +46,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .rationals import ONE, ZERO, int_ratio, ratio
@@ -51,6 +58,10 @@ _RELATIONS = (LE, EQ, GE)
 
 # Consecutive degenerate pivots tolerated before switching to Bland's rule.
 _STALL_LIMIT = 24
+
+# The backend's exact scalar type; make_lp keeps scalars of exactly this
+# type as they are and parses everything else.
+_RATIONAL = type(ONE)
 
 
 class LPError(ValueError):
@@ -79,14 +90,6 @@ class Constraint:
             return tuple(-a for a in self.coeffs), -self.rhs
         return self.coeffs, self.rhs
 
-    def slack(self, x):
-        """rhs - coeffs.x in the oriented sense (>=0 means satisfied)."""
-        coeffs, rhs = self.oriented()
-        value = rhs - _dot(coeffs, x)
-        if self.relation == EQ:
-            return value if value == 0 else None
-        return value
-
 
 @dataclass(frozen=True)
 class LinearProgram:
@@ -94,6 +97,13 @@ class LinearProgram:
     constraints: tuple
     objective: Optional[tuple] = None
     maximize: bool = True
+
+    @cached_property
+    def _integer_rows(self):
+        """Each constraint as (terms, rhs, den): its nonzero coefficients
+        as (column, integer) pairs and its rhs, all multiplied by den, the
+        lcm of the row's denominators."""
+        return tuple(_integer_row(con) for con in self.constraints)
 
 
 @dataclass(frozen=True)
@@ -113,6 +123,25 @@ def _dot(a, b):
     return total
 
 
+def _integer_row(con: Constraint):
+    terms = [
+        (j, int(a.numerator), int(a.denominator))
+        for j, a in enumerate(con.coeffs)
+        if a
+    ]
+    rhs_num, rhs_den = int(con.rhs.numerator), int(con.rhs.denominator)
+    den = math.lcm(rhs_den, *(d for _, _, d in terms))
+    return (
+        tuple((j, n * (den // d)) for j, n, d in terms),
+        rhs_num * (den // rhs_den),
+        den,
+    )
+
+
+def _exact(values):
+    return tuple([a if type(a) is _RATIONAL else ratio(a) for a in values])
+
+
 def make_lp(num_vars, rows, objective=None, maximize=True) -> LinearProgram:
     """Validating constructor; accepts ints and 'p/q' strings as scalars."""
     if not isinstance(num_vars, int) or num_vars < 1:
@@ -125,14 +154,15 @@ def make_lp(num_vars, rows, objective=None, maximize=True) -> LinearProgram:
             raise LPError(f"row {idx}: expected (coeffs, relation, rhs)") from exc
         if relation not in _RELATIONS:
             raise LPError(f"row {idx}: unknown relation {relation!r}")
-        coeffs = tuple(ratio(a) for a in coeffs)
+        coeffs = _exact(coeffs)
         if len(coeffs) != num_vars:
             raise LPError(
                 f"row {idx}: {len(coeffs)} coefficients for {num_vars} variables"
             )
-        constraints.append(Constraint(coeffs, relation, ratio(rhs)))
+        rhs = rhs if type(rhs) is _RATIONAL else ratio(rhs)
+        constraints.append(Constraint(coeffs, relation, rhs))
     if objective is not None:
-        objective = tuple(ratio(c) for c in objective)
+        objective = _exact(objective)
         if len(objective) != num_vars:
             raise LPError("objective length does not match num_vars")
     if not constraints:
@@ -145,15 +175,31 @@ def make_lp(num_vars, rows, objective=None, maximize=True) -> LinearProgram:
 
 
 def check_point(lp: LinearProgram, point, strict_rows=()) -> bool:
-    """Does the point satisfy every row, strictly on the listed rows?"""
+    """Does the point satisfy every row, strictly on the listed rows?
+
+    Decided on the program's integer rows: with the point written as P/L
+    over one positive denominator, rhs*L - a.P has the sign of the row's
+    rational slack rhs - a.x.
+    """
     if len(point) != lp.num_vars:
         return False
+    dens = [int(x.denominator) for x in point]
+    lcm = math.lcm(*dens)
+    scaled = [int(x.numerator) * (lcm // d) for x, d in zip(point, dens)]
     strict = set(strict_rows)
-    for i, con in enumerate(lp.constraints):
-        gap = con.slack(point)
-        if gap is None or gap < 0:
-            return False
-        if i in strict and gap == 0:
+    for i, (con, (terms, rhs, _)) in enumerate(
+        zip(lp.constraints, lp._integer_rows)
+    ):
+        gap = rhs * lcm
+        for j, a in terms:
+            gap -= a * scaled[j]
+        if con.relation == EQ:
+            holds = gap == 0 and i not in strict
+        else:
+            if con.relation == GE:
+                gap = -gap
+            holds = gap > 0 if i in strict else gap >= 0
+        if not holds:
             return False
     return True
 
@@ -260,46 +306,32 @@ class _Standard:
 
     Columns 0..2n-1 are the split pairs (x_j = col 2j - col 2j+1), then one
     slack column per inequality row.  Row i of the original program becomes
-    sign_i * (row with slack) so the standard rhs is nonnegative.
+    sign_i * (row with slack) so the standard rhs is nonnegative; the
+    tableau builds these rows from the program's integer rows.
     """
 
     def __init__(self, lp: LinearProgram):
         self.lp = lp
-        n = lp.num_vars
-        m = len(lp.constraints)
-        self.slack_col = [None] * m
-        ncols = 2 * n
-        for i, con in enumerate(lp.constraints):
-            if con.relation != EQ:
-                self.slack_col[i] = ncols
+        self.slack_col = []
+        ncols = 2 * lp.num_vars
+        for con in lp.constraints:
+            if con.relation == EQ:
+                self.slack_col.append(None)
+            else:
+                self.slack_col.append(ncols)
                 ncols += 1
         self.nstruct = ncols
-        self.sign = []
-        self.rows = []
-        self.rhs = []
-        for i, con in enumerate(lp.constraints):
-            row = [ZERO] * ncols
-            for j, a in enumerate(con.coeffs):
-                row[2 * j] = a
-                row[2 * j + 1] = -a
-            if con.relation == LE:
-                row[self.slack_col[i]] = ONE
-            elif con.relation == GE:
-                row[self.slack_col[i]] = -ONE
-            sign = ONE if con.rhs >= 0 else -ONE
-            if sign < 0:
-                row = [-a for a in row]
-            self.sign.append(sign)
-            self.rows.append(row)
-            self.rhs.append(sign * con.rhs)
+        self.sign = [-1 if rhs < 0 else 1 for _, rhs, _ in lp._integer_rows]
 
     def objective_min(self):
-        """Internal objective (minimisation) over structural columns."""
-        coeffs = [ZERO] * self.nstruct
-        sign = -ONE if self.lp.maximize else ONE
+        """Internal objective (minimisation) over structural columns, one
+        (numerator, denominator) pair per column."""
+        coeffs = [(0, 1)] * self.nstruct
+        sign = -1 if self.lp.maximize else 1
         for j, c in enumerate(self.lp.objective):
-            coeffs[2 * j] = sign * c
-            coeffs[2 * j + 1] = -sign * c
+            num, den = sign * int(c.numerator), int(c.denominator)
+            coeffs[2 * j] = (num, den)
+            coeffs[2 * j + 1] = (-num, den)
         return coeffs
 
     def point_from(self, values):
@@ -335,21 +367,29 @@ class _Tableau:
 
     def __init__(self, std: _Standard):
         self.std = std
-        self.m = len(std.rows)
+        lp = std.lp
+        self.m = len(lp.constraints)
         self.nstruct = std.nstruct
         self.art = [self.nstruct + i for i in range(self.m)]
         self.width = self.nstruct + self.m + 1
         self.rows = []
         self.dens = []
-        for i in range(self.m):
-            entries = [
-                (int(a.numerator), int(a.denominator))
-                for a in (*std.rows[i], std.rhs[i])
-            ]
-            den = math.lcm(*(d for _, d in entries))
-            nums = [n * (den // d) for n, d in entries]
-            row = nums[:-1] + [0] * self.m + nums[-1:]
+        for i, (con, (terms, rhs, den)) in enumerate(
+            zip(lp.constraints, lp._integer_rows)
+        ):
+            # Row i of the standard form over den: split pairs +-a, slack
+            # +-den, rhs, all times sign_i; then artificial i at den.
+            sign = std.sign[i]
+            row = [0] * self.width
+            for j, a in terms:
+                row[2 * j] = sign * a
+                row[2 * j + 1] = -sign * a
+            if con.relation == LE:
+                row[std.slack_col[i]] = sign * den
+            elif con.relation == GE:
+                row[std.slack_col[i]] = -sign * den
             row[self.art[i]] = den
+            row[-1] = sign * rhs
             self.rows.append(row)
             self.dens.append(den)
         self.basis = list(self.art)
@@ -507,8 +547,7 @@ class _Tableau:
                 self._pivot(r, pcol, with_obj=False)
 
     def phase2(self, cost_struct):
-        cost = [(int(c.numerator), int(c.denominator)) for c in cost_struct]
-        self._price(cost + [(0, 1)] * (self.m + 1))
+        self._price(cost_struct + [(0, 1)] * (self.m + 1))
         return self._optimize()
 
     # -- extraction -------------------------------------------------------

@@ -4,8 +4,11 @@ Every decision made by this package is carried out in arbitrary-precision
 rational arithmetic; floating point shows up only when a report asks for a
 decimal rendering.  gmpy2's mpq is used when it is installed (the `gmp`
 extra); plain fractions.Fraction is a drop-in fallback with identical
-semantics.  The simplex tableau does not use either: it pivots on integer
-rows (see exact_lp).
+semantics.  Linear programs are written in these rationals, but exact_lp
+scales each row to integers over one denominator once per program; the
+tableau pivots on those integers and feasible points are re-verified on
+them, so backend rationals come back only when a solution is read out
+(through `int_ratio`) and in the multiplier and ray checks.
 """
 
 from __future__ import annotations

@@ -273,6 +273,36 @@ def test_oversized_bound_is_refused(files, capsys):
     assert code == 2
 
 
+def test_rank_and_construct_refuse_oversized_bound(tmp_path, capsys, monkeypatch):
+    # The digit gate fires before any LP runs or any product is built.
+    solved = []
+    built = []
+    monkeypatch.setattr(antipodality, "solve", lambda lp: solved.append(lp))
+    monkeypatch.setattr(
+        "antipodes.cli.product_construct", lambda *args: built.append(args)
+    )
+
+    def segment(dim):
+        return _ps((0,) * dim, (1,) + (0,) * (dim - 1))
+
+    tall = tmp_path / "tall.json"
+    dump_point_set(segment(15000), tall)
+    code, report, _ = run(capsys, "check-rank", str(tall), "--k", "1")
+    assert code == 2
+    assert "4300 digits" in report["error"]
+
+    # A 7500-dimensional base with a length-2 code: the product has
+    # dimension 15000, while the base alone would pass the gate.
+    base = tmp_path / "base.json"
+    dump_point_set(segment(7500), base)
+    code_path = tmp_path / "code.json"
+    dump_code(greedy_code(2, 2, 2), code_path)
+    code, report, _ = run(capsys, "construct", str(base), str(code_path), "--k", "1")
+    assert code == 2
+    assert "d=15000, k=1" in report["error"]
+    assert solved == [] and built == []
+
+
 def test_internal_errors_exit_4(files, capsys, monkeypatch):
     def broken_solve(lp):
         raise SolverInvariantError("feasible point failed substitution")

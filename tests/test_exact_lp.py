@@ -1,5 +1,7 @@
 """Solver-level tests: known optima, certificate round-trips, termination."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,7 +21,7 @@ from antipodes.exact_lp import (
     solve,
     solve_strict,
 )
-from antipodes.rationals import ratio
+from antipodes.rationals import ScalarError, ratio
 
 
 def _q(*texts):
@@ -139,6 +141,35 @@ def test_malformed_rows_rejected():
         make_lp(2, [((1, 2), "<", 0)])
     with pytest.raises(LPError):
         make_lp(0, [((), LE, 0)])
+
+
+def test_make_lp_refuses_floats_and_bools_among_rationals():
+    third = ratio("1/3")
+    for bad in (0.5, True):
+        with pytest.raises(ScalarError):
+            make_lp(2, [((third, bad), LE, third)])
+        with pytest.raises(ScalarError):
+            make_lp(2, [((third, third), LE, bad)])
+        with pytest.raises(ScalarError):
+            make_lp(2, [((third, third), LE, third)], objective=(third, bad))
+
+
+def test_make_lp_parses_strings_ints_and_foreign_rationals():
+    exact = type(ratio(0))
+    lp = make_lp(
+        2,
+        [(("1/3", 2), LE, "-5/7"), ((Fraction(2, 9), ratio(4)), GE, Fraction(1))],
+        objective=(1, "-2/9"),
+    )
+    first, second = lp.constraints
+    assert first.coeffs == _q("1/3", 2) and first.rhs == ratio(-5, 7)
+    assert second.coeffs == _q("2/9", 4) and second.rhs == ratio(1)
+    assert lp.objective == _q(1, "-2/9")
+    scalars = (*first.coeffs, first.rhs, *second.coeffs, second.rhs, *lp.objective)
+    # A Fraction passed in becomes the backend's type (mpq under gmpy2).
+    assert all(type(a) is exact for a in scalars)
+    with pytest.raises(ScalarError):
+        make_lp(1, [(("1/3x",), LE, 0)])
 
 
 def _beale():
@@ -365,3 +396,65 @@ def test_strict_outcomes_reverify(case):
         weak = solve(lp)
         if weak.status is Status.FEASIBLE:
             assert not check_point(lp, weak.point, strict)
+
+
+# ---------------------------------------------------------------------------
+# check_point against plain rational substitution, row by row
+
+_PRIMES = (53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
+_prime_ratio = st.builds(
+    lambda num, den: ratio(num, den),
+    st.integers(-200, 200),
+    st.sampled_from(_PRIMES),
+)
+_sparse = st.one_of(st.just(ratio(0)), st.integers(-5, 5).map(ratio), _prime_ratio)
+
+
+def _substitutes(lp, point, strict_rows=()):
+    """Reference: does the point satisfy every row (strictly on the listed
+    ones), computed as rational dot products?"""
+    if len(point) != lp.num_vars:
+        return False
+    for i, con in enumerate(lp.constraints):
+        lhs = sum((a * x for a, x in zip(con.coeffs, point)), ratio(0))
+        strict = i in strict_rows
+        if con.relation == EQ:
+            holds = lhs == con.rhs and not strict
+        elif con.relation == LE:
+            holds = lhs < con.rhs if strict else lhs <= con.rhs
+        else:
+            holds = lhs > con.rhs if strict else lhs >= con.rhs
+        if not holds:
+            return False
+    return True
+
+
+@st.composite
+def _point_cases(draw):
+    n = draw(st.integers(1, 4))
+    point = tuple(draw(_sparse) for _ in range(n))
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        coeffs = tuple(draw(_sparse) for _ in range(n))
+        # Mostly tight at the point or off by 1/q either way; sometimes
+        # anywhere.
+        at_point = sum((a * x for a, x in zip(coeffs, point)), ratio(0))
+        q = draw(st.sampled_from(_PRIMES))
+        offsets = (0, 0, ratio(1, q), -ratio(1, q))
+        if draw(st.integers(0, 4)):
+            rhs = at_point + draw(st.sampled_from(offsets))
+        else:
+            rhs = draw(_sparse)
+        rows.append((coeffs, draw(st.sampled_from([LE, EQ, GE])), rhs))
+    strict = draw(st.sets(st.integers(0, len(rows) - 1)))
+    length = draw(st.sampled_from([n, n, n, n - 1, n + 1]))
+    point = (point + (draw(_sparse),))[:length]
+    return make_lp(n, rows), point, strict
+
+
+@settings(max_examples=400, deadline=None)
+@given(_point_cases())
+def test_check_point_matches_rational_substitution(case):
+    lp, point, strict = case
+    assert check_point(lp, point, strict) == _substitutes(lp, point, strict)
+    assert check_point(lp, point) == _substitutes(lp, point)
