@@ -31,7 +31,6 @@ the remaining points from landing on simplex vertices.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -46,9 +45,11 @@ from .geometry import (
     StandardSimplex,
     affine_rank,
     barycentric,
+    decode_map,
     dilate_polytope,
     member,
     orthogonal_project,
+    simplex_map_lp,
     vdot,
 )
 from .rationals import ONE, ZERO, ratio
@@ -207,58 +208,6 @@ def _validate_factors(k, factors) -> tuple:
 # the two decision routes
 
 
-def _map_lp(X: PointSet, chosen, objective=None, maximize=True):
-    """Feasibility program for an affine map sending conv(X) into the
-    simplex with the chosen points at its vertices.
-
-    Variables are the (k+1) x (d+1) map entries, row-major, each output
-    row holding d linear coefficients followed by its offset.  An optional
-    objective over these variables turns it into an optimisation program
-    with the same rows.
-    """
-    k = len(chosen) - 1
-    d = X.dim
-    nv = (k + 1) * (d + 1)
-
-    def col(i, t):
-        return i * (d + 1) + t
-
-    rows = []
-    for pos, q_idx in enumerate(chosen):
-        q = X[q_idx]
-        for i in range(k + 1):
-            coeffs = [ZERO] * nv
-            for t in range(d):
-                coeffs[col(i, t)] = q[t]
-            coeffs[col(i, d)] = ONE
-            rows.append((tuple(coeffs), EQ, ONE if i == pos else ZERO))
-    for x in X:
-        for i in range(k + 1):
-            coeffs = [ZERO] * nv
-            for t in range(d):
-                coeffs[col(i, t)] = x[t]
-            coeffs[col(i, d)] = ONE
-            rows.append((tuple(coeffs), GE, ZERO))
-    for x in X:
-        coeffs = [ZERO] * nv
-        for i in range(k + 1):
-            for t in range(d):
-                coeffs[col(i, t)] += x[t]
-            coeffs[col(i, d)] = ONE
-        rows.append((tuple(coeffs), EQ, ONE))
-    return make_lp(nv, rows, objective=objective, maximize=maximize)
-
-
-def _decode_map(point, k, d) -> AffineMap:
-    rows = []
-    offs = []
-    for i in range(k + 1):
-        base = i * (d + 1)
-        rows.append(tuple(point[base + t] for t in range(d)))
-        offs.append(point[base + d])
-    return AffineMap(tuple(rows), tuple(offs))
-
-
 def _copies_lp(X: PointSet, chosen, factors):
     """Strict system: a common point of the relative interiors of the
     shrunk copies of conv(X), one copy per chosen point.
@@ -349,24 +298,54 @@ def verify_joint_certificate(X: PointSet, cert: AntipodalityCertificate) -> bool
     return True
 
 
+def _map_certificate(X: PointSet, chosen):
+    """The verified certifying map for the chosen tuple, or None when the
+    map program is infeasible."""
+    out = solve(simplex_map_lp(X, len(chosen), pinned=[X[i] for i in chosen]))
+    if out.status is not Status.FEASIBLE:
+        return None
+    cert = AntipodalityCertificate(
+        True, chosen, mapping=decode_map(out.point, len(chosen))
+    )
+    if not verify_joint_certificate(X, cert):
+        raise CertificateError("map certificate failed verification")
+    return cert
+
+
+def _witness_certificate(X: PointSet, chosen, factors):
+    """The verified closed-copy witness for the chosen tuple, or None when
+    the relative interiors of the shrunk copies do not meet."""
+    lp, strict_rows = _copies_lp(X, chosen, factors)
+    out = solve_strict(lp, strict_rows)
+    if out.status is not Status.FEASIBLE:
+        return None
+    witness, reduced = _witness_from_solution(X, chosen, factors, out.point)
+    cert = AntipodalityCertificate(
+        False, chosen, witness=witness, shrink_factors=reduced
+    )
+    if not verify_joint_certificate(X, cert):
+        raise CertificateError("witness certificate failed verification")
+    return cert
+
+
 def joint_antipodal_direct(X: PointSet, chosen) -> AntipodalityCertificate:
     """Decide joint antipodality by searching for the certifying map."""
     chosen = _validate_chosen(X, chosen)
     k = len(chosen) - 1
     frame = [X[i] for i in chosen]
     if affine_rank(PointSet(tuple(frame))) == k:
-        out = solve(_map_lp(X, chosen))
-        if out.status is Status.FEASIBLE:
-            cert = AntipodalityCertificate(
-                True, chosen, mapping=_decode_map(out.point, k, X.dim)
-            )
-            if not verify_joint_certificate(X, cert):
-                raise CertificateError("map certificate failed verification")
+        cert = _map_certificate(X, chosen)
+        if cert is not None:
             return cert
     # Affinely dependent tuples can never reach the simplex vertices, and
     # an infeasible map program means the same; either way the shrunk
     # route must produce a common point to witness it.
-    return _witness_certificate(X, chosen, default_factors(k))
+    cert = _witness_certificate(X, chosen, default_factors(k))
+    if cert is None:
+        raise CertificateError(
+            "decision routes disagree: no map yet empty shrunk intersection"
+        )
+    return cert
 
 
 def joint_antipodal_shrunk(
@@ -376,45 +355,17 @@ def joint_antipodal_shrunk(
     chosen = _validate_chosen(X, chosen)
     k = len(chosen) - 1
     factors = default_factors(k) if factors is None else _validate_factors(k, factors)
-    lp, strict_rows = _copies_lp(X, chosen, factors)
-    out = solve_strict(lp, strict_rows)
-    if out.status is Status.FEASIBLE:
-        witness, reduced = _witness_from_solution(X, chosen, factors, out.point)
-        cert = AntipodalityCertificate(
-            False, chosen, witness=witness, shrink_factors=reduced
-        )
-        if not verify_joint_certificate(X, cert):
-            raise CertificateError("witness certificate failed verification")
+    cert = _witness_certificate(X, chosen, factors)
+    if cert is not None:
         return cert
     # Empty intersection: the certifying map must exist; fetch it from the
     # direct program so the negative route still hands out a positive
     # certificate.
-    map_out = solve(_map_lp(X, chosen))
-    if map_out.status is not Status.FEASIBLE:
+    cert = _map_certificate(X, chosen)
+    if cert is None:
         raise CertificateError(
             "decision routes disagree: empty shrunk intersection but no map"
         )
-    cert = AntipodalityCertificate(
-        True, chosen, mapping=_decode_map(map_out.point, k, X.dim)
-    )
-    if not verify_joint_certificate(X, cert):
-        raise CertificateError("map certificate failed verification")
-    return cert
-
-
-def _witness_certificate(X, chosen, factors) -> AntipodalityCertificate:
-    lp, strict_rows = _copies_lp(X, chosen, factors)
-    out = solve_strict(lp, strict_rows)
-    if out.status is not Status.FEASIBLE:
-        raise CertificateError(
-            "decision routes disagree: no map yet empty shrunk intersection"
-        )
-    witness, reduced = _witness_from_solution(X, chosen, factors, out.point)
-    cert = AntipodalityCertificate(
-        False, chosen, witness=witness, shrink_factors=reduced
-    )
-    if not verify_joint_certificate(X, cert):
-        raise CertificateError("witness certificate failed verification")
     return cert
 
 
@@ -444,60 +395,44 @@ def _sampled_subsets(n, k, samples, seed):
     return sorted(seen)
 
 
+def _all_subsets(n, k, hint=""):
+    """Every (k+1)-subset of range(n) in index order; refuses more than
+    EXHAUSTIVE_LIMIT of them before listing any."""
+    total = comb(n, k + 1)
+    if total > EXHAUSTIVE_LIMIT:
+        raise AntipodalityError(
+            f"{total} subsets exceed the exhaustive limit {EXHAUSTIVE_LIMIT}{hint}"
+        )
+    return list(combinations(range(n), k + 1))
+
+
 def is_rank_k_antipodal(
     X: PointSet,
     k: int,
     samples: Optional[int] = None,
     seed: Optional[int] = None,
-    threads: int = 1,
 ) -> RankReport:
     """Check every (or a seeded sample of) (k+1)-subset for joint
     antipodality; the first failing subset in index order is reported.
 
     Exhaustive mode refuses sets with more than EXHAUSTIVE_LIMIT subsets;
     pass `samples` (a number of random draws, deduplicated) and `seed`.
-    `threads` only parallelises the subset checks; reports are identical
-    for every thread count.
     """
     _rank_preconditions(X, k)
-    n = len(X)
-    total = comb(n, k + 1)
     if samples is None:
-        if total > EXHAUSTIVE_LIMIT:
-            raise AntipodalityError(
-                f"{total} subsets exceed the exhaustive limit "
-                f"{EXHAUSTIVE_LIMIT}; pass samples= and seed="
-            )
-        subsets = list(combinations(range(n), k + 1))
+        subsets = _all_subsets(len(X), k, "; pass samples= and seed=")
         exhaustive = True
     else:
         if not isinstance(samples, int) or samples < 1:
             raise AntipodalityError("samples must be a positive integer")
         if seed is None:
             raise AntipodalityError("sampled mode requires an explicit seed")
-        subsets = _sampled_subsets(n, k, samples, seed)
+        subsets = _sampled_subsets(len(X), k, samples, seed)
         exhaustive = False
-    if not isinstance(threads, int) or threads < 1:
-        raise AntipodalityError("threads must be a positive integer")
-
-    def check(subset):
-        return joint_antipodal_direct(X, subset)
-
-    if threads == 1:
-        for pos, subset in enumerate(subsets):
-            cert = check(subset)
-            if not cert.antipodal:
-                return RankReport(k, False, pos + 1, exhaustive, failing=cert)
-        return RankReport(k, True, len(subsets), exhaustive)
-    chunk = 8 * threads
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for start in range(0, len(subsets), chunk):
-            batch = subsets[start : start + chunk]
-            for offset, cert in enumerate(pool.map(check, batch)):
-                if not cert.antipodal:
-                    return RankReport(
-                        k, False, start + offset + 1, exhaustive, failing=cert
-                    )
+    for pos, subset in enumerate(subsets):
+        cert = joint_antipodal_direct(X, subset)
+        if not cert.antipodal:
+            return RankReport(k, False, pos + 1, exhaustive, failing=cert)
     return RankReport(k, True, len(subsets), exhaustive)
 
 
@@ -723,9 +658,10 @@ def erdos_rank_k(X: PointSet, k: int) -> ProjectionReport:
     project onto the subset's affine hull with nonnegative barycentric
     coordinates, landing inside the subset's simplex.  This is stronger
     than rank-k antipodality: the supporting slabs here are orthogonal.
+    Refuses sets with more than EXHAUSTIVE_LIMIT subsets.
     """
     _rank_preconditions(X, k)
-    for subset in combinations(range(len(X)), k + 1):
+    for subset in _all_subsets(len(X), k):
         frame = PointSet(tuple(X[i] for i in subset))
         if affine_rank(frame) != k:
             return ProjectionReport(k, False, subset, reason="dependent")
@@ -741,21 +677,6 @@ def erdos_rank_k(X: PointSet, k: int) -> ProjectionReport:
 
 # ---------------------------------------------------------------------------
 # strict variant
-
-
-def _vertex_value_lp(X, chosen, x_idx, vertex_pos):
-    """Minimise output coordinate vertex_pos at point x_idx over all
-    certifying maps for the chosen tuple."""
-    d = X.dim
-    k = len(chosen) - 1
-    nv = (k + 1) * (d + 1)
-    objective = [ZERO] * nv
-    base = vertex_pos * (d + 1)
-    x = X[x_idx]
-    for t in range(d):
-        objective[base + t] = x[t]
-    objective[base + d] = ONE
-    return _map_lp(X, chosen, objective=objective, maximize=False)
 
 
 def _blend_maps(m1: AffineMap, m2: AffineMap) -> AffineMap:
@@ -779,11 +700,11 @@ def strict_rank_k(X: PointSet, k: int) -> StrictReport:
     into one map yields the returned evidence.
 
     With exactly k+1 points the condition is vacuous beyond plain joint
-    antipodality.
+    antipodality.  Refuses sets with more than EXHAUSTIVE_LIMIT subsets.
     """
     _rank_preconditions(X, k)
     n = len(X)
-    subsets = list(combinations(range(n), k + 1))
+    subsets = _all_subsets(n, k)
     evidence = []
     for pos, subset in enumerate(subsets):
         cert = joint_antipodal_direct(X, subset)
@@ -803,7 +724,14 @@ def strict_rank_k(X: PointSet, k: int) -> StrictReport:
                 value = mapping.apply(X[x_idx])[vertex_pos]
                 if value != 1:
                     continue
-                out = solve(_vertex_value_lp(X, subset, x_idx, vertex_pos))
+                lp = simplex_map_lp(
+                    X,
+                    k + 1,
+                    pinned=[X[i] for i in subset],
+                    score=[(vertex_pos, X[x_idx])],
+                    maximize=False,
+                )
+                out = solve(lp)
                 if out.status is not Status.FEASIBLE:
                     raise CertificateError("vertex-value program went infeasible")
                 if out.objective_value == 1:
@@ -815,7 +743,7 @@ def strict_rank_k(X: PointSet, k: int) -> StrictReport:
                         cause="forced",
                         forced_pair=(x_idx, vertex_pos),
                     )
-                deviator = _decode_map(out.point, k, X.dim)
+                deviator = decode_map(out.point, k + 1)
                 mapping = _blend_maps(mapping, deviator)
         witness_cert = AntipodalityCertificate(True, subset, mapping=mapping)
         if not verify_joint_certificate(X, witness_cert):

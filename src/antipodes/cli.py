@@ -16,6 +16,7 @@ its certificates before printing.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -54,6 +55,7 @@ from .geometry import (
     load_point_set,
 )
 from .hashcodes import (
+    DEFAULT_BUDGET,
     HashCodeError,
     code_from_obj,
     code_to_obj,
@@ -199,9 +201,7 @@ def _cmd_check_joint(args):
 def _cmd_check_rank(args):
     X = load_point_set(args.file)
     _refuse_oversized_bound(X.dim, args.k)
-    result = is_rank_k_antipodal(
-        X, args.k, samples=args.sample, seed=args.seed, threads=args.threads
-    )
+    result = is_rank_k_antipodal(X, args.k, samples=args.sample, seed=args.seed)
     cap = floor_ratio(size_bound(X.dim, args.k))
     report = {
         "verb": "check-rank",
@@ -514,6 +514,7 @@ def _cmd_discriminate(args):
 # wiring
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="antipodes",
@@ -534,7 +535,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--sample", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(handler=_cmd_check_rank)
 
     p = sub.add_parser("check-erdos", help="projection criterion for every subset")
@@ -555,7 +555,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.set_defaults(handler=_cmd_hash_search)
 
     p = sub.add_parser("hash-greedy", help="greedy code in one lexicographic sweep")

@@ -13,13 +13,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .exact_lp import EQ, GE, Status, make_lp, solve
+from .exact_lp import Status, solve
 from .geometry import (
     AffineMap,
     Polytope,
     StandardSimplex,
     as_point,
+    decode_map,
     member,
+    simplex_map_lp,
 )
 from .rationals import ratio
 
@@ -114,48 +116,18 @@ def error_prob(measurement: Measurement, states):
 def min_error(space: StateSpace, states):
     """Exact minimum discrimination error and a measurement achieving it.
 
-    Variables are the r x (d+1) entries of the affine map (r = number of
-    states); feasibility only constrains vertex images to the simplex,
-    and the objective collects each state's own outcome probability.
+    The program searches the affine maps with one output per state that
+    send every vertex of the space into the simplex, maximizing the sum
+    of each state's own outcome probability.
     """
     pts = _checked_states(space, states)
     r = len(pts)
     if r < 2:
         raise DiscriminationError("need at least two states")
-    d = space.dim
-    width = d + 1
-
-    def col(j, t):
-        return j * width + t
-
-    nvars = r * width
-    rows = []
-    for v in space.vertices:
-        for j in range(r):
-            coeffs = [ratio(0)] * nvars
-            for t in range(d):
-                coeffs[col(j, t)] = v[t]
-            coeffs[col(j, d)] = ratio(1)
-            rows.append((tuple(coeffs), GE, 0))
-        coeffs = [ratio(0)] * nvars
-        for j in range(r):
-            for t in range(d):
-                coeffs[col(j, t)] = v[t]
-            coeffs[col(j, d)] = ratio(1)
-        rows.append((tuple(coeffs), EQ, 1))
-    objective = [ratio(0)] * nvars
-    for j, s in enumerate(pts):
-        for t in range(d):
-            objective[col(j, t)] = s[t]
-        objective[col(j, d)] = ratio(1)
-    outcome = solve(make_lp(nvars, rows, objective=tuple(objective), maximize=True))
+    outcome = solve(simplex_map_lp(space.vertices, r, score=list(enumerate(pts))))
     if outcome.status is not Status.FEASIBLE:
         raise DiscriminationError("discrimination program did not optimize")
-    matrix = tuple(
-        tuple(outcome.point[col(j, t)] for t in range(d)) for j in range(r)
-    )
-    offset = tuple(outcome.point[col(j, d)] for j in range(r))
-    measurement = Measurement(space, AffineMap(matrix, offset))
+    measurement = Measurement(space, decode_map(outcome.point, r))
     value = ratio(r) - outcome.objective_value
     if error_prob(measurement, pts) != value:
         raise DiscriminationError("optimizer does not reproduce its own value")

@@ -131,10 +131,6 @@ class Dilation:
         )
 
 
-def dilate(dilation: Dilation, x) -> tuple:
-    return dilation.apply(x)
-
-
 def dilate_polytope(dilation: Dilation, poly: Polytope) -> Polytope:
     return Polytope.from_points(dilation.apply(p) for p in poly.spanning)
 
@@ -203,6 +199,47 @@ class AffineMap:
         if len(x) != self.in_dim:
             raise GeometryError("point dimension does not match the map")
         return tuple(vdot(row, x) + c for row, c in zip(self.matrix, self.offset))
+
+
+def simplex_map_lp(points, outputs, pinned=(), score=(), maximize=True):
+    """Program for an affine map sending every point into the standard
+    simplex on `outputs` outcomes, with pinned[j] sent to vertex j.
+
+    Variables are the outputs x (d+1) map entries, row-major, each output
+    row holding d linear coefficients followed by its offset.  Rows: the
+    pinned equalities, then every output >= 0 at every point, then the
+    outputs summing to 1 at every point.  A nonempty `score`, a list of
+    (output, point) pairs, makes the sum of those outputs at those points
+    the objective.
+    """
+    points = tuple(points)
+    blank = (ZERO,) * (len(points[0]) + 1)
+
+    def at(i, p):
+        # Output i evaluated at p, as a row over the map entries.
+        return blank * i + p + (ONE,) + blank * (outputs - 1 - i)
+
+    rows = [
+        (at(i, q), EQ, ONE if i == j else ZERO)
+        for j, q in enumerate(pinned)
+        for i in range(outputs)
+    ]
+    rows += [(at(i, x), GE, ZERO) for x in points for i in range(outputs)]
+    rows += [((x + (ONE,)) * outputs, EQ, ONE) for x in points]
+    objective = None
+    if score:
+        objective = [ZERO] * (len(blank) * outputs)
+        for i, x in score:
+            for col, c in enumerate(x + (ONE,), i * len(blank)):
+                objective[col] += c
+    return make_lp(len(blank) * outputs, rows, objective=objective, maximize=maximize)
+
+
+def decode_map(point, outputs) -> AffineMap:
+    """The affine map held in a solution point of `simplex_map_lp`."""
+    width = len(point) // outputs
+    rows = [point[i * width : (i + 1) * width] for i in range(outputs)]
+    return AffineMap(tuple(r[:-1] for r in rows), tuple(r[-1] for r in rows))
 
 
 # ---------------------------------------------------------------------------

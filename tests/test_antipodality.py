@@ -156,13 +156,6 @@ def test_sampled_mode_requires_seed_and_is_deterministic():
     assert not a.exhaustive
 
 
-def test_threads_do_not_change_reports():
-    passing = is_rank_k_antipodal(SQUARE, 1, threads=3)
-    assert repr(passing) == repr(is_rank_k_antipodal(SQUARE, 1))
-    failing = is_rank_k_antipodal(CUBE3, 2, threads=2)
-    assert repr(failing) == repr(is_rank_k_antipodal(CUBE3, 2))
-
-
 # ---------------------------------------------------------------------------
 # separation and support halfspaces
 

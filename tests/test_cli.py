@@ -7,10 +7,10 @@ import pytest
 
 from antipodes import antipodality
 from antipodes.antipodality import CertificateError
-from antipodes.cli import main
+from antipodes.cli import _build_parser, main
 from antipodes.exact_lp import SolverInvariantError
 from antipodes.geometry import PointSet, dump_point_set
-from antipodes.hashcodes import dump_code, greedy_code, max_code
+from antipodes.hashcodes import DEFAULT_BUDGET, dump_code, greedy_code, max_code
 from antipodes.rationals import ratio
 
 
@@ -104,10 +104,59 @@ def test_check_rank_cube(files, capsys):
     assert report["verified"] is True
 
 
-def test_threads_do_not_change_bytes(files, capsys):
-    _, _, one = run(capsys, "check-rank", files["cube"], "--k", "1", "--threads", "1")
-    _, _, four = run(capsys, "check-rank", files["cube"], "--k", "1", "--threads", "4")
-    assert one == four
+def _map(matrix, offset):
+    return {"matrix": matrix, "offset": offset}
+
+
+def test_check_joint_map_pins(files, capsys):
+    # Exact maps: they move if the map program's row order drifts.
+    cube_map = _map([["0", "0", "-1"], ["0", "0", "1"]], ["1", "0"])
+    for extra, route in (((), "direct"), (("--lambda", "1/2,1/2"), "shrunk")):
+        code, report, _ = run(capsys, "check-joint", files["cube"], "0", "7", *extra)
+        assert code == 0
+        assert report["route"] == route
+        assert report["certificate"] == {
+            "antipodal": True, "chosen": [0, 7], "map": cube_map,
+        }
+    # (3, 4) moves if the ">= 0" rows are listed output by output.
+    code, report, _ = run(capsys, "check-joint", files["cube"], "3", "4")
+    assert code == 0
+    assert report["certificate"]["map"] == _map(
+        [["0", "0", "1"], ["0", "0", "-1"]], ["0", "1"]
+    )
+
+
+def test_check_strict_pins(files, capsys):
+    code, report, _ = run(capsys, "check-strict", files["triangle"], "--k", "1")
+    assert code == 0
+    assert report["evidence"] == [
+        {"subset": [0, 1], "map": _map([["-1", "-1/2"], ["1", "1/2"]], ["1", "0"])},
+        {"subset": [0, 2], "map": _map([["-1/2", "-1"], ["1/2", "1"]], ["1", "0"])},
+        {
+            "subset": [1, 2],
+            "map": _map([["1/2", "-1/2"], ["-1/2", "1/2"]], ["1/2", "1/2"]),
+        },
+    ]
+    code, report, _ = run(capsys, "check-strict", files["square"], "--k", "1")
+    assert code == 1
+    assert report == {
+        "verb": "check-strict", "k": 1, "points": 4, "dim": 2, "strict": False,
+        "subsets_checked": 1, "failing_subset": [0, 1], "cause": "forced",
+        "forced_point": 2, "forced_vertex": 0,
+    }
+
+
+def test_discriminate_pin(tmp_path, capsys):
+    space = tmp_path / "space.json"
+    dump_point_set(_ps((0, 0), (2, 0), (2, 1), (0, 3), ("1/2", "1/2")), space)
+    states = tmp_path / "states.json"
+    dump_point_set(_ps(("1/3", "1/2"), (1, "1/4"), ("1/2", 2)), states)
+    code, report, _ = run(capsys, "discriminate", str(space), str(states))
+    assert code == 1
+    assert report["min_error"] == "23/18"
+    assert report["measurement"] == _map(
+        [["-1/3", "-1/3"], ["1/3", "0"], ["0", "1/3"]], ["1", "0", "0"]
+    )
 
 
 def test_repeat_runs_are_byte_identical(files, capsys):
@@ -301,6 +350,32 @@ def test_rank_and_construct_refuse_oversized_bound(tmp_path, capsys, monkeypatch
     assert code == 2
     assert "d=15000, k=1" in report["error"]
     assert solved == [] and built == []
+
+
+def test_rank_verbs_refuse_too_many_subsets(tmp_path, capsys, monkeypatch):
+    # C(90, 3) = 117 480 subsets: every rank verb refuses before any LP or
+    # projection runs.
+    calls = []
+    for name in ("solve", "solve_strict", "orthogonal_project"):
+        monkeypatch.setattr(
+            antipodality, name, lambda *args, name=name: calls.append(name)
+        )
+    crowd = tmp_path / "crowd.json"
+    dump_point_set(_ps(*((t, t * t) for t in range(90))), crowd)
+    for verb in ("check-rank", "check-strict", "check-erdos"):
+        code, report, _ = run(capsys, verb, str(crowd), "--k", "2")
+        assert code == 2, verb
+        assert "117480 subsets exceed the exhaustive limit 100000" in report["error"]
+    assert calls == []
+
+
+def test_hash_search_default_budget():
+    args = _build_parser().parse_args(["hash-search", "--b", "3", "--k", "3", "--m", "2"])
+    assert args.budget == DEFAULT_BUDGET
+
+
+def test_parser_is_built_once():
+    assert _build_parser() is _build_parser()
 
 
 def test_internal_errors_exit_4(files, capsys, monkeypatch):

@@ -8,6 +8,7 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from antipodes.exact_lp import EQ, GE, Status, solve
 from antipodes.geometry import (
     AffineMap,
     DegenerateVolumeWarning,
@@ -19,11 +20,13 @@ from antipodes.geometry import (
     StandardSimplex,
     affine_rank,
     barycentric,
+    decode_map,
     dilate_polytope,
     member,
     orthogonal_project,
     point_set_from_obj,
     point_set_to_obj,
+    simplex_map_lp,
     vdot,
     volume,
 )
@@ -143,6 +146,28 @@ def test_affine_map_apply():
     assert m.apply(("1/4", "1/4")) == (ratio(1, 4), ratio(1, 4), ratio(1, 2))
     with pytest.raises(GeometryError):
         m.apply((1,))
+
+
+def test_simplex_map_lp_rows_and_decoding():
+    square = _pts((0, 0), (1, 0), (0, 1), (1, 1))
+    lp = simplex_map_lp(square, 2, pinned=[square[0], square[3]])
+    # Pinned equalities, then outputs >= 0 per point, then sums = 1.
+    assert [c.relation for c in lp.constraints] == [EQ] * 4 + [GE] * 8 + [EQ] * 4
+    assert lp.constraints[5].coeffs == tuple(map(ratio, (0, 0, 0, 0, 0, 1)))
+    assert lp.constraints[12].coeffs == tuple(map(ratio, (0, 0, 1, 0, 0, 1)))
+    out = solve(lp)
+    assert out.status is Status.FEASIBLE
+    mapping = decode_map(out.point, 2)
+    assert mapping.apply(square[0]) == (1, 0)
+    assert mapping.apply(square[3]) == (0, 1)
+    assert all(StandardSimplex(1).contains(mapping.apply(x)) for x in square)
+
+    # A score sums its outputs: output 1 at (1, 0) twice, output 0 once.
+    lp = simplex_map_lp(
+        square, 2, score=[(1, square[1]), (0, square[2]), (1, square[1])]
+    )
+    assert lp.objective == tuple(map(ratio, (0, 1, 1, 2, 0, 2)))
+    assert lp.maximize
 
 
 def test_orthogonal_project_onto_axis():
