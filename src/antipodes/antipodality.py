@@ -33,7 +33,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
+from math import comb, lcm
+from operator import mul
 from typing import Optional, Sequence
 
 from .exact_lp import EQ, GE, LE, Status, make_lp, solve, solve_strict
@@ -42,7 +43,6 @@ from .geometry import (
     Dilation,
     PointSet,
     Polytope,
-    StandardSimplex,
     affine_rank,
     barycentric,
     decode_map,
@@ -52,7 +52,7 @@ from .geometry import (
     simplex_map_lp,
     vdot,
 )
-from .rationals import ONE, ZERO, ratio
+from .rationals import ONE, ZERO, over_common_denominator, ratio
 
 #: Exhaustive rank checks refuse beyond this many subsets; ask for
 #: sampling instead.
@@ -276,11 +276,30 @@ def verify_joint_certificate(X: PointSet, cert: AntipodalityCertificate) -> bool
         m = cert.mapping
         if m is None or m.in_dim != X.dim or m.out_dim != k + 1:
             return False
-        simplex = StandardSimplex(k)
+        # Row i over the lcm D_i of its denominators, a point over its own
+        # lcm L: output i is (a_i.P + c_i*L) / (D_i*L), so each test below
+        # is the rational test multiplied through by a positive integer.
+        rows = [over_common_denominator(r + (c,)) for r, c in zip(m.matrix, m.offset)]
+        common = lcm(*(d for _, d in rows))
+        images = []
+        for x in X:
+            scaled, den = over_common_denominator(x)
+            totals = [a[-1] * den + sum(map(mul, a, scaled)) for a, _ in rows]
+            images.append((totals, den))
         for pos, q_idx in enumerate(chosen):
-            if m.apply(X[q_idx]) != simplex.vertex(pos):
+            totals, den = images[q_idx]
+            for i, (total, (_, d)) in enumerate(zip(totals, rows)):
+                if total != (d * den if i == pos else 0):
+                    return False
+        for totals, den in images:
+            if any(t < 0 for t in totals):
                 return False
-        return all(simplex.contains(m.apply(x)) for x in X)
+            # The outputs sum to 1: sum_i total_i * (lcm of the D_i) / D_i
+            # equals that lcm times L.
+            weighted = sum(t * (common // d) for t, (_, d) in zip(totals, rows))
+            if weighted != common * den:
+                return False
+        return True
     if cert.witness is None or cert.shrink_factors is None:
         return False
     factors = cert.shrink_factors
@@ -301,7 +320,8 @@ def verify_joint_certificate(X: PointSet, cert: AntipodalityCertificate) -> bool
 def _map_certificate(X: PointSet, chosen):
     """The verified certifying map for the chosen tuple, or None when the
     map program is infeasible."""
-    out = solve(simplex_map_lp(X, len(chosen), pinned=[X[i] for i in chosen]))
+    lp, _ = simplex_map_lp(X, len(chosen), pinned=[X[i] for i in chosen])
+    out = solve(lp)
     if out.status is not Status.FEASIBLE:
         return None
     cert = AntipodalityCertificate(
@@ -724,7 +744,7 @@ def strict_rank_k(X: PointSet, k: int) -> StrictReport:
                 value = mapping.apply(X[x_idx])[vertex_pos]
                 if value != 1:
                     continue
-                lp = simplex_map_lp(
+                lp, offset = simplex_map_lp(
                     X,
                     k + 1,
                     pinned=[X[i] for i in subset],
@@ -734,7 +754,7 @@ def strict_rank_k(X: PointSet, k: int) -> StrictReport:
                 out = solve(lp)
                 if out.status is not Status.FEASIBLE:
                     raise CertificateError("vertex-value program went infeasible")
-                if out.objective_value == 1:
+                if out.objective_value + offset == 1:
                     return StrictReport(
                         k,
                         False,

@@ -124,11 +124,12 @@ def min_error(space: StateSpace, states):
     r = len(pts)
     if r < 2:
         raise DiscriminationError("need at least two states")
-    outcome = solve(simplex_map_lp(space.vertices, r, score=list(enumerate(pts))))
+    lp, offset = simplex_map_lp(space.vertices, r, score=list(enumerate(pts)))
+    outcome = solve(lp)
     if outcome.status is not Status.FEASIBLE:
         raise DiscriminationError("discrimination program did not optimize")
     measurement = Measurement(space, decode_map(outcome.point, r))
-    value = ratio(r) - outcome.objective_value
+    value = ratio(r) - (outcome.objective_value + offset)
     if error_prob(measurement, pts) != value:
         raise DiscriminationError("optimizer does not reproduce its own value")
     return value, measurement

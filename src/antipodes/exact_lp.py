@@ -49,7 +49,7 @@ from enum import Enum
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .rationals import ONE, ZERO, int_ratio, ratio
+from .rationals import ONE, ZERO, int_ratio, over_common_denominator, ratio
 
 LE = "<="
 EQ = "="
@@ -183,9 +183,7 @@ def check_point(lp: LinearProgram, point, strict_rows=()) -> bool:
     """
     if len(point) != lp.num_vars:
         return False
-    dens = [int(x.denominator) for x in point]
-    lcm = math.lcm(*dens)
-    scaled = [int(x.numerator) * (lcm // d) for x, d in zip(point, dens)]
+    scaled, lcm = over_common_denominator(point)
     strict = set(strict_rows)
     for i, (con, (terms, rhs, _)) in enumerate(
         zip(lp.constraints, lp._integer_rows)

@@ -16,7 +16,7 @@ from itertools import combinations
 from math import factorial
 from typing import Optional
 
-from .exact_lp import EQ, GE, Status, make_lp, solve, solve_strict
+from .exact_lp import EQ, GE, LE, Status, make_lp, solve, solve_strict
 from .rationals import ONE, ZERO, ratio
 
 #: Exact volume is supported up to this ambient dimension by default; the
@@ -205,40 +205,65 @@ def simplex_map_lp(points, outputs, pinned=(), score=(), maximize=True):
     """Program for an affine map sending every point into the standard
     simplex on `outputs` outcomes, with pinned[j] sent to vertex j.
 
-    Variables are the outputs x (d+1) map entries, row-major, each output
-    row holding d linear coefficients followed by its offset.  Rows: the
-    pinned equalities, then every output >= 0 at every point, then the
-    outputs summing to 1 at every point.  A nonempty `score`, a list of
-    (output, point) pairs, makes the sum of those outputs at those points
-    the objective.
+    Only the first outputs - 1 map rows are variables: (outputs - 1) x
+    (d+1) entries, row-major, each row holding d linear coefficients
+    followed by its offset.  The last output is 1 minus the sum of the
+    others, so the outputs sum to 1 everywhere.  Rows: the pinned
+    equalities for the variable outputs, then every variable output >= 0
+    at every point, then the variable outputs summing to <= 1 at every
+    point.  Points equal to a pinned point get no inequality rows; their
+    pins imply them.
+
+    A nonempty `score`, a list of (output, point) pairs, makes the sum of
+    those outputs at those points the objective.  A pair naming the last
+    output adds minus the other outputs to the objective and its constant
+    1 to `offset`, since a program objective has no constant term.
+    Returns (lp, offset): the score at a solution point is the program's
+    objective value plus offset.
     """
     points = tuple(points)
+    pinned = tuple(pinned)
+    free = outputs - 1
     blank = (ZERO,) * (len(points[0]) + 1)
 
     def at(i, p):
-        # Output i evaluated at p, as a row over the map entries.
-        return blank * i + p + (ONE,) + blank * (outputs - 1 - i)
+        # Output i < free evaluated at p, as a row over the map entries.
+        return blank * i + p + (ONE,) + blank * (free - 1 - i)
 
+    frame = set(pinned)
     rows = [
         (at(i, q), EQ, ONE if i == j else ZERO)
         for j, q in enumerate(pinned)
-        for i in range(outputs)
+        for i in range(free)
     ]
-    rows += [(at(i, x), GE, ZERO) for x in points for i in range(outputs)]
-    rows += [((x + (ONE,)) * outputs, EQ, ONE) for x in points]
+    rest = [x for x in points if x not in frame]
+    rows += [(at(i, x), GE, ZERO) for x in rest for i in range(free)]
+    rows += [((x + (ONE,)) * free, LE, ONE) for x in rest]
     objective = None
+    offset = 0
     if score:
-        objective = [ZERO] * (len(blank) * outputs)
+        objective = [ZERO] * (len(blank) * free)
         for i, x in score:
-            for col, c in enumerate(x + (ONE,), i * len(blank)):
-                objective[col] += c
-    return make_lp(len(blank) * outputs, rows, objective=objective, maximize=maximize)
+            if i < free:
+                blocks, sign = (i,), ONE
+            else:
+                blocks, sign = range(free), -ONE
+                offset += 1
+            for b in blocks:
+                for col, c in enumerate(x + (ONE,), b * len(blank)):
+                    objective[col] += sign * c
+    lp = make_lp(len(blank) * free, rows, objective=objective, maximize=maximize)
+    return lp, offset
 
 
 def decode_map(point, outputs) -> AffineMap:
-    """The affine map held in a solution point of `simplex_map_lp`."""
-    width = len(point) // outputs
-    rows = [point[i * width : (i + 1) * width] for i in range(outputs)]
+    """The affine map held in a solution point of `simplex_map_lp`, with
+    its last row rebuilt as 1 minus the sum of the others."""
+    width = len(point) // (outputs - 1)
+    rows = [point[i * width : (i + 1) * width] for i in range(outputs - 1)]
+    last = tuple(-sum(col, ZERO) for col in zip(*rows))
+    last = last[:-1] + (ONE + last[-1],)
+    rows.append(last)
     return AffineMap(tuple(r[:-1] for r in rows), tuple(r[-1] for r in rows))
 
 

@@ -12,14 +12,17 @@ import json
 import random
 from dataclasses import dataclass
 from itertools import combinations, product
-from math import factorial, perm
+from math import comb, factorial, perm
 
 from .rationals import LogRatio, floor_ratio, ratio
 
 __all__ = [
+    "BATCH_LIMIT",
     "HashCode",
     "HashCodeError",
+    "POWER_BITS_LIMIT",
     "SearchResult",
+    "WORD_LIMIT",
     "code_from_obj",
     "code_to_obj",
     "counting_bound",
@@ -33,6 +36,19 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 500_000
+
+#: max_code and greedy_code list every one of the b**m words; they refuse
+#: more than this many before listing any.
+WORD_LIMIT = 100_000
+
+#: random_code scans every order-k batch of its sampled words once; it
+#: refuses more than this many batches before sampling any.
+BATCH_LIMIT = 1_000_000
+
+#: random_code computes its sampling target from the exact probability
+#: (1 - s)**m, whose denominator divides b**(k*m); it refuses a b**(k*m) of
+#: more than this many bits before building any power.
+POWER_BITS_LIMIT = 1 << 16
 
 
 class HashCodeError(ValueError):
@@ -83,6 +99,19 @@ class HashCode:
 
     def __iter__(self):
         return iter(self.words)
+
+
+def _refuse_many_words(b, m) -> None:
+    """Refuse b**m > WORD_LIMIT without building b**m when m is huge."""
+    # b**m >= 2**(m*(bits-1)): the first test settles every huge b or m,
+    # and the exact test then builds a power of a few dozen bits at most.
+    if (
+        m * (b.bit_length() - 1) > WORD_LIMIT.bit_length()
+        or b**m > WORD_LIMIT
+    ):
+        raise HashCodeError(
+            f"b**m words for b={b}, m={m} exceed the word limit {WORD_LIMIT}"
+        )
 
 
 def _separated(batch, m) -> bool:
@@ -141,6 +170,7 @@ def max_code(b: int, k: int, m: int, budget: int | None = DEFAULT_BUDGET) -> Sea
     _check_params(b, k, m)
     if budget is not None and budget < 1:
         raise HashCodeError("budget: must be positive when given")
+    _refuse_many_words(b, m)
     cap = floor_ratio(counting_bound(b, k, m))
     universe = list(product(range(1, b + 1), repeat=m))
     best: list = []
@@ -178,10 +208,12 @@ def max_code(b: int, k: int, m: int, budget: int | None = DEFAULT_BUDGET) -> Sea
 def greedy_code(b: int, k: int, m: int, order=None) -> HashCode:
     """Single sweep keeping every word that preserves separation.
 
-    Scans in lexicographic order unless an explicit word order is given.
-    Fast, deterministic, and usually short of optimal."""
+    Scans in lexicographic order unless an explicit word order is given;
+    the lexicographic sweep refuses more than WORD_LIMIT words.  Fast,
+    deterministic, and usually short of optimal."""
     _check_params(b, k, m)
     if order is None:
+        _refuse_many_words(b, m)
         candidates = product(range(1, b + 1), repeat=m)
     else:
         candidates = (tuple(w) for w in order)
@@ -219,13 +251,27 @@ def random_code(b: int, k: int, m: int, seed: int) -> HashCode:
     the expected number of unsplit batches near size/k; one deletion
     round (dropping the lexicographically largest word of each unsplit
     batch) then leaves a perfect code.
+
+    Refuses, before sampling anything, a b**(k*m) of more than
+    POWER_BITS_LIMIT bits and more than BATCH_LIMIT batches of the
+    sampled words.
     """
     _check_params(b, k, m)
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise HashCodeError("seed: expected an integer")
+    if k * m * b.bit_length() > POWER_BITS_LIMIT:
+        raise HashCodeError(
+            f"the sampling probability for b={b}, k={k}, m={m} needs more "
+            f"than {POWER_BITS_LIMIT} bits"
+        )
     s = ratio(perm(b, k), b**k)
     q = (1 - s) ** m
     target = _iroot(floor_ratio(ratio(factorial(k - 1)) / q), k - 1)
+    if comb(target, k) > BATCH_LIMIT:
+        raise HashCodeError(
+            f"the sample for b={b}, k={k}, m={m} has more than {BATCH_LIMIT} "
+            "batches"
+        )
     rng = random.Random(seed)
     sampled: list = []
     seen = set()

@@ -85,6 +85,14 @@ def int_ratio(num: int, den: int):
     return _make(num, den)
 
 
+def over_common_denominator(values):
+    """(nums, den) with values[i] == nums[i] / den, den the lcm of the
+    values' denominators (1 for no values)."""
+    dens = [int(x.denominator) for x in values]
+    den = math.lcm(*dens)
+    return [int(x.numerator) * (den // d) for x, d in zip(values, dens)], den
+
+
 def is_rational(value) -> bool:
     return isinstance(value, _RATIONAL_TYPES) and not isinstance(value, bool)
 

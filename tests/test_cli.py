@@ -2,10 +2,11 @@
 
 import json
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 
-from antipodes import antipodality
+from antipodes import antipodality, hashcodes
 from antipodes.antipodality import CertificateError
 from antipodes.cli import _build_parser, main
 from antipodes.exact_lp import SolverInvariantError
@@ -118,12 +119,17 @@ def test_check_joint_map_pins(files, capsys):
         assert report["certificate"] == {
             "antipodal": True, "chosen": [0, 7], "map": cube_map,
         }
-    # (3, 4) moves if the ">= 0" rows are listed output by output.
+    # (3, 4) moves if the "<= 1" rows come before the ">= 0" rows or the
+    # points are listed in reverse; (0, 3) also moves if the pinned rows
+    # come last.
     code, report, _ = run(capsys, "check-joint", files["cube"], "3", "4")
     assert code == 0
     assert report["certificate"]["map"] == _map(
-        [["0", "0", "1"], ["0", "0", "-1"]], ["0", "1"]
+        [["0", "1", "0"], ["0", "-1", "0"]], ["0", "1"]
     )
+    code, report, _ = run(capsys, "check-joint", files["cube"], "0", "3")
+    assert code == 0
+    assert report["certificate"]["map"] == cube_map
 
 
 def test_check_strict_pins(files, capsys):
@@ -366,6 +372,31 @@ def test_rank_verbs_refuse_too_many_subsets(tmp_path, capsys, monkeypatch):
         code, report, _ = run(capsys, verb, str(crowd), "--k", "2")
         assert code == 2, verb
         assert "117480 subsets exceed the exhaustive limit 100000" in report["error"]
+    assert calls == []
+
+
+def test_hash_verbs_refuse_oversized_instances(capsys, monkeypatch):
+    # Each verb refuses before a word is listed or sampled, or a batch
+    # scanned: the builders are swapped for recorders.
+    calls = []
+    for name in ("product", "combinations"):
+        monkeypatch.setattr(
+            hashcodes, name, lambda *args, name=name, **kw: calls.append(name)
+        )
+    monkeypatch.setattr(
+        hashcodes, "random", SimpleNamespace(Random=lambda seed: calls.append(seed))
+    )
+    for verb in ("hash-search", "hash-greedy"):
+        for b, m in (("10", "9"), ("3", str(10**12))):
+            code, report, _ = run(capsys, verb, "--b", b, "--k", "3", "--m", m)
+            assert code == 2, (verb, m)
+            assert "exceed the word limit 100000" in report["error"]
+    for m, why in (("40", "more than 1000000 batches"), (str(10**9), "65536 bits")):
+        code, report, _ = run(
+            capsys, "hash-random", "--b", "3", "--k", "3", "--m", m, "--seed", "1"
+        )
+        assert code == 2, m
+        assert why in report["error"]
     assert calls == []
 
 

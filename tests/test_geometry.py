@@ -8,7 +8,7 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from antipodes.exact_lp import EQ, GE, Status, solve
+from antipodes.exact_lp import EQ, GE, LE, Status, solve
 from antipodes.geometry import (
     AffineMap,
     DegenerateVolumeWarning,
@@ -150,24 +150,43 @@ def test_affine_map_apply():
 
 def test_simplex_map_lp_rows_and_decoding():
     square = _pts((0, 0), (1, 0), (0, 1), (1, 1))
-    lp = simplex_map_lp(square, 2, pinned=[square[0], square[3]])
-    # Pinned equalities, then outputs >= 0 per point, then sums = 1.
-    assert [c.relation for c in lp.constraints] == [EQ] * 4 + [GE] * 8 + [EQ] * 4
-    assert lp.constraints[5].coeffs == tuple(map(ratio, (0, 0, 0, 0, 0, 1)))
-    assert lp.constraints[12].coeffs == tuple(map(ratio, (0, 0, 1, 0, 0, 1)))
+    lp, offset = simplex_map_lp(square, 2, pinned=[square[0], square[3]])
+    # Only output 0 is a variable; output 1 is 1 minus it.  Pinned
+    # equalities, then output 0 >= 0 and <= 1 at the two unpinned points;
+    # the pinned points get no inequality rows.
+    assert lp.num_vars == 3 and offset == 0
+    assert [c.relation for c in lp.constraints] == [EQ] * 2 + [GE] * 2 + [LE] * 2
+    assert lp.constraints[1].coeffs == tuple(map(ratio, (1, 1, 1)))
+    assert lp.constraints[1].rhs == 0
+    assert lp.constraints[3].coeffs == tuple(map(ratio, (0, 1, 1)))
+    assert lp.constraints[4].coeffs == tuple(map(ratio, (1, 0, 1)))
+    assert lp.constraints[4].rhs == 1
     out = solve(lp)
     assert out.status is Status.FEASIBLE
     mapping = decode_map(out.point, 2)
+    assert mapping.out_dim == 2
     assert mapping.apply(square[0]) == (1, 0)
     assert mapping.apply(square[3]) == (0, 1)
     assert all(StandardSimplex(1).contains(mapping.apply(x)) for x in square)
 
-    # A score sums its outputs: output 1 at (1, 0) twice, output 0 once.
-    lp = simplex_map_lp(
-        square, 2, score=[(1, square[1]), (0, square[2]), (1, square[1])]
+    # A score sums its outputs: output 1 at (1, 0) twice, output 0 at
+    # (0, 1) once.  Output 1 is 1 minus output 0, so each pair naming it
+    # subtracts output 0 and adds 1 to the offset.
+    score = [(1, square[1]), (0, square[2]), (1, square[1])]
+    lp, offset = simplex_map_lp(square, 2, score=score)
+    assert lp.objective == tuple(map(ratio, (-2, 1, -1)))
+    assert offset == 2 and lp.maximize
+    out = solve(lp)
+    mapping = decode_map(out.point, 2)
+    assert out.objective_value + offset == sum(
+        mapping.apply(x)[i] for i, x in score
     )
-    assert lp.objective == tuple(map(ratio, (0, 1, 1, 2, 0, 2)))
-    assert lp.maximize
+
+    # With three outputs a pair naming output 2 subtracts both others.
+    lp, offset = simplex_map_lp(square, 3, score=[(2, square[3])], maximize=False)
+    assert lp.num_vars == 6
+    assert lp.objective == tuple(map(ratio, (-1, -1, -1) * 2))
+    assert offset == 1 and not lp.maximize
 
 
 def test_orthogonal_project_onto_axis():

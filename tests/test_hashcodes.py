@@ -5,7 +5,10 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from antipodes import hashcodes
 from antipodes.hashcodes import (
+    BATCH_LIMIT,
+    WORD_LIMIT,
     HashCode,
     HashCodeError,
     code_from_obj,
@@ -151,6 +154,34 @@ def test_random_code_order_two():
 def test_random_code_needs_integer_seed():
     with pytest.raises(HashCodeError):
         random_code(2, 2, 3, seed="7")
+
+
+def test_word_limit_is_exact(monkeypatch):
+    # The word list is never built here: product is swapped for a recorder.
+    built = []
+    monkeypatch.setattr(
+        hashcodes, "product", lambda *args, **kw: built.append(kw) or iter(())
+    )
+    assert WORD_LIMIT == 10**5
+    greedy_code(10, 3, 5)  # exactly 10**5 words
+    max_code(10, 3, 5)
+    assert len(built) == 2
+    for b, m in ((2, 17), (10**5 + 1, 1), (3, 10**12)):
+        for build in (greedy_code, max_code):
+            with pytest.raises(HashCodeError, match="word limit"):
+                build(b, 2, m)
+    assert len(built) == 2
+    # An explicit order lists no words, so it is not limited.
+    assert len(greedy_code(2, 2, 17, order=[(1,) * 17])) == 1
+
+
+def test_batch_limit_is_exact():
+    # At order 2 the sample is all b**m words: 2**10 words make 523 776
+    # pairs, 2**11 make 2 096 128.
+    assert BATCH_LIMIT == 10**6
+    assert len(random_code(2, 2, 10, seed=1)) > 0
+    with pytest.raises(HashCodeError, match="batches"):
+        random_code(2, 2, 11, seed=1)
 
 
 def test_rate_bounds_binary_meet():
