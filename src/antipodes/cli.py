@@ -19,6 +19,7 @@ import argparse
 import functools
 import json
 import sys
+from math import comb
 
 from .antipodality import (
     AntipodalityCertificate,
@@ -55,6 +56,7 @@ from .geometry import (
     load_point_set,
 )
 from .hashcodes import (
+    BATCH_LIMIT,
     DEFAULT_BUDGET,
     HashCodeError,
     code_from_obj,
@@ -319,6 +321,12 @@ def _replay_code(parsed):
 
 def _cmd_hash_verify(args):
     code = load_code(args.file)
+    batches = comb(len(code), code.k)
+    if batches > BATCH_LIMIT:
+        raise HashCodeError(
+            f"{len(code)} words of order {code.k} make {batches} batches, "
+            f"more than the batch limit {BATCH_LIMIT}"
+        )
     ok, batch = is_perfect(code)
     extra: dict = {"perfect": ok}
     if not ok:

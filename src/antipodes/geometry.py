@@ -2,26 +2,33 @@
 
 Points are tuples of exact rationals.  Polytopes are given by spanning
 points (not necessarily vertices); membership, relative-interior
-membership, barycentric coordinates, affine rank, orthogonal projection
-onto an affine hull, and exact volume in low dimension are all decided in
-rational arithmetic.  Membership queries answer with a certificate either
-way: convex coefficients inside, a separating affine functional outside.
+membership, barycentric coordinates, affine rank and orthogonal
+projection onto an affine hull are decided in rational arithmetic.
+Membership queries answer with a certificate either way: convex
+coefficients inside, a separating affine functional outside.
+
+Exact volume works in integers: the coordinates are cleared over their
+common denominator, a beneath-beyond pass (Seidel 1986) triangulates the
+hull's boundary from an initial simplex with integer cofactor normals,
+and the boundary simplices coned to one point give the volume as a sum
+of Bareiss determinants over d! L^d.
 """
 
 from __future__ import annotations
 
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from math import factorial
 from typing import Optional
 
 from .exact_lp import EQ, GE, LE, Status, make_lp, solve, solve_strict
-from .rationals import ONE, ZERO, ratio
+from .rationals import ONE, ZERO, int_ratio, over_common_denominator, ratio
 
-#: Exact volume is supported up to this ambient dimension by default; the
-#: facet enumeration below scans every d-subset of the spanning points and
-#: gets expensive quickly.
+#: Exact volume is supported up to this ambient dimension by default.  The
+#: boundary triangulation, and with it the cost, grows quickly with the
+#: dimension: the d-cube's 2d facets split into 2 d! boundary simplices.
 VOLUME_DIM_CAP = 4
 
 
@@ -326,20 +333,6 @@ def solve_unique(rows, rhs):
     return tuple(solution)
 
 
-def nullspace_vector(rows, ncols):
-    """One nonzero vector killed by all rows; needs corank exactly one."""
-    mat, pivots = _row_echelon([list(map(ratio, r)) for r in rows])
-    free = [c for c in range(ncols) if c not in pivots]
-    if len(free) != 1:
-        raise GeometryError("nullspace is not one-dimensional")
-    f = free[0]
-    vec = [ZERO] * ncols
-    vec[f] = ONE
-    for r, c in enumerate(pivots):
-        vec[c] = -mat[r][f]
-    return tuple(vec)
-
-
 def affine_rank(ps: PointSet) -> int:
     """Dimension of the affine hull (0 for a single point)."""
     base = ps[0]
@@ -474,132 +467,133 @@ def orthogonal_project(ps: PointSet, frame: PointSet):
 # exact volume in low dimension
 
 
-def _supporting_facets(pts, d):
-    """All supporting hyperplanes spanned by input points, as
-    (inward-normal, offset, incident-index-tuple) triples with n.x >= c
-    inside.  Brute force over d-subsets; fine for the supported scale."""
-    n = len(pts)
-    facets = {}
-    for subset in combinations(range(n), d):
-        base = pts[subset[0]]
-        diffs = [vsub(pts[i], base) for i in subset[1:]]
-        if matrix_rank(diffs) != d - 1:
-            continue
-        try:
-            normal = nullspace_vector(diffs, d)
-        except GeometryError:
-            continue
-        offset = vdot(normal, base)
-        sides = [vdot(normal, p) - offset for p in pts]
-        if all(s >= 0 for s in sides):
-            pass
-        elif all(s <= 0 for s in sides):
-            normal = vscale(-ONE, normal)
-            offset = -offset
-            sides = [-s for s in sides]
-        else:
-            continue
-        # Canonical scaling so coinciding hyperplanes dedupe.
-        lead = next(c for c in normal if c != 0)
-        scale = ONE / lead if lead > 0 else -ONE / lead
-        key = (vscale(scale, normal), scale * offset)
-        if key not in facets:
-            incident = tuple(i for i, s in enumerate(sides) if s == 0)
-            facets[key] = incident
-    return [(k[0], k[1], v) for k, v in sorted(facets.items())]
-
-
-def _affine_frame(pts):
-    """Exact affine frame of the hull of pts: base point, orthogonal-free
-    basis of difference vectors, and the coordinates of every input point
-    in that frame.  Arbitrary frame coordinates lift back through
-    base + sum(c_i * basis_i)."""
-    base = pts[0]
-    diffs = [vsub(p, base) for p in pts[1:]]
-    rank = matrix_rank(diffs)
-    # Pick a maximal independent subset of difference vectors as the basis.
-    basis = []
-    for dvec in diffs:
-        if matrix_rank(basis + [dvec]) > len(basis):
-            basis.append(list(dvec))
-        if len(basis) == rank:
-            break
-    gram = [[vdot(u, v) for v in basis] for u in basis]
-    coords = []
-    for p in pts:
-        rhs = [vdot(u, vsub(p, base)) for u in basis]
-        coords.append(solve_unique(gram, rhs))
-    return base, basis, coords
-
-
-def _lift(base, basis, local):
-    out = base
-    for c, u in zip(local, basis):
-        out = vadd(out, vscale(c, u))
-    return out
-
-
-def _simplices(pts, d):
-    """Triangulate conv(pts), assumed full-dimensional in R^d, into a list
-    of (d+1)-tuples of points: facet triangulations coned to the centroid.
-
-    Cells may contain constructed points (facet centroids), not only input
-    points, so recursion lifts cells through exact affine frames."""
-    if d == 1:
-        lo = min(pts)
-        hi = max(pts)
-        return [(lo, hi)]
-    n = len(pts)
-    centroid = tuple(
-        sum((p[t] for p in pts), ZERO) / n for t in range(len(pts[0]))
-    )
-    simplices = []
-    for _, _, incident in _supporting_facets(pts, d):
-        face_pts = [pts[i] for i in incident]
-        base, basis, flat = _affine_frame(face_pts)
-        for cell in _simplices(flat, d - 1):
-            lifted = tuple(_lift(base, basis, c) for c in cell)
-            simplices.append(lifted + (centroid,))
-    return simplices
+def _integer_points(pts):
+    """(points, L): every coordinate times L, the lcm of all denominators."""
+    d = len(pts[0])
+    nums, den = over_common_denominator([c for p in pts for c in p])
+    return [tuple(nums[i : i + d]) for i in range(0, len(nums), d)], den
 
 
 def _det(rows):
+    """Determinant of a square integer matrix by Bareiss elimination: every
+    division is exact, so the entries stay integers throughout."""
     mat = [list(r) for r in rows]
     n = len(mat)
-    det = ONE
-    for c in range(n):
-        pivot = None
-        for r in range(c, n):
-            if mat[r][c] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            return ZERO
-        if pivot != c:
-            mat[c], mat[pivot] = mat[pivot], mat[c]
-            det = -det
-        det *= mat[c][c]
-        inv = ONE / mat[c][c]
+    sign, prev = 1, 1
+    for c in range(n - 1):
+        if mat[c][c] == 0:
+            swap = next((r for r in range(c + 1, n) if mat[r][c]), None)
+            if swap is None:
+                return 0
+            mat[c], mat[swap] = mat[swap], mat[c]
+            sign = -sign
+        piv = mat[c][c]
         for r in range(c + 1, n):
-            if mat[r][c] != 0:
-                f = mat[r][c] * inv
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[c])]
-    return det
+            lead = mat[r][c]
+            mat[r] = [
+                (a * piv - lead * b) // prev for a, b in zip(mat[r], mat[c])
+            ]
+        prev = piv
+    return sign * mat[-1][-1]
+
+
+def _initial_simplex(P):
+    """Indices of the first len(P[0]) + 1 affinely independent integer
+    points, in index order, or None when the points do not span."""
+    base = P[0]
+    chosen = [0]
+    echelon = []  # (pivot column, row), each row zero at earlier pivots
+    for i in range(1, len(P)):
+        v = [a - b for a, b in zip(P[i], base)]
+        for col, row in echelon:
+            if v[col]:
+                f, g = row[col], v[col]
+                v = [f * a - g * b for a, b in zip(v, row)]
+        col = next((c for c, a in enumerate(v) if a), None)
+        if col is None:
+            continue
+        echelon.append((col, v))
+        chosen.append(i)
+        if len(chosen) == len(base) + 1:
+            return chosen
+    return None
+
+
+def _plane(P, facet, centre):
+    """(normal, offset) of the hyperplane through the facet's d points,
+    with integer cofactor normal and normal.x <= offset on the hull side:
+    normal.centre < (d+1) offset, centre / (d+1) being interior."""
+    base = P[facet[0]]
+    rows = [[a - b for a, b in zip(P[i], base)] for i in facet[1:]]
+    normal = [
+        (-1) ** j * _det([r[:j] + r[j + 1 :] for r in rows])
+        for j in range(len(base))
+    ]
+    offset = sum(a * b for a, b in zip(normal, base))
+    if sum(a * b for a, b in zip(normal, centre)) > (len(base) + 1) * offset:
+        normal, offset = [-a for a in normal], -offset
+    return normal, offset
+
+
+def _boundary(P, simplex):
+    """Beneath-beyond on integer points from an initial simplex (indices
+    of d+1 affinely independent points): the boundary of conv P as sorted
+    d-tuples of point indices, the simplices of a triangulation of it.
+
+    A point sees a facet only when strictly beyond its hyperplane; the
+    visible facets go, and every ridge lying in exactly one of them (the
+    horizon) is coned to the point.  Points on or beneath every facet
+    leave the hull unchanged.
+    """
+    d = len(P[0])
+    # d+1 times the initial simplex's centroid, interior to every hull.
+    centre = [sum(P[i][t] for i in simplex) for t in range(d)]
+    facets = {}
+
+    def add(facet):
+        facets[facet] = _plane(P, facet, centre)
+
+    for facet in combinations(simplex, d):
+        add(facet)
+    inserted = set(simplex)
+    for p, x in enumerate(P):
+        if p in inserted:
+            continue
+        visible = [
+            f
+            for f, (normal, offset) in facets.items()
+            if sum(a * b for a, b in zip(normal, x)) > offset
+        ]
+        ridges = Counter(r for f in visible for r in combinations(f, d - 1))
+        for f in visible:
+            del facets[f]
+        for ridge, count in ridges.items():
+            if count == 1:
+                add(tuple(sorted(ridge + (p,))))
+    return list(facets)
 
 
 def volume(poly: Polytope, dim_cap: int = VOLUME_DIM_CAP):
     """Exact d-volume of the hull in its ambient dimension d.
 
+    The coordinates are cleared to integers over their lcm L, and a
+    beneath-beyond pass triangulates the hull's boundary.  Coning every
+    boundary simplex F to an initial-simplex point o, which is weakly
+    beneath every facet, gives the volume sum |det(F - o)| / (d! L^d),
+    every determinant taken in integers.
+
     Degenerate inputs (affine rank below d) warn and return 0.  Dimensions
-    above dim_cap raise, because facet enumeration is brute force.
+    above dim_cap raise.
     """
     d = poly.dim
     if d > dim_cap:
         raise GeometryError(
             f"exact volume is supported up to dimension {dim_cap}"
         )
-    pts = list(poly.spanning)
-    if affine_rank(poly.spanning) < d:
+    pts = poly.spanning.points
+    P, den = _integer_points(pts)
+    simplex = _initial_simplex(P)
+    if simplex is None:
         warnings.warn(
             "volume of a lower-dimensional set is zero",
             DegenerateVolumeWarning,
@@ -609,13 +603,11 @@ def volume(poly: Polytope, dim_cap: int = VOLUME_DIM_CAP):
     if d == 1:
         coords = [p[0] for p in pts]
         return max(coords) - min(coords)
-    total = ZERO
-    for cell in _simplices(pts, d):
-        apex = cell[-1]
-        rows = [vsub(v, apex) for v in cell[:-1]]
-        det = _det(rows)
-        total += det if det >= 0 else -det
-    return total / factorial(d)
+    o = P[simplex[0]]
+    total = 0
+    for facet in _boundary(P, simplex):
+        total += abs(_det([[a - b for a, b in zip(P[i], o)] for i in facet]))
+    return int_ratio(total, factorial(d) * den**d)
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,8 @@ DEFAULT_BUDGET = 500_000
 WORD_LIMIT = 100_000
 
 #: random_code scans every order-k batch of its sampled words once; it
-#: refuses more than this many batches before sampling any.
+#: refuses more than this many batches before sampling any, and the
+#: hash-verify verb refuses a code file with more before scanning any.
 BATCH_LIMIT = 1_000_000
 
 #: random_code computes its sampling target from the exact probability

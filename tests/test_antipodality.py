@@ -96,6 +96,21 @@ def test_dependent_triple_not_antipodal():
     assert verify_joint_certificate(X, cert)
 
 
+def test_collinear_triple_falls_through_the_map_program(monkeypatch):
+    # No rank test on the frame: the pinned map program is infeasible on
+    # its own, and the witness is the one the rank-tested route gave.
+    monkeypatch.setattr(
+        "antipodes.antipodality.affine_rank",
+        lambda ps: pytest.fail("frame rank tested"),
+    )
+    X = _ps((0, 0), (1, 0), (2, 0), (0, 1))
+    cert = joint_antipodal_direct(X, (0, 1, 2))
+    assert not cert.antipodal and cert.mapping is None
+    assert cert.witness == (ratio(11, 12), ratio(1, 12))
+    assert cert.shrink_factors == (ratio(7, 12),) * 3
+    assert verify_joint_certificate(X, cert)
+
+
 def test_routes_agree_with_custom_factors():
     factors = (ratio(1, 3), ratio(2, 3))
     cert = joint_antipodal_shrunk(COLLINEAR, (0, 1), factors)

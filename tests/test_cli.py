@@ -11,7 +11,13 @@ from antipodes.antipodality import CertificateError
 from antipodes.cli import _build_parser, main
 from antipodes.exact_lp import SolverInvariantError
 from antipodes.geometry import PointSet, dump_point_set
-from antipodes.hashcodes import DEFAULT_BUDGET, dump_code, greedy_code, max_code
+from antipodes.hashcodes import (
+    DEFAULT_BUDGET,
+    HashCode,
+    dump_code,
+    greedy_code,
+    max_code,
+)
 from antipodes.rationals import ratio
 
 
@@ -398,6 +404,30 @@ def test_hash_verbs_refuse_oversized_instances(capsys, monkeypatch):
         assert code == 2, m
         assert why in report["error"]
     assert calls == []
+
+
+def test_hash_verify_refuses_too_many_batches(tmp_path, capsys, monkeypatch):
+    # C(183, 3) = 1 004 731 batches are refused before any is scanned;
+    # C(182, 3) = 988 260 are scanned (the first batch is unseparated).
+    words = sorted(product((1, 2, 3), repeat=5))
+    path = tmp_path / "code.json"
+    dump_code(HashCode(3, 3, 5, tuple(words[:183])), path)
+    calls = []
+    monkeypatch.setattr(
+        hashcodes, "combinations", lambda *args: calls.append(args)
+    )
+    code, report, _ = run(capsys, "--verify", "hash-verify", str(path))
+    assert code == 2
+    assert report["error"] == (
+        "183 words of order 3 make 1004731 batches, "
+        "more than the batch limit 1000000"
+    )
+    assert calls == []
+    monkeypatch.undo()
+    dump_code(HashCode(3, 3, 5, tuple(words[:182])), path)
+    code, report, _ = run(capsys, "--verify", "hash-verify", str(path))
+    assert code == 1
+    assert not report["perfect"]
 
 
 def test_hash_search_default_budget():

@@ -1,0 +1,275 @@
+"""Exact volume from the integer beneath-beyond boundary, against the
+brute-force facet enumeration and centroid triangulation it replaced."""
+
+import itertools
+import warnings
+from fractions import Fraction
+from math import factorial
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from antipodes.geometry import (
+    DegenerateVolumeWarning,
+    GeometryError,
+    PointSet,
+    Polytope,
+    _boundary,
+    _det,
+    _initial_simplex,
+    _integer_points,
+    _row_echelon,
+    affine_rank,
+    matrix_rank,
+    solve_unique,
+    vdot,
+    volume,
+    vscale,
+    vsub,
+)
+from antipodes.rationals import ONE, ZERO, ratio
+
+_PRIMES = (53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
+
+
+# ---------------------------------------------------------------------------
+# reference: every d-subset ranked, facets triangulated through centroids
+
+
+def _nullspace_vector(rows, ncols):
+    mat, pivots = _row_echelon([list(map(ratio, r)) for r in rows])
+    free = [c for c in range(ncols) if c not in pivots]
+    if len(free) != 1:
+        raise GeometryError("nullspace is not one-dimensional")
+    f = free[0]
+    vec = [ZERO] * ncols
+    vec[f] = ONE
+    for r, c in enumerate(pivots):
+        vec[c] = -mat[r][f]
+    return tuple(vec)
+
+
+def _supporting_facets(pts, d):
+    """All supporting hyperplanes spanned by input points, as
+    (inward-normal, offset, incident-index-tuple) triples."""
+    facets = {}
+    for subset in itertools.combinations(range(len(pts)), d):
+        base = pts[subset[0]]
+        diffs = [vsub(pts[i], base) for i in subset[1:]]
+        if matrix_rank(diffs) != d - 1:
+            continue
+        normal = _nullspace_vector(diffs, d)
+        offset = vdot(normal, base)
+        sides = [vdot(normal, p) - offset for p in pts]
+        if all(s <= 0 for s in sides):
+            normal, offset = vscale(-ONE, normal), -offset
+            sides = [-s for s in sides]
+        elif not all(s >= 0 for s in sides):
+            continue
+        lead = next(c for c in normal if c != 0)
+        scale = ONE / lead if lead > 0 else -ONE / lead
+        key = (vscale(scale, normal), scale * offset)
+        if key not in facets:
+            facets[key] = tuple(i for i, s in enumerate(sides) if s == 0)
+    return [(k[0], k[1], v) for k, v in sorted(facets.items())]
+
+
+def _affine_frame(pts):
+    base = pts[0]
+    diffs = [vsub(p, base) for p in pts[1:]]
+    rank = matrix_rank(diffs)
+    basis = []
+    for dvec in diffs:
+        if matrix_rank(basis + [dvec]) > len(basis):
+            basis.append(list(dvec))
+        if len(basis) == rank:
+            break
+    gram = [[vdot(u, v) for v in basis] for u in basis]
+    coords = [
+        solve_unique(gram, [vdot(u, vsub(p, base)) for u in basis]) for p in pts
+    ]
+    return base, basis, coords
+
+
+def _lift(base, basis, local):
+    out = base
+    for c, u in zip(local, basis):
+        out = tuple(x + c * y for x, y in zip(out, u))
+    return out
+
+
+def _simplices(pts, d):
+    if d == 1:
+        return [(min(pts), max(pts))]
+    centroid = tuple(sum(col, ZERO) / len(pts) for col in zip(*pts))
+    out = []
+    for _, _, incident in _supporting_facets(pts, d):
+        base, basis, flat = _affine_frame([pts[i] for i in incident])
+        for cell in _simplices(flat, d - 1):
+            out.append(tuple(_lift(base, basis, c) for c in cell) + (centroid,))
+    return out
+
+
+def _fraction_det(rows):
+    mat = [list(r) for r in rows]
+    n = len(mat)
+    det = ONE
+    for c in range(n):
+        pivot = next((r for r in range(c, n) if mat[r][c] != 0), None)
+        if pivot is None:
+            return ZERO
+        if pivot != c:
+            mat[c], mat[pivot] = mat[pivot], mat[c]
+            det = -det
+        det *= mat[c][c]
+        for r in range(c + 1, n):
+            f = mat[r][c] / mat[c][c]
+            mat[r] = [a - f * b for a, b in zip(mat[r], mat[c])]
+    return det
+
+
+def _reference_volume(pts, d):
+    total = ZERO
+    for cell in _simplices(list(pts), d):
+        total += abs(_fraction_det([vsub(v, cell[-1]) for v in cell[:-1]]))
+    return total / factorial(d)
+
+
+# ---------------------------------------------------------------------------
+# point sets
+
+
+@st.composite
+def _random_rationals(draw, d):
+    coord = st.builds(
+        ratio, st.integers(-4, 4), st.sampled_from((1, 2, 3) + _PRIMES)
+    )
+    pts = draw(
+        st.lists(st.tuples(*[coord] * d), min_size=d + 1, max_size=d + 5, unique=True)
+    )
+    return PointSet(tuple(pts))
+
+
+@st.composite
+def _grid_subset(draw, d):
+    """Points of the 0..2 grid: many coplanar, collinear and interior ones."""
+    grid = list(itertools.product(range(3), repeat=d))
+    pts = draw(
+        st.lists(st.sampled_from(grid), min_size=d + 1, max_size=d + 6, unique=True)
+    )
+    return PointSet(tuple(tuple(ratio(c) for c in p) for p in pts))
+
+
+@st.composite
+def _prime_grid(draw, d):
+    """A grid subset over one prime denominator, moved by a prime offset."""
+    ps = draw(_grid_subset(d))
+    p, q = draw(st.sampled_from(_PRIMES)), draw(st.sampled_from(_PRIMES))
+    shift = tuple(ratio(draw(st.integers(-3, 3)), q) for _ in range(d))
+    return PointSet(tuple(tuple(c / p + s for c, s in zip(x, shift)) for x in ps))
+
+
+def _point_sets(d):
+    return st.one_of(_random_rationals(d), _grid_subset(d), _prime_grid(d))
+
+
+_any_set = st.sampled_from((2, 3, 4)).flatmap(_point_sets)
+
+
+# ---------------------------------------------------------------------------
+# tests
+
+
+def _volume_quietly(ps):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        v = volume(Polytope(ps))
+    return v, [w.category for w in caught]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_any_set)
+def test_volume_matches_brute_force(ps):
+    v, caught = _volume_quietly(ps)
+    if affine_rank(ps) < ps.dim:
+        assert v == 0 and caught == [DegenerateVolumeWarning]
+    else:
+        assert caught == []
+        assert v == _reference_volume(ps.points, ps.dim)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_any_set)
+def test_boundary_is_a_closed_supporting_triangulation(ps):
+    d = ps.dim
+    P, den = _integer_points(ps.points)
+    assert all(
+        Fraction(a, den) == c for x, p in zip(P, ps.points) for a, c in zip(x, p)
+    )
+    simplex = _initial_simplex(P)
+    if affine_rank(ps) < d:
+        assert simplex is None
+        return
+    assert len(simplex) == d + 1
+    assert affine_rank(PointSet(tuple(ps[i] for i in simplex))) == d
+    facets = _boundary(P, simplex)
+    assert len(set(facets)) == len(facets)
+    # A closed pseudo-manifold: every ridge lies in exactly two simplices.
+    ridges = {}
+    for f in facets:
+        assert list(f) == sorted(set(f)) and len(f) == d
+        for r in itertools.combinations(f, d - 1):
+            ridges[r] = ridges.get(r, 0) + 1
+    assert set(ridges.values()) == {2}
+    # Each simplex spans a supporting hyperplane of the whole set.
+    for f in facets:
+        base = ps[f[0]]
+        diffs = [vsub(ps[i], base) for i in f[1:]]
+        assert matrix_rank(diffs) == d - 1
+        normal = _nullspace_vector(diffs, d)
+        offset = vdot(normal, base)
+        sides = {vdot(normal, x) - offset for x in ps}
+        assert all(s >= 0 for s in sides) or all(s <= 0 for s in sides)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(-10**6, 10**6), min_size=n, max_size=n),
+            min_size=n,
+            max_size=n,
+        )
+    )
+)
+def test_det_matches_fraction_elimination(rows):
+    assert _det(rows) == _fraction_det([[ratio(a) for a in r] for r in rows])
+
+
+def test_det_of_singular_and_permuted_matrices():
+    assert _det([[0, 1], [1, 0]]) == -1
+    assert _det([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
+    assert _det([[1, 2, 3], [2, 4, 6], [0, 0, 1]]) == 0
+    assert _det([[0, 2], [0, 5]]) == 0
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_cube_boundary_and_volume(d):
+    # The corners of [0, 2]^d first, then the other grid points, which all
+    # lie on or beneath the corners' hull: none of them sees a facet.
+    grid = sorted(
+        itertools.product(range(3), repeat=d), key=lambda x: 1 in x
+    )
+    corners = {i for i, x in enumerate(grid) if 1 not in x}
+    ps = PointSet(tuple(tuple(ratio(c) for c in x) for x in grid))
+    P, den = _integer_points(ps.points)
+    facets = _boundary(P, _initial_simplex(P))
+    assert {i for f in facets for i in f} == corners
+    assert len(facets) == 2 * factorial(d)
+    # Every boundary simplex lies in one of the 2d square facets.
+    assert all(
+        any(len({P[i][t] for i in f}) == 1 for t in range(d)) for f in facets
+    )
+    assert volume(Polytope(ps)) == 2**d
+    shrunk = PointSet(tuple(tuple(c * 3 / 7 for c in x) for x in ps.points))
+    assert volume(Polytope(shrunk)) == ratio(6, 7) ** d
