@@ -351,13 +351,15 @@ def _witness_certificate(X: PointSet, chosen, factors):
 def joint_antipodal_direct(X: PointSet, chosen) -> AntipodalityCertificate:
     """Decide joint antipodality by searching for the certifying map."""
     chosen = _validate_chosen(X, chosen)
-    cert = _map_certificate(X, chosen)
-    if cert is not None:
-        return cert
-    # An infeasible map program (always the case for an affinely dependent
-    # tuple, whose pins cannot all hold) means the shrunk route must
-    # produce a common point to witness it.
     k = len(chosen) - 1
+    frame = [X[i] for i in chosen]
+    if affine_rank(PointSet(tuple(frame))) == k:
+        cert = _map_certificate(X, chosen)
+        if cert is not None:
+            return cert
+    # Affinely dependent tuples can never reach the simplex vertices, and
+    # an infeasible map program means the same; either way the shrunk
+    # route must produce a common point to witness it.
     cert = _witness_certificate(X, chosen, default_factors(k))
     if cert is None:
         raise CertificateError(

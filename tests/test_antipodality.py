@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from antipodes.antipodality import (
     AntipodalityError,
     NotSeparableError,
+    _map_certificate,
     default_factors,
     erdos_rank_k,
     is_rank_k_antipodal,
@@ -96,14 +97,11 @@ def test_dependent_triple_not_antipodal():
     assert verify_joint_certificate(X, cert)
 
 
-def test_collinear_triple_falls_through_the_map_program(monkeypatch):
-    # No rank test on the frame: the pinned map program is infeasible on
-    # its own, and the witness is the one the rank-tested route gave.
-    monkeypatch.setattr(
-        "antipodes.antipodality.affine_rank",
-        lambda ps: pytest.fail("frame rank tested"),
-    )
+def test_collinear_triple_falls_through_the_map_program():
+    # The pinned map program is infeasible for a dependent frame on its
+    # own, so the frame's rank test only spares it; the witness is pinned.
     X = _ps((0, 0), (1, 0), (2, 0), (0, 1))
+    assert _map_certificate(X, (0, 1, 2)) is None
     cert = joint_antipodal_direct(X, (0, 1, 2))
     assert not cert.antipodal and cert.mapping is None
     assert cert.witness == (ratio(11, 12), ratio(1, 12))
