@@ -200,6 +200,9 @@ def volume_inequality_check(
     d = X.dim
     if affine_rank(X) != d:
         raise ConstructionError("X must span its ambient space")
+    # The total volume comes first: above dim_cap it refuses before the
+    # rank pre-check spends any LP.
+    total = volume(Polytope(X), dim_cap=dim_cap)
     if check_rank:
         report = is_rank_k_antipodal(X, k)
         if not report.antipodal:
@@ -207,8 +210,6 @@ def volume_inequality_check(
                 f"X is not rank-{k} antipodal, subset {report.failing_subset} fails"
             )
     lam = ratio(k, k + 1)
-    hull = Polytope(X)
-    total = volume(hull, dim_cap=dim_cap)
     copies = []
     for q in X:
         shrink = Dilation(q, lam)

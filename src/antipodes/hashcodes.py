@@ -11,8 +11,9 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 from math import comb, factorial, perm
+from operator import or_
 
 from .rationals import LogRatio, floor_ratio, ratio
 
@@ -68,6 +69,17 @@ def _check_params(b, k, m, min_m: int = 1) -> None:
         raise HashCodeError(f"m: length must be at least {min_m}")
 
 
+def _check_words(words, b, m, label) -> None:
+    for w_idx, word in enumerate(words):
+        if not isinstance(word, tuple) or len(word) != m:
+            raise HashCodeError(f"{label}[{w_idx}]: expected a length-{m} tuple")
+        for s_idx, sym in enumerate(word):
+            if not isinstance(sym, int) or isinstance(sym, bool):
+                raise HashCodeError(f"{label}[{w_idx}][{s_idx}]: expected an integer")
+            if not 1 <= sym <= b:
+                raise HashCodeError(f"{label}[{w_idx}][{s_idx}]: symbol outside 1..{b}")
+
+
 @dataclass(frozen=True)
 class HashCode:
     """Validated container; the separation promise itself is checked by
@@ -82,16 +94,7 @@ class HashCode:
         _check_params(self.b, self.k, self.m)
         if not isinstance(self.words, tuple):
             raise HashCodeError("words: expected a tuple of words")
-        for w_idx, word in enumerate(self.words):
-            if not isinstance(word, tuple) or len(word) != self.m:
-                raise HashCodeError(f"words[{w_idx}]: expected a length-{self.m} tuple")
-            for s_idx, sym in enumerate(word):
-                if not isinstance(sym, int) or isinstance(sym, bool):
-                    raise HashCodeError(f"words[{w_idx}][{s_idx}]: expected an integer")
-                if not 1 <= sym <= self.b:
-                    raise HashCodeError(
-                        f"words[{w_idx}][{s_idx}]: symbol outside 1..{self.b}"
-                    )
+        _check_words(self.words, self.b, self.m, "words")
         if len(set(self.words)) != len(self.words):
             raise HashCodeError("words: duplicates present")
 
@@ -122,14 +125,69 @@ def _separated(batch, m) -> bool:
     return False
 
 
-def _compatible(kept, word, k, m) -> bool:
-    """Every order-k batch through the new word stays separated."""
-    if len(kept) < k - 1:
-        return True
-    for rest in combinations(kept, k - 1):
-        if not _separated(rest + (word,), m):
-            return False
-    return True
+def _tile(pattern, period, n) -> int:
+    """The pattern repeated every `period` bits, cut to n bits."""
+    while period < n:
+        pattern |= pattern << period
+        period *= 2
+    return pattern & ((1 << n) - 1)
+
+
+def _lex_masks(b, m, n) -> list:
+    """symbol[j][s]: the first n words in lexicographic order that have
+    symbol s at coordinate j, as a bitmask over their indices.
+
+    Word idx has symbol s at coordinate j exactly when its base-b digit of
+    weight b**(m-1-j) is s-1, so every mask is a tiled block of ones.
+    """
+    symbol = []
+    for j in range(m):
+        block = b ** (m - 1 - j)
+        ones = (1 << block) - 1
+        symbol.append(
+            [0] + [_tile(ones << (s * block), b * block, n) for s in range(b)]
+        )
+    return symbol
+
+
+def _listed_masks(words, m) -> list:
+    """symbol[j][s]: the listed words with symbol s at coordinate j."""
+    nbytes = (len(words) + 7) // 8
+    symbol = []
+    for j in range(m):
+        bits: dict = {}
+        for idx, word in enumerate(words):
+            row = bits.get(word[j])
+            if row is None:
+                row = bits[word[j]] = bytearray(nbytes)
+            row[idx >> 3] |= 1 << (idx & 7)
+        symbol.append({s: int.from_bytes(row, "little") for s, row in bits.items()})
+    return symbol
+
+
+def _blocked(batch, symbol) -> int:
+    """The words w that leave batch + (w,) unseparated, as a bitmask.
+
+    Only coordinates where the batch is pairwise distinct can separate, and
+    there w must avoid every symbol of the batch; -1 (every word) when
+    there is no such coordinate.
+    """
+    out = -1
+    for row, col in zip(symbol, zip(*batch)):
+        if len(set(col)) == len(col):
+            mask = 0
+            for s in col:
+                mask |= row[s]
+            out &= mask
+    return out
+
+
+def _newly_blocked(chosen, word, k, symbol) -> int:
+    """Words blocked by the order-k batches through `word` and `chosen`."""
+    out = 0
+    for rest in combinations(chosen, k - 2):
+        out |= _blocked(rest + (word,), symbol)
+    return out
 
 
 def is_perfect(code: HashCode):
@@ -164,9 +222,16 @@ def max_code(b: int, k: int, m: int, budget: int | None = DEFAULT_BUDGET) -> Sea
     Candidates are scanned in lexicographic order.  Per-coordinate symbol
     renaming is factored out: a word may only use symbols at most one above
     the largest seen so far in that coordinate, which keeps exactly one
-    member of each renaming class reachable.  The search stops early when
-    the incumbent meets the counting bound.  A spent node budget returns
-    the incumbent with optimal=False.
+    member of each renaming class reachable.  Every word the renaming rule
+    lets through counts as a search node.  The search stops early when the
+    incumbent meets the counting bound.  A spent node budget returns the
+    incumbent with optimal=False.
+
+    Each level of the search keeps two bitmasks over the words after its
+    position: the words the renaming rule allows, and the words that some
+    order-k batch with the chosen words would leave unseparated.  Testing
+    a word is one bit test, and the nodes between two kept words are
+    counted by one popcount.
     """
     _check_params(b, k, m)
     if budget is not None and budget < 1:
@@ -174,34 +239,71 @@ def max_code(b: int, k: int, m: int, budget: int | None = DEFAULT_BUDGET) -> Sea
     _refuse_many_words(b, m)
     cap = floor_ratio(counting_bound(b, k, m))
     universe = list(product(range(1, b + 1), repeat=m))
+    n = len(universe)
+    # With one coordinate, or at order 2, distinct words always split, so
+    # no batch ever blocks a word.
+    blocks = k > 2 and m > 1
+    symbol = _lex_masks(b, m, n) if m > 1 else []
+    prefix = [list(accumulate(row, or_)) for row in symbol]
+    # Coordinate 0 is the most significant digit, so its renaming rule is
+    # an index bound: words below (maxseen[0] + 1) * lead.
+    lead = b ** (m - 1)
+
+    def allowed(maxseen, start):
+        mask = -1
+        for j in range(1, m):
+            if maxseen[j] + 1 < b:
+                mask &= prefix[j][maxseen[j] + 1]
+        return mask >> start
+
+    chosen: list = []
     best: list = []
+    best_len = 0
     nodes = 0
     exhausted = False
-
-    def extend(chosen, start, maxseen):
-        nonlocal best, nodes, exhausted
-        for idx in range(start, len(universe)):
-            if len(chosen) + (len(universe) - idx) <= len(best):
-                return
-            word = universe[idx]
-            if any(word[j] > maxseen[j] + 1 for j in range(m)):
-                continue
-            nodes += 1
-            if budget is not None and nodes > budget:
-                exhausted = True
-                return
-            if not _compatible(chosen, word, k, m):
-                continue
-            chosen.append(word)
-            if len(chosen) > len(best):
+    # One frame per level: [pos, allowed, forbidden, maxseen]; bit i of
+    # each mask stands for universe[pos + i].
+    stack = [[0, allowed((0,) * m, 0), 0, (0,) * m]]
+    while stack:
+        frame = stack[-1]
+        pos, allow, forbidden, maxseen = frame
+        # Words from hi on are out: past the size bound none can lift the
+        # incumbent, and past the bound at coordinate 0 none is allowed.
+        hi = min(n + len(chosen) - best_len, (maxseen[0] + 1) * lead) - pos
+        window = (1 << hi) - 1 if hi > 0 else 0
+        free = allow & ~forbidden & window
+        span = free ^ (free - 1) if free else window
+        nodes += (allow & span).bit_count()
+        if budget is not None and nodes > budget:
+            nodes = budget + 1
+            exhausted = True
+            break
+        if not free:
+            stack.pop()
+            # A new incumbent is copied only once the search backs off it.
+            if len(chosen) == best_len > len(best):
                 best = list(chosen)
-            if len(best) < cap:
-                extend(chosen, idx + 1, [max(a, s) for a, s in zip(maxseen, word)])
-            chosen.pop()
-            if exhausted or len(best) >= cap:
-                return
-
-    extend([], 0, [0] * m)
+            if chosen:
+                chosen.pop()
+            continue
+        step = span.bit_length()
+        word = universe[pos + step - 1]
+        start = pos + step
+        allow >>= step
+        forbidden >>= step
+        frame[:3] = start, allow, forbidden
+        if blocks:
+            forbidden |= _newly_blocked(chosen, word, k, symbol) >> start
+        chosen.append(word)
+        best_len = max(best_len, len(chosen))
+        if best_len >= cap:
+            break
+        seen = tuple(map(max, maxseen, word))
+        if seen != maxseen:
+            allow = allowed(seen, start)
+        stack.append([start, allow, forbidden, seen])
+    if len(chosen) == best_len > len(best):
+        best = list(chosen)
     code = HashCode(b, k, m, tuple(best))
     return SearchResult(code=code, optimal=not exhausted, nodes=nodes)
 
@@ -211,21 +313,28 @@ def greedy_code(b: int, k: int, m: int, order=None) -> HashCode:
 
     Scans in lexicographic order unless an explicit word order is given;
     the lexicographic sweep refuses more than WORD_LIMIT words.  Fast,
-    deterministic, and usually short of optimal."""
+    deterministic, and usually short of optimal.  A bitmask over the
+    scanned words marks those a batch of kept words already blocks."""
     _check_params(b, k, m)
     if order is None:
         _refuse_many_words(b, m)
-        candidates = product(range(1, b + 1), repeat=m)
+        words = list(product(range(1, b + 1), repeat=m))
     else:
-        candidates = (tuple(w) for w in order)
+        words = [tuple(w) for w in order]
+        _check_words(words, b, m, "order")
+        words = list(dict.fromkeys(words))
+    blocks = k > 2 and m > 1
+    symbol = []
+    if blocks:
+        symbol = _lex_masks(b, m, len(words)) if order is None else _listed_masks(words, m)
     kept: list = []
-    seen = set()
-    for word in candidates:
-        if word in seen:
+    forbidden = 0
+    for idx, word in enumerate(words):
+        if forbidden >> idx & 1:
             continue
-        seen.add(word)
-        if _compatible(kept, word, k, m):
-            kept.append(word)
+        if blocks:
+            forbidden |= _newly_blocked(kept, word, k, symbol)
+        kept.append(word)
     return HashCode(b, k, m, tuple(kept))
 
 

@@ -225,6 +225,13 @@ def test_hash_search_budget_exit(files, capsys):
     assert not report["optimal"]
 
 
+def test_hash_search_keeps_every_word_at_order_two(capsys):
+    # 1024 chosen words: deeper than the default recursion limit.
+    code, report, _ = run(capsys, "hash-search", "--b", "32", "--k", "2", "--m", "2")
+    assert code == 0
+    assert report["optimal"] and report["size"] == 1024
+
+
 def test_hash_greedy_and_random(files, capsys):
     code, report, _ = run(capsys, "hash-greedy", "--b", "3", "--k", "3", "--m", "2")
     assert code == 0 and report["size"] == 3

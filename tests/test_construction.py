@@ -5,6 +5,7 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from antipodes import construction
 from antipodes.antipodality import is_rank_k_antipodal, joint_antipodal_direct
 from antipodes.construction import (
     ConstructionError,
@@ -15,7 +16,7 @@ from antipodes.construction import (
     size_bound,
     volume_inequality_check,
 )
-from antipodes.geometry import PointSet
+from antipodes.geometry import GeometryError, PointSet
 from antipodes.hashcodes import HashCode, max_code
 from antipodes.rationals import LogRatio, floor_ratio, ratio
 
@@ -150,6 +151,16 @@ def test_volume_inequality_rejects_bad_input():
         volume_inequality_check(_ps((0,), ("1/2",), (1,)), 1)
     with pytest.raises(ConstructionError):
         volume_inequality_check(_ps((0, 0), (1, 1)), 1)
+
+
+def test_volume_cap_refuses_before_the_rank_check(monkeypatch):
+    def no_rank_check(*args, **kwargs):
+        raise AssertionError("the rank pre-check ran before the volume cap")
+
+    monkeypatch.setattr(construction, "is_rank_k_antipodal", no_rank_check)
+    cube5 = _ps(*product((0, 1), repeat=5))
+    with pytest.raises(GeometryError, match="supported up to dimension 4"):
+        volume_inequality_check(cube5, 1)
 
 
 def test_gap_zero_for_the_segment():

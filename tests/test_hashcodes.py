@@ -1,5 +1,7 @@
 """Hash code search, bounds, and serialization."""
 
+import random
+import sys
 from itertools import combinations, product
 
 import pytest
@@ -11,6 +13,7 @@ from antipodes.hashcodes import (
     WORD_LIMIT,
     HashCode,
     HashCodeError,
+    SearchResult,
     code_from_obj,
     counting_bound,
     dump_code,
@@ -40,6 +43,137 @@ def brute_max(b, k, m):
                 best = size
                 break
     return best
+
+
+# ---------------------------------------------------------------------------
+# reference search: the set-based compatibility test the bitset kernel
+# replaced, kept to pin down nodes, optimal flags and words
+
+
+def _ref_compatible(kept, word, k, m):
+    """Every order-k batch through the new word stays separated."""
+    if len(kept) < k - 1:
+        return True
+    for rest in combinations(kept, k - 1):
+        if not hashcodes._separated(rest + (word,), m):
+            return False
+    return True
+
+
+def ref_max_code(b, k, m, budget=hashcodes.DEFAULT_BUDGET):
+    cap = floor_ratio(counting_bound(b, k, m))
+    universe = list(product(range(1, b + 1), repeat=m))
+    best = []
+    nodes = 0
+    exhausted = False
+
+    def extend(chosen, start, maxseen):
+        nonlocal best, nodes, exhausted
+        for idx in range(start, len(universe)):
+            if len(chosen) + (len(universe) - idx) <= len(best):
+                return
+            word = universe[idx]
+            if any(word[j] > maxseen[j] + 1 for j in range(m)):
+                continue
+            nodes += 1
+            if budget is not None and nodes > budget:
+                exhausted = True
+                return
+            if not _ref_compatible(chosen, word, k, m):
+                continue
+            chosen.append(word)
+            if len(chosen) > len(best):
+                best = list(chosen)
+            if len(best) < cap:
+                extend(chosen, idx + 1, [max(a, s) for a, s in zip(maxseen, word)])
+            chosen.pop()
+            if exhausted or len(best) >= cap:
+                return
+
+    extend([], 0, [0] * m)
+    code = HashCode(b, k, m, tuple(best))
+    return SearchResult(code=code, optimal=not exhausted, nodes=nodes)
+
+
+def ref_greedy_code(b, k, m, order=None):
+    if order is None:
+        candidates = product(range(1, b + 1), repeat=m)
+    else:
+        candidates = (tuple(w) for w in order)
+    kept = []
+    seen = set()
+    for word in candidates:
+        if word in seen:
+            continue
+        seen.add(word)
+        if _ref_compatible(kept, word, k, m):
+            kept.append(word)
+    return HashCode(b, k, m, tuple(kept))
+
+
+@pytest.fixture
+def deep_recursion():
+    # The reference recurses once per chosen word, and order 2 keeps all
+    # of up to 1296 words.
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 5000))
+    yield
+    sys.setrecursionlimit(limit)
+
+
+def _small_instances():
+    for b in range(2, 7):
+        for k in range(2, min(b, 5) + 1):
+            for m in range(1, 5):
+                if b**m <= 1300:
+                    yield b, k, m
+
+
+def test_max_code_matches_reference(deep_recursion):
+    checked = 0
+    for b, k, m in _small_instances():
+        budgets = [1, 2, 37, 1000, 5000] + ([None] if b**m <= 64 else [])
+        for budget in budgets:
+            assert max_code(b, k, m, budget) == ref_max_code(b, k, m, budget), (
+                b, k, m, budget,
+            )
+            checked += 1
+    assert checked == 315
+
+
+def test_max_code_matches_reference_on_capped_instances():
+    for (b, k, m), budget in (
+        ((5, 3, 3), 20000), ((4, 3, 4), 20000), ((6, 3, 3), 20000), ((3, 3, 5), 30000)
+    ):
+        result = max_code(b, k, m, budget)
+        assert result == ref_max_code(b, k, m, budget)
+        assert result.nodes == budget + 1 and not result.optimal
+
+
+def test_greedy_code_matches_reference():
+    rng = random.Random(11)
+    for b, k, m in _small_instances():
+        assert greedy_code(b, k, m) == ref_greedy_code(b, k, m), (b, k, m)
+        universe = list(product(range(1, b + 1), repeat=m))
+        order = sorted(universe, reverse=True)
+        assert greedy_code(b, k, m, order) == ref_greedy_code(b, k, m, order)
+        order = [rng.choice(universe) for _ in range(len(universe))]
+        order = [list(w) for w in order + order[::3]]
+        assert greedy_code(b, k, m, order) == ref_greedy_code(b, k, m, order)
+
+
+def test_order_two_search_goes_deeper_than_the_recursion_limit():
+    result = max_code(32, 2, 2)
+    assert len(result.code) == 1024
+    assert result.optimal
+    assert result.nodes == 1024
+
+
+def test_greedy_rejects_a_foreign_word_in_its_order():
+    with pytest.raises(HashCodeError, match="order\\[1\\]\\[0\\]"):
+        greedy_code(3, 3, 2, order=[(1, 1), (4, 1)])
+    with pytest.raises(HashCodeError, match="order\\[0\\]: expected"):
+        greedy_code(3, 3, 2, order=[(1, 1, 1)])
 
 
 def test_counting_bound_values():
