@@ -22,6 +22,7 @@ import sys
 from math import comb
 
 from .antipodality import (
+    EXHAUSTIVE_LIMIT,
     AntipodalityCertificate,
     AntipodalityError,
     CertificateError,
@@ -367,6 +368,15 @@ def _cmd_construct(args):
     code = load_code(args.code)
     # The product has one d0-block per code coordinate.
     _refuse_oversized_bound(points.dim * code.m, args.k)
+    # The replay certifies every (k+1)-subset of the product's points,
+    # one per code word.
+    if args.verify and args.k >= 1:
+        subsets = comb(len(code), args.k + 1)
+        if subsets > EXHAUSTIVE_LIMIT:
+            raise ConstructionError(
+                f"--verify: {subsets} subsets exceed the exhaustive limit "
+                f"{EXHAUSTIVE_LIMIT}"
+            )
     base = StartingConfig(points, rank=args.k)
     built = product_construct(base, code)
     cap = floor_ratio(size_bound(built.result.dim, args.k))

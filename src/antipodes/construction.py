@@ -11,7 +11,7 @@ growth-rate gap between the two.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .antipodality import (
     AntipodalityCertificate,
@@ -90,6 +90,9 @@ class ProductSet:
     base: StartingConfig
     code: HashCode
     result: PointSet
+    # Base certificates by ordered base-point indices, filled by
+    # projection_certificate; it lives and dies with this product.
+    base_maps: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 def product_construct(base: StartingConfig, code: HashCode) -> ProductSet:
@@ -119,6 +122,11 @@ def projection_certificate(prod: ProductSet, chosen: tuple):
     Returns (certificate, coordinate): the words' separating coordinate
     selects one d0-block; the base map for the points appearing there,
     read through that block, is a valid map for the whole product set.
+
+    The base certificate of each ordered tuple of base points is solved
+    once per product and kept in prod.base_maps, so a replay of every
+    subset solves at most b!/(b-k-1)! base programs.  The projected
+    certificate is still verified against the whole product every time.
     """
     k = prod.base.rank
     words = prod.code.words
@@ -138,7 +146,10 @@ def projection_certificate(prod: ProductSet, chosen: tuple):
     if coord is None:
         raise ConstructionError("chosen words share no separating coordinate")
     base_chosen = tuple(w[coord] - 1 for w in picked)
-    base_cert = joint_antipodal_direct(prod.base.points, base_chosen)
+    base_cert = prod.base_maps.get(base_chosen)
+    if base_cert is None:
+        base_cert = joint_antipodal_direct(prod.base.points, base_chosen)
+        prod.base_maps[base_chosen] = base_cert
     if not base_cert.antipodal:
         raise ConstructionError("base points at the separating coordinate fail")
     d0 = prod.base.d0

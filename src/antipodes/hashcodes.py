@@ -52,6 +52,13 @@ BATCH_LIMIT = 1_000_000
 #: more than this many bits before building any power.
 POWER_BITS_LIMIT = 1 << 16
 
+#: max_code keeps the blocked-word mask of each batch it meets, for the
+#: length of one call, and stops adding masks once they would take more
+#: than _BLOCKED_CACHE_BITS.  Each counts as b**m bits, one per candidate
+#: word, plus _BLOCKED_ENTRY_BITS for its key, int header and dict slot.
+_BLOCKED_CACHE_BITS = 1 << 22
+_BLOCKED_ENTRY_BITS = 1 << 11
+
 
 class HashCodeError(ValueError):
     pass
@@ -182,11 +189,21 @@ def _blocked(batch, symbol) -> int:
     return out
 
 
-def _newly_blocked(chosen, word, k, symbol) -> int:
-    """Words blocked by the order-k batches through `word` and `chosen`."""
+def _newly_blocked(chosen, word, k, symbol, memo, room) -> int:
+    """Words blocked by the order-k batches through `word` and `chosen`.
+
+    Each batch's mask is looked up in `memo` first; a mask computed anew
+    is kept there while it holds fewer than `room` masks.
+    """
     out = 0
     for rest in combinations(chosen, k - 2):
-        out |= _blocked(rest + (word,), symbol)
+        batch = rest + (word,)
+        mask = memo.get(batch)
+        if mask is None:
+            mask = _blocked(batch, symbol)
+            if len(memo) < room:
+                memo[batch] = mask
+        out |= mask
     return out
 
 
@@ -232,6 +249,11 @@ def max_code(b: int, k: int, m: int, budget: int | None = DEFAULT_BUDGET) -> Sea
     order-k batch with the chosen words would leave unseparated.  Testing
     a word is one bit test, and the nodes between two kept words are
     counted by one popcount.
+
+    Sibling branches keep the same batches again and again, so the
+    blocked mask of each batch is computed once per call and looked up
+    after that, up to _BLOCKED_CACHE_BITS bits of masks; past that bound
+    new batches are computed every time.  Nothing is kept between calls.
     """
     _check_params(b, k, m)
     if budget is not None and budget < 1:
@@ -256,6 +278,9 @@ def max_code(b: int, k: int, m: int, budget: int | None = DEFAULT_BUDGET) -> Sea
                 mask &= prefix[j][maxseen[j] + 1]
         return mask >> start
 
+    # Masks of the batches met so far, keyed by their words.
+    memo: dict = {}
+    room = _BLOCKED_CACHE_BITS // (b**m + _BLOCKED_ENTRY_BITS)
     chosen: list = []
     best: list = []
     best_len = 0
@@ -293,7 +318,7 @@ def max_code(b: int, k: int, m: int, budget: int | None = DEFAULT_BUDGET) -> Sea
         forbidden >>= step
         frame[:3] = start, allow, forbidden
         if blocks:
-            forbidden |= _newly_blocked(chosen, word, k, symbol) >> start
+            forbidden |= _newly_blocked(chosen, word, k, symbol, memo, room) >> start
         chosen.append(word)
         best_len = max(best_len, len(chosen))
         if best_len >= cap:
@@ -333,7 +358,8 @@ def greedy_code(b: int, k: int, m: int, order=None) -> HashCode:
         if forbidden >> idx & 1:
             continue
         if blocks:
-            forbidden |= _newly_blocked(kept, word, k, symbol)
+            # A sweep meets each batch once, so it keeps no masks.
+            forbidden |= _newly_blocked(kept, word, k, symbol, {}, 0)
         kept.append(word)
     return HashCode(b, k, m, tuple(kept))
 

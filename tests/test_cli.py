@@ -388,6 +388,28 @@ def test_rank_verbs_refuse_too_many_subsets(tmp_path, capsys, monkeypatch):
     assert calls == []
 
 
+def test_construct_verify_refuses_too_many_subsets(files, tmp_path, capsys, monkeypatch):
+    # The segment times all 1024 binary words of length 10: the replay
+    # would certify C(1024, 2) = 523 776 pairs, so --verify refuses
+    # before any projection certificate is built.
+    calls = []
+    monkeypatch.setattr(
+        "antipodes.cli.projection_certificate", lambda *args: calls.append(args)
+    )
+    code_path = tmp_path / "code.json"
+    dump_code(HashCode(2, 2, 10, tuple(product((1, 2), repeat=10))), code_path)
+    argv = ("construct", files["segment"], str(code_path), "--k", "1")
+    code, report, _ = run(capsys, "--verify", *argv)
+    assert code == 2
+    assert report["error"] == (
+        "--verify: 523776 subsets exceed the exhaustive limit 100000"
+    )
+    assert calls == []
+    code, report, _ = run(capsys, *argv)
+    assert code == 0 and report["size"] == 1024
+    assert calls == []
+
+
 def test_hash_verbs_refuse_oversized_instances(capsys, monkeypatch):
     # Each verb refuses before a word is listed or sampled, or a batch
     # scanned: the builders are swapped for recorders.

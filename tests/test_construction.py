@@ -6,7 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from antipodes import construction
-from antipodes.antipodality import is_rank_k_antipodal, joint_antipodal_direct
+from antipodes.antipodality import (
+    is_rank_k_antipodal,
+    joint_antipodal_direct,
+    verify_joint_certificate,
+)
 from antipodes.construction import (
     ConstructionError,
     StartingConfig,
@@ -87,6 +91,53 @@ def test_projection_certificates_cover_every_subset():
         assert 0 <= coord < code.m
         # agrees with the generic LP verdict
         assert joint_antipodal_direct(built.result, chosen).antipodal
+
+
+def test_projection_solves_each_base_tuple_once(monkeypatch):
+    # Triangle base times the 9-word ternary code of length 4: 84 triples
+    # of product points, but only 3! ordered triples of base points.
+    code = max_code(3, 3, 4).code
+    assert len(code) == 9
+    built = product_construct(TRIANGLE, code)
+    solved = []
+    real = construction.joint_antipodal_direct
+
+    def direct(points, chosen):
+        solved.append(chosen)
+        return real(points, chosen)
+
+    monkeypatch.setattr(construction, "joint_antipodal_direct", direct)
+    certs = [
+        projection_certificate(built, chosen)
+        for chosen in combinations(range(len(code)), 3)
+    ]
+    assert len(certs) == 84
+    assert len(solved) == len(set(solved)) <= 6
+    assert set(built.base_maps) == set(solved)
+    for chosen, cert in zip(combinations(range(len(code)), 3), certs):
+        fresh = product_construct(TRIANGLE, code)
+        assert projection_certificate(fresh, chosen) == cert
+        assert fresh == built
+
+
+def test_products_do_not_share_base_maps():
+    code = max_code(3, 3, 2).code
+    wide = StartingConfig(_ps((0, 0), (2, 0), (0, 3)), rank=2)
+    first = product_construct(TRIANGLE, code)
+    second = product_construct(wide, code)
+    again = product_construct(TRIANGLE, code)
+    for chosen in combinations(range(len(code)), 3):
+        cert, _ = projection_certificate(first, chosen)
+        other, _ = projection_certificate(second, chosen)
+        assert cert.mapping != other.mapping
+        assert verify_joint_certificate(second.result, other)
+        assert not verify_joint_certificate(second.result, cert)
+    assert first.base_maps and second.base_maps
+    assert again.base_maps == {}
+    assert first.base_maps.keys() == second.base_maps.keys()
+    for key, cert in first.base_maps.items():
+        assert second.base_maps[key] is not cert
+        assert second.base_maps[key].mapping != cert.mapping
 
 
 def test_projection_rejects_unseparated_words():

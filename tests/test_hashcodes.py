@@ -129,15 +129,19 @@ def _small_instances():
                     yield b, k, m
 
 
+def _reference_cases():
+    for b, k, m in _small_instances():
+        for budget in [1, 2, 37, 1000, 5000] + ([None] if b**m <= 64 else []):
+            yield (b, k, m), budget
+
+
 def test_max_code_matches_reference(deep_recursion):
     checked = 0
-    for b, k, m in _small_instances():
-        budgets = [1, 2, 37, 1000, 5000] + ([None] if b**m <= 64 else [])
-        for budget in budgets:
-            assert max_code(b, k, m, budget) == ref_max_code(b, k, m, budget), (
-                b, k, m, budget,
-            )
-            checked += 1
+    for (b, k, m), budget in _reference_cases():
+        assert max_code(b, k, m, budget) == ref_max_code(b, k, m, budget), (
+            b, k, m, budget,
+        )
+        checked += 1
     assert checked == 315
 
 
@@ -148,6 +152,69 @@ def test_max_code_matches_reference_on_capped_instances():
         result = max_code(b, k, m, budget)
         assert result == ref_max_code(b, k, m, budget)
         assert result.nodes == budget + 1 and not result.optimal
+
+
+def _record_memo(monkeypatch):
+    """Spy on max_code's memo: (size, room) after every lookup, and every
+    batch whose mask is computed.  bound(n, entries) clears both records
+    and, given `entries`, cuts the memo's bound to that many masks over a
+    universe of n words."""
+    real_newly, real_blocked = hashcodes._newly_blocked, hashcodes._blocked
+    sizes, computed = [], []
+
+    def newly(chosen, word, k, symbol, memo, room):
+        out = real_newly(chosen, word, k, symbol, memo, room)
+        sizes.append((len(memo), room))
+        return out
+
+    def blocked(batch, symbol):
+        computed.append(batch)
+        return real_blocked(batch, symbol)
+
+    monkeypatch.setattr(hashcodes, "_newly_blocked", newly)
+    monkeypatch.setattr(hashcodes, "_blocked", blocked)
+
+    def bound(n, entries=None):
+        sizes.clear()
+        computed.clear()
+        if entries is not None:
+            cost = n + hashcodes._BLOCKED_ENTRY_BITS
+            monkeypatch.setattr(hashcodes, "_BLOCKED_CACHE_BITS", (entries + 1) * cost - 1)
+
+    return bound, sizes, computed
+
+
+def test_max_code_computes_each_batch_once(monkeypatch):
+    bound, sizes, computed = _record_memo(monkeypatch)
+    for (b, k, m), budget in (((4, 3, 3), None), ((3, 3, 5), 30000), ((4, 4, 3), None)):
+        bound(b**m)
+        result = max_code(b, k, m, budget)
+        assert result == ref_max_code(b, k, m, budget)
+        assert len(computed) == len(set(computed)) == sizes[-1][0]
+        assert sizes[-1][0] < sizes[-1][1]
+
+
+def test_max_code_with_a_full_memo_matches_reference(monkeypatch, deep_recursion):
+    # A memo of a few masks fills at once; from then on every new batch is
+    # computed each time it is met, with the same nodes, flags and words.
+    cases = [
+        ((5, 3, 3), 20000), ((4, 3, 4), 20000), ((6, 3, 3), 20000), ((3, 3, 5), 30000)
+    ]
+    # Only order 3 and up with two or more coordinates has batches to keep.
+    blocking = [case for case in _reference_cases() if case[0][1] > 2 and case[0][2] > 1]
+    cases += random.Random(8).sample(blocking, 40)
+    bound, sizes, computed = _record_memo(monkeypatch)
+    for entries in (0, 3):
+        recomputed = 0
+        for (b, k, m), budget in cases:
+            bound(b**m, entries)
+            result = max_code(b, k, m, budget)
+            assert result == ref_max_code(b, k, m, budget), (b, k, m, budget)
+            assert all(size <= room == entries for size, room in sizes)
+            if len(set(computed)) > entries:
+                assert sizes[-1][0] == entries
+            recomputed += len(computed) - len(set(computed))
+        assert recomputed > 0
 
 
 def test_greedy_code_matches_reference():
