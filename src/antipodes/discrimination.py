@@ -107,6 +107,11 @@ def error_prob(measurement: Measurement, states):
         raise DiscriminationError(
             f"expected {measurement.outcomes} states, got {len(pts)}"
         )
+    return _error_sum(measurement, pts)
+
+
+def _error_sum(measurement: Measurement, pts):
+    """error_prob on states already checked against the space."""
     total = ratio(0)
     for j, s in enumerate(pts):
         total = total + 1 - measurement.apply(s)[j]
@@ -130,7 +135,7 @@ def min_error(space: StateSpace, states):
         raise DiscriminationError("discrimination program did not optimize")
     measurement = Measurement(space, decode_map(outcome.point, r))
     value = ratio(r) - (outcome.objective_value + offset)
-    if error_prob(measurement, pts) != value:
+    if _error_sum(measurement, pts) != value:
         raise DiscriminationError("optimizer does not reproduce its own value")
     return value, measurement
 

@@ -10,8 +10,12 @@ output before returning, so a bug in the pivoting can only surface as an
 internal error, never as a wrong verdict.
 
 The engine is a dense two-phase primal simplex on rationals.  Variables are
-free and get split into nonnegative pairs; rows receive slacks and
-artificials in the usual way.  Pivoting is Dantzig's rule with a permanent
+free; each is labelled as a pair of nonnegative parts, but the tableau
+stores one column per free variable, since the second part's column is
+always minus the first.  Rows receive slacks, and artificials label the
+starting basis without being stored: they never re-enter, and the
+multipliers they would carry are recovered from the final basis by one
+square integer solve.  Pivoting is Dantzig's rule with a permanent
 switch to Bland's rule after a run of degenerate steps, which keeps the
 solver fast on typical inputs and terminating on all of them.  The whole
 pipeline is deterministic: identical programs produce identical outcomes,
@@ -29,9 +33,11 @@ out.
 A program reaches the tableau as integer rows: each constraint's
 coefficients and rhs scaled by the lcm D of the row's denominators,
 computed once per program and kept with it.  The same rows re-verify
-points: `check_point` clears the point's denominators to one lcm L and
-tests the sign of rhs*L - a.P in integers, the sign the rational slack
-has.  The multiplier and ray checks stay in backend rationals.
+every certificate.  `check_point` and `check_ray` clear the vector's
+denominators to one lcm L and test signs of integer dot products, the
+signs the rational ones have; the multiplier checks (`check_farkas`,
+`check_strict_emptiness`, `check_duals`) form the weighted combination of
+the rows in integers over one positive scale (`_combination`).
 
 `solve_strict` decides systems in which selected inequality rows must hold
 strictly.  It maximises a margin variable bounded by 1; a positive optimum
@@ -83,12 +89,6 @@ class Constraint:
     coeffs: tuple
     relation: str
     rhs: object
-
-    def oriented(self):
-        """Coefficients and rhs with >= rows negated, so <= / = remain."""
-        if self.relation == GE:
-            return tuple(-a for a in self.coeffs), -self.rhs
-        return self.coeffs, self.rhs
 
 
 @dataclass(frozen=True)
@@ -202,6 +202,38 @@ def check_point(lp: LinearProgram, point, strict_rows=()) -> bool:
     return True
 
 
+def _combination(lp: LinearProgram, mults):
+    """The combination of oriented rows (>= rows negated) that `mults`
+    weights, on the program's integer rows.
+
+    Returns (combo, rhs, scale): the combined coefficients, one per
+    variable, and the combined rhs, all multiplied by one positive
+    integer scale; or None when mults has the wrong length or puts a
+    negative weight on an inequality row.  Row i enters with weight
+    mults[i] / den_i, so scale is the lcm of those weights' denominators.
+    """
+    if len(mults) != len(lp.constraints):
+        return None
+    weights = []
+    for w, con, (terms, rhs, den) in zip(mults, lp.constraints, lp._integer_rows):
+        if con.relation != EQ and w < 0:
+            return None
+        if w:
+            num = int(w.numerator)
+            if con.relation == GE:
+                num = -num
+            weights.append((num, int(w.denominator) * den, terms, rhs))
+    scale = math.lcm(*(d for _, d, _, _ in weights))
+    combo = [0] * lp.num_vars
+    total = 0
+    for num, d, terms, rhs in weights:
+        factor = num * (scale // d)
+        for j, a in terms:
+            combo[j] += factor * a
+        total += factor * rhs
+    return combo, total, scale
+
+
 def check_farkas(lp: LinearProgram, mults) -> bool:
     """Nonnegative-combination proof that the weak system is empty.
 
@@ -210,18 +242,11 @@ def check_farkas(lp: LinearProgram, mults) -> bool:
     while the combined rhs is negative, an evident contradiction with
     0 <= 0.
     """
-    if len(mults) != len(lp.constraints):
+    combined = _combination(lp, mults)
+    if combined is None:
         return False
-    combo = [ZERO] * lp.num_vars
-    rhs_total = ZERO
-    for w, con in zip(mults, lp.constraints):
-        if con.relation != EQ and w < 0:
-            return False
-        coeffs, rhs = con.oriented()
-        for j, a in enumerate(coeffs):
-            combo[j] += w * a
-        rhs_total += w * rhs
-    return all(c == 0 for c in combo) and rhs_total < 0
+    combo, total, _ = combined
+    return not any(combo) and total < 0
 
 
 def check_strict_emptiness(lp: LinearProgram, strict_rows, mults) -> bool:
@@ -232,41 +257,37 @@ def check_strict_emptiness(lp: LinearProgram, strict_rows, mults) -> bool:
     provided some strict row carries positive weight: the combination then
     proves sum <= 0 while strictness would force it > 0.
     """
-    if len(mults) != len(lp.constraints):
+    combined = _combination(lp, mults)
+    if combined is None:
+        return False
+    combo, total, _ = combined
+    if any(combo):
         return False
     strict = set(strict_rows)
-    combo = [ZERO] * lp.num_vars
-    rhs_total = ZERO
-    strict_mass = ZERO
-    for i, (w, con) in enumerate(zip(mults, lp.constraints)):
-        if con.relation != EQ and w < 0:
-            return False
-        coeffs, rhs = con.oriented()
-        for j, a in enumerate(coeffs):
-            combo[j] += w * a
-        rhs_total += w * rhs
-        if i in strict:
-            strict_mass += w
-    if any(c != 0 for c in combo):
-        return False
-    return rhs_total < 0 or (rhs_total <= 0 and strict_mass > 0)
+    strict_mass = sum((w for i, w in enumerate(mults) if i in strict), ZERO)
+    return total < 0 or (total == 0 and strict_mass > 0)
 
 
 def check_ray(lp: LinearProgram, ray) -> bool:
-    """Recession direction along which the objective improves forever."""
+    """Recession direction along which the objective improves forever.
+
+    Decided on the program's integer rows, with the ray cleared to
+    integers over one positive denominator."""
     if lp.objective is None or len(ray) != lp.num_vars:
         return False
-    if all(r == 0 for r in ray):
+    scaled, _ = over_common_denominator(ray)
+    if not any(scaled):
         return False
-    for con in lp.constraints:
-        coeffs, _ = con.oriented()
-        drift = _dot(coeffs, ray)
-        if con.relation == EQ:
-            if drift != 0:
-                return False
-        elif drift > 0:
+    for con, (terms, _, _) in zip(lp.constraints, lp._integer_rows):
+        drift = 0
+        for j, a in terms:
+            drift += a * scaled[j]
+        if con.relation == GE:
+            drift = -drift
+        if drift > 0 or (drift and con.relation == EQ):
             return False
-    gain = _dot(lp.objective, ray)
+    costs, _ = over_common_denominator(lp.objective)
+    gain = sum(c * r for c, r in zip(costs, scaled))
     return gain > 0 if lp.maximize else gain < 0
 
 
@@ -278,32 +299,29 @@ def check_duals(lp: LinearProgram, mults, optimum) -> bool:
     coordinate.  Stated for the maximisation form; minimisation is checked
     through negation.
     """
-    if lp.objective is None or len(mults) != len(lp.constraints):
+    if lp.objective is None:
         return False
-    sign = ONE if lp.maximize else -ONE
-    target = tuple(sign * c for c in lp.objective)
-    combo = [ZERO] * lp.num_vars
-    rhs_total = ZERO
-    for w, con in zip(mults, lp.constraints):
-        if con.relation != EQ and w < 0:
+    combined = _combination(lp, mults)
+    if combined is None:
+        return False
+    combo, total, scale = combined
+    sign = 1 if lp.maximize else -1
+    for a, c in zip(combo, lp.objective):
+        if a * int(c.denominator) != sign * int(c.numerator) * scale:
             return False
-        coeffs, rhs = con.oriented()
-        for j, a in enumerate(coeffs):
-            combo[j] += w * a
-        rhs_total += w * rhs
-    if any(c != t for c, t in zip(combo, target)):
-        return False
-    return rhs_total == sign * optimum
+    return total * int(optimum.denominator) == sign * int(optimum.numerator) * scale
 
 
 # ---------------------------------------------------------------------------
 # standard form
 
 class _Standard:
-    """Split free variables, add slacks, normalise rhs signs.
+    """Slacks, rhs signs and column labels of the standard form.
 
-    Columns 0..2n-1 are the split pairs (x_j = col 2j - col 2j+1), then one
-    slack column per inequality row.  Row i of the original program becomes
+    Each free variable is split into two nonnegative parts: labels 2j and
+    2j+1 stand for x_j = col 2j - col 2j+1.  Then comes one slack label per
+    inequality row, nstruct labels in all, and label nstruct+i is row i's
+    artificial.  Row i of the original program becomes
     sign_i * (row with slack) so the standard rhs is nonnegative; the
     tableau builds these rows from the program's integer rows.
     """
@@ -322,15 +340,14 @@ class _Standard:
         self.sign = [-1 if rhs < 0 else 1 for _, rhs, _ in lp._integer_rows]
 
     def objective_min(self):
-        """Internal objective (minimisation) over structural columns, one
-        (numerator, denominator) pair per column."""
-        coeffs = [(0, 1)] * self.nstruct
+        """Internal objective (minimisation), one (numerator, denominator)
+        pair per stored tableau column: each x_j's positive part, then the
+        slacks."""
         sign = -1 if self.lp.maximize else 1
-        for j, c in enumerate(self.lp.objective):
-            num, den = sign * int(c.numerator), int(c.denominator)
-            coeffs[2 * j] = (num, den)
-            coeffs[2 * j + 1] = (-num, den)
-        return coeffs
+        coeffs = [
+            (sign * int(c.numerator), int(c.denominator)) for c in self.lp.objective
+        ]
+        return coeffs + [(0, 1)] * (self.nstruct - 2 * self.lp.num_vars)
 
     def point_from(self, values):
         return tuple(
@@ -357,6 +374,16 @@ class _Standard:
 class _Tableau:
     """Dense tableau with separate objective row and explicit basis.
 
+    The basis holds _Standard's labels, but only one column is stored per
+    free variable.  Row operations keep column 2j+1 equal to minus column
+    2j in every row and in the objective, so stored column j holds label
+    2j and label 2j+1 reads it negated; slack label s is stored at column
+    s - n, and the rhs comes last.  Artificial columns are not stored:
+    they never re-enter the basis, and the multipliers they would carry
+    follow from the final basis (`_duals`).  Pricing, ratio tests and
+    tie-breaks read label values, so they decide as the full split
+    tableau would.
+
     Entries are held as integers: row r stands for rows[r][j] / dens[r],
     and the objective row for obj[j] / obj_den, each denominator positive
     and the row reduced to lowest terms.  Every sign test and ratio
@@ -367,41 +394,48 @@ class _Tableau:
         self.std = std
         lp = std.lp
         self.m = len(lp.constraints)
+        self.n = n = lp.num_vars
         self.nstruct = std.nstruct
-        self.art = [self.nstruct + i for i in range(self.m)]
-        self.width = self.nstruct + self.m + 1
+        self.ncols = std.nstruct - n
         self.rows = []
         self.dens = []
         for i, (con, (terms, rhs, den)) in enumerate(
             zip(lp.constraints, lp._integer_rows)
         ):
-            # Row i of the standard form over den: split pairs +-a, slack
-            # +-den, rhs, all times sign_i; then artificial i at den.
+            # Row i of the standard form over den: a, slack +-den and rhs,
+            # all times sign_i.
             sign = std.sign[i]
-            row = [0] * self.width
+            row = [0] * (self.ncols + 1)
             for j, a in terms:
-                row[2 * j] = sign * a
-                row[2 * j + 1] = -sign * a
+                row[j] = sign * a
             if con.relation == LE:
-                row[std.slack_col[i]] = sign * den
+                row[std.slack_col[i] - n] = sign * den
             elif con.relation == GE:
-                row[std.slack_col[i]] = -sign * den
-            row[self.art[i]] = den
+                row[std.slack_col[i] - n] = -sign * den
             row[-1] = sign * rhs
             self.rows.append(row)
             self.dens.append(den)
-        self.basis = list(self.art)
+        self.basis = [self.nstruct + i for i in range(self.m)]
         self.active = [True] * self.m
-        self.obj = [0] * self.width
+        self.obj = [0] * (self.ncols + 1)
         self.obj_den = 1
+        self.cost = None
+
+    def _column(self, label):
+        """The stored column of a structural label, and the sign that
+        turns the stored entries into the label's."""
+        if label < 2 * self.n:
+            return label >> 1, -1 if label & 1 else 1
+        return label - self.n, 1
 
     # -- pivoting ---------------------------------------------------------
 
-    def _pivot(self, prow, pcol, with_obj=True):
+    def _pivot(self, prow, label, with_obj=True):
         # Dividing the pivot row by its pivot entry keeps its integers and
         # makes |pivot| the denominator.
+        pcol, sign = self._column(label)
         row = self.rows[prow]
-        piv = row[pcol]
+        piv = sign * row[pcol]
         if piv < 0:
             row = [-a for a in row]
             piv = -piv
@@ -418,42 +452,54 @@ class _Tableau:
             factor = self.rows[r][pcol]
             if factor:
                 self.rows[r], self.dens[r] = _eliminate(
-                    self.rows[r], self.dens[r], factor, support, piv
+                    self.rows[r], self.dens[r], sign * factor, support, piv
                 )
         if with_obj:
             factor = self.obj[pcol]
             if factor:
                 self.obj, self.obj_den = _eliminate(
-                    self.obj, self.obj_den, factor, support, piv
+                    self.obj, self.obj_den, sign * factor, support, piv
                 )
-        self.basis[prow] = pcol
+        self.basis[prow] = label
 
     def _optimize(self):
         """Run simplex steps until optimal or unbounded.
 
-        Entering columns are structural only; artificial columns never
-        re-enter.  Returns None when optimal, else the entering column
-        witnessing unboundedness.
+        Entering labels are structural only; artificials never re-enter.
+        Returns None when optimal, else the entering label witnessing
+        unboundedness.  A free variable's two labels sit side by side and
+        at most one of them has a negative reduced cost, so scanning the
+        stored columns meets the labels in label order.
         """
+        n = self.n
         stall = 0
         bland = False
         while True:
             obj = self.obj
             pcol = None
             if bland:
-                for j in range(self.nstruct):
-                    if obj[j] < 0:
+                for j in range(self.ncols):
+                    v = obj[j]
+                    if v < 0 or (v and j < n):
                         pcol = j
                         break
             else:
                 best = 0
-                for j in range(self.nstruct):
+                for j in range(self.ncols):
                     v = obj[j]
+                    if v > 0 and j < n:
+                        v = -v
                     if v < best:
                         best = v
                         pcol = j
             if pcol is None:
                 return None
+            if pcol >= n:
+                label, sign = pcol + n, 1
+            elif obj[pcol] < 0:
+                label, sign = 2 * pcol, 1
+            else:
+                label, sign = 2 * pcol + 1, -1
             # Ratio rhs/a over rows with a > 0; the row denominator cancels,
             # and the comparison is made by cross-multiplying.
             prow = None
@@ -462,7 +508,7 @@ class _Tableau:
                 if not self.active[r]:
                     continue
                 row = self.rows[r]
-                a = row[pcol]
+                a = sign * row[pcol]
                 if a > 0:
                     if prow is None:
                         better = True
@@ -476,29 +522,36 @@ class _Tableau:
                         best_rhs, best_a = row[-1], a
                         prow = r
             if prow is None:
-                return pcol
+                return label
             if best_rhs == 0:
                 stall += 1
                 if stall >= _STALL_LIMIT:
                     bland = True
             else:
                 stall = 0
-            self._pivot(prow, pcol)
+            self._pivot(prow, label)
 
-    def _price(self, cost):
+    def _price(self, cost, art_cost):
         """Load the objective row with the reduced costs of `cost`, one
-        (numerator, denominator) pair per column: cost minus, for every
-        active row, the cost of its basic column times the row.  The row
-        is built in integers over the lcm of every denominator that
-        enters."""
+        (numerator, denominator) pair per stored column, each artificial
+        costing the integer art_cost: cost minus, for every active row,
+        the cost of its basic label times the row.  The row is built in
+        integers over the lcm of every denominator that enters."""
         terms = []
         for r in range(self.m):
-            if self.active[r]:
-                num, d = cost[self.basis[r]]
-                if num:
-                    terms.append((num, d * self.dens[r], self.rows[r]))
+            if not self.active[r]:
+                continue
+            label = self.basis[r]
+            if label >= self.nstruct:
+                num, d = art_cost, 1
+            else:
+                col, sign = self._column(label)
+                num, d = cost[col]
+                num *= sign
+            if num:
+                terms.append((num, d * self.dens[r], self.rows[r]))
         den = math.lcm(*(d for num, d in cost if num), *(d for _, d, _ in terms))
-        obj = [num * (den // d) for num, d in cost]
+        obj = [num * (den // d) for num, d in cost] + [0]
         for num, d, row in terms:
             factor = num * (den // d)
             for j, a in enumerate(row):
@@ -515,7 +568,7 @@ class _Tableau:
     def phase1(self) -> bool:
         # Cost 1 on each artificial; every row starts with its artificial
         # basic.
-        self._price([(0, 1)] * self.nstruct + [(1, 1)] * self.m + [(0, 1)])
+        self._price([(0, 1)] * self.ncols, 1)
         escape = self._optimize()
         if escape is not None:
             raise SolverInvariantError("phase one reported unbounded")
@@ -525,27 +578,29 @@ class _Tableau:
         return True
 
     def phase1_duals(self):
-        # Reduced cost of artificial i is 1 - y_i, and the column is e_i.
-        den = self.obj_den
-        return [int_ratio(den - self.obj[self.art[i]], den) for i in range(self.m)]
+        return self._duals([(0, 1)] * self.ncols, 1)
 
     def _evict_artificials(self):
         for r in range(self.m):
             if not self.active[r] or self.basis[r] < self.nstruct:
                 continue
+            row = self.rows[r]
             pcol = None
-            for j in range(self.nstruct):
-                if self.rows[r][j]:
+            for j in range(self.ncols):
+                if row[j]:
                     pcol = j
                     break
             if pcol is None:
                 # Original row was redundant; retire it.
                 self.active[r] = False
             else:
-                self._pivot(r, pcol, with_obj=False)
+                # The first nonzero label is 2j for a free column j.
+                label = 2 * pcol if pcol < self.n else pcol + self.n
+                self._pivot(r, label, with_obj=False)
 
-    def phase2(self, cost_struct):
-        self._price(cost_struct + [(0, 1)] * (self.m + 1))
+    def phase2(self, cost):
+        self.cost = cost
+        self._price(cost, 0)
         return self._optimize()
 
     # -- extraction -------------------------------------------------------
@@ -557,25 +612,79 @@ class _Tableau:
                 values[self.basis[r]] = int_ratio(self.rows[r][-1], self.dens[r])
         return values
 
-    def ray_values(self, pcol):
+    def ray_values(self, label):
         direction = [ZERO] * self.nstruct
-        direction[pcol] = ONE
+        direction[label] = ONE
+        pcol, sign = self._column(label)
         for r in range(self.m):
             if self.active[r] and self.basis[r] < self.nstruct:
-                direction[self.basis[r]] = int_ratio(-self.rows[r][pcol], self.dens[r])
+                direction[self.basis[r]] = int_ratio(
+                    -sign * self.rows[r][pcol], self.dens[r]
+                )
         return direction
 
     def duals(self):
-        den = self.obj_den
-        return [int_ratio(-self.obj[self.art[i]], den) for i in range(self.m)]
+        return self._duals(self.cost, 0)
+
+    def _duals(self, cost, art_cost):
+        """y = c_B B^-1 for the final basis, one backend rational per row.
+
+        Row i never pivoted while its own artificial is basic, so that
+        artificial's column is still e_i and y_i is its cost, art_cost.  A
+        basic slack of row i is a column +-e_i of cost 0, so y_i = 0.
+        Every other y_i is unknown, and there is one basic free-variable
+        column j per unknown: the equations y . A_j = c_j form a square,
+        nonsingular system, solved in the program's integer rows for
+        u_i = sign_i * y_i / den_i.
+        """
+        std = self.std
+        rows = std.lp._integer_rows
+        basic = {self.basis[r] for r in range(self.m) if self.active[r]}
+        known, unknown = [], []
+        for i in range(self.m):
+            if self.basis[i] == self.nstruct + i:
+                known.append(i)
+            elif std.slack_col[i] not in basic:
+                unknown.append(i)
+        columns = sorted(label >> 1 for label in basic if label < 2 * self.n)
+        if len(columns) != len(unknown):
+            raise SolverInvariantError("the dual system is not square")
+        at = {j: e for e, j in enumerate(columns)}
+        feeders = known if art_cost else []
+        scale = math.lcm(
+            *(cost[j][1] for j in columns if cost[j][0]),
+            *(rows[i][2] for i in feeders),
+        )
+        system = [[0] * len(unknown) + [0] for _ in columns]
+        for e, j in enumerate(columns):
+            num, den = cost[j]
+            system[e][-1] = num * (scale // den)
+        for i in feeders:
+            terms, _, den = rows[i]
+            factor = art_cost * std.sign[i] * (scale // den)
+            for j, a in terms:
+                e = at.get(j)
+                if e is not None:
+                    system[e][-1] -= factor * a
+        for u, i in enumerate(unknown):
+            for j, a in rows[i][0]:
+                e = at.get(j)
+                if e is not None:
+                    system[e][u] = a
+        y = [ZERO] * self.m
+        for i in feeders:
+            y[i] = int_ratio(art_cost, 1)
+        for i, (num, den) in zip(unknown, _solve_square(system)):
+            y[i] = int_ratio(std.sign[i] * rows[i][2] * num, den * scale)
+        return y
 
 
 def _eliminate(target, den, factor, support, piv):
     """target/den - (factor/den) * (pivot row/piv) as an integer row over
     den*piv, reduced to lowest terms.
 
-    factor is target's pivot-column entry; support lists the pivot row's
-    nonzero entries as (column, value) pairs.
+    factor is target's entry in the pivot label's column; support lists
+    the pivot row's nonzero entries as (column, value) pairs.
     """
     row = [a * piv for a in target] if piv != 1 else list(target)
     for j, b in support:
@@ -586,6 +695,30 @@ def _eliminate(target, den, factor, support, piv):
         row = [a // g for a in row]
         den //= g
     return row, den
+
+
+def _solve_square(system):
+    """Solve a nonsingular square integer system, given as augmented rows
+    [a_1 .. a_k, b]; returns each x_i as a pair (num, den), den nonzero.
+
+    Gauss-Jordan elimination in integers: each eliminated row is scaled by
+    the pivot entry and divided by its gcd, as in the tableau.
+    """
+    k = len(system)
+    for c in range(k):
+        p = next((r for r in range(c, k) if system[r][c]), None)
+        if p is None:
+            raise SolverInvariantError("the dual system is singular")
+        system[c], system[p] = system[p], system[c]
+        prow = system[c]
+        piv = prow[c]
+        for r in range(k):
+            factor = system[r][c]
+            if r != c and factor:
+                row = [a * piv - factor * b for a, b in zip(system[r], prow)]
+                g = math.gcd(*row)
+                system[r] = [a // g for a in row] if g > 1 else row
+    return [(system[i][-1], system[i][i]) for i in range(k)]
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,9 @@ decimal rendering.  gmpy2's mpq is used when it is installed (the `gmp`
 extra); plain fractions.Fraction is a drop-in fallback with identical
 semantics.  Linear programs are written in these rationals, but exact_lp
 scales each row to integers over one denominator once per program; the
-tableau pivots on those integers and feasible points are re-verified on
-them, so backend rationals come back only when a solution is read out
-(through `int_ratio`) and in the multiplier and ray checks.
+tableau pivots on those integers and every point, ray and multiplier
+certificate is re-verified on them, so backend rationals come back only
+when a solution is read out (through `int_ratio`).
 """
 
 from __future__ import annotations

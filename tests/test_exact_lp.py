@@ -1,5 +1,7 @@
-"""Solver-level tests: known optima, certificate round-trips, termination."""
+"""Solver-level tests: known optima, certificate round-trips, termination,
+and agreement with the reference tableau and checks kept below."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -11,6 +13,7 @@ from antipodes.exact_lp import (
     GE,
     LE,
     LPError,
+    LPOutcome,
     Status,
     check_duals,
     check_farkas,
@@ -458,3 +461,479 @@ def test_check_point_matches_rational_substitution(case):
     lp, point, strict = case
     assert check_point(lp, point, strict) == _substitutes(lp, point, strict)
     assert check_point(lp, point) == _substitutes(lp, point)
+
+
+# ---------------------------------------------------------------------------
+# reference: the two-column-per-variable tableau with an artificial block,
+# and the certificate checks in backend rationals, that the lean tableau
+# and the integer checks replaced.  Outcomes must match to the last bit.
+
+
+class _RefStandard:
+    def __init__(self, lp):
+        self.lp = lp
+        self.slack_col = []
+        ncols = 2 * lp.num_vars
+        for con in lp.constraints:
+            if con.relation == EQ:
+                self.slack_col.append(None)
+            else:
+                self.slack_col.append(ncols)
+                ncols += 1
+        self.nstruct = ncols
+        self.sign = [-1 if rhs < 0 else 1 for _, rhs, _ in lp._integer_rows]
+
+    def objective_min(self):
+        coeffs = [(0, 1)] * self.nstruct
+        sign = -1 if self.lp.maximize else 1
+        for j, c in enumerate(self.lp.objective):
+            num, den = sign * int(c.numerator), int(c.denominator)
+            coeffs[2 * j] = (num, den)
+            coeffs[2 * j + 1] = (-num, den)
+        return coeffs
+
+    def point_from(self, values):
+        return tuple(
+            values[2 * j] - values[2 * j + 1] for j in range(self.lp.num_vars)
+        )
+
+    def row_mults_from(self, y):
+        out = []
+        for i, con in enumerate(self.lp.constraints):
+            w = -self.sign[i] * y[i]
+            if con.relation == GE:
+                w = -w
+            out.append(w)
+        return tuple(out)
+
+
+def _ref_eliminate(target, den, factor, support, piv):
+    row = [a * piv for a in target] if piv != 1 else list(target)
+    for j, b in support:
+        row[j] -= factor * b
+    den *= piv
+    g = math.gcd(den, *row)
+    if g != 1:
+        row = [a // g for a in row]
+        den //= g
+    return row, den
+
+
+class _RefTableau:
+    def __init__(self, std, stall_limit):
+        self.std = std
+        self.stall_limit = stall_limit
+        lp = std.lp
+        self.m = len(lp.constraints)
+        self.nstruct = std.nstruct
+        self.art = [self.nstruct + i for i in range(self.m)]
+        self.width = self.nstruct + self.m + 1
+        self.rows = []
+        self.dens = []
+        for i, (con, (terms, rhs, den)) in enumerate(
+            zip(lp.constraints, lp._integer_rows)
+        ):
+            sign = std.sign[i]
+            row = [0] * self.width
+            for j, a in terms:
+                row[2 * j] = sign * a
+                row[2 * j + 1] = -sign * a
+            if con.relation == LE:
+                row[std.slack_col[i]] = sign * den
+            elif con.relation == GE:
+                row[std.slack_col[i]] = -sign * den
+            row[self.art[i]] = den
+            row[-1] = sign * rhs
+            self.rows.append(row)
+            self.dens.append(den)
+        self.basis = list(self.art)
+        self.active = [True] * self.m
+        self.obj = [0] * self.width
+        self.obj_den = 1
+
+    def _pivot(self, prow, pcol, with_obj=True):
+        row = self.rows[prow]
+        piv = row[pcol]
+        if piv < 0:
+            row = [-a for a in row]
+            piv = -piv
+        g = math.gcd(*row)
+        if g != 1:
+            row = [a // g for a in row]
+            piv //= g
+        self.rows[prow] = row
+        self.dens[prow] = piv
+        support = [(j, a) for j, a in enumerate(row) if a]
+        for r in range(self.m):
+            if r == prow or not self.active[r]:
+                continue
+            factor = self.rows[r][pcol]
+            if factor:
+                self.rows[r], self.dens[r] = _ref_eliminate(
+                    self.rows[r], self.dens[r], factor, support, piv
+                )
+        if with_obj:
+            factor = self.obj[pcol]
+            if factor:
+                self.obj, self.obj_den = _ref_eliminate(
+                    self.obj, self.obj_den, factor, support, piv
+                )
+        self.basis[prow] = pcol
+
+    def _optimize(self):
+        stall = 0
+        bland = False
+        while True:
+            obj = self.obj
+            pcol = None
+            if bland:
+                for j in range(self.nstruct):
+                    if obj[j] < 0:
+                        pcol = j
+                        break
+            else:
+                best = 0
+                for j in range(self.nstruct):
+                    v = obj[j]
+                    if v < best:
+                        best = v
+                        pcol = j
+            if pcol is None:
+                return None
+            prow = None
+            best_rhs = best_a = None
+            for r in range(self.m):
+                if not self.active[r]:
+                    continue
+                row = self.rows[r]
+                a = row[pcol]
+                if a > 0:
+                    if prow is None:
+                        better = True
+                    else:
+                        lhs = row[-1] * best_a
+                        rhs = best_rhs * a
+                        better = lhs < rhs or (
+                            lhs == rhs and self.basis[r] < self.basis[prow]
+                        )
+                    if better:
+                        best_rhs, best_a = row[-1], a
+                        prow = r
+            if prow is None:
+                return pcol
+            if best_rhs == 0:
+                stall += 1
+                if stall >= self.stall_limit:
+                    bland = True
+            else:
+                stall = 0
+            self._pivot(prow, pcol)
+
+    def _price(self, cost):
+        terms = []
+        for r in range(self.m):
+            if self.active[r]:
+                num, d = cost[self.basis[r]]
+                if num:
+                    terms.append((num, d * self.dens[r], self.rows[r]))
+        den = math.lcm(*(d for num, d in cost if num), *(d for _, d, _ in terms))
+        obj = [num * (den // d) for num, d in cost]
+        for num, d, row in terms:
+            factor = num * (den // d)
+            for j, a in enumerate(row):
+                if a:
+                    obj[j] -= factor * a
+        g = math.gcd(den, *obj)
+        if g != 1:
+            obj = [a // g for a in obj]
+            den //= g
+        self.obj, self.obj_den = obj, den
+
+    def phase1(self):
+        self._price([(0, 1)] * self.nstruct + [(1, 1)] * self.m + [(0, 1)])
+        assert self._optimize() is None
+        if self.obj[-1] != 0:
+            return False
+        for r in range(self.m):
+            if not self.active[r] or self.basis[r] < self.nstruct:
+                continue
+            pcol = next((j for j in range(self.nstruct) if self.rows[r][j]), None)
+            if pcol is None:
+                self.active[r] = False
+            else:
+                self._pivot(r, pcol, with_obj=False)
+        return True
+
+    def phase1_duals(self):
+        den = self.obj_den
+        return [ratio(den - self.obj[self.art[i]], den) for i in range(self.m)]
+
+    def phase2(self, cost_struct):
+        self._price(cost_struct + [(0, 1)] * (self.m + 1))
+        return self._optimize()
+
+    def struct_values(self):
+        values = [ratio(0)] * self.nstruct
+        for r in range(self.m):
+            if self.active[r] and self.basis[r] < self.nstruct:
+                values[self.basis[r]] = ratio(self.rows[r][-1], self.dens[r])
+        return values
+
+    def ray_values(self, pcol):
+        direction = [ratio(0)] * self.nstruct
+        direction[pcol] = ratio(1)
+        for r in range(self.m):
+            if self.active[r] and self.basis[r] < self.nstruct:
+                direction[self.basis[r]] = ratio(-self.rows[r][pcol], self.dens[r])
+        return direction
+
+    def duals(self):
+        den = self.obj_den
+        return [ratio(-self.obj[self.art[i]], den) for i in range(self.m)]
+
+
+def _ref_solve(lp, stall_limit):
+    std = _RefStandard(lp)
+    tab = _RefTableau(std, stall_limit)
+    if not tab.phase1():
+        return LPOutcome(
+            Status.INFEASIBLE, farkas=std.row_mults_from(tab.phase1_duals())
+        )
+    if lp.objective is None:
+        return LPOutcome(Status.FEASIBLE, point=std.point_from(tab.struct_values()))
+    escape = tab.phase2(std.objective_min())
+    if escape is not None:
+        return LPOutcome(
+            Status.UNBOUNDED, ray=std.point_from(tab.ray_values(escape))
+        )
+    point = std.point_from(tab.struct_values())
+    value = sum((c * x for c, x in zip(lp.objective, point)), ratio(0))
+    return LPOutcome(
+        Status.FEASIBLE,
+        point=point,
+        objective_value=value,
+        duals=std.row_mults_from(tab.duals()),
+    )
+
+
+def _ref_solve_strict(lp, strict, stall_limit):
+    n = lp.num_vars
+    zero, one = ratio(0), ratio(1)
+    rows = []
+    for i, con in enumerate(lp.constraints):
+        margin = zero
+        if i in strict:
+            margin = one if con.relation == LE else -one
+        rows.append((con.coeffs + (margin,), con.relation, con.rhs))
+    rows.append(((zero,) * n + (one,), LE, one))
+    rows.append(((zero,) * n + (one,), GE, zero))
+    aux = make_lp(n + 1, rows, objective=(zero,) * n + (one,), maximize=True)
+    out = _ref_solve(aux, stall_limit)
+    nrows = len(lp.constraints)
+    if out.status is Status.INFEASIBLE:
+        return LPOutcome(Status.INFEASIBLE, farkas=out.farkas[:nrows])
+    if out.objective_value > 0:
+        return LPOutcome(
+            Status.FEASIBLE, point=out.point[:n], objective_value=out.objective_value
+        )
+    return LPOutcome(Status.INFEASIBLE, farkas=out.duals[:nrows])
+
+
+def _oriented(con):
+    if con.relation == GE:
+        return tuple(-a for a in con.coeffs), -con.rhs
+    return con.coeffs, con.rhs
+
+
+def _ref_combination(lp, mults):
+    """Combined oriented coefficients and rhs in rationals, or None."""
+    if len(mults) != len(lp.constraints):
+        return None
+    combo = [ratio(0)] * lp.num_vars
+    total = ratio(0)
+    for w, con in zip(mults, lp.constraints):
+        if con.relation != EQ and w < 0:
+            return None
+        coeffs, rhs = _oriented(con)
+        for j, a in enumerate(coeffs):
+            combo[j] += w * a
+        total += w * rhs
+    return combo, total
+
+
+def _ref_check_farkas(lp, mults):
+    combined = _ref_combination(lp, mults)
+    return combined is not None and not any(combined[0]) and combined[1] < 0
+
+
+def _ref_check_strict_emptiness(lp, strict, mults):
+    combined = _ref_combination(lp, mults)
+    if combined is None or any(combined[0]):
+        return False
+    mass = sum((w for i, w in enumerate(mults) if i in strict), ratio(0))
+    return combined[1] < 0 or (combined[1] <= 0 and mass > 0)
+
+
+def _ref_check_duals(lp, mults, optimum):
+    if lp.objective is None:
+        return False
+    combined = _ref_combination(lp, mults)
+    if combined is None:
+        return False
+    sign = 1 if lp.maximize else -1
+    if any(c != sign * t for c, t in zip(combined[0], lp.objective)):
+        return False
+    return combined[1] == sign * optimum
+
+
+def _ref_check_ray(lp, ray):
+    if lp.objective is None or len(ray) != lp.num_vars or not any(ray):
+        return False
+    for con in lp.constraints:
+        coeffs, _ = _oriented(con)
+        drift = sum((a * r for a, r in zip(coeffs, ray)), ratio(0))
+        if drift > 0 or (drift != 0 and con.relation == EQ):
+            return False
+    gain = sum((c * r for c, r in zip(lp.objective, ray)), ratio(0))
+    return gain > 0 if lp.maximize else gain < 0
+
+
+_rhs = st.one_of(st.just(ratio(0)), _small)
+
+
+@st.composite
+def _rich_programs(draw):
+    """Programs with retired rows, zero-rhs rows and degenerate vertices:
+    equality rows may be repeated as multiples or sums of earlier ones."""
+    n = draw(st.integers(1, 4))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        coeffs = tuple(draw(st.one_of(_coeff, _small)) for _ in range(n))
+        rows.append((coeffs, draw(st.sampled_from([LE, EQ, GE])), draw(_rhs)))
+    equalities = [row for row in rows if row[1] == EQ]
+    for _ in range(draw(st.integers(0, 2)) if equalities else 0):
+        a, _, p = draw(st.sampled_from(equalities))
+        b, _, q = draw(st.sampled_from(equalities))
+        s = draw(st.sampled_from([ratio(1), ratio(2), ratio(-1, 2)]))
+        at = draw(st.integers(0, len(rows)))
+        rows.insert(at, (tuple(x + s * y for x, y in zip(a, b)), EQ, p + s * q))
+    objective = None
+    if draw(st.booleans()):
+        objective = tuple(draw(_coeff) for _ in range(n))
+    return make_lp(n, rows, objective=objective, maximize=draw(st.booleans()))
+
+
+def _with_stall_limit(limit, run):
+    saved = exact_lp._STALL_LIMIT
+    exact_lp._STALL_LIMIT = limit
+    try:
+        return run()
+    finally:
+        exact_lp._STALL_LIMIT = saved
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_programs(), _rich_programs()), st.sampled_from([1, 2, 24]))
+def test_solve_matches_reference_tableau(lp, stall_limit):
+    got = _with_stall_limit(stall_limit, lambda: solve(lp))
+    assert repr(got) == repr(_ref_solve(lp, stall_limit))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_inequality_programs(), st.sampled_from([1, 24]))
+def test_solve_strict_matches_reference_tableau(case, stall_limit):
+    lp, strict = case
+    got = _with_stall_limit(stall_limit, lambda: solve_strict(lp, strict))
+    assert repr(got) == repr(_ref_solve_strict(lp, strict, stall_limit))
+
+
+def test_reference_cases_cover_retired_rows_and_bland():
+    # The pinned programs above, through both tableaux: a retired row
+    # (redundant equality), Bland's rule, infeasible and unbounded ends.
+    cases = [_redundant(), _redundant(objective=(1, 2)), _beale()]
+    cases.append(make_lp(3, _prime_rows(), objective=("1/89", "-2/97", "3/83")))
+    cases.append(make_lp(1, [((1,), LE, 2), ((1,), GE, 5)]))
+    cases.append(make_lp(1, [((1,), GE, 0)], objective=(1,)))
+    for lp in cases:
+        for limit in (1, 24):
+            got = _with_stall_limit(limit, lambda: solve(lp))
+            assert repr(got) == repr(_ref_solve(lp, limit))
+
+
+def _mutations(draw, mults):
+    """The vector itself, or one of: an entry negated, an entry moved by
+    1/q, one entry dropped or added, entries as plain ints or as
+    Fractions."""
+    mults = list(mults)
+    kinds = ["same", "negate", "nudge", "short", "long", "int", "fraction"]
+    kind = draw(st.sampled_from(kinds))
+    if kind in ("negate", "nudge") and mults:
+        i = draw(st.integers(0, len(mults) - 1))
+        if kind == "negate":
+            mults[i] = -mults[i] if mults[i] else ratio(-1)
+        else:
+            step = ratio(1, draw(st.sampled_from(_PRIMES)))
+            mults[i] += draw(st.sampled_from([step, -step]))
+    elif kind == "short" and mults:
+        mults.pop(draw(st.integers(0, len(mults) - 1)))
+    elif kind == "long":
+        mults.append(draw(_small))
+    elif kind == "int":
+        mults = [int(w) if w.denominator == 1 else w for w in mults]
+    elif kind == "fraction":
+        mults = [Fraction(int(w.numerator), int(w.denominator)) for w in mults]
+    return tuple(mults)
+
+
+@st.composite
+def _certificate_cases(draw):
+    lp = draw(st.one_of(_programs(), _rich_programs()))
+    out = solve(lp)
+    mults = out.farkas if out.farkas is not None else out.duals
+    if mults is None or not draw(st.integers(0, 3)):
+        mults = tuple(draw(_small) for _ in lp.constraints)
+    ray = out.ray
+    if ray is None:
+        ray = tuple(draw(_small) for _ in range(lp.num_vars))
+    optimum = out.objective_value if out.objective_value is not None else draw(_small)
+    if not draw(st.integers(0, 3)):
+        optimum += ratio(1, draw(st.sampled_from(_PRIMES)))
+    strict = draw(st.sets(st.integers(0, len(lp.constraints) - 1)))
+    return lp, _mutations(draw, mults), _mutations(draw, ray), optimum, strict
+
+
+@settings(max_examples=500, deadline=None)
+@given(_certificate_cases())
+def test_integer_checks_match_rational_substitution(case):
+    lp, mults, ray, optimum, strict = case
+    assert check_farkas(lp, mults) == _ref_check_farkas(lp, mults)
+    assert check_strict_emptiness(lp, strict, mults) == _ref_check_strict_emptiness(
+        lp, strict, mults
+    )
+    assert check_duals(lp, mults, optimum) == _ref_check_duals(lp, mults, optimum)
+    assert check_ray(lp, ray) == _ref_check_ray(lp, ray)
+
+
+def test_integer_checks_on_fixed_certificates():
+    lp = make_lp(1, [((1,), LE, 2), ((1,), GE, 5)])
+    assert check_farkas(lp, (1, 1))
+    assert check_farkas(lp, (Fraction(1, 3), Fraction(1, 3)))
+    # A negative weight on an inequality row, a nudged weight, wrong length.
+    assert not check_farkas(lp, (-1, -1))
+    assert not check_farkas(lp, (ratio(1), ratio(1) + ratio(1, 97)))
+    assert not check_farkas(lp, (1,))
+    assert not check_farkas(lp, (1, 1, 0))
+    box = make_lp(
+        2,
+        [((1, 0), LE, 1), ((0, 1), LE, 1), ((1, 0), GE, 0), ((0, 1), GE, 0)],
+        objective=(1, 2),
+    )
+    assert check_duals(box, (1, 2, 0, 0), 3)
+    assert check_duals(box, (ratio(1), ratio(2), ratio(0), ratio(0)), ratio(3))
+    assert not check_duals(box, (1, 2, 0, 0), ratio(3) + ratio(1, 89))
+    assert not check_duals(box, (1, 2, -1, 0), 3)
+    assert not check_duals(box, (1, 2, 0), 3)
+    up = make_lp(1, [((1,), GE, 0)], objective=(1,))
+    assert check_ray(up, (ratio(1, 7),)) and check_ray(up, (1,))
+    assert not check_ray(up, (0,)) and not check_ray(up, (-1,))
+    assert not check_ray(up, (1, 0))

@@ -1,0 +1,133 @@
+"""Report bytes of the certificate-bearing verbs, pinned by digest.
+
+Each case runs one command line on a fixed rational instance and hashes
+its exit code together with its stdout.  The digests were recorded with
+the two-column-per-variable simplex tableau, so any drift in pivot order,
+tie-breaking, or the points, maps and witnesses read out of the final
+basis shows up here, even where the new certificate would still verify.
+"""
+
+import hashlib
+import io
+from contextlib import redirect_stdout
+
+import pytest
+
+from antipodes.cli import main
+from antipodes.geometry import PointSet, dump_point_set
+from antipodes.rationals import ratio
+
+SETS = {
+    # Six hull vertices and one interior point.
+    "hepta": [
+        (0, 0), (3, "1/2"), ("7/2", 2), (2, "7/2"), ("-1/3", 3), (-1, "3/2"),
+        (1, 1),
+    ],
+    "space": [
+        (0, 0, 0), (2, "1/3", 0), ("1/2", 3, "1/5"), (0, "1/2", 2),
+        ("5/3", "5/3", "5/3"), ("1/2", "1/2", "1/2"),
+    ],
+    "triangle": [("1/3", 0), (2, "1/5"), ("1/2", "7/3")],
+    "tetra": [(0, 0, 0), ("3/2", "1/7", 0), ("1/3", 2, "1/2"), ("-1/2", "1/4", "5/3")],
+    "rhombus": [(0, 0), (2, "1/3"), ("5/2", "7/3"), ("1/2", 2)],
+    "states": [("1/2", "1/3"), ("11/4", "7/5"), ("1/3", "5/2")],
+    "cube": [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)],
+}
+
+# (argv with set names for files, sha256 of "<exit code>\n<stdout>").
+CASES = {
+    "joint-direct-holds": (
+        ("check-joint", "hepta", "0", "2"),
+        "cb1b8837c9e6934e1652dfaf4d315463ce1969f59fa65cd180730df40c575793",
+    ),
+    "joint-direct-witness": (
+        ("check-joint", "hepta", "0", "6"),
+        "fb5d98351c9e990d2b2194d87e64fc579835bcec1b36bbbcf5c710bfa7d590e2",
+    ),
+    "joint-direct-witness-verify": (
+        ("--verify", "check-joint", "hepta", "0", "6"),
+        "c4884adf61f6134efa0e9e507bd15718773172d2a57f3bfeedcf23452b1780f9",
+    ),
+    "joint-lambda-witness": (
+        ("check-joint", "space", "0", "1", "2", "--lambda", "1/2,3/4,3/4"),
+        "3b7bdf07aa8ff5f6f40003cd026d8cd4801baa795928a02548a16f7fc4c6027a",
+    ),
+    "joint-lambda-holds": (
+        ("check-joint", "space", "1", "2", "3", "--lambda", "1/2,3/4,3/4"),
+        "95cbe95d72403af3f12405972b458e232a241add36ce0e405f35311dff30fc27",
+    ),
+    "joint-lambda-holds-verify": (
+        ("--verify", "check-joint", "hepta", "1", "4", "--lambda", "1/3,2/3"),
+        "e8291c30a0847fce02eefc3a5904f81e262bba0678efd8d09fcd157fd2afcafa",
+    ),
+    "strict-evidence-triangle": (
+        ("check-strict", "triangle", "--k", "1"),
+        "e607a49e9b8c7befb611bf4a0006642b60da89b6b86abda7b9294a99b7af9f49",
+    ),
+    "strict-evidence-tetra-verify": (
+        ("--verify", "check-strict", "tetra", "--k", "2"),
+        "3693723e9595377a904a5583191015ffc692dd5934cb91feaa92a6fad39fa1a4",
+    ),
+    "strict-forced": (
+        ("check-strict", "rhombus", "--k", "1"),
+        "917526a08dc59646b938a17e1a0be46d9d3ab3913555f312b1c124ee518d314e",
+    ),
+    "strict-forced-verify": (
+        ("--verify", "check-strict", "rhombus", "--k", "1"),
+        "3e8274ec601082248a9cf0aeb212e3a8165fcb29d36d67a898b3b4c367342d51",
+    ),
+    "strict-not-antipodal": (
+        ("check-strict", "space", "--k", "1"),
+        "6bcec16b6465eed0c31c769f730e087bd13e74248bbdff4c27afe51b6d78e6be",
+    ),
+    "discriminate-error": (
+        ("discriminate", "hepta", "states"),
+        "67407d24b9401fc3243d8c8e2b5d2eae5376f30b99fda6039a0d4370cb4ceb69",
+    ),
+    "discriminate-error-verify": (
+        ("--verify", "discriminate", "hepta", "states"),
+        "59c014d523dea874e33e779cec45770e24c8c2ce0f47219b54eca5001f5490ad",
+    ),
+    "discriminate-zero": (
+        ("--verify", "discriminate", "triangle", "triangle"),
+        "c084fa8518d008e23796772bf6f0e9bd33361ea561de0c7e8ebebba5d0a96f4e",
+    ),
+    "rank-fails-witness": (
+        ("check-rank", "hepta", "--k", "1"),
+        "97d707535dd08d4a4874a2750ac9f5c7d3e9f10234ab410f1773289bc8e8e85f",
+    ),
+    "rank-fails-witness-verify": (
+        ("--verify", "check-rank", "space", "--k", "2"),
+        "063a85384148d38cd13456fddfa9be4757a67fffda4c26a029e7376ab10d1a7f",
+    ),
+    "rank-cube-fails": (
+        ("check-rank", "cube", "--k", "2"),
+        "d705094613f6450510487d4b2abb684b2876cbe3cefff4462f864a32b85d7b5d",
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def paths(tmp_path_factory):
+    root = tmp_path_factory.mktemp("digest")
+    out = {}
+    for name, rows in SETS.items():
+        path = root / f"{name}.json"
+        dump_point_set(
+            PointSet(tuple(tuple(ratio(c) for c in row) for row in rows)), path
+        )
+        out[name] = str(path)
+    return out
+
+
+def _digest(argv, paths):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main([paths.get(arg, arg) for arg in argv])
+    return hashlib.sha256(f"{code}\n{out.getvalue()}".encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_digest(name, paths):
+    argv, expected = CASES[name]
+    assert _digest(argv, paths) == expected
