@@ -32,6 +32,15 @@ SETS = {
     "rhombus": [(0, 0), (2, "1/3"), ("5/2", "7/3"), ("1/2", 2)],
     "states": [("1/2", "1/3"), ("11/4", "7/5"), ("1/3", "5/2")],
     "cube": [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)],
+    # x -> (x + y/2 + 1/3, 2y - z/3, 3z/5 - x/7) on the cube's vertices.
+    "cube~affine": [
+        (
+            ratio(a) + ratio(b, 2) + ratio(1, 3),
+            2 * ratio(b) - ratio(c, 3),
+            ratio(3 * c, 5) - ratio(a, 7),
+        )
+        for a in (0, 1) for b in (0, 1) for c in (0, 1)
+    ],
 }
 
 # (argv with set names for files, sha256 of "<exit code>\n<stdout>").
@@ -103,6 +112,26 @@ CASES = {
     "rank-cube-fails": (
         ("check-rank", "cube", "--k", "2"),
         "d705094613f6450510487d4b2abb684b2876cbe3cefff4462f864a32b85d7b5d",
+    ),
+    "rank-cube-affine-fails-verify": (
+        ("--verify", "check-rank", "cube~affine", "--k", "2"),
+        "b07a36b6d094d64ddc8c94041a9bec8f2d98426888d54227ad7aef1d6b4d1ffc",
+    ),
+    "rank-cube-holds": (
+        ("check-rank", "cube", "--k", "1"),
+        "09798c04050c833233fb5bf71091e47ba70c6df83b65ff8229ab3b8cd56527ff",
+    ),
+    "rank-cube-affine-holds-verify": (
+        ("--verify", "check-rank", "cube~affine", "--k", "1"),
+        "efd6eabfb5b441ccace3f81772100b84d6a5d8200db6c3429fa983d6a9b02275",
+    ),
+    "rank-cube-sampled-holds": (
+        ("check-rank", "cube", "--k", "1", "--sample", "3", "--seed", "1"),
+        "f61c356a48f0af2f26a8c9ccde4f2a8016a95081685656295d9a508c309d3756",
+    ),
+    "volume-cube-holds-verify": (
+        ("--verify", "volume-check", "cube~affine", "--k", "1"),
+        "4db2215f63ba5cdeafd2afd46a314ff53a21c61f52b77cf59d72e006d9ad0027",
     ),
 }
 
