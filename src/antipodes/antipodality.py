@@ -44,6 +44,7 @@ from .geometry import (
     PointSet,
     Polytope,
     affine_rank,
+    affine_symmetry,
     barycentric,
     decode_map,
     dilate_polytope,
@@ -405,6 +406,7 @@ def _rank_preconditions(X: PointSet, k: int):
         raise AntipodalityError(
             f"rank {k} exceeds the affine rank {rank} of the set"
         )
+    return rank
 
 
 def _sampled_subsets(n, k, samples, seed):
@@ -426,6 +428,50 @@ def _all_subsets(n, k, hint=""):
     return list(combinations(range(n), k + 1))
 
 
+def _subset_classes(X: PointSet, subsets, rank):
+    """For each subset, the least index of a subset it is known to share
+    an orbit with under the affine automorphisms of X.
+
+    Union-find over the subset list: a generator joins two listed subsets
+    when it carries one onto the other, and it is checked by substitution
+    the first time it joins anything.  An affinely independent X needs no
+    search: every permutation of it is affine, so all subsets share one
+    orbit.
+    """
+    if rank == len(X) - 1:
+        return [0] * len(subsets)
+    parent = list(range(len(subsets)))
+    sym = affine_symmetry(X)
+    if not sym.generators:
+        return parent
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    index = {subset: pos for pos, subset in enumerate(subsets)}
+    for perm in sym.generators:
+        checked = False
+        for pos, subset in enumerate(subsets):
+            image = index.get(tuple(sorted(perm[i] for i in subset)))
+            if image is None:
+                continue
+            a, b = find(pos), find(image)
+            if a == b:
+                continue
+            if not checked:
+                if not sym.is_automorphism(perm):
+                    raise CertificateError(
+                        f"symmetry generator {list(perm)} is not an affine "
+                        "automorphism of the set"
+                    )
+                checked = True
+            parent[max(a, b)] = min(a, b)
+    return [find(pos) for pos in range(len(subsets))]
+
+
 def is_rank_k_antipodal(
     X: PointSet,
     k: int,
@@ -435,10 +481,16 @@ def is_rank_k_antipodal(
     """Check every (or a seeded sample of) (k+1)-subset for joint
     antipodality; the first failing subset in index order is reported.
 
+    Joint antipodality is invariant under affine maps, so one map program
+    per orbit of the affine automorphism group decides every subset of
+    the orbit.  Subsets are scanned in index order and one is solved only
+    when it is the least of its class; a failing subset is therefore the
+    first failing one in index order, with its own certificate.
+
     Exhaustive mode refuses sets with more than EXHAUSTIVE_LIMIT subsets;
     pass `samples` (a number of random draws, deduplicated) and `seed`.
     """
-    _rank_preconditions(X, k)
+    rank = _rank_preconditions(X, k)
     if samples is None:
         subsets = _all_subsets(len(X), k, "; pass samples= and seed=")
         exhaustive = True
@@ -449,10 +501,17 @@ def is_rank_k_antipodal(
             raise AntipodalityError("sampled mode requires an explicit seed")
         subsets = _sampled_subsets(len(X), k, samples, seed)
         exhaustive = False
+    # Symmetry is looked for only once the first subset holds, and only
+    # when there is another subset for it to decide.
+    classes = range(len(subsets))
     for pos, subset in enumerate(subsets):
+        if classes[pos] != pos:
+            continue
         cert = joint_antipodal_direct(X, subset)
         if not cert.antipodal:
             return RankReport(k, False, pos + 1, exhaustive, failing=cert)
+        if pos == 0 and len(subsets) > 1:
+            classes = _subset_classes(X, subsets, rank)
     return RankReport(k, True, len(subsets), exhaustive)
 
 

@@ -29,7 +29,7 @@ from .geometry import (
     volume,
 )
 from .hashcodes import HashCode, rate_bounds
-from .rationals import LogRatio, is_integer_ratio, ratio
+from .rationals import ZERO, LogRatio, is_integer_ratio, ratio
 
 __all__ = [
     "ConstructionError",
@@ -155,12 +155,8 @@ def projection_certificate(prod: ProductSet, chosen: tuple):
     d0 = prod.base.d0
     width = prod.code.m * d0
     lo = coord * d0
-    matrix = tuple(
-        tuple(ratio(0) for _ in range(lo))
-        + row
-        + tuple(ratio(0) for _ in range(width - lo - d0))
-        for row in base_cert.mapping.matrix
-    )
+    left, right = (ZERO,) * lo, (ZERO,) * (width - lo - d0)
+    matrix = tuple(left + row + right for row in base_cert.mapping.matrix)
     cert = AntipodalityCertificate(
         antipodal=True,
         chosen=tuple(chosen),

@@ -9,9 +9,16 @@ coefficients inside, a separating affine functional outside.
 
 Exact volume works in integers: the coordinates are cleared over their
 common denominator, a beneath-beyond pass (Seidel 1986) triangulates the
-hull's boundary from an initial simplex with integer cofactor normals,
+hull's boundary from an initial simplex with integer facet normals,
 and the boundary simplices coned to one point give the volume as a sum
 of Bareiss determinants over d! L^d.
+
+Affine symmetry works in integers too: generators of the permutations
+that preserve the centred Gram matrix in the inner product S^-1 (the
+affine automorphisms) come from colour refinement and a stabiliser-chain
+search, and each one is checked by substitution over an affine basis.
+One fraction-free elimination, `_bareiss`, serves determinants, facet
+normals, pivot columns and these Gram matrices.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ from __future__ import annotations
 import warnings
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from math import factorial
 from typing import Optional
@@ -474,61 +482,74 @@ def _integer_points(pts):
     return [tuple(nums[i : i + d]) for i in range(0, len(nums), d)], den
 
 
-def _det(rows):
-    """Determinant of a square integer matrix by Bareiss elimination: every
-    division is exact, so the entries stay integers throughout."""
-    mat = [list(r) for r in rows]
-    n = len(mat)
+def _bareiss(mat, jordan=False):
+    """Fraction-free (Bareiss) elimination of an integer matrix in place:
+    every division is exact, so the entries stay integers throughout.
+
+    Returns (pivot columns, sign of the row swaps).  Forward elimination
+    leaves an echelon form whose last pivot is the determinant of the
+    pivot rows and columns.  jordan=True also clears above each pivot,
+    which takes [A | B], A square and nonsingular, to [D I | D A^-1 B]
+    with D = +-det A.
+    """
     sign, prev = 1, 1
-    for c in range(n - 1):
-        if mat[c][c] == 0:
-            swap = next((r for r in range(c + 1, n) if mat[r][c]), None)
+    pivots = []
+    nrows = len(mat)
+    for c in range(len(mat[0])):
+        r = len(pivots)
+        if r == nrows:
+            break
+        if mat[r][c] == 0:
+            swap = next((i for i in range(r + 1, nrows) if mat[i][c]), None)
             if swap is None:
-                return 0
-            mat[c], mat[swap] = mat[swap], mat[c]
+                continue
+            mat[r], mat[swap] = mat[swap], mat[r]
             sign = -sign
-        piv = mat[c][c]
-        for r in range(c + 1, n):
-            lead = mat[r][c]
-            mat[r] = [
-                (a * piv - lead * b) // prev for a, b in zip(mat[r], mat[c])
-            ]
+        prow = mat[r]
+        piv = prow[c]
+        for i in range(0 if jordan else r + 1, nrows):
+            if i != r:
+                lead = mat[i][c]
+                mat[i] = [(a * piv - lead * b) // prev for a, b in zip(mat[i], prow)]
         prev = piv
-    return sign * mat[-1][-1]
+        pivots.append(c)
+    return pivots, sign
+
+
+def _det(rows):
+    """Determinant of a square integer matrix by Bareiss elimination."""
+    mat = [list(r) for r in rows]
+    pivots, sign = _bareiss(mat)
+    return sign * mat[-1][-1] if len(pivots) == len(mat) else 0
 
 
 def _initial_simplex(P):
     """Indices of the first len(P[0]) + 1 affinely independent integer
-    points, in index order, or None when the points do not span."""
+    points, in index order, or None when the points do not span: the
+    pivot columns of the difference vectors P[i] - P[0] as columns."""
     base = P[0]
-    chosen = [0]
-    echelon = []  # (pivot column, row), each row zero at earlier pivots
-    for i in range(1, len(P)):
-        v = [a - b for a, b in zip(P[i], base)]
-        for col, row in echelon:
-            if v[col]:
-                f, g = row[col], v[col]
-                v = [f * a - g * b for a, b in zip(v, row)]
-        col = next((c for c, a in enumerate(v) if a), None)
-        if col is None:
-            continue
-        echelon.append((col, v))
-        chosen.append(i)
-        if len(chosen) == len(base) + 1:
-            return chosen
-    return None
+    cols, _ = _bareiss([[p[t] - base[t] for p in P[1:]] for t in range(len(base))])
+    return [0] + [c + 1 for c in cols] if len(cols) == len(base) else None
 
 
 def _plane(P, facet, centre):
     """(normal, offset) of the hyperplane through the facet's d points,
-    with integer cofactor normal and normal.x <= offset on the hull side:
-    normal.centre < (d+1) offset, centre / (d+1) being interior."""
+    with integer normal and normal.x <= offset on the hull side:
+    normal.centre < (d+1) offset, centre / (d+1) being interior.
+
+    The normal spans the kernel of the facet's d-1 edge vectors: after a
+    fraction-free Gauss-Jordan pass every pivot reads D, and with f the
+    one column left without a pivot, x_f = D and x_p = -(row's entry at
+    f) solve each row D x_p + a_f x_f = 0.
+    """
     base = P[facet[0]]
     rows = [[a - b for a, b in zip(P[i], base)] for i in facet[1:]]
-    normal = [
-        (-1) ** j * _det([r[:j] + r[j + 1 :] for r in rows])
-        for j in range(len(base))
-    ]
+    pivots, _ = _bareiss(rows, jordan=True)
+    free = next(c for c in range(len(base)) if c not in pivots)
+    normal = [0] * len(base)
+    normal[free] = rows[0][pivots[0]]
+    for row, c in zip(rows, pivots):
+        normal[c] = -row[free]
     offset = sum(a * b for a, b in zip(normal, base))
     if sum(a * b for a, b in zip(normal, centre)) > (len(base) + 1) * offset:
         normal, offset = [-a for a in normal], -offset
@@ -608,6 +629,215 @@ def volume(poly: Polytope, dim_cap: int = VOLUME_DIM_CAP):
     for facet in _boundary(P, simplex):
         total += abs(_det([[a - b for a, b in zip(P[i], o)] for i in facet]))
     return int_ratio(total, factorial(d) * den**d)
+
+
+# ---------------------------------------------------------------------------
+# affine symmetry
+
+
+@dataclass(frozen=True)
+class AffineSymmetry:
+    """Generators of the affine automorphism group of a point set, each a
+    permutation of its indices, with the data that checks one by
+    substitution.
+
+    The generators preserve the integer Gram matrix of the centred points
+    in the inner product S^-1, which characterises the affine
+    automorphisms (Bremner, Dutour Sikirić, Pasechnik, Rehn, Schürmann
+    2014), but only `is_automorphism` proves one.
+    """
+
+    generators: tuple
+    centred: tuple
+    basis: tuple
+    coefficients: tuple
+    scale: int
+
+    def _moves(self, perm) -> bool:
+        images = [self.centred[perm[b]] for b in self.basis]
+        for i, coeffs in enumerate(self.coefficients):
+            target = self.centred[perm[i]]
+            for t, value in enumerate(target):
+                if self.scale * value != sum(
+                    c * y[t] for c, y in zip(coeffs, images)
+                ):
+                    return False
+        return True
+
+    @cached_property
+    def _weights_hold(self) -> bool:
+        return (
+            self.scale > 0
+            and all(sum(row) == self.scale for row in self.coefficients)
+            and self._moves(range(len(self.centred)))
+        )
+
+    def is_automorphism(self, perm) -> bool:
+        """True when some affine map carries every point i to point
+        perm[i].  With c_ib the integer weights of the centred point y_i
+        over the affine basis (scale * y_i = sum_b c_ib y_b, the weights
+        summing to scale), the map fixed by b -> perm[b] sends y_i to
+        sum_b c_ib y_perm[b] / scale, so the permutation passes exactly
+        when that is y_perm[i] for every i.  The weights are confirmed on
+        the identity once, so a pass rests on the points alone."""
+        if sorted(perm) != list(range(len(self.centred))):
+            return False
+        return self._weights_hold and self._moves(perm)
+
+
+def _refine(weights, colours):
+    """Colour refinement of the complete graph with integer edge weights:
+    each round splits colours by the sorted (colour, weight) pairs a
+    point sees, until no colour splits.  New colours are the ranks of
+    the sorted signatures, so they depend on the input only up to
+    isomorphism, never on hash or insertion order."""
+    span = max(max(row) for row in weights) + 1
+    count = len(set(colours))
+    while True:
+        sigs = [
+            (colours[i], tuple(sorted(c * span + w for c, w in zip(colours, row))))
+            for i, row in enumerate(weights)
+        ]
+        rank = {sig: r for r, sig in enumerate(sorted(set(sigs)))}
+        colours = [rank[sig] for sig in sigs]
+        if len(rank) == count:
+            return colours
+        count = len(rank)
+
+
+def _individualise(weights, colours, v):
+    """Refine after giving point v a colour of its own."""
+    return _refine(weights, [2 * c + (i == v) for i, c in enumerate(colours)])
+
+
+def _extend(weights, path, level, colours, leaf):
+    """A weight-preserving permutation carrying the first path's
+    colouring at `level` onto `colours`, or None.
+
+    `colours` is refined after individualising one image for each base
+    point above `level`; each candidate image of the base point at
+    `level` is tried in turn, down to a discrete colouring, where equal
+    colours pair each point with its image."""
+    left = path[level][1] if level < len(path) else leaf
+    if sorted(colours) != sorted(left):
+        return None
+    if level == len(path):
+        where = {c: j for j, c in enumerate(colours)}
+        perm = [where[c] for c in leaf]
+        for row, image in zip(weights, perm):
+            target = weights[image]
+            if any(w != target[perm[j]] for j, w in enumerate(row)):
+                return None
+        return tuple(perm)
+    base = path[level][0]
+    for w in range(len(colours)):
+        if colours[w] == left[base]:
+            found = _extend(
+                weights, path, level + 1, _individualise(weights, colours, w), leaf
+            )
+            if found is not None:
+                return found
+    return None
+
+
+def _orbit(point, generators):
+    orbit, todo = {point}, [point]
+    while todo:
+        i = todo.pop()
+        for g in generators:
+            if g[i] not in orbit:
+                orbit.add(g[i])
+                todo.append(g[i])
+    return orbit
+
+
+def _generator_search(weights):
+    """Generators of the permutations preserving a symmetric integer
+    weight matrix, found one stabiliser-chain level at a time (McKay,
+    Piperno 2014), deepest level first.
+
+    A first path individualises the least point of the first non-singleton
+    colour until the colouring is discrete.  At each level, for every
+    point of the base point's cell not yet in its orbit under the
+    generators found so far, one extension is searched; the generators
+    found then generate the stabiliser of the earlier base points.  The
+    group is never enumerated.
+    """
+    n = len(weights)
+    colours = _refine(weights, [weights[i][i] for i in range(n)])
+    path = []
+    while len(set(colours)) < n:
+        cell = min(c for c in colours if colours.count(c) > 1)
+        base = colours.index(cell)
+        path.append((base, colours))
+        colours = _individualise(weights, colours, base)
+    leaf = colours
+    generators = []
+    for level in reversed(range(len(path))):
+        base, colours = path[level]
+        orbit = _orbit(base, generators)
+        for w in range(n):
+            if colours[w] != colours[base] or w in orbit:
+                continue
+            perm = _extend(
+                weights, path, level + 1, _individualise(weights, colours, w), leaf
+            )
+            if perm is not None:
+                generators.append(perm)
+                orbit = _orbit(base, generators)
+    return tuple(generators)
+
+
+def affine_symmetry(ps: PointSet) -> AffineSymmetry:
+    """Generators of the affine automorphisms of the set, exact and in
+    integers.  The coordinates are cleared and centred as n x_i - sum x;
+    keeping their pivot columns gives coordinates Y on the affine hull,
+    and the weights G = Y adj(S) Y^T, S = Y^T Y, come from one
+    fraction-free Gauss-Jordan pass over [S | Y^T].  Permutations
+    preserving G are the affine automorphisms; `_generator_search` finds
+    generators of them, and the returned object checks any one by
+    substitution over full centred coordinates."""
+    P, _ = _integer_points(ps.points)
+    n = len(P)
+    sums = [sum(col) for col in zip(*P)]
+    centred = [tuple(n * a - s for a, s in zip(p, sums)) for p in P]
+    cols, _ = _bareiss([list(y) for y in centred])
+    Y = [[y[c] for c in cols] for y in centred]
+    r = len(cols)
+    aug = [
+        [sum(y[a] * y[b] for y in Y) for b in range(r)] + [y[a] for y in Y]
+        for a in range(r)
+    ]
+    _bareiss(aug, jordan=True)
+    # Every pivot of S is a leading principal minor, positive, so the pass
+    # swaps no rows and the right block holds det(S) S^-1 Y^T.
+    G = [[sum(y[a] * aug[a][r + j] for a in range(r)) for j in range(n)] for y in Y]
+    values = {g: v for v, g in enumerate(sorted({g for row in G for g in row}))}
+    weights = [[values[g] for g in row] for row in G]
+    basis = _initial_simplex(Y)
+    # Affine coordinates over the basis: [M | R] with M's columns the edge
+    # vectors y_b - y_b0 and R's the differences y_i - y_b0.
+    y0 = Y[basis[0]]
+    aug = [
+        [Y[b][a] - y0[a] for b in basis[1:]] + [y[a] - y0[a] for y in Y]
+        for a in range(r)
+    ]
+    _bareiss(aug, jordan=True)
+    scale = aug[0][0]
+    coefficients = []
+    for i in range(n):
+        tail = [aug[t][r + i] for t in range(r)]
+        coefficients.append((scale - sum(tail),) + tuple(tail))
+    if scale < 0:
+        scale = -scale
+        coefficients = [tuple(-c for c in row) for row in coefficients]
+    return AffineSymmetry(
+        _generator_search(weights),
+        tuple(centred),
+        tuple(basis),
+        tuple(coefficients),
+        scale,
+    )
 
 
 # ---------------------------------------------------------------------------
