@@ -89,12 +89,15 @@ class Measurement:
 
 
 def _checked_states(space: StateSpace, states) -> tuple:
+    # A spanning point of the space is inside by definition; any other
+    # state is decided by the membership program.
+    spanning = set(space.vertices)
     rows = []
     for idx, s in enumerate(states):
         p = as_point(s)
         if len(p) != space.dim:
             raise DiscriminationError(f"states[{idx}]: wrong dimension")
-        if not member(space.polytope, p).inside:
+        if p not in spanning and not member(space.polytope, p).inside:
             raise DiscriminationError(f"states[{idx}]: outside the state space")
         rows.append(p)
     return tuple(rows)

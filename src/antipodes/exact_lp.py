@@ -11,13 +11,17 @@ internal error, never as a wrong verdict.
 
 The engine is a dense two-phase primal simplex on rationals.  Variables are
 free; each is labelled as a pair of nonnegative parts, but the tableau
-stores one column per free variable, since the second part's column is
-always minus the first.  Rows receive slacks, and artificials label the
-starting basis without being stored: they never re-enter, and the
-multipliers they would carry are recovered from the final basis by one
-square integer solve.  Pivoting is Dantzig's rule with a permanent
-switch to Bland's rule after a run of degenerate steps, which keeps the
-solver fast on typical inputs and terminating on all of them.  The whole
+stores one column per variable, since the second part's column is always
+minus the first.  The first row per variable that says x_j >= 0 (one
+nonzero coefficient, rhs 0) is not a row of the tableau but the
+variable's sign bound: its second part never enters, and the row's
+multiplier is read off the variable's final reduced cost.  The other rows
+receive slacks, and artificials label the starting basis without being
+stored: they never re-enter, and the multipliers they would carry are
+recovered from the final basis by one square integer solve.  Pivoting is
+Dantzig's rule with a permanent switch to Bland's rule after a run of
+degenerate steps, which keeps the solver fast on typical inputs and
+terminating on all of them.  The whole
 pipeline is deterministic: identical programs produce identical outcomes,
 certificates included.
 
@@ -44,7 +48,8 @@ strictly.  It maximises a margin variable bounded by 1; a positive optimum
 yields a strictly feasible point, a zero optimum yields dual multipliers
 that certify strict emptiness (a nonnegative combination of the rows that
 proves `0 <= rhs` with positive weight on at least one strict row, or
-outright weak infeasibility).
+outright weak infeasibility).  A strict sign row x_j > 0 is shifted by the
+margin, so that in the margin program it is a sign bound as well.
 """
 
 from __future__ import annotations
@@ -55,7 +60,13 @@ from enum import Enum
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .rationals import ONE, ZERO, int_ratio, over_common_denominator, ratio
+from .rationals import (
+    ONE,
+    ZERO,
+    exact_tuple,
+    int_ratio,
+    over_common_denominator,
+)
 
 LE = "<="
 EQ = "="
@@ -64,10 +75,6 @@ _RELATIONS = (LE, EQ, GE)
 
 # Consecutive degenerate pivots tolerated before switching to Bland's rule.
 _STALL_LIMIT = 24
-
-# The backend's exact scalar type; make_lp keeps scalars of exactly this
-# type as they are and parses everything else.
-_RATIONAL = type(ONE)
 
 
 class LPError(ValueError):
@@ -138,10 +145,6 @@ def _integer_row(con: Constraint):
     )
 
 
-def _exact(values):
-    return tuple([a if type(a) is _RATIONAL else ratio(a) for a in values])
-
-
 def make_lp(num_vars, rows, objective=None, maximize=True) -> LinearProgram:
     """Validating constructor; accepts ints and 'p/q' strings as scalars."""
     if not isinstance(num_vars, int) or num_vars < 1:
@@ -154,15 +157,15 @@ def make_lp(num_vars, rows, objective=None, maximize=True) -> LinearProgram:
             raise LPError(f"row {idx}: expected (coeffs, relation, rhs)") from exc
         if relation not in _RELATIONS:
             raise LPError(f"row {idx}: unknown relation {relation!r}")
-        coeffs = _exact(coeffs)
+        coeffs = exact_tuple(coeffs)
         if len(coeffs) != num_vars:
             raise LPError(
                 f"row {idx}: {len(coeffs)} coefficients for {num_vars} variables"
             )
-        rhs = rhs if type(rhs) is _RATIONAL else ratio(rhs)
+        (rhs,) = exact_tuple((rhs,))
         constraints.append(Constraint(coeffs, relation, rhs))
     if objective is not None:
-        objective = _exact(objective)
+        objective = exact_tuple(objective)
         if len(objective) != num_vars:
             raise LPError("objective length does not match num_vars")
     if not constraints:
@@ -315,29 +318,54 @@ def check_duals(lp: LinearProgram, mults, optimum) -> bool:
 # ---------------------------------------------------------------------------
 # standard form
 
-class _Standard:
-    """Slacks, rhs signs and column labels of the standard form.
+def _sign_column(con: Constraint, int_row):
+    """The column j when the row says x_j >= 0 (one nonzero coefficient,
+    rhs 0, `>=` with a positive coefficient or `<=` with a negative one),
+    else None."""
+    terms, rhs, _ = int_row
+    if rhs or len(terms) != 1:
+        return None
+    j, a = terms[0]
+    if con.relation == GE and a > 0 or con.relation == LE and a < 0:
+        return j
+    return None
 
-    Each free variable is split into two nonnegative parts: labels 2j and
-    2j+1 stand for x_j = col 2j - col 2j+1.  Then comes one slack label per
-    inequality row, nstruct labels in all, and label nstruct+i is row i's
-    artificial.  Row i of the original program becomes
-    sign_i * (row with slack) so the standard rhs is nonnegative; the
-    tableau builds these rows from the program's integer rows.
+
+class _Standard:
+    """Sign bounds, slacks, rhs signs and column labels of the standard form.
+
+    Each variable is split into two nonnegative parts: labels 2j and 2j+1
+    stand for x_j = col 2j - col 2j+1.  The first row per column that says
+    x_j >= 0 is that column's sign bound (`bound[j]`, its row index): the
+    standard form drops the row, and label 2j+1 never enters, so x_j is
+    col 2j alone.  The other rows are kept, tableau row r being program
+    row kept[r].  Then comes one slack label per kept inequality row,
+    nstruct labels in all, and label nstruct+r is kept row r's artificial.
+    Kept row r becomes sign_r * (row with slack) so the standard rhs is
+    nonnegative; the tableau builds these rows from the program's integer
+    rows.
     """
 
     def __init__(self, lp: LinearProgram):
         self.lp = lp
+        self.bound = [None] * lp.num_vars
+        self.kept = []
+        for i, (con, row) in enumerate(zip(lp.constraints, lp._integer_rows)):
+            j = _sign_column(con, row)
+            if j is not None and self.bound[j] is None:
+                self.bound[j] = i
+            else:
+                self.kept.append(i)
         self.slack_col = []
         ncols = 2 * lp.num_vars
-        for con in lp.constraints:
-            if con.relation == EQ:
+        for i in self.kept:
+            if lp.constraints[i].relation == EQ:
                 self.slack_col.append(None)
             else:
                 self.slack_col.append(ncols)
                 ncols += 1
         self.nstruct = ncols
-        self.sign = [-1 if rhs < 0 else 1 for _, rhs, _ in lp._integer_rows]
+        self.sign = [-1 if lp._integer_rows[i][1] < 0 else 1 for i in self.kept]
 
     def objective_min(self):
         """Internal objective (minimisation), one (numerator, denominator)
@@ -354,35 +382,46 @@ class _Standard:
             values[2 * j] - values[2 * j + 1] for j in range(self.lp.num_vars)
         )
 
-    def row_mults_from(self, y):
-        """Map standard-row multipliers to oriented original-row multipliers.
+    def row_mults_from(self, y, obj, obj_den):
+        """Oriented multipliers of the program's rows, from the standard-row
+        multipliers y of the kept rows and the final objective row.
 
         For <= and = rows the oriented row equals the original, and the
         multiplier is -sign * y; for >= rows orientation negates once more.
-        The identities checked by check_farkas / check_duals hold by
-        construction; callers re-verify anyway.
+        Column j's reduced cost is d_j = c_j - y.A_j; the kept rows combine
+        to d_j - c_j on x_j, and the dropped sign row a*x_j >= 0 with
+        weight d_j / |a| brings it to -c_j.  d_j is nonnegative at the end
+        of either phase, since label 2j did not enter.  The identities
+        checked by check_farkas / check_duals hold by construction;
+        callers re-verify anyway.
         """
-        out = []
-        for i, con in enumerate(self.lp.constraints):
-            w = -self.sign[i] * y[i]
-            if con.relation == GE:
+        lp = self.lp
+        out = [None] * len(lp.constraints)
+        for r, i in enumerate(self.kept):
+            w = -self.sign[r] * y[r]
+            if lp.constraints[i].relation == GE:
                 w = -w
-            out.append(w)
+            out[i] = w
+        for j, i in enumerate(self.bound):
+            if i is not None:
+                ((_, a),), _, den = lp._integer_rows[i]
+                out[i] = int_ratio(obj[j] * den, obj_den * abs(a))
         return tuple(out)
 
 
 class _Tableau:
     """Dense tableau with separate objective row and explicit basis.
 
+    One row per kept row of the standard form: sign bounds are not rows.
     The basis holds _Standard's labels, but only one column is stored per
-    free variable.  Row operations keep column 2j+1 equal to minus column
-    2j in every row and in the objective, so stored column j holds label
-    2j and label 2j+1 reads it negated; slack label s is stored at column
-    s - n, and the rhs comes last.  Artificial columns are not stored:
-    they never re-enter the basis, and the multipliers they would carry
-    follow from the final basis (`_duals`).  Pricing, ratio tests and
-    tie-breaks read label values, so they decide as the full split
-    tableau would.
+    variable.  Row operations keep column 2j+1 equal to minus column 2j
+    in every row and in the objective, so stored column j holds label 2j
+    and label 2j+1 reads it negated; slack label s is stored at column
+    s - n, and the rhs comes last.  Label 2j+1 of a column with a sign
+    bound never enters.  Artificial columns are not stored: they never
+    re-enter the basis, and the multipliers they would carry follow from
+    the final basis (`_duals`).  Pricing, ratio tests and tie-breaks read
+    label values, so they decide as the full split tableau would.
 
     Entries are held as integers: row r stands for rows[r][j] / dens[r],
     and the objective row for obj[j] / obj_den, each denominator positive
@@ -393,29 +432,31 @@ class _Tableau:
     def __init__(self, std: _Standard):
         self.std = std
         lp = std.lp
-        self.m = len(lp.constraints)
+        self.m = len(std.kept)
         self.n = n = lp.num_vars
         self.nstruct = std.nstruct
         self.ncols = std.nstruct - n
+        # twin[j]: stored column j also holds an enterable label 2j+1.
+        self.twin = [b is None for b in std.bound] + [False] * (self.ncols - n)
         self.rows = []
         self.dens = []
-        for i, (con, (terms, rhs, den)) in enumerate(
-            zip(lp.constraints, lp._integer_rows)
-        ):
-            # Row i of the standard form over den: a, slack +-den and rhs,
-            # all times sign_i.
-            sign = std.sign[i]
+        for r, i in enumerate(std.kept):
+            # Kept row r of the standard form over den: a, slack +-den and
+            # rhs, all times sign_r.
+            relation = lp.constraints[i].relation
+            terms, rhs, den = lp._integer_rows[i]
+            sign = std.sign[r]
             row = [0] * (self.ncols + 1)
             for j, a in terms:
                 row[j] = sign * a
-            if con.relation == LE:
-                row[std.slack_col[i] - n] = sign * den
-            elif con.relation == GE:
-                row[std.slack_col[i] - n] = -sign * den
+            if relation == LE:
+                row[std.slack_col[r] - n] = sign * den
+            elif relation == GE:
+                row[std.slack_col[r] - n] = -sign * den
             row[-1] = sign * rhs
             self.rows.append(row)
             self.dens.append(den)
-        self.basis = [self.nstruct + i for i in range(self.m)]
+        self.basis = [self.nstruct + r for r in range(self.m)]
         self.active = [True] * self.m
         self.obj = [0] * (self.ncols + 1)
         self.obj_den = 1
@@ -465,13 +506,15 @@ class _Tableau:
     def _optimize(self):
         """Run simplex steps until optimal or unbounded.
 
-        Entering labels are structural only; artificials never re-enter.
+        Entering labels are structural only; artificials never re-enter,
+        and neither does label 2j+1 of a column with a sign bound.
         Returns None when optimal, else the entering label witnessing
         unboundedness.  A free variable's two labels sit side by side and
         at most one of them has a negative reduced cost, so scanning the
         stored columns meets the labels in label order.
         """
         n = self.n
+        twin = self.twin
         stall = 0
         bland = False
         while True:
@@ -480,14 +523,14 @@ class _Tableau:
             if bland:
                 for j in range(self.ncols):
                     v = obj[j]
-                    if v < 0 or (v and j < n):
+                    if v < 0 or (v and twin[j]):
                         pcol = j
                         break
             else:
                 best = 0
                 for j in range(self.ncols):
                     v = obj[j]
-                    if v > 0 and j < n:
+                    if v > 0 and twin[j]:
                         v = -v
                     if v < best:
                         best = v
@@ -578,7 +621,10 @@ class _Tableau:
         return True
 
     def phase1_duals(self):
-        return self._duals([(0, 1)] * self.ncols, 1)
+        """Farkas multipliers of the program's rows at a positive phase
+        one optimum."""
+        y = self._duals([(0, 1)] * self.ncols, 1)
+        return self.std.row_mults_from(y, self.obj, self.obj_den)
 
     def _evict_artificials(self):
         for r in range(self.m):
@@ -594,7 +640,7 @@ class _Tableau:
                 # Original row was redundant; retire it.
                 self.active[r] = False
             else:
-                # The first nonzero label is 2j for a free column j.
+                # The first nonzero label is 2j for a column j.
                 label = 2 * pcol if pcol < self.n else pcol + self.n
                 self._pivot(r, label, with_obj=False)
 
@@ -624,21 +670,24 @@ class _Tableau:
         return direction
 
     def duals(self):
-        return self._duals(self.cost, 0)
+        """Dual multipliers of the program's rows at a phase two optimum."""
+        y = self._duals(self.cost, 0)
+        return self.std.row_mults_from(y, self.obj, self.obj_den)
 
     def _duals(self, cost, art_cost):
-        """y = c_B B^-1 for the final basis, one backend rational per row.
+        """y = c_B B^-1 for the final basis, one backend rational per
+        tableau row.
 
         Row i never pivoted while its own artificial is basic, so that
         artificial's column is still e_i and y_i is its cost, art_cost.  A
         basic slack of row i is a column +-e_i of cost 0, so y_i = 0.
-        Every other y_i is unknown, and there is one basic free-variable
-        column j per unknown: the equations y . A_j = c_j form a square,
-        nonsingular system, solved in the program's integer rows for
+        Every other y_i is unknown, and there is one basic variable column
+        j per unknown: the equations y . A_j = c_j form a square,
+        nonsingular system, solved in the kept integer rows for
         u_i = sign_i * y_i / den_i.
         """
         std = self.std
-        rows = std.lp._integer_rows
+        rows = [std.lp._integer_rows[i] for i in std.kept]
         basic = {self.basis[r] for r in range(self.m) if self.active[r]}
         known, unknown = [], []
         for i in range(self.m):
@@ -736,7 +785,7 @@ def solve(lp: LinearProgram) -> LPOutcome:
     std = _Standard(lp)
     tab = _Tableau(std)
     if not tab.phase1():
-        mults = std.row_mults_from(tab.phase1_duals())
+        mults = tab.phase1_duals()
         if not check_farkas(lp, mults):
             raise SolverInvariantError("infeasibility certificate failed")
         return LPOutcome(Status.INFEASIBLE, farkas=mults)
@@ -753,7 +802,7 @@ def solve(lp: LinearProgram) -> LPOutcome:
         return LPOutcome(Status.UNBOUNDED, ray=ray)
     point = std.point_from(tab.struct_values())
     value = _dot(lp.objective, point)
-    mults = std.row_mults_from(tab.duals())
+    mults = tab.duals()
     if not check_point(lp, point):
         raise SolverInvariantError("optimal point failed substitution")
     if not check_duals(lp, mults, value):
@@ -785,11 +834,31 @@ def solve_strict(lp: LinearProgram, strict_rows: Sequence[int]) -> LPOutcome:
     if not strict:
         return solve(lp)
     n = lp.num_vars
+    # A strict sign row a*x_j > 0 (a > 0 once oriented) says x_j - t/a is
+    # nonnegative; with x_j = x'_j + t/a it becomes the sign row a*x'_j >= 0
+    # of the margin program, a bound rather than a row.  The change of
+    # variables is invertible, so row multipliers carry over unchanged.
+    # On the integer row, 1/a is den/|a|; step[j] / scale is 1/a, over one
+    # common scale.
+    shift = {}
+    for i in strict:
+        row = lp._integer_rows[i]
+        j = _sign_column(lp.constraints[i], row)
+        if j is not None and j not in shift:
+            shift[j] = (row[2], abs(row[0][0][1]))
+    scale = math.lcm(*(q for _, q in shift.values()))
+    step = {j: p * (scale // q) for j, (p, q) in shift.items()}
+    strict_set = set(strict)
     rows = []
-    for i, con in enumerate(lp.constraints):
-        margin = ZERO
-        if i in strict:
-            margin = ONE if con.relation == LE else -ONE
+    for i, (con, (terms, _, den)) in enumerate(zip(lp.constraints, lp._integer_rows)):
+        # The margin's coefficient in row i, times den * scale.
+        margin = 0
+        if i in strict_set:
+            margin = den * scale if con.relation == LE else -den * scale
+        for j, a in terms:
+            if j in step:
+                margin += a * step[j]
+        margin = int_ratio(margin, den * scale) if margin else ZERO
         rows.append((con.coeffs + (margin,), con.relation, con.rhs))
     rows.append(((ZERO,) * n + (ONE,), LE, ONE))
     rows.append(((ZERO,) * n + (ONE,), GE, ZERO))
@@ -801,12 +870,14 @@ def solve_strict(lp: LinearProgram, strict_rows: Sequence[int]) -> LPOutcome:
     if out.status is Status.INFEASIBLE:
         mults = out.farkas[:nrows]
     elif out.objective_value > 0:
-        point = out.point[:n]
+        t = out.objective_value
+        point = list(out.point[:n])
+        for j, p in step.items():
+            point[j] += int_ratio(p, scale) * t
+        point = tuple(point)
         if not check_point(lp, point, strict):
             raise SolverInvariantError("strict point failed substitution")
-        return LPOutcome(
-            Status.FEASIBLE, point=point, objective_value=out.objective_value
-        )
+        return LPOutcome(Status.FEASIBLE, point=point, objective_value=t)
     else:
         mults = out.duals[:nrows]
     if not check_strict_emptiness(lp, strict, mults):

@@ -32,7 +32,14 @@ from math import factorial
 from typing import Optional
 
 from .exact_lp import EQ, GE, LE, Status, make_lp, solve, solve_strict
-from .rationals import ONE, ZERO, int_ratio, over_common_denominator, ratio
+from .rationals import (
+    ONE,
+    ZERO,
+    exact_tuple,
+    int_ratio,
+    over_common_denominator,
+    ratio,
+)
 
 #: Exact volume is supported up to this ambient dimension by default.  The
 #: boundary triangulation, and with it the cost, grows quickly with the
@@ -49,7 +56,7 @@ class DegenerateVolumeWarning(UserWarning):
 
 
 def as_point(coords) -> tuple:
-    return tuple(ratio(c) for c in coords)
+    return exact_tuple(coords)
 
 
 def vsub(a, b):

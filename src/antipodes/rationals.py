@@ -77,6 +77,14 @@ def ratio(value: RationalLike, denominator: RationalLike | None = None):
 
 ZERO = ratio(0)
 ONE = ratio(1)
+_RATIONAL = type(ONE)
+
+
+def exact_tuple(values) -> tuple:
+    """The values as a tuple of backend rationals: a scalar whose type is
+    exactly the backend's is kept as it is, anything else goes through
+    `ratio` (so floats and bools are still refused)."""
+    return tuple([a if type(a) is _RATIONAL else ratio(a) for a in values])
 
 
 def int_ratio(num: int, den: int):

@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from antipodes import discrimination
 from antipodes.antipodality import joint_antipodal_direct
 from antipodes.discrimination import (
     DiscriminationError,
@@ -102,6 +103,25 @@ def test_state_validation():
         min_error(BIT, ((1, 0, 0), (0, 1, 0)))
     with pytest.raises(DiscriminationError):
         min_error(BIT, ((1, 0),))
+
+
+def test_spanning_states_skip_the_membership_program(monkeypatch):
+    # A vertex of the space is inside by definition; any other state is
+    # still decided by `member`.
+    calls = []
+    real = discrimination.member
+
+    def counted(poly, x, strict=False):
+        calls.append(x)
+        return real(poly, x, strict)
+
+    monkeypatch.setattr(discrimination, "member", counted)
+    value, _ = min_error(TRIT, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    assert value == 0 and calls == []
+    min_error(BIT, (("1/2", "1/2"), (1, 0)))
+    assert calls == [(ratio(1, 2), ratio(1, 2))]
+    with pytest.raises(DiscriminationError, match="outside"):
+        min_error(BIT, ((1, 0), (2, -1)))
 
 
 def test_error_prob_count_mismatch():

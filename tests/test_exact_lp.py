@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from antipodes import exact_lp
+from antipodes import exact_lp, geometry
 from antipodes.exact_lp import (
     EQ,
     GE,
@@ -325,6 +325,80 @@ def test_pinned_prime_denominators():
     out = solve_strict(make_lp(3, _prime_rows()), range(6))
     assert out.point == _q(4, "645608/262527", "-216394/87509")
     assert out.objective_value == ratio(18028, 262527)
+
+
+def test_pinned_sign_bounds():
+    # The first sign row of a column is a bound: its multiplier comes from
+    # the column's reduced cost.  The second sign row on column 0 stays a
+    # row and carries no weight here.
+    lp = make_lp(
+        2,
+        [((1, 0), GE, 0), ((-3, 0), LE, 0), ((1, 1), EQ, 1), ((0, 1), GE, 0)],
+        objective=(1, 2),
+    )
+    out = solve(lp)
+    assert out.point == _q(0, 1)
+    assert out.objective_value == 2
+    assert out.duals == _q(1, 0, 2, 0)
+    # Only sign rows: the optimum sits at the bounds.
+    lp = make_lp(
+        2, [((1, 0), GE, 0), ((0, -2), LE, 0)], objective=(1, 1), maximize=False
+    )
+    out = solve(lp)
+    assert out.point == _q(0, 0)
+    assert out.duals == _q(1, "1/2")
+    # A bounded column that the objective pushes up forever.
+    lp = make_lp(
+        2, [((1, 0), GE, 0), ((0, 1), LE, 1), ((0, -1), LE, 0)], objective=(1, 1)
+    )
+    out = solve(lp)
+    assert out.status is Status.UNBOUNDED
+    assert out.ray == _q(1, 0)
+    # A bound against a row: the Farkas weight of the bound row.
+    out = solve(make_lp(1, [((2,), GE, 0), ((-1,), GE, 1)]))
+    assert out.status is Status.INFEASIBLE
+    assert out.farkas == _q("1/2", 1)
+
+
+def _recorded(monkeypatch, name):
+    """Record (program, outcome) of every call geometry makes to `name`."""
+    calls = []
+    real = getattr(geometry, name)
+
+    def record(lp, *args):
+        out = real(lp, *args)
+        calls.append((lp, out))
+        return out
+
+    monkeypatch.setattr(geometry, name, record)
+    return calls
+
+
+_TRIANGLE = geometry.Polytope.from_points(((0, 0), (1, 0), (0, 1)))
+
+
+def test_pinned_member_outside_triangle(monkeypatch):
+    # Rows: two coordinate rows, the weight sum, then w_i >= 0 per point,
+    # all three of them bounds.
+    calls = _recorded(monkeypatch, "solve")
+    got = geometry.member(_TRIANGLE, (1, 1))
+    assert not got.inside
+    assert got.normal == _q(1, 1) and got.threshold == 1
+    ((lp, out),) = calls
+    assert out.farkas == _q(-1, -1, 1, 1, 0, 0)
+    assert all(w >= 0 for w in out.farkas[3:])
+    assert check_farkas(lp, out.farkas)
+
+
+def test_pinned_member_triangle_interior(monkeypatch):
+    # Every weight row is strict: w_i = w'_i + t in the margin program.
+    calls = _recorded(monkeypatch, "solve_strict")
+    got = geometry.member(_TRIANGLE, ("1/4", "1/2"), strict=True)
+    assert got.inside
+    assert got.coefficients == _q("1/4", "1/4", "1/2")
+    ((lp, out),) = calls
+    assert out.objective_value == ratio(1, 4)
+    assert check_point(lp, out.point, range(3, 6))
 
 
 # ---------------------------------------------------------------------------
@@ -832,11 +906,60 @@ def _with_stall_limit(limit, run):
         exact_lp._STALL_LIMIT = saved
 
 
+def _is_sign_row(con):
+    """Does the row say x_j >= 0 for one column j?  The engine turns the
+    first such row per column into a bound, so its pivots differ from the
+    reference tableau's on purpose."""
+    nonzero = [a for a in con.coeffs if a]
+    if con.rhs != 0 or len(nonzero) != 1:
+        return False
+    (a,) = nonzero
+    return (con.relation == GE and a > 0) or (con.relation == LE and a < 0)
+
+
+def _has_sign_row(lp):
+    return any(_is_sign_row(con) for con in lp.constraints)
+
+
+def _assert_agrees_with_reference(lp, got, ref):
+    """Same status and optimum as the reference, and every certificate
+    passes the rational checks."""
+    assert got.status is ref.status
+    assert got.objective_value == ref.objective_value
+    if got.status is Status.INFEASIBLE:
+        assert _ref_check_farkas(lp, got.farkas)
+    elif got.status is Status.UNBOUNDED:
+        assert _ref_check_ray(lp, got.ray)
+    else:
+        assert _substitutes(lp, got.point)
+        if lp.objective is not None:
+            assert _ref_check_duals(lp, got.duals, got.objective_value)
+
+
+def _assert_strict_agrees_with_reference(lp, strict, got, ref):
+    assert got.status is ref.status
+    assert got.objective_value == ref.objective_value
+    if got.status is Status.FEASIBLE:
+        assert _substitutes(lp, got.point, strict)
+    else:
+        assert _ref_check_strict_emptiness(lp, strict, got.farkas)
+
+
+# Programs without a sign row must pivot exactly as the reference does.
+# On the others the engine drops the bound rows, and its pivots differ on
+# purpose, so outcomes are compared by status, optimum and certificate
+# validity.  Every margin program of solve_strict has the sign row t >= 0.
+
+
 @settings(max_examples=400, deadline=None)
 @given(st.one_of(_programs(), _rich_programs()), st.sampled_from([1, 2, 24]))
 def test_solve_matches_reference_tableau(lp, stall_limit):
     got = _with_stall_limit(stall_limit, lambda: solve(lp))
-    assert repr(got) == repr(_ref_solve(lp, stall_limit))
+    ref = _ref_solve(lp, stall_limit)
+    if _has_sign_row(lp):
+        _assert_agrees_with_reference(lp, got, ref)
+    else:
+        assert repr(got) == repr(ref)
 
 
 @settings(max_examples=200, deadline=None)
@@ -844,7 +967,57 @@ def test_solve_matches_reference_tableau(lp, stall_limit):
 def test_solve_strict_matches_reference_tableau(case, stall_limit):
     lp, strict = case
     got = _with_stall_limit(stall_limit, lambda: solve_strict(lp, strict))
-    assert repr(got) == repr(_ref_solve_strict(lp, strict, stall_limit))
+    ref = _ref_solve_strict(lp, strict, stall_limit)
+    _assert_strict_agrees_with_reference(lp, strict, got, ref)
+
+
+_magnitude = st.sampled_from(["1", "2", "1/3", "5/2"]).map(ratio)
+
+
+@st.composite
+def _sign_programs(draw):
+    """Programs with sign rows (x_j >= 0 written as a >= row with a
+    positive coefficient or a <= row with a negative one), at times two
+    on one column, at times nothing else; the objective often leaves a
+    bounded column free to grow.  Returns the program and a nonempty set
+    of strict rows among its inequality rows, sign rows included."""
+    n = draw(st.integers(1, 3))
+    rows = []
+    if draw(st.integers(0, 3)):
+        for _ in range(draw(st.integers(1, 4))):
+            coeffs = tuple(draw(_coeff) for _ in range(n))
+            rows.append((coeffs, draw(st.sampled_from([LE, EQ, GE])), draw(_rhs)))
+    counts = [draw(st.integers(0, 2)) for _ in range(n)]
+    if not any(counts):
+        counts[draw(st.integers(0, n - 1))] = 1
+    for j, count in enumerate(counts):
+        for _ in range(count):
+            a = draw(_magnitude)
+            relation = draw(st.sampled_from([GE, LE]))
+            coeffs = [ratio(0)] * n
+            coeffs[j] = a if relation == GE else -a
+            at = draw(st.integers(0, len(rows)))
+            rows.insert(at, (tuple(coeffs), relation, ratio(0)))
+    objective = None
+    if draw(st.integers(0, 3)):
+        objective = tuple(draw(_coeff) for _ in range(n))
+    maximize = draw(st.booleans())
+    inequalities = [i for i, (_, rel, _) in enumerate(rows) if rel != EQ]
+    strict = sorted(draw(st.sets(st.sampled_from(inequalities), min_size=1)))
+    return rows, objective, maximize, strict
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sign_programs(), st.sampled_from([1, 24]))
+def test_sign_bounds_match_reference(case, stall_limit):
+    rows, objective, maximize, strict = case
+    lp = make_lp(len(rows[0][0]), rows, objective=objective, maximize=maximize)
+    got = _with_stall_limit(stall_limit, lambda: solve(lp))
+    _assert_agrees_with_reference(lp, got, _ref_solve(lp, stall_limit))
+    weak = make_lp(lp.num_vars, rows)
+    got = _with_stall_limit(stall_limit, lambda: solve_strict(weak, strict))
+    ref = _ref_solve_strict(weak, strict, stall_limit)
+    _assert_strict_agrees_with_reference(weak, strict, got, ref)
 
 
 def test_reference_cases_cover_retired_rows_and_bland():

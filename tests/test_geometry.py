@@ -19,6 +19,7 @@ from antipodes.geometry import (
     Polytope,
     StandardSimplex,
     affine_rank,
+    as_point,
     barycentric,
     decode_map,
     dilate_polytope,
@@ -30,7 +31,7 @@ from antipodes.geometry import (
     vdot,
     volume,
 )
-from antipodes.rationals import ratio
+from antipodes.rationals import ScalarError, exact_tuple, ratio
 
 
 def _cube(d):
@@ -236,6 +237,21 @@ def test_volume_dimension_cap():
     with pytest.raises(GeometryError):
         volume(_cube(5))
     assert volume(_cube(5), dim_cap=5) == 1
+
+
+def test_as_point_keeps_backend_rationals_and_refuses_floats_and_bools():
+    third = ratio(1, 3)
+    got = as_point((third, 2, "-5/7", Fraction(1, 2)))
+    assert got == (third, ratio(2), ratio(-5, 7), ratio(1, 2))
+    assert got[0] is third
+    assert all(type(c) is type(third) for c in got)
+    for bad in (0.5, True, False):
+        with pytest.raises(ScalarError):
+            as_point((third, bad))
+        with pytest.raises(ScalarError):
+            exact_tuple((bad,))
+    with pytest.raises(GeometryError, match="point 0"):
+        point_set_from_obj({"dim": 1, "points": [[True]]})
 
 
 def test_point_set_round_trip():
