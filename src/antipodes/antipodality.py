@@ -14,11 +14,17 @@ Two independent decision routes are implemented and kept separate:
 
 The routes agree on every input: empty intersection holds exactly when
 the map exists.  Either way the caller gets a self-contained certificate.
-A positive answer carries the map, checkable by substitution.  A negative
-answer carries a witness point lying in all k+1 closed shrunk copies for
-factors summing to strictly less than k, a configuration that is
-impossible for jointly antipodal tuples; checking it needs only convex
-hull membership.
+A positive answer carries the map, checkable by substitution.  It comes
+from the presolved map program of `geometry.simplex_map_lp`, which keeps
+only the k(r - k) map entries the pins leave free, r being the affine
+rank of X; when k = r there are none, and the signs of barycentric
+coordinates decide.  A negative answer carries a witness point lying in
+all k+1 closed shrunk copies for factors summing to strictly less than
+k, a configuration that is impossible for jointly antipodal tuples;
+checking it needs only convex hull membership.
+
+Exhaustive rank checks count their subsets first and refuse more than
+EXHAUSTIVE_LIMIT of them before the set's affine rank is computed.
 
 Also provided: sequential halfspace separation for families of polytopes
 with disjoint relative interiors, support halfspaces touching the other k
@@ -37,7 +43,7 @@ from math import comb, lcm
 from operator import mul
 from typing import Optional, Sequence
 
-from .exact_lp import EQ, GE, LE, Status, make_lp, solve, solve_strict
+from .exact_lp import EQ, GE, LE, Status, make_lp, solve_strict
 from .geometry import (
     AffineMap,
     Dilation,
@@ -321,12 +327,12 @@ def verify_joint_certificate(X: PointSet, cert: AntipodalityCertificate) -> bool
 def _map_certificate(X: PointSet, chosen):
     """The verified certifying map for the chosen tuple, or None when the
     map program is infeasible."""
-    lp, _ = simplex_map_lp(X, len(chosen), pinned=[X[i] for i in chosen])
-    out = solve(lp)
+    program = simplex_map_lp(X, len(chosen), pinned=[X[i] for i in chosen])
+    out = program.solve()
     if out.status is not Status.FEASIBLE:
         return None
     cert = AntipodalityCertificate(
-        True, chosen, mapping=decode_map(out.point, len(chosen))
+        True, chosen, mapping=decode_map(program, out.point)
     )
     if not verify_joint_certificate(X, cert):
         raise CertificateError("map certificate failed verification")
@@ -394,13 +400,17 @@ def joint_antipodal_shrunk(
 # rank-k decision
 
 
-def _rank_preconditions(X: PointSet, k: int):
+def _rank_argument(X: PointSet, k: int):
     if not isinstance(k, int) or k < 1:
         raise AntipodalityError("rank must be a positive integer")
     if len(X) < k + 1:
         raise AntipodalityError(
             f"rank {k} needs at least {k + 1} points, the set has {len(X)}"
         )
+
+
+def _rank_within(X: PointSet, k: int):
+    """The affine rank of X, which k must not exceed."""
     rank = affine_rank(X)
     if k > rank:
         raise AntipodalityError(
@@ -490,17 +500,18 @@ def is_rank_k_antipodal(
     Exhaustive mode refuses sets with more than EXHAUSTIVE_LIMIT subsets;
     pass `samples` (a number of random draws, deduplicated) and `seed`.
     """
-    rank = _rank_preconditions(X, k)
-    if samples is None:
+    _rank_argument(X, k)
+    exhaustive = samples is None
+    if exhaustive:
+        # An oversized check is refused before any work.
         subsets = _all_subsets(len(X), k, "; pass samples= and seed=")
-        exhaustive = True
-    else:
+    rank = _rank_within(X, k)
+    if not exhaustive:
         if not isinstance(samples, int) or samples < 1:
             raise AntipodalityError("samples must be a positive integer")
         if seed is None:
             raise AntipodalityError("sampled mode requires an explicit seed")
         subsets = _sampled_subsets(len(X), k, samples, seed)
-        exhaustive = False
     # Symmetry is looked for only once the first subset holds, and only
     # when there is another subset for it to decide.
     classes = range(len(subsets))
@@ -739,8 +750,10 @@ def erdos_rank_k(X: PointSet, k: int) -> ProjectionReport:
     than rank-k antipodality: the supporting slabs here are orthogonal.
     Refuses sets with more than EXHAUSTIVE_LIMIT subsets.
     """
-    _rank_preconditions(X, k)
-    for subset in _all_subsets(len(X), k):
+    _rank_argument(X, k)
+    subsets = _all_subsets(len(X), k)
+    _rank_within(X, k)
+    for subset in subsets:
         frame = PointSet(tuple(X[i] for i in subset))
         if affine_rank(frame) != k:
             return ProjectionReport(k, False, subset, reason="dependent")
@@ -781,9 +794,10 @@ def strict_rank_k(X: PointSet, k: int) -> StrictReport:
     With exactly k+1 points the condition is vacuous beyond plain joint
     antipodality.  Refuses sets with more than EXHAUSTIVE_LIMIT subsets.
     """
-    _rank_preconditions(X, k)
+    _rank_argument(X, k)
     n = len(X)
     subsets = _all_subsets(n, k)
+    _rank_within(X, k)
     evidence = []
     for pos, subset in enumerate(subsets):
         cert = joint_antipodal_direct(X, subset)
@@ -803,17 +817,17 @@ def strict_rank_k(X: PointSet, k: int) -> StrictReport:
                 value = mapping.apply(X[x_idx])[vertex_pos]
                 if value != 1:
                     continue
-                lp, offset = simplex_map_lp(
+                program = simplex_map_lp(
                     X,
                     k + 1,
                     pinned=[X[i] for i in subset],
                     score=[(vertex_pos, X[x_idx])],
                     maximize=False,
                 )
-                out = solve(lp)
+                out = program.solve()
                 if out.status is not Status.FEASIBLE:
                     raise CertificateError("vertex-value program went infeasible")
-                if out.objective_value + offset == 1:
+                if out.objective_value + program.offset == 1:
                     return StrictReport(
                         k,
                         False,
@@ -822,7 +836,7 @@ def strict_rank_k(X: PointSet, k: int) -> StrictReport:
                         cause="forced",
                         forced_pair=(x_idx, vertex_pos),
                     )
-                deviator = decode_map(out.point, k + 1)
+                deviator = decode_map(program, out.point)
                 mapping = _blend_maps(mapping, deviator)
         witness_cert = AntipodalityCertificate(True, subset, mapping=mapping)
         if not verify_joint_certificate(X, witness_cert):

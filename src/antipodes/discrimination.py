@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .exact_lp import Status, solve
+from .exact_lp import Status
 from .geometry import (
     AffineMap,
     Polytope,
@@ -132,12 +132,12 @@ def min_error(space: StateSpace, states):
     r = len(pts)
     if r < 2:
         raise DiscriminationError("need at least two states")
-    lp, offset = simplex_map_lp(space.vertices, r, score=list(enumerate(pts)))
-    outcome = solve(lp)
+    program = simplex_map_lp(space.vertices, r, score=list(enumerate(pts)))
+    outcome = program.solve()
     if outcome.status is not Status.FEASIBLE:
         raise DiscriminationError("discrimination program did not optimize")
-    measurement = Measurement(space, decode_map(outcome.point, r))
-    value = ratio(r) - (outcome.objective_value + offset)
+    measurement = Measurement(space, decode_map(program, outcome.point))
+    value = ratio(r) - (outcome.objective_value + program.offset)
     if _error_sum(measurement, pts) != value:
         raise DiscriminationError("optimizer does not reproduce its own value")
     return value, measurement

@@ -3,9 +3,23 @@
 Points are tuples of exact rationals.  Polytopes are given by spanning
 points (not necessarily vertices); membership, relative-interior
 membership, barycentric coordinates, affine rank and orthogonal
-projection onto an affine hull are decided in rational arithmetic.
-Membership queries answer with a certificate either way: convex
-coefficients inside, a separating affine functional outside.
+projection onto an affine hull are decided exactly.  Membership queries
+answer with a certificate either way: convex coefficients inside, a
+separating affine functional outside.
+
+The dense linear algebra is one fraction-free elimination, `_bareiss`
+(Bareiss 1968), on rows cleared to integers: ranks, unique solutions,
+barycentric coordinates, determinants, facet normals, pivot columns and
+Gram matrices all come from it.  A `PointSet` clears its coordinates
+over their common denominator once (`PointSet.cleared`), and its affine
+rank, symmetry, volume and map programs share that.
+
+`simplex_map_lp` is the one builder of the program for an affine map
+into the standard simplex.  With the tuple's points pinned to the
+vertices, one integer Gauss-Jordan pass presolves the pins away
+(Andersen & Andersen 1995): k(r - k) variables remain for a k-simplex in
+a set of affine rank r, none when k = r, and `decode_map` rebuilds the
+map in the original coordinates in integers.
 
 Exact volume works in integers: the coordinates are cleared over their
 common denominator, a beneath-beyond pass (Seidel 1986) triangulates the
@@ -17,8 +31,6 @@ Affine symmetry works in integers too: generators of the permutations
 that preserve the centred Gram matrix in the inner product S^-1 (the
 affine automorphisms) come from colour refinement and a stabiliser-chain
 search, and each one is checked by substitution over an affine basis.
-One fraction-free elimination, `_bareiss`, serves determinants, facet
-normals, pivot columns and these Gram matrices.
 """
 
 from __future__ import annotations
@@ -29,9 +41,20 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from math import factorial
+from operator import mul
 from typing import Optional
 
-from .exact_lp import EQ, GE, LE, Status, make_lp, solve, solve_strict
+from .exact_lp import (
+    EQ,
+    GE,
+    LE,
+    LinearProgram,
+    LPOutcome,
+    Status,
+    make_lp,
+    solve,
+    solve_strict,
+)
 from .rationals import (
     ONE,
     ZERO,
@@ -109,6 +132,12 @@ class PointSet:
 
     def __getitem__(self, idx):
         return self.points[idx]
+
+    @cached_property
+    def cleared(self):
+        """(points, L): every coordinate times L, the lcm of all the
+        denominators, as integer tuples; computed once per set."""
+        return _integer_points(self.points)
 
 
 @dataclass(frozen=True)
@@ -223,28 +252,79 @@ class AffineMap:
         return tuple(vdot(row, x) + c for row, c in zip(self.matrix, self.offset))
 
 
+@dataclass(frozen=True)
+class MapProgram:
+    """A program built by `simplex_map_lp`, and what `decode_map` needs to
+    read the map off a solution point.
+
+    `lp` is None when no solver is needed: the frame is affinely
+    dependent, a point breaks the pins by itself, or the pins leave no
+    variable.  `decided` is then the outcome, feasible ones with the
+    empty point (and a zero objective value when there is a score).  The
+    score at a solution is the objective value plus `offset`.
+
+    A pinned program keeps D B^-1 in integers (`inverse`, its first r
+    rows, and `scale` = D > 0), the set's common denominator `den`, the
+    cleared first pinned point `origin`, and `free` = r - k.
+    """
+
+    lp: Optional[LinearProgram]
+    offset: object
+    outputs: int
+    decided: Optional[LPOutcome] = None
+    inverse: Optional[tuple] = None
+    scale: int = 1
+    den: int = 1
+    origin: Optional[tuple] = None
+    free: int = 0
+
+    def solve(self) -> LPOutcome:
+        """The outcome: `decided`, or the solver's on `lp`."""
+        return self.decided if self.lp is None else solve(self.lp)
+
+
 def simplex_map_lp(points, outputs, pinned=(), score=(), maximize=True):
     """Program for an affine map sending every point into the standard
     simplex on `outputs` outcomes, with pinned[j] sent to vertex j.
 
-    Only the first outputs - 1 map rows are variables: (outputs - 1) x
-    (d+1) entries, row-major, each row holding d linear coefficients
-    followed by its offset.  The last output is 1 minus the sum of the
-    others, so the outputs sum to 1 everywhere.  Rows: the pinned
-    equalities for the variable outputs, then every variable output >= 0
-    at every point, then the variable outputs summing to <= 1 at every
-    point.  Points equal to a pinned point get no inequality rows; their
-    pins imply them.
-
     A nonempty `score`, a list of (output, point) pairs, makes the sum of
-    those outputs at those points the objective.  A pair naming the last
-    output adds minus the other outputs to the objective and its constant
-    1 to `offset`, since a program objective has no constant term.
-    Returns (lp, offset): the score at a solution point is the program's
-    objective value plus offset.
+    those outputs at those points the objective, to maximise or minimise;
+    a program objective has no constant term, so the score's constant
+    part goes to the returned `MapProgram`'s offset.
+
+    Without pins, the first outputs - 1 map rows are the variables:
+    (outputs - 1) x (d+1) entries, row-major, each row holding d linear
+    coefficients followed by its offset.  The last output is 1 minus the
+    sum of the others, so the outputs sum to 1 everywhere.  Rows: every
+    variable output >= 0 at every point, then the variable outputs
+    summing to <= 1 at every point.  A score pair naming the last output
+    adds minus the other outputs and 1 to the offset.
+
+    With pins (all `outputs` of them, points of the set), the pins fix
+    the map on the frame's affine hull, so only k(r - k) entries are
+    left, k = outputs - 1 and r the affine rank of the set.  One
+    fraction-free Gauss-Jordan pass over the cleared integer matrix
+    [q_1-q_0 .. q_k-q_0 | x-q_0 for the other points x | I_d] finds
+    them.  Unless its first k columns are all pivots the frame is
+    dependent and no map exists.  The other pivots among the points give
+    r - k free directions u_s = x_s - q_0, which with the edges form a
+    basis of the directions of aff X, and every point's coordinates
+    (beta, gamma) in it; the I_d block holds D B^-1.  The variables are
+    w_{s,i}, the map's linear part on u_s at output i = 1..k, output by
+    output (output 0 takes minus their sum).  Rows: output i >= 0 at
+    every unpinned point, outputs 0..k in turn, as
+    beta_i(x) + sum_s gamma_s(x) w_{s,i} >= 0 for i >= 1 and
+    1 - sum beta(x) - sum_s gamma_s(x) sum_i w_{s,i} >= 0 for output 0,
+    each times D.  A row without variables is checked at once and
+    dropped, so k = r needs no program at all.  Each free direction's
+    own point makes its rows sign bounds, which the solver keeps out of
+    the tableau.
     """
+    if pinned:
+        if not isinstance(points, PointSet):
+            points = PointSet(tuple(points))
+        return _pinned_program(points, outputs, tuple(pinned), score, maximize)
     points = tuple(points)
-    pinned = tuple(pinned)
     free = outputs - 1
     blank = (ZERO,) * (len(points[0]) + 1)
 
@@ -252,15 +332,8 @@ def simplex_map_lp(points, outputs, pinned=(), score=(), maximize=True):
         # Output i < free evaluated at p, as a row over the map entries.
         return blank * i + p + (ONE,) + blank * (free - 1 - i)
 
-    frame = set(pinned)
-    rows = [
-        (at(i, q), EQ, ONE if i == j else ZERO)
-        for j, q in enumerate(pinned)
-        for i in range(free)
-    ]
-    rest = [x for x in points if x not in frame]
-    rows += [(at(i, x), GE, ZERO) for x in rest for i in range(free)]
-    rows += [((x + (ONE,)) * free, LE, ONE) for x in rest]
+    rows = [(at(i, x), GE, ZERO) for x in points for i in range(free)]
+    rows += [((x + (ONE,)) * free, LE, ONE) for x in points]
     objective = None
     offset = 0
     if score:
@@ -275,57 +348,147 @@ def simplex_map_lp(points, outputs, pinned=(), score=(), maximize=True):
                 for col, c in enumerate(x + (ONE,), b * len(blank)):
                     objective[col] += sign * c
     lp = make_lp(len(blank) * free, rows, objective=objective, maximize=maximize)
-    return lp, offset
+    return MapProgram(lp, offset, outputs)
 
 
-def decode_map(point, outputs) -> AffineMap:
-    """The affine map held in a solution point of `simplex_map_lp`, with
-    its last row rebuilt as 1 minus the sum of the others."""
-    width = len(point) // (outputs - 1)
-    rows = [point[i * width : (i + 1) * width] for i in range(outputs - 1)]
-    last = tuple(-sum(col, ZERO) for col in zip(*rows))
-    last = last[:-1] + (ONE + last[-1],)
-    rows.append(last)
-    return AffineMap(tuple(r[:-1] for r in rows), tuple(r[-1] for r in rows))
+def _pinned_program(ps: PointSet, outputs, pinned, score, maximize) -> MapProgram:
+    """The presolved pinned program of `simplex_map_lp`."""
+    if len(pinned) != outputs:
+        raise GeometryError("a pinned program pins every output")
+    P, den = ps.cleared
+    try:
+        frame = [ps.points.index(q) for q in pinned]
+    except ValueError:
+        raise GeometryError("pinned points must be points of the set") from None
+    infeasible = MapProgram(None, 0, outputs, LPOutcome(Status.INFEASIBLE))
+    k = outputs - 1
+    origin = P[frame[0]]
+    d = len(origin)
+    taken = set(frame)
+    rest = [i for i in range(len(P)) if i not in taken]
+    columns = [P[i] for i in frame[1:]] + [P[i] for i in rest]
+    mat = [
+        [p[t] - origin[t] for p in columns] + [int(t == u) for u in range(d)]
+        for t in range(d)
+    ]
+    pivots, _ = _bareiss(mat, jordan=True)
+    if pivots[:k] != list(range(k)):
+        return infeasible
+    free = sum(1 for c in pivots if k <= c < len(columns))
+    # Every pivot row reads the last pivot at its pivot column; reading
+    # the rows times its sign makes D > 0.
+    sign = 1 if mat[0][0] > 0 else -1
+    D = sign * mat[0][0]
+    nvars = k * free
+    # Each point's column in the pass; q_0 has none (all coordinates 0).
+    column = {i: j for j, i in enumerate(frame[1:])}
+    column.update((i, k + j) for j, i in enumerate(rest))
+
+    def output(i, idx):
+        # Output i at point idx: integer coefficients over the variables
+        # and a constant, both over D.
+        c = column.get(idx)
+        beta = [0] * k if c is None else [sign * mat[j][c] for j in range(k)]
+        gamma = [0] * free if c is None else [sign * mat[k + s][c] for s in range(free)]
+        if i == 0:
+            return [-g for g in gamma] * k, D - sum(beta)
+        coeffs = [0] * nvars
+        coeffs[(i - 1) * free : i * free] = gamma
+        return coeffs, beta[i - 1]
+
+    rows = []
+    for idx in rest:
+        for i in range(outputs):
+            coeffs, const = output(i, idx)
+            if any(coeffs):
+                coeffs = tuple(int_ratio(a, 1) if a else ZERO for a in coeffs)
+                rows.append((coeffs, GE, int_ratio(-const, 1)))
+            elif const < 0:
+                return infeasible
+    objective, offset = None, 0
+    if score:
+        total, constant = [0] * nvars, 0
+        for i, x in score:
+            try:
+                coeffs, const = output(i, ps.points.index(x))
+            except ValueError:
+                raise GeometryError("score points must be points of the set") from None
+            total = [a + b for a, b in zip(total, coeffs)]
+            constant += const
+        objective = tuple(int_ratio(a, D) for a in total)
+        offset = int_ratio(constant, D)
+    lp = decided = None
+    if rows:
+        lp = make_lp(nvars, rows, objective=objective, maximize=maximize)
+    else:
+        value = ZERO if score else None
+        decided = LPOutcome(Status.FEASIBLE, point=(), objective_value=value)
+    return MapProgram(
+        lp,
+        offset,
+        outputs,
+        decided,
+        inverse=tuple(
+            tuple(sign * a for a in row[len(columns) :]) for row in mat[: k + free]
+        ),
+        scale=D,
+        den=den,
+        origin=origin,
+        free=free,
+    )
+
+
+def decode_map(program: MapProgram, point) -> AffineMap:
+    """The affine map held in a solution point of a `simplex_map_lp`
+    program.
+
+    Without pins, the last row is rebuilt as 1 minus the sum of the
+    others.  With pins, the map's values on the basis vectors are e_j - e_0
+    on the edge q_j - q_0 and w_s on the free direction u_s; over the
+    integers M (those values times the lcm l of the point's denominators)
+    the linear part is L M (D B^-1) / (D l) and the offset
+    e_0 - M (D B^-1) P_0 / (D l), with P = L x the cleared coordinates.
+    The map is zero on directions outside aff X.
+    """
+    outputs = program.outputs
+    if program.inverse is None:
+        width = len(point) // (outputs - 1)
+        rows = [point[i * width : (i + 1) * width] for i in range(outputs - 1)]
+        last = tuple(-sum(col, ZERO) for col in zip(*rows))
+        last = last[:-1] + (ONE + last[-1],)
+        rows.append(last)
+        return AffineMap(tuple(r[:-1] for r in rows), tuple(r[-1] for r in rows))
+    k, free = outputs - 1, program.free
+    nums, lw = over_common_denominator(point)
+    values = [
+        [lw if j == i else 0 for j in range(k)] + nums[i * free : (i + 1) * free]
+        for i in range(k)
+    ]
+    values.insert(0, [-sum(col) for col in zip(*values)])
+    scale = program.scale * lw
+    matrix, offset = [], []
+    for i, row in enumerate(values):
+        linear = [sum(map(mul, row, col)) for col in zip(*program.inverse)]
+        matrix.append(tuple(int_ratio(program.den * a, scale) for a in linear))
+        shift = sum(map(mul, linear, program.origin))
+        offset.append(int_ratio((scale if i == 0 else 0) - shift, scale))
+    return AffineMap(tuple(matrix), tuple(offset))
 
 
 # ---------------------------------------------------------------------------
-# exact linear algebra (dense, small)
+# exact linear algebra (dense, small): one integer elimination, `_bareiss`
 
 
-def _row_echelon(rows):
-    """In-place fraction-free-ish Gauss; returns pivot column list."""
-    mat = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    ncols = len(mat[0]) if mat else 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, len(mat)):
-            if mat[i][c] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = ONE / mat[r][c]
-        mat[r] = [a * inv for a in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return mat, pivots
+def _cleared_rows(rows):
+    """Each row of rationals (or anything `ratio` takes) times the lcm of
+    its own denominators: the same solutions, pivots and rank."""
+    return [over_common_denominator(exact_tuple(r))[0] for r in rows]
 
 
 def matrix_rank(rows) -> int:
-    rows = [list(map(ratio, r)) for r in rows]
     if not rows:
         return 0
-    _, pivots = _row_echelon(rows)
+    pivots, _ = _bareiss(_cleared_rows(rows))
     return len(pivots)
 
 
@@ -335,58 +498,42 @@ def solve_unique(rows, rhs):
     Raises GeometryError when the matrix is rank-deficient or the system
     inconsistent; callers use this only where uniqueness is guaranteed.
     """
-    aug = [list(map(ratio, r)) + [ratio(b)] for r, b in zip(rows, rhs)]
+    aug = _cleared_rows([list(r) + [b] for r, b in zip(rows, rhs)])
     ncols = len(aug[0]) - 1
-    mat, pivots = _row_echelon(aug)
+    pivots, _ = _bareiss(aug, jordan=True)
     if ncols in pivots:
         raise GeometryError("inconsistent linear system")
     if len(pivots) != ncols:
         raise GeometryError("linear system is rank-deficient")
-    solution = [ZERO] * ncols
-    for r, c in enumerate(pivots):
-        solution[c] = mat[r][-1]
-    return tuple(solution)
+    return tuple(int_ratio(aug[r][-1], aug[r][c]) for r, c in enumerate(pivots))
 
 
 def affine_rank(ps: PointSet) -> int:
-    """Dimension of the affine hull (0 for a single point)."""
-    base = ps[0]
-    diffs = [vsub(p, base) for p in ps.points[1:]]
-    if not diffs:
-        return 0
-    return matrix_rank(diffs)
+    """Dimension of the affine hull (0 for a single point): the pivots of
+    the cleared difference vectors."""
+    return len(_edge_pivots(ps.cleared[0]))
 
 
 def barycentric(vertices: PointSet, x) -> tuple:
     """Coordinates of x in an affinely independent frame, summing to 1.
 
     Coordinates may be negative when x lies outside the hull; the frame
-    must be affinely independent and x must lie in its affine hull.
+    must be affinely independent and x must lie in its affine hull.  One
+    fraction-free Gauss-Jordan pass over [V; 1 | x; 1] decides both: the
+    frame's columns must all be pivots, the last column must not be.
     """
     x = as_point(x)
     if len(x) != vertices.dim:
         raise GeometryError("point dimension does not match the frame")
     n = len(vertices)
-    if affine_rank(vertices) != n - 1:
+    rows = [[p[t] for p in vertices] + [x[t]] for t in range(vertices.dim)]
+    aug = _cleared_rows(rows + [[ONE] * (n + 1)])
+    pivots, _ = _bareiss(aug, jordan=True)
+    if pivots[:n] != list(range(n)):
         raise GeometryError("frame is affinely dependent")
-    rows = [[p[t] for p in vertices] for t in range(vertices.dim)]
-    rows.append([ONE] * n)
-    rhs = list(x) + [ONE]
-    # Overdetermined but consistent iff x lies in the affine hull; reduce
-    # through the LP-free Gauss path by solving on a row-selected square
-    # system and verifying the rest.
-    aug = [row + [b] for row, b in zip(rows, rhs)]
-    mat, pivots = _row_echelon(aug)
     if n in pivots:
         raise GeometryError("point lies outside the affine hull of the frame")
-    coords = [ZERO] * n
-    for r, c in enumerate(pivots):
-        coords[c] = mat[r][-1]
-    # Substitution check guards the rank-deficient-free assumption.
-    for row, b in zip(rows, rhs):
-        if vdot(row, coords) != b:
-            raise GeometryError("point lies outside the affine hull of the frame")
-    return tuple(coords)
+    return tuple(int_ratio(aug[r][-1], aug[r][r]) for r in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -530,13 +677,22 @@ def _det(rows):
     return sign * mat[-1][-1] if len(pivots) == len(mat) else 0
 
 
+def _edge_pivots(P):
+    """Pivot columns of the difference vectors P[i] - P[0] (i >= 1) of
+    integer points, taken as columns: the first affinely independent
+    points after P[0], in index order."""
+    base = P[0]
+    if len(P) == 1:
+        return []
+    cols, _ = _bareiss([[p[t] - base[t] for p in P[1:]] for t in range(len(base))])
+    return cols
+
+
 def _initial_simplex(P):
     """Indices of the first len(P[0]) + 1 affinely independent integer
-    points, in index order, or None when the points do not span: the
-    pivot columns of the difference vectors P[i] - P[0] as columns."""
-    base = P[0]
-    cols, _ = _bareiss([[p[t] - base[t] for p in P[1:]] for t in range(len(base))])
-    return [0] + [c + 1 for c in cols] if len(cols) == len(base) else None
+    points, in index order, or None when the points do not span."""
+    cols = _edge_pivots(P)
+    return [0] + [c + 1 for c in cols] if len(cols) == len(P[0]) else None
 
 
 def _plane(P, facet, centre):
@@ -619,7 +775,7 @@ def volume(poly: Polytope, dim_cap: int = VOLUME_DIM_CAP):
             f"exact volume is supported up to dimension {dim_cap}"
         )
     pts = poly.spanning.points
-    P, den = _integer_points(pts)
+    P, den = poly.spanning.cleared
     simplex = _initial_simplex(P)
     if simplex is None:
         warnings.warn(
@@ -804,7 +960,7 @@ def affine_symmetry(ps: PointSet) -> AffineSymmetry:
     preserving G are the affine automorphisms; `_generator_search` finds
     generators of them, and the returned object checks any one by
     substitution over full centred coordinates."""
-    P, _ = _integer_points(ps.points)
+    P, _ = ps.cleared
     n = len(P)
     sums = [sum(col) for col in zip(*P)]
     centred = [tuple(n * a - s for a, s in zip(p, sums)) for p in P]

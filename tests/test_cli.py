@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from antipodes import antipodality, hashcodes
+from antipodes import antipodality, geometry, hashcodes
 from antipodes.antipodality import CertificateError
 from antipodes.cli import _build_parser, main
 from antipodes.exact_lp import SolverInvariantError
@@ -116,7 +116,9 @@ def _map(matrix, offset):
 
 
 def test_check_joint_map_pins(files, capsys):
-    # Exact maps: they move if the map program's row order drifts.
+    # Exact maps: they move if the presolved map program's row order
+    # drifts.  Its rows are outputs 0..k >= 0 at each unpinned point in
+    # index order.
     cube_map = _map([["0", "0", "-1"], ["0", "0", "1"]], ["1", "0"])
     for extra, route in (((), "direct"), (("--lambda", "1/2,1/2"), "shrunk")):
         code, report, _ = run(capsys, "check-joint", files["cube"], "0", "7", *extra)
@@ -125,9 +127,9 @@ def test_check_joint_map_pins(files, capsys):
         assert report["certificate"] == {
             "antipodal": True, "chosen": [0, 7], "map": cube_map,
         }
-    # (3, 4) moves if the "<= 1" rows come before the ">= 0" rows or the
-    # points are listed in reverse; (0, 3) also moves if the pinned rows
-    # come last.
+    # (3, 4) moves if the points are listed in reverse or each point's
+    # output-1 row comes first; (0, 7) above also moves if all output-0
+    # rows come last.
     code, report, _ = run(capsys, "check-joint", files["cube"], "3", "4")
     assert code == 0
     assert report["certificate"]["map"] == _map(
@@ -345,7 +347,7 @@ def test_rank_and_construct_refuse_oversized_bound(tmp_path, capsys, monkeypatch
     # The digit gate fires before any LP runs or any product is built.
     solved = []
     built = []
-    monkeypatch.setattr(antipodality, "solve", lambda lp: solved.append(lp))
+    monkeypatch.setattr(geometry, "solve", lambda lp: solved.append(lp))
     monkeypatch.setattr(
         "antipodes.cli.product_construct", lambda *args: built.append(args)
     )
@@ -372,13 +374,14 @@ def test_rank_and_construct_refuse_oversized_bound(tmp_path, capsys, monkeypatch
 
 
 def test_rank_verbs_refuse_too_many_subsets(tmp_path, capsys, monkeypatch):
-    # C(90, 3) = 117 480 subsets: every rank verb refuses before any LP or
-    # projection runs.
+    # C(90, 3) = 117 480 subsets: every rank verb refuses before the set's
+    # affine rank is computed, and so before any LP or projection runs.
     calls = []
-    for name in ("solve", "solve_strict", "orthogonal_project"):
+    for name in ("affine_rank", "solve_strict", "orthogonal_project"):
         monkeypatch.setattr(
             antipodality, name, lambda *args, name=name: calls.append(name)
         )
+    monkeypatch.setattr(geometry, "solve", lambda *args: calls.append("solve"))
     crowd = tmp_path / "crowd.json"
     dump_point_set(_ps(*((t, t * t) for t in range(90))), crowd)
     for verb in ("check-rank", "check-strict", "check-erdos"):
@@ -472,7 +475,7 @@ def test_internal_errors_exit_4(files, capsys, monkeypatch):
     def broken_solve(lp):
         raise SolverInvariantError("feasible point failed substitution")
 
-    monkeypatch.setattr(antipodality, "solve", broken_solve)
+    monkeypatch.setattr(geometry, "solve", broken_solve)
     code, report, _ = run(capsys, "check-joint", files["square"], "0", "3")
     assert code == 4
     assert report == {

@@ -8,7 +8,7 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from antipodes.exact_lp import EQ, GE, LE, Status, solve
+from antipodes.exact_lp import GE, Status
 from antipodes.geometry import (
     AffineMap,
     DegenerateVolumeWarning,
@@ -151,20 +151,20 @@ def test_affine_map_apply():
 
 def test_simplex_map_lp_rows_and_decoding():
     square = _pts((0, 0), (1, 0), (0, 1), (1, 1))
-    lp, offset = simplex_map_lp(square, 2, pinned=[square[0], square[3]])
-    # Only output 0 is a variable; output 1 is 1 minus it.  Pinned
-    # equalities, then output 0 >= 0 and <= 1 at the two unpinned points;
-    # the pinned points get no inequality rows.
-    assert lp.num_vars == 3 and offset == 0
-    assert [c.relation for c in lp.constraints] == [EQ] * 2 + [GE] * 2 + [LE] * 2
-    assert lp.constraints[1].coeffs == tuple(map(ratio, (1, 1, 1)))
-    assert lp.constraints[1].rhs == 0
-    assert lp.constraints[3].coeffs == tuple(map(ratio, (0, 1, 1)))
-    assert lp.constraints[4].coeffs == tuple(map(ratio, (1, 0, 1)))
-    assert lp.constraints[4].rhs == 1
-    out = solve(lp)
+    program = simplex_map_lp(square, 2, pinned=[square[0], square[3]])
+    # The pins fix the map along the diagonal, so the one variable is
+    # output 1's slope along the free direction (1, 0) - (0, 0); (0, 1) is
+    # the diagonal minus it.  Rows: outputs 0 and 1 >= 0 at the unpinned
+    # points in index order; the pinned points get none.
+    lp = program.lp
+    assert lp.num_vars == 1 and program.offset == 0
+    assert [c.relation for c in lp.constraints] == [GE] * 4
+    assert [(c.coeffs, c.rhs) for c in lp.constraints] == [
+        ((-1,), -1), ((1,), 0), ((1,), 0), ((-1,), -1)
+    ]
+    out = program.solve()
     assert out.status is Status.FEASIBLE
-    mapping = decode_map(out.point, 2)
+    mapping = decode_map(program, out.point)
     assert mapping.out_dim == 2
     assert mapping.apply(square[0]) == (1, 0)
     assert mapping.apply(square[3]) == (0, 1)
@@ -174,20 +174,42 @@ def test_simplex_map_lp_rows_and_decoding():
     # (0, 1) once.  Output 1 is 1 minus output 0, so each pair naming it
     # subtracts output 0 and adds 1 to the offset.
     score = [(1, square[1]), (0, square[2]), (1, square[1])]
-    lp, offset = simplex_map_lp(square, 2, score=score)
+    program = simplex_map_lp(square, 2, score=score)
+    lp = program.lp
     assert lp.objective == tuple(map(ratio, (-2, 1, -1)))
-    assert offset == 2 and lp.maximize
-    out = solve(lp)
-    mapping = decode_map(out.point, 2)
-    assert out.objective_value + offset == sum(
+    assert program.offset == 2 and lp.maximize
+    out = program.solve()
+    mapping = decode_map(program, out.point)
+    assert out.objective_value + program.offset == sum(
         mapping.apply(x)[i] for i, x in score
     )
 
     # With three outputs a pair naming output 2 subtracts both others.
-    lp, offset = simplex_map_lp(square, 3, score=[(2, square[3])], maximize=False)
-    assert lp.num_vars == 6
-    assert lp.objective == tuple(map(ratio, (-1, -1, -1) * 2))
-    assert offset == 1 and not lp.maximize
+    program = simplex_map_lp(square, 3, score=[(2, square[3])], maximize=False)
+    assert program.lp.num_vars == 6
+    assert program.lp.objective == tuple(map(ratio, (-1, -1, -1) * 2))
+    assert program.offset == 1 and not program.lp.maximize
+
+
+def test_pinned_map_program_without_variables():
+    # Three pins on a triangle with an interior point: k = r, so the map
+    # is fixed and the interior point's barycentric signs decide alone.
+    pts = _pts((0, 0), (3, 0), (0, 3), (1, 1))
+    program = simplex_map_lp(pts, 3, pinned=pts[:3], score=[(1, pts[3])])
+    assert program.lp is None and program.offset == ratio(1, 3)
+    out = program.solve()
+    assert out.status is Status.FEASIBLE and out.point == ()
+    mapping = decode_map(program, out.point)
+    assert mapping.apply(pts[3]) == (ratio(1, 3),) * 3
+    # A point outside the triangle breaks the pins by itself.
+    program = simplex_map_lp(_pts((0, 0), (3, 0), (0, 3), (2, 2)), 3, pinned=pts[:3])
+    assert program.lp is None and program.solve().status is Status.INFEASIBLE
+    # So does an affinely dependent frame, and pins must be set points.
+    line = _pts((0, 0), (1, 1), (2, 2), (0, 1))
+    program = simplex_map_lp(line, 3, pinned=line[:3])
+    assert program.lp is None and program.solve().status is Status.INFEASIBLE
+    with pytest.raises(GeometryError):
+        simplex_map_lp(line, 2, pinned=[line[0], (ratio(5), ratio(5))])
 
 
 def test_orthogonal_project_onto_axis():

@@ -1,15 +1,29 @@
 """The map-into-simplex program against the full program it stands for,
-and the integer re-check of certifying maps against a rational one."""
+and the integer re-check of certifying maps against a rational one.
+
+A pinned program is presolved to the k(r - k) entries the pins leave
+free; `_full_map_lp` keeps every map entry and every pin as a row, so the
+two must agree on every verdict and every score optimum."""
+
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from antipodes.antipodality import AntipodalityCertificate, verify_joint_certificate
+from antipodes import geometry
+from antipodes.antipodality import (
+    AntipodalityCertificate,
+    is_rank_k_antipodal,
+    joint_antipodal_direct,
+    strict_rank_k,
+    verify_joint_certificate,
+)
 from antipodes.exact_lp import EQ, GE, Status, make_lp, solve
 from antipodes.geometry import (
     AffineMap,
     PointSet,
     StandardSimplex,
+    affine_rank,
     decode_map,
     simplex_map_lp,
 )
@@ -20,6 +34,9 @@ _coord = st.builds(
     lambda num, den: ratio(num, den),
     st.integers(-3, 3),
     st.sampled_from((1, 2, 3) + _PRIMES),
+)
+_prime_coord = st.builds(
+    lambda num, den: ratio(num, den), st.integers(-5, 5), st.sampled_from(_PRIMES)
 )
 
 
@@ -83,6 +100,16 @@ def _point_sets(draw):
                     for c, b in enumerate(base)
                 )
             )
+    if draw(st.booleans()):
+        # An affine image whose entries have prime denominators; a
+        # singular linear part drops the rank further.
+        dim = len(raw[0])
+        matrix = draw(st.lists(st.tuples(*[_prime_coord] * dim), min_size=dim, max_size=dim))
+        shift = draw(st.tuples(*[_prime_coord] * dim))
+        raw = [
+            tuple(sum((a * c for a, c in zip(row, p)), b) for row, b in zip(matrix, shift))
+            for p in raw
+        ]
     points = tuple(dict.fromkeys(raw))
     if len(points) < 2:
         points = ((ZERO,) * len(raw[0]), (ONE,) * len(raw[0]))
@@ -91,9 +118,15 @@ def _point_sets(draw):
 
 @st.composite
 def _instances(draw):
-    """A set and a chosen tuple, affinely dependent ones included."""
+    """A set and a chosen tuple, affinely dependent ones included; k is
+    often the set's affine rank, where the pins leave no variable."""
     X = draw(_point_sets())
-    k = draw(st.integers(1, min(3, len(X) - 1)))
+    top = min(3, len(X) - 1)
+    rank = affine_rank(X)
+    if 1 <= rank <= top and draw(st.booleans()):
+        k = rank
+    else:
+        k = draw(st.integers(1, top))
     chosen = draw(
         st.lists(
             st.integers(0, len(X) - 1), min_size=k + 1, max_size=k + 1, unique=True
@@ -102,20 +135,25 @@ def _instances(draw):
     return X, tuple(chosen)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(_instances())
 def test_map_program_decides_like_the_full_program(instance):
     X, chosen = instance
     k = len(chosen) - 1
     pinned = [X[i] for i in chosen]
-    lp, offset = simplex_map_lp(X, k + 1, pinned=pinned)
-    assert offset == 0
-    assert lp.num_vars == k * (X.dim + 1)
-    out = solve(lp)
+    program = simplex_map_lp(X, k + 1, pinned=pinned)
+    assert program.offset == 0
+    dependent = affine_rank(PointSet(tuple(pinned))) < k
+    if program.lp is not None:
+        assert not dependent
+        assert program.lp.num_vars == k * (affine_rank(X) - k)
+    elif not dependent and program.solve().status is Status.FEASIBLE:
+        assert affine_rank(X) == k
+    out = program.solve()
     assert out.status is solve(_full_map_lp(X, k + 1, pinned=pinned)).status
     if out.status is Status.FEASIBLE:
         cert = AntipodalityCertificate(
-            True, chosen, mapping=decode_map(out.point, k + 1)
+            True, chosen, mapping=decode_map(program, out.point)
         )
         assert verify_joint_certificate(X, cert)
         assert _rational_map_check(X, cert)
@@ -134,19 +172,21 @@ def test_map_program_scores_like_the_full_program(instance, data):
     score = [(i, X[j]) for i, j in pairs]
     pinned = [X[i] for i in chosen] if data.draw(st.booleans()) else []
     maximize = data.draw(st.booleans())
-    lp, offset = simplex_map_lp(X, k + 1, pinned, score, maximize)
-    assert offset == sum(1 for i, _ in pairs if i == k)
-    out = solve(lp)
+    program = simplex_map_lp(X, k + 1, pinned, score, maximize)
+    if not pinned:
+        assert program.offset == sum(1 for i, _ in pairs if i == k)
+    out = program.solve()
     ref = solve(_full_map_lp(X, k + 1, pinned, score, maximize))
     assert out.status is ref.status
     if out.status is not Status.FEASIBLE:
         return
-    assert out.objective_value + offset == ref.objective_value
-    mapping = decode_map(out.point, k + 1)
+    assert out.objective_value + program.offset == ref.objective_value
+    mapping = decode_map(program, out.point)
     assert sum(mapping.apply(x)[i] for i, x in score) == ref.objective_value
     if pinned:
         cert = AntipodalityCertificate(True, chosen, mapping=mapping)
         assert verify_joint_certificate(X, cert)
+        assert _rational_map_check(X, cert)
     else:
         assert all(StandardSimplex(k).contains(mapping.apply(x)) for x in X)
 
@@ -179,9 +219,10 @@ def test_integer_map_check_matches_rational_reference(instance, q, data):
 
     # Any entry moved by 1/q, which a set that does not span its space may
     # not notice; and a map drawn at random.
-    out = solve(simplex_map_lp(X, k + 1, pinned=[X[i] for i in chosen])[0])
+    program = simplex_map_lp(X, k + 1, pinned=[X[i] for i in chosen])
+    out = program.solve()
     if out.status is Status.FEASIBLE:
-        good = decode_map(out.point, k + 1)
+        good = decode_map(program, out.point)
         assert verdicts(good)
     else:
         good = AffineMap(
@@ -207,7 +248,6 @@ def test_integer_map_check_matches_rational_reference(instance, q, data):
     assert not verdicts(wide)
 
 
-
 @pytest.mark.parametrize("q", _PRIMES)
 def test_integer_map_check_needs_every_condition(q):
     # On the unit square with (0, 0) and (1, 1) chosen, each broken map
@@ -230,3 +270,46 @@ def test_integer_map_check_needs_every_condition(q):
     # (0, 0) goes to (1 - 1/q, 1/q).
     slope = half - step / 2
     assert not verdict((-slope, -slope), (slope, slope), ONE - step, step)
+
+
+def _corner(d):
+    return PointSet(
+        tuple(tuple(ratio(int(t == j)) for t in range(d)) for j in range(-1, d))
+    )
+
+
+def _cube3():
+    return PointSet(
+        tuple((ratio(a), ratio(b), ratio(c)) for a in (0, 1) for b in (0, 1) for c in (0, 1))
+    )
+
+
+def test_frames_of_full_rank_make_no_solver_call(monkeypatch):
+    # With k equal to the affine rank the pins fix the map: the 4-simplex's
+    # corner at k = 4 and every 4-subset of the 3-cube at k = 3 are decided
+    # by the signs of barycentric coordinates alone.
+    calls = []
+    original = geometry.MapProgram.solve
+
+    def counted(program):
+        if program.lp is not None:
+            calls.append(program.lp)
+        return original(program)
+
+    monkeypatch.setattr(geometry.MapProgram, "solve", counted)
+    corner = _corner(4)
+    assert is_rank_k_antipodal(corner, 4).antipodal
+    assert strict_rank_k(corner, 4).strict
+    cube = _cube3()
+    subsets = list(combinations(range(8), 4))
+    verdicts = [joint_antipodal_direct(cube, s).antipodal for s in subsets]
+    assert not is_rank_k_antipodal(cube, 3).antipodal
+    assert calls == []
+    # Every tetrahedron of cube vertices leaves some other vertex with a
+    # negative barycentric coordinate, as the full program agrees.
+    full = [
+        solve(_full_map_lp(cube, 4, pinned=[cube[i] for i in s])).status
+        for s in subsets
+    ]
+    assert verdicts == [status is Status.FEASIBLE for status in full]
+    assert not any(verdicts)

@@ -63,7 +63,7 @@ CASES = {
     ),
     "joint-lambda-holds": (
         ("check-joint", "space", "1", "2", "3", "--lambda", "1/2,3/4,3/4"),
-        "95cbe95d72403af3f12405972b458e232a241add36ce0e405f35311dff30fc27",
+        "f34298416ab529e673042152d654784867033de66f9e884e78a4f4100052eccd",
     ),
     "joint-lambda-holds-verify": (
         ("--verify", "check-joint", "hepta", "1", "4", "--lambda", "1/3,2/3"),
@@ -75,7 +75,7 @@ CASES = {
     ),
     "strict-evidence-tetra-verify": (
         ("--verify", "check-strict", "tetra", "--k", "2"),
-        "3693723e9595377a904a5583191015ffc692dd5934cb91feaa92a6fad39fa1a4",
+        "f2d6e395bd19f159361c5a5f689c2f91b226a5754e312535b4abbc5733f410fe",
     ),
     "strict-forced": (
         ("check-strict", "rhombus", "--k", "1"),

@@ -21,7 +21,8 @@ from antipodes.antipodality import (
     CertificateError,
     RankReport,
     _all_subsets,
-    _rank_preconditions,
+    _rank_argument,
+    _rank_within,
     _sampled_subsets,
     erdos_rank_k,
     is_rank_k_antipodal,
@@ -105,7 +106,8 @@ def symmetric_set(rng, d, n):
 
 def _reference_rank(X, k, samples=None, seed=None):
     """The per-subset loop: one map program for every listed subset."""
-    _rank_preconditions(X, k)
+    _rank_argument(X, k)
+    _rank_within(X, k)
     if samples is None:
         subsets, exhaustive = _all_subsets(len(X), k), True
     else:

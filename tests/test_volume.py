@@ -1,5 +1,7 @@
 """Exact volume from the integer beneath-beyond boundary, against the
-brute-force facet enumeration and centroid triangulation it replaced."""
+brute-force facet enumeration and centroid triangulation it replaced; and
+the integer elimination kernel against the rational Gauss-Jordan it
+replaced."""
 
 import itertools
 import warnings
@@ -18,8 +20,8 @@ from antipodes.geometry import (
     _det,
     _initial_simplex,
     _integer_points,
-    _row_echelon,
     affine_rank,
+    barycentric,
     matrix_rank,
     solve_unique,
     vdot,
@@ -34,6 +36,35 @@ _PRIMES = (53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
 
 # ---------------------------------------------------------------------------
 # reference: every d-subset ranked, facets triangulated through centroids
+
+
+def _row_echelon(rows):
+    """Gauss-Jordan on rationals: (reduced rows, pivot columns).  The
+    reference for the integer elimination `geometry` uses."""
+    mat = [list(r) for r in rows]
+    pivots = []
+    r = 0
+    ncols = len(mat[0]) if mat else 0
+    for c in range(ncols):
+        pivot = None
+        for i in range(r, len(mat)):
+            if mat[i][c] != 0:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        inv = ONE / mat[r][c]
+        mat[r] = [a * inv for a in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c] != 0:
+                f = mat[i][c]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    return mat, pivots
 
 
 def _nullspace_vector(rows, ncols):
@@ -273,3 +304,93 @@ def test_cube_boundary_and_volume(d):
     assert volume(Polytope(ps)) == 2**d
     shrunk = PointSet(tuple(tuple(c * 3 / 7 for c in x) for x in ps.points))
     assert volume(Polytope(shrunk)) == ratio(6, 7) ** d
+
+
+# ---------------------------------------------------------------------------
+# the integer kernel against the rational Gauss-Jordan reference
+
+
+def _reference_rank(rows):
+    rows = [list(map(ratio, r)) for r in rows]
+    return len(_row_echelon(rows)[1]) if rows else 0
+
+
+def _reference_solve(rows, rhs):
+    aug = [list(map(ratio, r)) + [ratio(b)] for r, b in zip(rows, rhs)]
+    ncols = len(aug[0]) - 1
+    mat, pivots = _row_echelon(aug)
+    if ncols in pivots:
+        raise GeometryError("inconsistent linear system")
+    if len(pivots) != ncols:
+        raise GeometryError("linear system is rank-deficient")
+    solution = [ZERO] * ncols
+    for r, c in enumerate(pivots):
+        solution[c] = mat[r][-1]
+    return tuple(solution)
+
+
+def _reference_affine_rank(ps):
+    return _reference_rank([vsub(p, ps[0]) for p in ps.points[1:]])
+
+
+def _reference_barycentric(vertices, x):
+    if len(x) != vertices.dim:
+        raise GeometryError("point dimension does not match the frame")
+    n = len(vertices)
+    if _reference_affine_rank(vertices) != n - 1:
+        raise GeometryError("frame is affinely dependent")
+    aug = [[p[t] for p in vertices] + [x[t]] for t in range(vertices.dim)]
+    aug.append([ONE] * (n + 1))
+    mat, pivots = _row_echelon(aug)
+    if n in pivots:
+        raise GeometryError("point lies outside the affine hull of the frame")
+    coords = [ZERO] * n
+    for r, c in enumerate(pivots):
+        coords[c] = mat[r][-1]
+    return tuple(coords)
+
+
+_entry = st.builds(ratio, st.integers(-4, 4), st.sampled_from((1, 2) + _PRIMES))
+
+
+@st.composite
+def _low_rank(draw, m, n):
+    """An m x n rational matrix U V of rank at most the inner size."""
+    inner = draw(st.integers(0, 4))
+    U = draw(st.lists(st.lists(_entry, min_size=inner, max_size=inner), min_size=m, max_size=m))
+    V = draw(st.lists(st.lists(_entry, min_size=n, max_size=n), min_size=inner, max_size=inner))
+    return [[sum((u * v[j] for u, v in zip(row, V)), ZERO) for j in range(n)] for row in U]
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except GeometryError as exc:
+        return ("error", str(exc))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(st.integers(1, 5), st.integers(1, 5)), st.data())
+def test_integer_kernel_matches_rational_reference(shape, data):
+    m, n = shape
+    rows = data.draw(_low_rank(m, n))
+    assert matrix_rank(rows) == _reference_rank(rows)
+    # Consistent right-hand sides, and (mostly inconsistent) random ones.
+    if data.draw(st.booleans()):
+        x = data.draw(st.lists(_entry, min_size=n, max_size=n))
+        rhs = [vdot(r, x) for r in rows]
+    else:
+        rhs = data.draw(st.lists(_entry, min_size=m, max_size=m))
+    assert _outcome(solve_unique, rows, rhs) == _outcome(_reference_solve, rows, rhs)
+
+    points = list(dict.fromkeys(map(tuple, rows)))
+    ps = PointSet(tuple(points))
+    assert affine_rank(ps) == _reference_affine_rank(ps)
+    # A point of the frame's affine hull, one anywhere, one of another
+    # dimension.
+    weights = data.draw(st.lists(_entry, min_size=len(points) - 1, max_size=len(points) - 1))
+    weights.append(ONE - sum(weights, ZERO))
+    inside = tuple(sum((w * p[t] for w, p in zip(weights, points)), ZERO) for t in range(n))
+    anywhere = tuple(data.draw(st.lists(_entry, min_size=n, max_size=n)))
+    for x in (inside, anywhere, anywhere + (ONE,)):
+        assert _outcome(barycentric, ps, x) == _outcome(_reference_barycentric, ps, x)
