@@ -26,12 +26,13 @@ checking it needs only convex hull membership.
 Exhaustive rank checks count their subsets first and refuse more than
 EXHAUSTIVE_LIMIT of them before the set's affine rank is computed.
 
-Also provided: sequential halfspace separation for families of polytopes
-with disjoint relative interiors, support halfspaces touching the other k
-chosen points (derived by expanding the separating halfspaces back
-through the dilations), a projection-based variant that asks every point
-to project inside the chosen simplex, and a strict variant that forbids
-the remaining points from landing on simplex vertices.
+Also provided: support halfspaces touching the other k chosen points,
+read off the certifying map as {x : out_i(x) >= 0} for chosen point i
+(the rank-k counterpart of the parallel supporting hyperplanes of an
+antipodal pair, Danzer and Grünbaum 1962), a projection-based variant
+that asks every point to project inside the chosen simplex, and a strict
+variant that forbids the remaining points from landing on simplex
+vertices.
 """
 
 from __future__ import annotations
@@ -41,9 +42,9 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb, lcm
 from operator import mul
-from typing import Optional, Sequence
+from typing import Optional
 
-from .exact_lp import EQ, GE, LE, Status, make_lp, solve_strict
+from .exact_lp import EQ, GE, Status, make_lp, solve_strict
 from .geometry import (
     AffineMap,
     Dilation,
@@ -53,7 +54,6 @@ from .geometry import (
     affine_symmetry,
     barycentric,
     decode_map,
-    dilate_polytope,
     member,
     orthogonal_project,
     simplex_map_lp,
@@ -68,10 +68,6 @@ EXHAUSTIVE_LIMIT = 100_000
 
 class AntipodalityError(ValueError):
     """Bad queries: index problems, factor problems, size problems."""
-
-
-class NotSeparableError(AntipodalityError):
-    """Sequential separation was asked for relative interiors that meet."""
 
 
 class CertificateError(RuntimeError):
@@ -133,7 +129,6 @@ class SupportCertificate:
     """
 
     chosen: tuple
-    shrink_factors: tuple
     halfspaces: tuple
 
 
@@ -527,134 +522,7 @@ def is_rank_k_antipodal(
 
 
 # ---------------------------------------------------------------------------
-# sequential halfspace separation
-
-
-def _separation_step(polys, halfspaces, i, p):
-    """Strict system for step i: a point interior (in weights) to poly i,
-    inside every later polytope, inside every halfspace found so far."""
-    d = polys[0].dim
-    sizes = [len(q.spanning) for q in polys]
-    later = list(range(i, len(polys)))
-    nv = d + sum(sizes[j] for j in later)
-    offsets = {}
-    pos = d
-    for j in later:
-        offsets[j] = pos
-        pos += sizes[j]
-    rows = []
-    coord_rows = {}
-    sum_rows = {}
-    strict_rows = []
-    for j in later:
-        pts = polys[j].spanning
-        coord_rows[j] = len(rows)
-        for t in range(d):
-            coeffs = [ZERO] * nv
-            coeffs[t] = ONE
-            for a, u in enumerate(pts):
-                coeffs[offsets[j] + a] = -u[t]
-            rows.append((tuple(coeffs), EQ, ZERO))
-        sum_rows[j] = len(rows)
-        coeffs = [ZERO] * nv
-        for a in range(len(pts)):
-            coeffs[offsets[j] + a] = ONE
-        rows.append((tuple(coeffs), EQ, ONE))
-        for a in range(len(pts)):
-            coeffs = [ZERO] * nv
-            coeffs[offsets[j] + a] = ONE
-            if j == i:
-                strict_rows.append(len(rows))
-            rows.append((tuple(coeffs), GE, ZERO))
-    for hs in halfspaces:
-        coeffs = list(hs.normal) + [ZERO] * (nv - d)
-        rows.append((tuple(coeffs), LE, hs.offset))
-    lp = make_lp(nv, rows)
-    out = solve_strict(lp, strict_rows)
-    if out.status is Status.FEASIBLE:
-        return None
-    w = out.farkas
-    normal = tuple(w[coord_rows[i] + t] for t in range(d))
-    offset = w[sum_rows[i]]
-    if all(c == 0 for c in normal):
-        raise CertificateError("separation produced a degenerate functional")
-    hs = HalfSpace(normal, offset)
-    for u in polys[i].spanning:
-        if not hs.contains(u):
-            raise CertificateError("separating halfspace misses its polytope")
-    if not hs.on_boundary(p):
-        raise CertificateError("separating halfspace is not tight at the point")
-    return hs
-
-
-def sequential_separation(polys: Sequence[Polytope], p) -> tuple:
-    """Halfspaces D_i with poly_i inside D_i, the common point p on every
-    boundary, and the interiors of the D_i mutually exclusive.
-
-    Requires the relative interiors of the polytopes to have empty total
-    intersection while p belongs to every polytope.  Intended for
-    full-dimensional polytopes; a lower-dimensional family can make an
-    intermediate step unresolvable, which raises CertificateError.
-    """
-    if not polys:
-        raise AntipodalityError("need at least one polytope")
-    d = polys[0].dim
-    p = tuple(ratio(c) for c in p)
-    if len(p) != d:
-        raise AntipodalityError("point dimension does not match the polytopes")
-    for q in polys:
-        if q.dim != d:
-            raise AntipodalityError("polytopes live in different dimensions")
-        if not member(q, p).inside:
-            raise AntipodalityError("the common point must lie in every polytope")
-    halfspaces = []
-    for i in range(len(polys)):
-        hs = _separation_step(polys, halfspaces, i, p)
-        if hs is None:
-            if i == 0:
-                raise NotSeparableError(
-                    "the relative interiors share a point; nothing to separate"
-                )
-            raise CertificateError(
-                "separation stalled; a lower-dimensional polytope is in the way"
-            )
-        halfspaces.append(hs)
-    # The construction guarantees no point is strictly inside all of them;
-    # re-check exactly.
-    rows = [(hs.normal, LE, hs.offset) for hs in halfspaces]
-    probe = make_lp(d, rows)
-    if solve_strict(probe, range(len(rows))).status is not Status.INFEASIBLE:
-        raise CertificateError("separating halfspaces fail joint exclusivity")
-    return tuple(halfspaces)
-
-
-# ---------------------------------------------------------------------------
 # support halfspaces for antipodal tuples
-
-
-def _expand_halfspace(hs: HalfSpace, q, lam) -> HalfSpace:
-    # Pull the halfspace back through the dilation toward q by factor lam:
-    # n.((1-lam) q + lam y) <= c  iff  n.y <= (c - (1-lam) n.q) / lam.
-    c = (hs.offset - (1 - lam) * vdot(hs.normal, q)) / lam
-    return HalfSpace(hs.normal, c)
-
-
-def _map_route_halfspaces(X, chosen, factors, mapping, p):
-    """Halfspaces straight from the certifying map: copy i is contained in
-    the region where output coordinate i stays at least 1 - factor.
-
-    Needs X to span its space, which makes the output coordinates sum to 1
-    everywhere and hence the strict intersection empty.
-    """
-    halfspaces = []
-    for i in range(len(chosen)):
-        normal = tuple(-a for a in mapping.matrix[i])
-        offset = mapping.offset[i] - (1 - factors[i])
-        hs = HalfSpace(normal, offset)
-        if not hs.on_boundary(p):
-            raise CertificateError("map-derived halfspace is not tight")
-        halfspaces.append(hs)
-    return tuple(halfspaces)
 
 
 def verify_support_certificate(X: PointSet, cert: SupportCertificate) -> bool:
@@ -676,64 +544,30 @@ def verify_support_certificate(X: PointSet, cert: SupportCertificate) -> bool:
     return True
 
 
-def support_certificate(
-    X: PointSet, chosen, factors=None
-) -> SupportCertificate:
+def support_certificate(X: PointSet, chosen) -> SupportCertificate:
     """Supporting halfspaces witnessing joint antipodality geometrically.
 
-    For each chosen point, a halfspace containing all of X whose boundary
-    passes through the other k chosen points; restricted to the affine
+    Read off the certifying map of `joint_antipodal_direct`: halfspace i
+    is {x : out_i(x) >= 0}.  It contains X, which the map carries into
+    the simplex; its boundary holds the other k chosen points, which go
+    to vertices e_j with j != i; and it keeps the i-th chosen point
+    strictly inside, since out_i there is 1.  Restricted to the affine
     hull of the chosen points the k+1 boundaries cut out exactly their
-    simplex.  Derived by separating the shrunk copies at their common
-    boundary point and expanding each halfspace back through its dilation.
+    simplex.
 
-    X must span its ambient space; the chosen tuple must be jointly
-    antipodal.
+    The chosen tuple must be jointly antipodal.
     """
     chosen = _validate_chosen(X, chosen)
-    k = len(chosen) - 1
-    factors = default_factors(k) if factors is None else _validate_factors(k, factors)
-    if affine_rank(X) != X.dim:
-        raise AntipodalityError(
-            "support halfspaces need a set spanning its space; "
-            "work inside the affine hull first"
-        )
     base_cert = joint_antipodal_direct(X, chosen)
     if not base_cert.antipodal:
         raise AntipodalityError("the chosen points are not jointly antipodal")
-    p = None
-    for j, q_idx in enumerate(chosen):
-        term = tuple((1 - factors[j]) * c for c in X[q_idx])
-        p = term if p is None else tuple(a + b for a, b in zip(p, term))
-    hull = Polytope(X)
-    copies = [
-        dilate_polytope(Dilation(X[q_idx], factors[j]), hull)
-        for j, q_idx in enumerate(chosen)
-    ]
-
-    def expanded_cert(halfspaces):
-        expanded = tuple(
-            _expand_halfspace(hs, X[q_idx], factors[j])
-            for (j, q_idx), hs in zip(enumerate(chosen), halfspaces)
-        )
-        cert = SupportCertificate(chosen, factors, expanded)
-        return cert if verify_support_certificate(X, cert) else None
-
-    # Separation can pick a degenerate supporting functional (one whose
-    # expansion also passes through the tuple's own point); the halfspaces
-    # read off the certifying map never degenerate, so fall back to them.
-    try:
-        cert = expanded_cert(sequential_separation(copies, p))
-    except CertificateError:
-        cert = None
-    if cert is None:
-        cert = expanded_cert(
-            _map_route_halfspaces(X, chosen, factors, base_cert.mapping, p)
-        )
-    if cert is None:
-        raise CertificateError(
-            "support halfspaces degenerate for this tuple and factors"
-        )
+    m = base_cert.mapping
+    halfspaces = tuple(
+        HalfSpace(tuple(-a for a in row), c) for row, c in zip(m.matrix, m.offset)
+    )
+    cert = SupportCertificate(chosen, halfspaces)
+    if not verify_support_certificate(X, cert):
+        raise CertificateError("map-derived support halfspaces failed verification")
     return cert
 
 

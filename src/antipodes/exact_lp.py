@@ -18,10 +18,11 @@ variable's sign bound: its second part never enters, and the row's
 multiplier is read off the variable's final reduced cost.  The other rows
 receive slacks, and artificials label the starting basis without being
 stored: they never re-enter, and the multipliers they would carry are
-recovered from the final basis by one square integer solve.  Pivoting is
-Dantzig's rule with a permanent switch to Bland's rule after a run of
-degenerate steps, which keeps the solver fast on typical inputs and
-terminating on all of them.  The whole
+recovered from the final basis by one square integer solve, a
+Gauss-Jordan pass of the package's one elimination kernel
+(`rationals._bareiss`).  Pivoting is Dantzig's rule with a permanent
+switch to Bland's rule after a run of degenerate steps, which keeps the
+solver fast on typical inputs and terminating on all of them.  The whole
 pipeline is deterministic: identical programs produce identical outcomes,
 certificates included.
 
@@ -63,6 +64,7 @@ from typing import Optional, Sequence
 from .rationals import (
     ONE,
     ZERO,
+    _bareiss,
     exact_tuple,
     int_ratio,
     over_common_denominator,
@@ -683,8 +685,10 @@ class _Tableau:
         basic slack of row i is a column +-e_i of cost 0, so y_i = 0.
         Every other y_i is unknown, and there is one basic variable column
         j per unknown: the equations y . A_j = c_j form a square,
-        nonsingular system, solved in the kept integer rows for
-        u_i = sign_i * y_i / den_i.
+        nonsingular system in the kept integer rows, for
+        u_i = sign_i * y_i / den_i.  One fraction-free Gauss-Jordan pass of
+        the shared kernel `rationals._bareiss` solves it; the system is
+        empty when no multiplier is unknown.
         """
         std = self.std
         rows = [std.lp._integer_rows[i] for i in std.kept]
@@ -723,7 +727,12 @@ class _Tableau:
         y = [ZERO] * self.m
         for i in feeders:
             y[i] = int_ratio(art_cost, 1)
-        for i, (num, den) in zip(unknown, _solve_square(system)):
+        # Jordan form [D I | D x]: u_e = system[e][-1] / system[e][e].
+        pivots, _ = _bareiss(system, jordan=True)
+        if pivots != list(range(len(unknown))):
+            raise SolverInvariantError("the dual system is singular")
+        for e, i in enumerate(unknown):
+            num, den = system[e][-1], system[e][e]
             y[i] = int_ratio(std.sign[i] * rows[i][2] * num, den * scale)
         return y
 
@@ -744,30 +753,6 @@ def _eliminate(target, den, factor, support, piv):
         row = [a // g for a in row]
         den //= g
     return row, den
-
-
-def _solve_square(system):
-    """Solve a nonsingular square integer system, given as augmented rows
-    [a_1 .. a_k, b]; returns each x_i as a pair (num, den), den nonzero.
-
-    Gauss-Jordan elimination in integers: each eliminated row is scaled by
-    the pivot entry and divided by its gcd, as in the tableau.
-    """
-    k = len(system)
-    for c in range(k):
-        p = next((r for r in range(c, k) if system[r][c]), None)
-        if p is None:
-            raise SolverInvariantError("the dual system is singular")
-        system[c], system[p] = system[p], system[c]
-        prow = system[c]
-        piv = prow[c]
-        for r in range(k):
-            factor = system[r][c]
-            if r != c and factor:
-                row = [a * piv - factor * b for a, b in zip(system[r], prow)]
-                g = math.gcd(*row)
-                system[r] = [a // g for a in row] if g > 1 else row
-    return [(system[i][-1], system[i][i]) for i in range(k)]
 
 
 # ---------------------------------------------------------------------------

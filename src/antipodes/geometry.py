@@ -7,12 +7,15 @@ projection onto an affine hull are decided exactly.  Membership queries
 answer with a certificate either way: convex coefficients inside, a
 separating affine functional outside.
 
-The dense linear algebra is one fraction-free elimination, `_bareiss`
-(Bareiss 1968), on rows cleared to integers: ranks, unique solutions,
-barycentric coordinates, determinants, facet normals, pivot columns and
-Gram matrices all come from it.  A `PointSet` clears its coordinates
-over their common denominator once (`PointSet.cleared`), and its affine
-rank, symmetry, volume and map programs share that.
+The dense linear algebra is one fraction-free elimination,
+`rationals._bareiss` (Bareiss 1968), on rows cleared to integers: ranks,
+unique solutions, barycentric coordinates, determinants, facet normals,
+pivot columns and Gram matrices all come from it.  The kernel lives in
+the leaf module `rationals` because `exact_lp` uses it too, for the
+simplex's dual solve, and this module imports `exact_lp`.  A `PointSet`
+clears its coordinates over their common denominator once
+(`PointSet.cleared`), and its affine rank, symmetry, volume and map
+programs share that.
 
 `simplex_map_lp` is the one builder of the program for an affine map
 into the standard simplex.  With the tuple's points pinned to the
@@ -58,6 +61,7 @@ from .exact_lp import (
 from .rationals import (
     ONE,
     ZERO,
+    _bareiss,
     exact_tuple,
     int_ratio,
     over_common_denominator,
@@ -180,10 +184,6 @@ class Dilation:
         return tuple(
             (v - (1 - lam) * c) / lam for c, v in zip(self.center, as_point(y))
         )
-
-
-def dilate_polytope(dilation: Dilation, poly: Polytope) -> Polytope:
-    return Polytope.from_points(dilation.apply(p) for p in poly.spanning)
 
 
 @dataclass(frozen=True)
@@ -476,7 +476,8 @@ def decode_map(program: MapProgram, point) -> AffineMap:
 
 
 # ---------------------------------------------------------------------------
-# exact linear algebra (dense, small): one integer elimination, `_bareiss`
+# exact linear algebra (dense, small): one integer elimination,
+# `rationals._bareiss`, shared with the simplex's dual solve
 
 
 def _cleared_rows(rows):
@@ -634,40 +635,6 @@ def _integer_points(pts):
     d = len(pts[0])
     nums, den = over_common_denominator([c for p in pts for c in p])
     return [tuple(nums[i : i + d]) for i in range(0, len(nums), d)], den
-
-
-def _bareiss(mat, jordan=False):
-    """Fraction-free (Bareiss) elimination of an integer matrix in place:
-    every division is exact, so the entries stay integers throughout.
-
-    Returns (pivot columns, sign of the row swaps).  Forward elimination
-    leaves an echelon form whose last pivot is the determinant of the
-    pivot rows and columns.  jordan=True also clears above each pivot,
-    which takes [A | B], A square and nonsingular, to [D I | D A^-1 B]
-    with D = +-det A.
-    """
-    sign, prev = 1, 1
-    pivots = []
-    nrows = len(mat)
-    for c in range(len(mat[0])):
-        r = len(pivots)
-        if r == nrows:
-            break
-        if mat[r][c] == 0:
-            swap = next((i for i in range(r + 1, nrows) if mat[i][c]), None)
-            if swap is None:
-                continue
-            mat[r], mat[swap] = mat[swap], mat[r]
-            sign = -sign
-        prow = mat[r]
-        piv = prow[c]
-        for i in range(0 if jordan else r + 1, nrows):
-            if i != r:
-                lead = mat[i][c]
-                mat[i] = [(a * piv - lead * b) // prev for a, b in zip(mat[i], prow)]
-        prev = piv
-        pivots.append(c)
-    return pivots, sign
 
 
 def _det(rows):

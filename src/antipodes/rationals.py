@@ -9,6 +9,12 @@ scales each row to integers over one denominator once per program; the
 tableau pivots on those integers and every point, ray and multiplier
 certificate is re-verified on them, so backend rationals come back only
 when a solution is read out (through `int_ratio`).
+
+The one integer elimination kernel, the fraction-free `_bareiss`
+(Bareiss 1968), lives in this leaf module so that both `geometry` and
+`exact_lp` can import it: geometry takes its ranks, solves,
+determinants, facet normals and Gram matrices from it, and the simplex
+its dual solve.
 """
 
 from __future__ import annotations
@@ -99,6 +105,43 @@ def over_common_denominator(values):
     dens = [int(x.denominator) for x in values]
     den = math.lcm(*dens)
     return [int(x.numerator) * (den // d) for x, d in zip(values, dens)], den
+
+
+def _bareiss(mat, jordan=False):
+    """Fraction-free (Bareiss 1968) elimination of an integer matrix in
+    place: every division is exact, so the entries stay integers
+    throughout.  This is the package's one integer elimination kernel.
+
+    Returns (pivot columns, sign of the row swaps); ([], 1) for a matrix
+    with no rows.  Forward elimination leaves an echelon form whose last
+    pivot is the determinant of the pivot rows and columns.  jordan=True
+    also clears above each pivot, which takes [A | B], A square and
+    nonsingular, to [D I | D A^-1 B] with D = +-det A.
+    """
+    if not mat:
+        return [], 1
+    sign, prev = 1, 1
+    pivots = []
+    nrows = len(mat)
+    for c in range(len(mat[0])):
+        r = len(pivots)
+        if r == nrows:
+            break
+        if mat[r][c] == 0:
+            swap = next((i for i in range(r + 1, nrows) if mat[i][c]), None)
+            if swap is None:
+                continue
+            mat[r], mat[swap] = mat[swap], mat[r]
+            sign = -sign
+        prow = mat[r]
+        piv = prow[c]
+        for i in range(0 if jordan else r + 1, nrows):
+            if i != r:
+                lead = mat[i][c]
+                mat[i] = [(a * piv - lead * b) // prev for a, b in zip(mat[i], prow)]
+        prev = piv
+        pivots.append(c)
+    return pivots, sign
 
 
 def is_rational(value) -> bool:

@@ -1,21 +1,20 @@
 """Joint antipodality routes, certificates, rank checks, strict variant."""
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from antipodes.antipodality import (
     AntipodalityError,
-    NotSeparableError,
+    HalfSpace,
     _map_certificate,
     default_factors,
     erdos_rank_k,
     is_rank_k_antipodal,
     joint_antipodal_direct,
     joint_antipodal_shrunk,
-    sequential_separation,
     strict_rank_k,
     support_certificate,
     verify_joint_certificate,
@@ -170,31 +169,7 @@ def test_sampled_mode_requires_seed_and_is_deterministic():
 
 
 # ---------------------------------------------------------------------------
-# separation and support halfspaces
-
-
-def test_sequential_separation_touching_squares():
-    k1 = Polytope(_ps((0, 0), (1, 0), (0, 1), (1, 1)))
-    k2 = Polytope(_ps((1, 0), (2, 0), (1, 1), (2, 1)))
-    p = (1, "1/2")
-    d1, d2 = sequential_separation([k1, k2], p)
-    for hs, poly in ((d1, k1), (d2, k2)):
-        assert all(hs.contains(v) for v in poly.spanning)
-        assert hs.on_boundary(tuple(ratio(c) for c in p))
-
-
-def test_sequential_separation_rejects_overlapping_interiors():
-    k1 = Polytope(_ps((0, 0), (2, 0), (0, 2), (2, 2)))
-    k2 = Polytope(_ps((1, 0), (3, 0), (1, 2), (3, 2)))
-    with pytest.raises(NotSeparableError):
-        sequential_separation([k1, k2], ("3/2", 1))
-
-
-def test_sequential_separation_validates_the_point():
-    k1 = Polytope(_ps((0, 0), (1, 0), (0, 1), (1, 1)))
-    k2 = Polytope(_ps((1, 0), (2, 0), (1, 1), (2, 1)))
-    with pytest.raises(AntipodalityError):
-        sequential_separation([k1, k2], (5, 5))
+# support halfspaces
 
 
 def test_support_certificate_square_diagonal():
@@ -221,10 +196,11 @@ def test_support_certificate_rejects_non_antipodal():
         support_certificate(COLLINEAR, (0, 1))
 
 
-def test_support_certificate_needs_spanning_set():
+def test_support_certificate_on_flat_set():
+    # The halfspaces come from the map, which needs no spanning set.
     flat = _ps((0, 0), (1, 1))
-    with pytest.raises(AntipodalityError):
-        support_certificate(flat, (0, 1))
+    cert = support_certificate(flat, (0, 1))
+    assert verify_support_certificate(flat, cert)
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +311,38 @@ def test_routes_agree_on_random_pairs(X, pick):
     assert direct.antipodal == shrunk.antipodal
     assert verify_joint_certificate(X, direct)
     assert verify_joint_certificate(X, shrunk)
+
+
+@st.composite
+def _integer_sets(draw):
+    d = draw(st.integers(2, 3))
+    rows = draw(
+        st.lists(
+            st.tuples(*[st.integers(0, 2)] * d), min_size=2, max_size=5, unique=True
+        )
+    )
+    return _ps(*rows)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_integer_sets())
+def test_support_halfspaces_are_the_map_rows(X):
+    # Every jointly antipodal tuple gets a verified certificate whose
+    # halfspace i is {x : out_i(x) >= 0} of the direct route's map.
+    for size in range(2, min(len(X), X.dim + 1) + 1):
+        for chosen in combinations(range(len(X)), size):
+            direct = joint_antipodal_direct(X, chosen)
+            if not direct.antipodal:
+                with pytest.raises(AntipodalityError):
+                    support_certificate(X, chosen)
+                continue
+            cert = support_certificate(X, chosen)
+            assert verify_support_certificate(X, cert)
+            m = direct.mapping
+            assert cert.halfspaces == tuple(
+                HalfSpace(tuple(-a for a in row), c)
+                for row, c in zip(m.matrix, m.offset)
+            )
 
 
 @settings(max_examples=40, deadline=None)

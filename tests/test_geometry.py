@@ -22,7 +22,6 @@ from antipodes.geometry import (
     as_point,
     barycentric,
     decode_map,
-    dilate_polytope,
     member,
     orthogonal_project,
     point_set_from_obj,
@@ -341,5 +340,7 @@ def test_dilation_scales_area_by_factor_squared(ps, lam):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateVolumeWarning)
         base = volume(poly)
-        shrunk = volume(dilate_polytope(Dilation(ps[0], lam), poly))
+        shrunk = volume(
+            Polytope.from_points(Dilation(ps[0], lam).apply(p) for p in ps)
+        )
     assert shrunk == lam * lam * base

@@ -12,6 +12,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from itertools import combinations, product
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -32,7 +33,6 @@ from antipodes.antipodality import (
 from antipodes.cli import main
 from antipodes.geometry import (
     PointSet,
-    _bareiss,
     _det,
     _plane,
     affine_symmetry,
@@ -40,7 +40,7 @@ from antipodes.geometry import (
     dump_point_set,
     orthogonal_project,
 )
-from antipodes.rationals import ratio
+from antipodes.rationals import _bareiss, ratio
 
 
 def _ps(rows):
@@ -167,6 +167,17 @@ def test_jordan_pass_gives_the_adjugate():
                 for j in range(n):
                     got = sum(a[i][t] * aug[t][n + j] for t in range(n))
                     assert got == (scale if i == j else 0)
+            # A square system [A | b] solved as the simplex's dual solve
+            # does: pivots 0..n-1, x_i = aug[i][-1] / aug[i][i].
+            b = [rng.randint(-5, 5) for _ in range(n)]
+            system = [row + [rhs] for row, rhs in zip(a, b)]
+            pivots, _ = _bareiss(system, jordan=True)
+            assert pivots == list(range(n))
+            x = [Fraction(system[i][-1], system[i][i]) for i in range(n)]
+            assert [sum(map(mul, row, x)) for row in a] == b
+    # No rows: nothing to eliminate, as when no dual multiplier is unknown.
+    assert _bareiss([], jordan=True) == ([], 1)
+    assert _bareiss([]) == ([], 1)
 
 
 def test_plane_normal_is_a_positive_multiple_of_the_cofactor_normal():
