@@ -40,8 +40,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb, lcm
-from operator import mul
+from math import comb
 from typing import Optional
 
 from .exact_lp import EQ, GE, Status, make_lp, solve_strict
@@ -56,10 +55,11 @@ from .geometry import (
     decode_map,
     member,
     orthogonal_project,
+    outside_simplex,
     simplex_map_lp,
     vdot,
 )
-from .rationals import ONE, ZERO, over_common_denominator, ratio
+from .rationals import ONE, ZERO, ratio
 
 #: Exhaustive rank checks refuse beyond this many subsets; ask for
 #: sampling instead.
@@ -278,30 +278,11 @@ def verify_joint_certificate(X: PointSet, cert: AntipodalityCertificate) -> bool
         m = cert.mapping
         if m is None or m.in_dim != X.dim or m.out_dim != k + 1:
             return False
-        # Row i over the lcm D_i of its denominators, a point over its own
-        # lcm L: output i is (a_i.P + c_i*L) / (D_i*L), so each test below
-        # is the rational test multiplied through by a positive integer.
-        rows = [over_common_denominator(r + (c,)) for r, c in zip(m.matrix, m.offset)]
-        common = lcm(*(d for _, d in rows))
-        images = []
-        for x in X:
-            scaled, den = over_common_denominator(x)
-            totals = [a[-1] * den + sum(map(mul, a, scaled)) for a, _ in rows]
-            images.append((totals, den))
+        images, den = m.cleared_images(X)
         for pos, q_idx in enumerate(chosen):
-            totals, den = images[q_idx]
-            for i, (total, (_, d)) in enumerate(zip(totals, rows)):
-                if total != (d * den if i == pos else 0):
-                    return False
-        for totals, den in images:
-            if any(t < 0 for t in totals):
+            if any(t != (den if i == pos else 0) for i, t in enumerate(images[q_idx])):
                 return False
-            # The outputs sum to 1: sum_i total_i * (lcm of the D_i) / D_i
-            # equals that lcm times L.
-            weighted = sum(t * (common // d) for t, (_, d) in zip(totals, rows))
-            if weighted != common * den:
-                return False
-        return True
+        return outside_simplex(images, den) is None
     if cert.witness is None or cert.shrink_factors is None:
         return False
     factors = cert.shrink_factors

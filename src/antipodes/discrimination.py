@@ -21,6 +21,7 @@ from .geometry import (
     as_point,
     decode_map,
     member,
+    outside_simplex,
     simplex_map_lp,
 )
 from .rationals import ratio
@@ -73,12 +74,9 @@ class Measurement:
             raise DiscriminationError("measurement needs at least two outcomes")
         if self.mapping.in_dim != self.space.dim:
             raise DiscriminationError("measurement does not fit the state space")
-        simplex = StandardSimplex(self.mapping.out_dim - 1)
-        for idx, v in enumerate(self.space.vertices):
-            if not simplex.contains(self.mapping.apply(v)):
-                raise DiscriminationError(
-                    f"vertex {idx} is mapped outside the outcome simplex"
-                )
+        idx = outside_simplex(*self.mapping.cleared_images(self.space.polytope.spanning))
+        if idx is not None:
+            raise DiscriminationError(f"vertex {idx} is mapped outside the outcome simplex")
 
     @property
     def outcomes(self) -> int:

@@ -14,8 +14,8 @@ pivot columns and Gram matrices all come from it.  The kernel lives in
 the leaf module `rationals` because `exact_lp` uses it too, for the
 simplex's dual solve, and this module imports `exact_lp`.  A `PointSet`
 clears its coordinates over their common denominator once
-(`PointSet.cleared`), and its affine rank, symmetry, volume and map
-programs share that.
+(`PointSet.cleared`), and its affine rank, symmetry, volume, map
+programs and map images (`AffineMap.cleared_images`) share that.
 
 `simplex_map_lp` is the one builder of the program for an affine map
 into the standard simplex.  With the tuple's points pinned to the
@@ -43,7 +43,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from math import factorial
+from math import factorial, lcm
 from operator import mul
 from typing import Optional
 
@@ -250,6 +250,33 @@ class AffineMap:
         if len(x) != self.in_dim:
             raise GeometryError("point dimension does not match the map")
         return tuple(vdot(row, x) + c for row, c in zip(self.matrix, self.offset))
+
+    def cleared_images(self, ps: PointSet):
+        """(images, den): output i at ps[p] is images[p][i] / den, den > 0,
+        computed in integers.
+
+        Row i is cleared over the lcm D_i of its denominators and raised
+        to D, the lcm of the D_i; with the set's coordinates over their
+        lcm L (`PointSet.cleared`), den = D L.
+        """
+        rows = [
+            over_common_denominator(r + (c,)) for r, c in zip(self.matrix, self.offset)
+        ]
+        common = lcm(*(d for _, d in rows))
+        rows = [[a * (common // d) for a in row] for row, d in rows]
+        P, den = ps.cleared
+        # zip stops at the point's coordinates, before the offset entry.
+        images = [[row[-1] * den + sum(map(mul, row, p)) for row in rows] for p in P]
+        return images, common * den
+
+
+def outside_simplex(images, den):
+    """Index of the first image of `AffineMap.cleared_images` outside the
+    probability simplex, or None when all are inside."""
+    for idx, image in enumerate(images):
+        if sum(image) != den or any(t < 0 for t in image):
+            return idx
+    return None
 
 
 @dataclass(frozen=True)

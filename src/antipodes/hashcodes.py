@@ -250,6 +250,15 @@ def max_code(b: int, k: int, m: int, budget: int | None = DEFAULT_BUDGET) -> Sea
     a word is one bit test, and the nodes between two kept words are
     counted by one popcount.
 
+    Forward checking (Haralick and Elliott, 1980) ends a level early.
+    Once the next free word f is found, the words at or after f that no
+    batch blocks are counted over the whole tail, not only those the
+    renaming rule allows now, since a growing maxseen may allow any of
+    them.  If the chosen words plus that count cannot beat the
+    incumbent, every word left at the level is dismissed.  A dismissed
+    word counts as a node, exactly as a blocked word does, so a node
+    budget buys about the same work with or without the check.
+
     Sibling branches keep the same batches again and again, so the
     blocked mask of each batch is computed once per call and looked up
     after that, up to _BLOCKED_CACHE_BITS bits of masks; past that bound
@@ -297,6 +306,12 @@ def max_code(b: int, k: int, m: int, budget: int | None = DEFAULT_BUDGET) -> Sea
         hi = min(n + len(chosen) - best_len, (maxseen[0] + 1) * lead) - pos
         window = (1 << hi) - 1 if hi > 0 else 0
         free = allow & ~forbidden & window
+        # Forward check: too few unblocked words from the next free one on,
+        # over the whole tail, to lift the incumbent dismiss the level.
+        if free and (
+            ~forbidden & ((1 << (n - pos)) - 1) & -(free & -free)
+        ).bit_count() <= best_len - len(chosen):
+            free = 0
         span = free ^ (free - 1) if free else window
         nodes += (allow & span).bit_count()
         if budget is not None and nodes > budget:

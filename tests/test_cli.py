@@ -1,11 +1,16 @@
 """End-to-end command line behavior: reports, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+import antipodes
 from antipodes import antipodality, geometry, hashcodes
 from antipodes.antipodality import CertificateError
 from antipodes.cli import _build_parser, main
@@ -225,6 +230,21 @@ def test_hash_search_budget_exit(files, capsys):
     )
     assert code == 3
     assert not report["optimal"]
+
+
+def test_module_entry_point_matches_main(capsys):
+    argv = ["hash-search", "--b", "3", "--k", "3", "--m", "2"]
+    code = main(argv)
+    out = capsys.readouterr().out
+    src = str(Path(antipodes.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    proc = subprocess.run(
+        [sys.executable, "-m", "antipodes", *argv], capture_output=True, env=env
+    )
+    assert proc.returncode == code == 0
+    assert proc.stdout == out.encode()
+    assert proc.stderr == b""
 
 
 def test_hash_search_keeps_every_word_at_order_two(capsys):

@@ -136,6 +136,11 @@ def test_measurement_must_respect_the_simplex():
             BIT,
             AffineMap(((ratio(2), ratio(0)), (ratio(-2), ratio(0))), (0, 1)),
         )
+    # The square's vertices in order: (0,0), (0,1), (1,0), (1,1); this map
+    # sums to 1 everywhere and goes negative only at (1,1).
+    tilted = AffineMap((("1/2", "1/2"), ("-1/2", "-1/2")), ("1/4", "3/4"))
+    with pytest.raises(DiscriminationError, match="^vertex 3 is mapped outside"):
+        Measurement(SQUARE, tilted)
 
 
 def test_subadditivity_smoke():

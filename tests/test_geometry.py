@@ -24,6 +24,7 @@ from antipodes.geometry import (
     decode_map,
     member,
     orthogonal_project,
+    outside_simplex,
     point_set_from_obj,
     point_set_to_obj,
     simplex_map_lp,
@@ -146,6 +147,37 @@ def test_affine_map_apply():
     assert m.apply(("1/4", "1/4")) == (ratio(1, 4), ratio(1, 4), ratio(1, 2))
     with pytest.raises(GeometryError):
         m.apply((1,))
+
+
+_fractions = st.fractions(min_value=-2, max_value=2, max_denominator=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(_fractions, _fractions), min_size=1, max_size=5, unique=True),
+    st.lists(st.tuples(_fractions, _fractions, _fractions), min_size=2, max_size=3),
+)
+def test_cleared_images_agree_with_apply(points, rows):
+    ps = PointSet(tuple(points))
+    m = AffineMap(tuple(r[:2] for r in rows), tuple(r[2] for r in rows))
+    images, den = m.cleared_images(ps)
+    assert den > 0
+    assert [tuple(ratio(t, den) for t in image) for image in images] == [
+        m.apply(p) for p in ps
+    ]
+    simplex = StandardSimplex(len(rows) - 1)
+    first = next((i for i, p in enumerate(ps) if not simplex.contains(m.apply(p))), None)
+    assert outside_simplex(images, den) == first
+
+
+def test_outside_simplex_names_the_first_bad_image():
+    m = AffineMap(((1, 0), (0, 1), (-1, -1)), (0, 0, 1))
+    ps = PointSet(((0, 0), ("1/2", "1/3"), (1, 1), (2, 0)))
+    assert outside_simplex(*m.cleared_images(ps)) == 2
+    assert outside_simplex(*m.cleared_images(PointSet(((0, 0), ("1/2", "1/2"))))) is None
+    # Images that are nonnegative but do not sum to 1.
+    half = AffineMap(((0, 0), (0, 0)), ("1/2", "1/3"))
+    assert outside_simplex(*half.cleared_images(ps)) == 0
 
 
 def test_simplex_map_lp_rows_and_decoding():

@@ -46,8 +46,9 @@ def brute_max(b, k, m):
 
 
 # ---------------------------------------------------------------------------
-# reference search: the set-based compatibility test the bitset kernel
-# replaced, kept to pin down nodes, optimal flags and words
+# reference searches: the set-based compatibility test the bitset kernel
+# replaced, with the forward check to pin down nodes, optimal flags and
+# words, and without it to check that the check keeps every optimum
 
 
 def _ref_compatible(kept, word, k, m):
@@ -61,6 +62,65 @@ def _ref_compatible(kept, word, k, m):
 
 
 def ref_max_code(b, k, m, budget=hashcodes.DEFAULT_BUDGET):
+    """The search with its forward check in set terms.
+
+    Each level keeps the ascending indices of the words compatible with the
+    chosen ones; a child filters its parent's list only through the batches
+    that hold the new word.  A compatible word is skipped, but counted,
+    when the compatible words from it on cannot lift the chosen words past
+    the incumbent.
+    """
+    cap = floor_ratio(counting_bound(b, k, m))
+    universe = list(product(range(1, b + 1), repeat=m))
+    best = []
+    nodes = 0
+    exhausted = False
+
+    def extend(chosen, compatible, start, maxseen):
+        nonlocal best, nodes, exhausted
+        ahead = 0  # compatible[ahead] is the first compatible index >= idx
+        for idx in range(start, len(universe)):
+            if len(chosen) + (len(universe) - idx) <= len(best):
+                return
+            while ahead < len(compatible) and compatible[ahead] < idx:
+                ahead += 1
+            word = universe[idx]
+            if any(word[j] > maxseen[j] + 1 for j in range(m)):
+                continue
+            nodes += 1
+            if budget is not None and nodes > budget:
+                exhausted = True
+                return
+            if ahead == len(compatible) or compatible[ahead] != idx:
+                continue
+            if len(chosen) + len(compatible) - ahead <= len(best):
+                continue
+            later = [
+                j for j in compatible[ahead + 1:]
+                if all(
+                    hashcodes._separated(rest + (word, universe[j]), m)
+                    for rest in combinations(chosen, k - 2)
+                )
+            ]
+            chosen.append(word)
+            if len(chosen) > len(best):
+                best = list(chosen)
+            if len(best) < cap:
+                extend(
+                    chosen, later, idx + 1, [max(a, s) for a, s in zip(maxseen, word)]
+                )
+            chosen.pop()
+            if exhausted or len(best) >= cap:
+                return
+
+    extend([], list(range(len(universe))), 0, [0] * m)
+    code = HashCode(b, k, m, tuple(best))
+    return SearchResult(code=code, optimal=not exhausted, nodes=nodes)
+
+
+def ref_max_code_plain(b, k, m, budget=hashcodes.DEFAULT_BUDGET):
+    """The search without its forward check: it visits more nodes, but its
+    optimal flags and sizes must agree wherever it finishes."""
     cap = floor_ratio(counting_bound(b, k, m))
     universe = list(product(range(1, b + 1), repeat=m))
     best = []
@@ -145,13 +205,54 @@ def test_max_code_matches_reference(deep_recursion):
     assert checked == 315
 
 
+def test_forward_check_keeps_the_optimum(deep_recursion):
+    # The bound is sound: on every exhaustive case the search without it
+    # finds a code of the same size, on no fewer nodes.
+    exhaustive = 0
+    for (b, k, m), budget in _reference_cases():
+        if budget is None:
+            plain, result = ref_max_code_plain(b, k, m, None), max_code(b, k, m, None)
+            assert plain.optimal and result.optimal, (b, k, m)
+            assert len(result.code) == len(plain.code), (b, k, m)
+            assert result.nodes <= plain.nodes, (b, k, m)
+            exhaustive += 1
+    assert exhaustive == 35
+
+
+#: The capped hash-search instances of the build-measure benchmark and the
+#: words each returns once its budget is spent.
+CAPPED = {
+    (5, 3, 3, 20000): "111 112 113 114 125 135 145 255 355 455 555",
+    (4, 3, 4, 20000): "1111 1112 1113 1124 1134 1244 1344 2444 3444 4444",
+    (3, 3, 5, 30000): "11111 11112 11223 12133 21323 23133 32323 33233 33313",
+    (6, 3, 3, 20000): "111 112 113 114 115 126 136 146 156 266 366 466 566 666",
+}
+
+
 def test_max_code_matches_reference_on_capped_instances():
-    for (b, k, m), budget in (
-        ((5, 3, 3), 20000), ((4, 3, 4), 20000), ((6, 3, 3), 20000), ((3, 3, 5), 30000)
-    ):
+    for (b, k, m, budget), words in CAPPED.items():
         result = max_code(b, k, m, budget)
         assert result == ref_max_code(b, k, m, budget)
+        # A prune strong enough to finish one of these would turn its
+        # benchmark job's expected exit 3 into a failure.
         assert result.nodes == budget + 1 and not result.optimal
+        assert result.code.words == tuple(
+            tuple(map(int, word)) for word in words.split()
+        )
+
+
+def test_max_code_node_pins():
+    for (b, k, m), size, nodes in (
+        ((3, 3, 2), 4, 12),
+        ((3, 3, 3), 6, 220),
+        ((3, 3, 4), 9, 55747),
+        ((4, 3, 3), 9, 54531),
+        ((5, 3, 2), 8, 367),
+        ((4, 4, 3), 5, 5304),
+    ):
+        result = max_code(b, k, m)
+        assert result.optimal, (b, k, m)
+        assert (len(result.code), result.nodes) == (size, nodes), (b, k, m)
 
 
 def _record_memo(monkeypatch):
