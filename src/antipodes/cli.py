@@ -9,8 +9,9 @@ Every verb prints one JSON report to stdout and exits with:
      report names the layer; this is a bug, never a verdict)
 
 Rationals appear as "p/q" strings; --decimal appends an approximate
-float rendering.  --verify re-parses the canonical report and re-checks
-its certificates before printing.
+rendering.  --verify re-parses the canonical report and re-checks its
+certificates before printing.  A report that cannot be rendered (a
+number past the interpreter's digit limit) ends in exit 2.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import argparse
 import functools
 import json
 import sys
+from decimal import Decimal
 from math import comb
 
 from .antipodality import (
@@ -83,7 +85,13 @@ EXIT_INTERNAL = 4
 #: to render an int longer than 4300 digits by default.
 MAX_BOUND_DIGITS = 4300
 
+
+class RenderError(ValueError):
+    """A report number too long for the interpreter to turn into a string."""
+
+
 _INPUT_ERRORS = (
+    RenderError,
     AntipodalityError,
     ConstructionError,
     DiscriminationError,
@@ -103,18 +111,37 @@ _INTERNAL_ERRORS = (SolverInvariantError, CertificateError)
 # rendering
 
 
+def _approx(x) -> str:
+    """x to 6 significant digits, through float when x is in its range,
+    else through Decimal."""
+    try:
+        return f"{float(x):.6g}"
+    except OverflowError:
+        return f"{Decimal(int(x.numerator)) / Decimal(int(x.denominator)):.6g}"
+
+
 def _finalize(tree, decimal: bool):
     """Convert a report tree into plain JSON values."""
     if is_rational(tree):
         text = ratio_str(tree)
         if decimal:
-            return f"{text} (approx {float(tree):.6g})"
+            return f"{text} (approx {_approx(tree)})"
         return text
     if isinstance(tree, dict):
         return {key: _finalize(value, decimal) for key, value in tree.items()}
     if isinstance(tree, (list, tuple)):
         return [_finalize(item, decimal) for item in tree]
     return tree
+
+
+def _render(report, decimal: bool) -> str:
+    """The report as JSON text.  Python refuses to turn an int longer than
+    its digit limit (4300 digits by default) into a string, so a report
+    holding one is refused rather than printed."""
+    try:
+        return json.dumps(_finalize(report, decimal), indent=2, sort_keys=True)
+    except ValueError as exc:
+        raise RenderError(f"the report cannot be rendered: {exc}") from None
 
 
 def _parse_rational(text: str):
@@ -628,20 +655,18 @@ def main(argv=None) -> int:
     try:
         report, code, replay = args.handler(args)
         if args.verify:
-            canonical = json.loads(
-                json.dumps(_finalize(report, False), sort_keys=True)
-            )
-            verified = bool(replay(canonical))
+            verified = bool(replay(json.loads(_render(report, False))))
             report["verified"] = verified
             if not verified and code == EXIT_HOLDS:
                 code = EXIT_FAILS
+        text = _render(report, args.decimal)
     except _INPUT_ERRORS as exc:
         _print_error(exc)
         return EXIT_INPUT
     except _INTERNAL_ERRORS as exc:
         _print_error(exc, layer=type(exc).__module__.rpartition(".")[2])
         return EXIT_INTERNAL
-    print(json.dumps(_finalize(report, args.decimal), indent=2, sort_keys=True))
+    print(text)
     return code
 
 

@@ -20,7 +20,6 @@ from .antipodality import (
     verify_joint_certificate,
 )
 from .geometry import (
-    VOLUME_DIM_CAP,
     AffineMap,
     Dilation,
     PointSet,
@@ -195,48 +194,43 @@ class VolumeReport:
     tight: bool
 
 
-def volume_inequality_check(
-    X: PointSet, k: int, check_rank: bool = True, dim_cap: int = VOLUME_DIM_CAP
-) -> VolumeReport:
-    """Measure the copies of conv X shrunk toward each point by k/(k+1).
+def volume_inequality_check(X: PointSet, k: int) -> VolumeReport:
+    """Compare the copies of conv X shrunk toward each point by k/(k+1)
+    with k times the total volume.
 
-    Every copy has exactly (k/(k+1))^d of the total volume, and for a
-    rank-k antipodal X the copies' interiors cannot cover any hull point
-    more than k deep, so their volumes sum to at most k times the total.
+    Every copy is a homothet, so it has exactly (k/(k+1))^d of the total
+    volume, and `copies` holds that value for each point.  For a rank-k
+    antipodal X the copies' interiors cannot cover any hull point more
+    than k deep, so their volumes sum to at most k times the total.  Only
+    the copy toward X[0] is measured, as a self-check: `ratios_match` says
+    whether its volume is the homothety value.
     """
     d = X.dim
     if affine_rank(X) != d:
         raise ConstructionError("X must span its ambient space")
-    # The total volume comes first: above dim_cap it refuses before the
-    # rank pre-check spends any LP.
-    total = volume(Polytope(X), dim_cap=dim_cap)
-    if check_rank:
-        report = is_rank_k_antipodal(X, k)
-        if not report.antipodal:
-            raise ConstructionError(
-                f"X is not rank-{k} antipodal, subset {report.failing_subset} fails"
-            )
-    lam = ratio(k, k + 1)
-    copies = []
-    for q in X:
-        shrink = Dilation(q, lam)
-        copies.append(
-            volume(
-                Polytope.from_points(shrink.apply(v) for v in X),
-                dim_cap=dim_cap,
-            )
+    # The total volume comes first: above the dimension cap it refuses
+    # before the rank pre-check spends any LP.
+    total = volume(Polytope(X))
+    report = is_rank_k_antipodal(X, k)
+    if not report.antipodal:
+        raise ConstructionError(
+            f"X is not rank-{k} antipodal, subset {report.failing_subset} fails"
         )
+    lam = ratio(k, k + 1)
     expected = lam**d
+    copy = expected * total
+    shrink = Dilation(X[0], lam)
+    measured = volume(Polytope.from_points(shrink.apply(v) for v in X))
     bound = ratio(k) * total
-    summed = sum(copies, ratio(0))
+    summed = copy * len(X)
     return VolumeReport(
         dim=d,
         rank=k,
         total=total,
-        copies=tuple(copies),
+        copies=(copy,) * len(X),
         bound=bound,
         ratio_expected=expected,
-        ratios_match=all(c == expected * total for c in copies),
+        ratios_match=measured == copy,
         holds=summed <= bound,
         tight=summed == bound,
     )

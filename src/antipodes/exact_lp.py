@@ -35,17 +35,20 @@ so every decision is the one the rationals themselves give.  Values return
 to backend rationals only when a point, ray or multiplier vector is read
 out.
 
-A program reaches the tableau as integer rows: each constraint's
-coefficients and rhs scaled by the lcm D of the row's denominators,
-computed once per program and kept with it.  The same rows re-verify
-every certificate.  `check_point` and `check_ray` clear the vector's
-denominators to one lcm L and test signs of integer dot products, the
-signs the rational ones have; the multiplier checks (`check_farkas`,
-`check_strict_emptiness`, `check_duals`) form the weighted combination of
-the rows in integers over one positive scale (`_combination`).
+A constraint is an integer row (`Constraint`): its nonzero coefficients
+as (column, integer) pairs and an integer rhs, every value standing for
+itself over den, the lcm of the row's denominators.  `make_lp` reads each
+scalar once to build it, and nothing keeps a rational copy.  The tableau
+is built from these rows, and the same rows re-verify every certificate.
+`check_point` and `check_ray` clear the vector's denominators to one lcm
+L and test signs of integer dot products, the signs the rational ones
+have; the multiplier checks (`check_farkas`, `check_strict_emptiness`,
+`check_duals`) form the weighted combination of the rows in integers over
+one positive scale (`_combination`).
 
 `solve_strict` decides systems in which selected inequality rows must hold
-strictly.  It maximises a margin variable bounded by 1; a positive optimum
+strictly.  It maximises a margin variable bounded by 1, in a margin
+program built straight from the integer rows; a positive optimum
 yields a strictly feasible point, a zero optimum yields dual multipliers
 that certify strict emptiness (a nonnegative combination of the rows that
 proves `0 <= rhs` with positive weight on at least one strict row, or
@@ -58,7 +61,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from typing import Optional, Sequence
 
 from .rationals import (
@@ -66,6 +68,7 @@ from .rationals import (
     ZERO,
     _bareiss,
     exact_tuple,
+    int_pair,
     int_ratio,
     over_common_denominator,
 )
@@ -95,9 +98,15 @@ class Status(Enum):
 
 @dataclass(frozen=True)
 class Constraint:
-    coeffs: tuple
+    """One row, sum of a * x_j over terms (relation) rhs, each value
+    standing for itself over den: terms holds the nonzero coefficients as
+    (column, int) pairs in column order, rhs is an int, and den > 0 is the
+    lcm of the row's denominators."""
+
+    terms: tuple
     relation: str
-    rhs: object
+    rhs: int
+    den: int
 
 
 @dataclass(frozen=True)
@@ -106,13 +115,6 @@ class LinearProgram:
     constraints: tuple
     objective: Optional[tuple] = None
     maximize: bool = True
-
-    @cached_property
-    def _integer_rows(self):
-        """Each constraint as (terms, rhs, den): its nonzero coefficients
-        as (column, integer) pairs and its rhs, all multiplied by den, the
-        lcm of the row's denominators."""
-        return tuple(_integer_row(con) for con in self.constraints)
 
 
 @dataclass(frozen=True)
@@ -132,23 +134,10 @@ def _dot(a, b):
     return total
 
 
-def _integer_row(con: Constraint):
-    terms = [
-        (j, int(a.numerator), int(a.denominator))
-        for j, a in enumerate(con.coeffs)
-        if a
-    ]
-    rhs_num, rhs_den = int(con.rhs.numerator), int(con.rhs.denominator)
-    den = math.lcm(rhs_den, *(d for _, _, d in terms))
-    return (
-        tuple((j, n * (den // d)) for j, n, d in terms),
-        rhs_num * (den // rhs_den),
-        den,
-    )
-
-
 def make_lp(num_vars, rows, objective=None, maximize=True) -> LinearProgram:
-    """Validating constructor; accepts ints and 'p/q' strings as scalars."""
+    """Validating constructor; accepts ints, 'p/q' strings and rationals as
+    scalars.  Each row is given dense, (coeffs, relation, rhs), and each of
+    its scalars is read once into the row's integers."""
     if not isinstance(num_vars, int) or num_vars < 1:
         raise LPError("num_vars must be a positive integer")
     constraints = []
@@ -159,13 +148,15 @@ def make_lp(num_vars, rows, objective=None, maximize=True) -> LinearProgram:
             raise LPError(f"row {idx}: expected (coeffs, relation, rhs)") from exc
         if relation not in _RELATIONS:
             raise LPError(f"row {idx}: unknown relation {relation!r}")
-        coeffs = exact_tuple(coeffs)
-        if len(coeffs) != num_vars:
+        pairs = [int_pair(a) for a in coeffs]
+        if len(pairs) != num_vars:
             raise LPError(
-                f"row {idx}: {len(coeffs)} coefficients for {num_vars} variables"
+                f"row {idx}: {len(pairs)} coefficients for {num_vars} variables"
             )
-        (rhs,) = exact_tuple((rhs,))
-        constraints.append(Constraint(coeffs, relation, rhs))
+        rhs, rhs_den = int_pair(rhs)
+        den = math.lcm(rhs_den, *(q for p, q in pairs if p))
+        terms = tuple((j, p * (den // q)) for j, (p, q) in enumerate(pairs) if p)
+        constraints.append(Constraint(terms, relation, rhs * (den // rhs_den), den))
     if objective is not None:
         objective = exact_tuple(objective)
         if len(objective) != num_vars:
@@ -190,11 +181,9 @@ def check_point(lp: LinearProgram, point, strict_rows=()) -> bool:
         return False
     scaled, lcm = over_common_denominator(point)
     strict = set(strict_rows)
-    for i, (con, (terms, rhs, _)) in enumerate(
-        zip(lp.constraints, lp._integer_rows)
-    ):
-        gap = rhs * lcm
-        for j, a in terms:
+    for i, con in enumerate(lp.constraints):
+        gap = con.rhs * lcm
+        for j, a in con.terms:
             gap -= a * scaled[j]
         if con.relation == EQ:
             holds = gap == 0 and i not in strict
@@ -220,22 +209,22 @@ def _combination(lp: LinearProgram, mults):
     if len(mults) != len(lp.constraints):
         return None
     weights = []
-    for w, con, (terms, rhs, den) in zip(mults, lp.constraints, lp._integer_rows):
+    for w, con in zip(mults, lp.constraints):
         if con.relation != EQ and w < 0:
             return None
         if w:
             num = int(w.numerator)
             if con.relation == GE:
                 num = -num
-            weights.append((num, int(w.denominator) * den, terms, rhs))
-    scale = math.lcm(*(d for _, d, _, _ in weights))
+            weights.append((num, int(w.denominator) * con.den, con))
+    scale = math.lcm(*(d for _, d, _ in weights))
     combo = [0] * lp.num_vars
     total = 0
-    for num, d, terms, rhs in weights:
+    for num, d, con in weights:
         factor = num * (scale // d)
-        for j, a in terms:
+        for j, a in con.terms:
             combo[j] += factor * a
-        total += factor * rhs
+        total += factor * con.rhs
     return combo, total, scale
 
 
@@ -283,9 +272,9 @@ def check_ray(lp: LinearProgram, ray) -> bool:
     scaled, _ = over_common_denominator(ray)
     if not any(scaled):
         return False
-    for con, (terms, _, _) in zip(lp.constraints, lp._integer_rows):
+    for con in lp.constraints:
         drift = 0
-        for j, a in terms:
+        for j, a in con.terms:
             drift += a * scaled[j]
         if con.relation == GE:
             drift = -drift
@@ -320,14 +309,13 @@ def check_duals(lp: LinearProgram, mults, optimum) -> bool:
 # ---------------------------------------------------------------------------
 # standard form
 
-def _sign_column(con: Constraint, int_row):
+def _sign_column(con: Constraint):
     """The column j when the row says x_j >= 0 (one nonzero coefficient,
     rhs 0, `>=` with a positive coefficient or `<=` with a negative one),
     else None."""
-    terms, rhs, _ = int_row
-    if rhs or len(terms) != 1:
+    if con.rhs or len(con.terms) != 1:
         return None
-    j, a = terms[0]
+    ((j, a),) = con.terms
     if con.relation == GE and a > 0 or con.relation == LE and a < 0:
         return j
     return None
@@ -344,16 +332,15 @@ class _Standard:
     row kept[r].  Then comes one slack label per kept inequality row,
     nstruct labels in all, and label nstruct+r is kept row r's artificial.
     Kept row r becomes sign_r * (row with slack) so the standard rhs is
-    nonnegative; the tableau builds these rows from the program's integer
-    rows.
+    nonnegative; the tableau builds these rows from the program's rows.
     """
 
     def __init__(self, lp: LinearProgram):
         self.lp = lp
         self.bound = [None] * lp.num_vars
         self.kept = []
-        for i, (con, row) in enumerate(zip(lp.constraints, lp._integer_rows)):
-            j = _sign_column(con, row)
+        for i, con in enumerate(lp.constraints):
+            j = _sign_column(con)
             if j is not None and self.bound[j] is None:
                 self.bound[j] = i
             else:
@@ -367,7 +354,7 @@ class _Standard:
                 self.slack_col.append(ncols)
                 ncols += 1
         self.nstruct = ncols
-        self.sign = [-1 if lp._integer_rows[i][1] < 0 else 1 for i in self.kept]
+        self.sign = [-1 if lp.constraints[i].rhs < 0 else 1 for i in self.kept]
 
     def objective_min(self):
         """Internal objective (minimisation), one (numerator, denominator)
@@ -406,8 +393,9 @@ class _Standard:
             out[i] = w
         for j, i in enumerate(self.bound):
             if i is not None:
-                ((_, a),), _, den = lp._integer_rows[i]
-                out[i] = int_ratio(obj[j] * den, obj_den * abs(a))
+                con = lp.constraints[i]
+                ((_, a),) = con.terms
+                out[i] = int_ratio(obj[j] * con.den, obj_den * abs(a))
         return tuple(out)
 
 
@@ -445,19 +433,18 @@ class _Tableau:
         for r, i in enumerate(std.kept):
             # Kept row r of the standard form over den: a, slack +-den and
             # rhs, all times sign_r.
-            relation = lp.constraints[i].relation
-            terms, rhs, den = lp._integer_rows[i]
+            con = lp.constraints[i]
             sign = std.sign[r]
             row = [0] * (self.ncols + 1)
-            for j, a in terms:
+            for j, a in con.terms:
                 row[j] = sign * a
-            if relation == LE:
-                row[std.slack_col[r] - n] = sign * den
-            elif relation == GE:
-                row[std.slack_col[r] - n] = -sign * den
-            row[-1] = sign * rhs
+            if con.relation == LE:
+                row[std.slack_col[r] - n] = sign * con.den
+            elif con.relation == GE:
+                row[std.slack_col[r] - n] = -sign * con.den
+            row[-1] = sign * con.rhs
             self.rows.append(row)
-            self.dens.append(den)
+            self.dens.append(con.den)
         self.basis = [self.nstruct + r for r in range(self.m)]
         self.active = [True] * self.m
         self.obj = [0] * (self.ncols + 1)
@@ -691,7 +678,7 @@ class _Tableau:
         empty when no multiplier is unknown.
         """
         std = self.std
-        rows = [std.lp._integer_rows[i] for i in std.kept]
+        rows = [std.lp.constraints[i] for i in std.kept]
         basic = {self.basis[r] for r in range(self.m) if self.active[r]}
         known, unknown = [], []
         for i in range(self.m):
@@ -706,21 +693,20 @@ class _Tableau:
         feeders = known if art_cost else []
         scale = math.lcm(
             *(cost[j][1] for j in columns if cost[j][0]),
-            *(rows[i][2] for i in feeders),
+            *(rows[i].den for i in feeders),
         )
         system = [[0] * len(unknown) + [0] for _ in columns]
         for e, j in enumerate(columns):
             num, den = cost[j]
             system[e][-1] = num * (scale // den)
         for i in feeders:
-            terms, _, den = rows[i]
-            factor = art_cost * std.sign[i] * (scale // den)
-            for j, a in terms:
+            factor = art_cost * std.sign[i] * (scale // rows[i].den)
+            for j, a in rows[i].terms:
                 e = at.get(j)
                 if e is not None:
                     system[e][-1] -= factor * a
         for u, i in enumerate(unknown):
-            for j, a in rows[i][0]:
+            for j, a in rows[i].terms:
                 e = at.get(j)
                 if e is not None:
                     system[e][u] = a
@@ -733,7 +719,7 @@ class _Tableau:
             raise SolverInvariantError("the dual system is singular")
         for e, i in enumerate(unknown):
             num, den = system[e][-1], system[e][e]
-            y[i] = int_ratio(std.sign[i] * rows[i][2] * num, den * scale)
+            y[i] = int_ratio(std.sign[i] * rows[i].den * num, den * scale)
         return y
 
 
@@ -827,27 +813,40 @@ def solve_strict(lp: LinearProgram, strict_rows: Sequence[int]) -> LPOutcome:
     # common scale.
     shift = {}
     for i in strict:
-        row = lp._integer_rows[i]
-        j = _sign_column(lp.constraints[i], row)
+        con = lp.constraints[i]
+        j = _sign_column(con)
         if j is not None and j not in shift:
-            shift[j] = (row[2], abs(row[0][0][1]))
+            shift[j] = (con.den, abs(con.terms[0][1]))
     scale = math.lcm(*(q for _, q in shift.values()))
     step = {j: p * (scale // q) for j, (p, q) in shift.items()}
     strict_set = set(strict)
     rows = []
-    for i, (con, (terms, _, den)) in enumerate(zip(lp.constraints, lp._integer_rows)):
-        # The margin's coefficient in row i, times den * scale.
+    for i, con in enumerate(lp.constraints):
+        # Row i of the margin program over den * scale: the row's terms
+        # and rhs times scale, then the margin's coefficient in column n.
+        den = con.den * scale
         margin = 0
         if i in strict_set:
-            margin = den * scale if con.relation == LE else -den * scale
-        for j, a in terms:
+            margin = den if con.relation == LE else -den
+        terms = []
+        for j, a in con.terms:
             if j in step:
                 margin += a * step[j]
-        margin = int_ratio(margin, den * scale) if margin else ZERO
-        rows.append((con.coeffs + (margin,), con.relation, con.rhs))
-    rows.append(((ZERO,) * n + (ONE,), LE, ONE))
-    rows.append(((ZERO,) * n + (ONE,), GE, ZERO))
-    aux = make_lp(n + 1, rows, objective=(ZERO,) * n + (ONE,), maximize=True)
+            terms.append((j, a * scale))
+        if margin:
+            terms.append((n, margin))
+        rhs = con.rhs * scale
+        # Dividing out the common factor leaves den the lcm of the row's
+        # denominators, as `make_lp` would.
+        g = math.gcd(den, rhs, *(a for _, a in terms))
+        if g != 1:
+            terms = [(j, a // g) for j, a in terms]
+            rhs //= g
+            den //= g
+        rows.append(Constraint(tuple(terms), con.relation, rhs, den))
+    rows.append(Constraint(((n, 1),), LE, 1, 1))
+    rows.append(Constraint(((n, 1),), GE, 0, 1))
+    aux = LinearProgram(n + 1, tuple(rows), (ZERO,) * n + (ONE,), True)
     out = solve(aux)
     if out.status is Status.UNBOUNDED:
         raise SolverInvariantError("margin program cannot be unbounded")
@@ -880,7 +879,9 @@ def _validate(lp: LinearProgram):
     for idx, con in enumerate(lp.constraints):
         if con.relation not in _RELATIONS:
             raise LPError(f"row {idx}: unknown relation {con.relation!r}")
-        if len(con.coeffs) != lp.num_vars:
-            raise LPError(f"row {idx}: coefficient count mismatch")
+        if not con.den > 0:
+            raise LPError(f"row {idx}: the denominator must be positive")
+        if not all(0 <= j < lp.num_vars for j, _ in con.terms):
+            raise LPError(f"row {idx}: a term's column is out of range")
     if lp.objective is not None and len(lp.objective) != lp.num_vars:
         raise LPError("objective length does not match num_vars")

@@ -428,8 +428,7 @@ def _pinned_program(ps: PointSet, outputs, pinned, score, maximize) -> MapProgra
         for i in range(outputs):
             coeffs, const = output(i, idx)
             if any(coeffs):
-                coeffs = tuple(int_ratio(a, 1) if a else ZERO for a in coeffs)
-                rows.append((coeffs, GE, int_ratio(-const, 1)))
+                rows.append((coeffs, GE, -const))
             elif const < 0:
                 return infeasible
     objective, offset = None, 0

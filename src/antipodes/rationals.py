@@ -4,11 +4,12 @@ Every decision made by this package is carried out in arbitrary-precision
 rational arithmetic; floating point shows up only when a report asks for a
 decimal rendering.  gmpy2's mpq is used when it is installed (the `gmp`
 extra); plain fractions.Fraction is a drop-in fallback with identical
-semantics.  Linear programs are written in these rationals, but exact_lp
-scales each row to integers over one denominator once per program; the
-tableau pivots on those integers and every point, ray and multiplier
-certificate is re-verified on them, so backend rationals come back only
-when a solution is read out (through `int_ratio`).
+semantics.  A linear program may be written in these rationals, in ints
+or in "p/q" strings, but exact_lp reads each scalar once (`int_pair`) and
+keeps every row as integers over one denominator; the tableau pivots on
+those integers and every point, ray and multiplier certificate is
+re-verified on them, so backend rationals come back only when a solution
+is read out (through `int_ratio`).
 
 The one integer elimination kernel, the fraction-free `_bareiss`
 (Bareiss 1968), lives in this leaf module so that both `geometry` and
@@ -91,6 +92,19 @@ def exact_tuple(values) -> tuple:
     exactly the backend's is kept as it is, anything else goes through
     `ratio` (so floats and bools are still refused)."""
     return tuple([a if type(a) is _RATIONAL else ratio(a) for a in values])
+
+
+def int_pair(value) -> tuple:
+    """(numerator, denominator) of one scalar, the denominator positive: an
+    int is itself over 1 with no rational built, a backend rational is read
+    as it stands, anything else goes through `ratio` (so floats, bools and
+    malformed strings are still refused)."""
+    kind = type(value)
+    if kind is int:
+        return value, 1
+    if kind is not _RATIONAL:
+        value = ratio(value)
+    return int(value.numerator), int(value.denominator)
 
 
 def int_ratio(num: int, den: int):

@@ -332,6 +332,37 @@ def test_decimal_rendering(files, capsys):
     code, report, _ = run(capsys, "--decimal", "bounds", "--d", "3", "--k", "2")
     assert code == 0
     assert report["bound"].startswith("27/4 (approx 6.75")
+    # 2^2000 is beyond float range; it renders through Decimal.
+    code, report, _ = run(capsys, "--decimal", "bounds", "--d", "2000", "--k", "1")
+    assert code == 0
+    assert report["bound"].endswith(" (approx 1.14813e+602)")
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"),
+    reason="this Python renders ints of any length",
+)
+def test_report_beyond_the_digit_limit_is_refused(tmp_path, capsys):
+    # The map of this set has entries longer than 4300 digits, which
+    # Python refuses to turn into strings: exit 2 with an error, in the
+    # printed copy and in the --verify canonical copy alike.
+    a, b = 10**2100 + 7, 10**2100 + 9
+    path = tmp_path / "long.json"
+    long = _ps((0, 0), (ratio(1, a), 0), (0, ratio(1, b)), (ratio(a, b), ratio(b, a)))
+    dump_point_set(long, path)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        for argv in (
+            ("check-joint", str(path), "1", "2"),
+            ("--verify", "check-joint", str(path), "1", "2"),
+            ("check-rank", str(path), "--k", "1"),
+        ):
+            code, report, _ = run(capsys, *argv)
+            assert code == 2
+            assert "limit (4300" in report["error"]
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_input_errors(files, capsys):

@@ -197,6 +197,41 @@ def test_volume_inequality_triangle_slack():
     assert not report.tight
 
 
+def test_volume_inequality_measures_one_copy(monkeypatch):
+    # The total and the copy toward X[0]; every other copy is its
+    # homothet and takes the homothety value.
+    calls = []
+    real = construction.volume
+
+    def counted(poly):
+        calls.append(poly)
+        return real(poly)
+
+    monkeypatch.setattr(construction, "volume", counted)
+    cube = _ps(*product((0, 1), repeat=3))
+    report = volume_inequality_check(cube, 1)
+    assert len(calls) == 2
+    assert report.copies == (ratio(1, 8),) * 8 and report.ratios_match
+
+
+def test_volume_inequality_flags_a_wrong_copy_volume(monkeypatch):
+    real = construction.volume
+    calls = []
+
+    def wrong_copy(poly):
+        calls.append(poly)
+        value = real(poly)
+        return value if len(calls) == 1 else value + ratio(1, 97)
+
+    monkeypatch.setattr(construction, "volume", wrong_copy)
+    square = _ps(*product((0, 1), repeat=2))
+    report = volume_inequality_check(square, 1)
+    assert not report.ratios_match
+    # The copies still hold the homothety value, so the verdict stands.
+    assert report.copies == (ratio(1, 4),) * 4
+    assert report.holds and report.tight
+
+
 def test_volume_inequality_rejects_bad_input():
     with pytest.raises(ConstructionError):
         volume_inequality_check(_ps((0,), ("1/2",), (1,)), 1)

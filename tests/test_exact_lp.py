@@ -24,11 +24,20 @@ from antipodes.exact_lp import (
     solve,
     solve_strict,
 )
-from antipodes.rationals import ScalarError, ratio
+from antipodes.rationals import ScalarError, over_common_denominator, ratio
 
 
 def _q(*texts):
     return tuple(ratio(t) for t in texts)
+
+
+def _dense(con, num_vars):
+    """A program row back as dense rationals (coeffs, rhs): each of the
+    integer row's terms and its rhs over its den."""
+    coeffs = [ratio(0)] * num_vars
+    for j, a in con.terms:
+        coeffs[j] = ratio(a, con.den)
+    return tuple(coeffs), ratio(con.rhs, con.den)
 
 
 def test_infeasible_band_has_farkas_certificate():
@@ -144,6 +153,19 @@ def test_malformed_rows_rejected():
         make_lp(2, [((1, 2), "<", 0)])
     with pytest.raises(LPError):
         make_lp(0, [((), LE, 0)])
+    # A program built without make_lp is checked when it is solved: a
+    # term's column must be a variable and den must be positive.
+    ok = exact_lp.Constraint(((0, 1),), LE, 1, 1)
+    for bad in (
+        exact_lp.Constraint(((2, 1),), LE, 1, 1),
+        exact_lp.Constraint(((-1, 1),), LE, 1, 1),
+        exact_lp.Constraint(((0, 1),), LE, 1, 0),
+    ):
+        lp = exact_lp.LinearProgram(2, (ok, bad))
+        with pytest.raises(LPError):
+            solve(lp)
+        with pytest.raises(LPError):
+            solve_strict(lp, [0])
 
 
 def test_make_lp_refuses_floats_and_bools_among_rationals():
@@ -158,19 +180,33 @@ def test_make_lp_refuses_floats_and_bools_among_rationals():
 
 
 def test_make_lp_parses_strings_ints_and_foreign_rationals():
-    exact = type(ratio(0))
     lp = make_lp(
         2,
         [(("1/3", 2), LE, "-5/7"), ((Fraction(2, 9), ratio(4)), GE, Fraction(1))],
         objective=(1, "-2/9"),
     )
     first, second = lp.constraints
-    assert first.coeffs == _q("1/3", 2) and first.rhs == ratio(-5, 7)
-    assert second.coeffs == _q("2/9", 4) and second.rhs == ratio(1)
+    # Each row is its nonzero coefficients and rhs as ints over den, the
+    # lcm of the row's denominators: 1/3 and 2 and -5/7 over 21.
+    assert (first.terms, first.relation, first.rhs, first.den) == (
+        ((0, 7), (1, 42)), LE, -15, 21
+    )
+    assert (second.terms, second.relation, second.rhs, second.den) == (
+        ((0, 2), (1, 36)), GE, 9, 9
+    )
     assert lp.objective == _q(1, "-2/9")
-    scalars = (*first.coeffs, first.rhs, *second.coeffs, second.rhs, *lp.objective)
-    # A Fraction passed in becomes the backend's type (mpq under gmpy2).
-    assert all(type(a) is exact for a in scalars)
+    # Strings, ints, backend rationals and Fractions spell equal rows;
+    # a zero coefficient leaves no term.
+    spellings = [
+        ((0, "1/3", 2), LE, "-5/7"),
+        ((0, ratio(1, 3), ratio(2)), LE, ratio(-5, 7)),
+        ((Fraction(0), Fraction(1, 3), Fraction(2)), LE, Fraction(-5, 7)),
+        (("0", Fraction(1, 3), 2), LE, "-5/7"),
+    ]
+    rows = [make_lp(3, [spelled]).constraints for spelled in spellings]
+    assert all(r == rows[0] for r in rows)
+    (con,) = rows[0]
+    assert (con.terms, con.rhs, con.den) == (((1, 7), (2, 42)), -15, 21)
     with pytest.raises(ScalarError):
         make_lp(1, [(("1/3x",), LE, 0)])
 
@@ -493,14 +529,15 @@ def _substitutes(lp, point, strict_rows=()):
     if len(point) != lp.num_vars:
         return False
     for i, con in enumerate(lp.constraints):
-        lhs = sum((a * x for a, x in zip(con.coeffs, point)), ratio(0))
+        coeffs, rhs = _dense(con, lp.num_vars)
+        lhs = sum((a * x for a, x in zip(coeffs, point)), ratio(0))
         strict = i in strict_rows
         if con.relation == EQ:
-            holds = lhs == con.rhs and not strict
+            holds = lhs == rhs and not strict
         elif con.relation == LE:
-            holds = lhs < con.rhs if strict else lhs <= con.rhs
+            holds = lhs < rhs if strict else lhs <= rhs
         else:
-            holds = lhs > con.rhs if strict else lhs >= con.rhs
+            holds = lhs > rhs if strict else lhs >= rhs
         if not holds:
             return False
     return True
@@ -555,7 +592,9 @@ class _RefStandard:
                 self.slack_col.append(ncols)
                 ncols += 1
         self.nstruct = ncols
-        self.sign = [-1 if rhs < 0 else 1 for _, rhs, _ in lp._integer_rows]
+        self.sign = [
+            -1 if _dense(con, lp.num_vars)[1] < 0 else 1 for con in lp.constraints
+        ]
 
     def objective_min(self):
         coeffs = [(0, 1)] * self.nstruct
@@ -604,12 +643,15 @@ class _RefTableau:
         self.width = self.nstruct + self.m + 1
         self.rows = []
         self.dens = []
-        for i, (con, (terms, rhs, den)) in enumerate(
-            zip(lp.constraints, lp._integer_rows)
-        ):
+        for i, con in enumerate(lp.constraints):
+            # The rational row cleared to integers over the lcm of its
+            # denominators.
+            coeffs, rhs = _dense(con, lp.num_vars)
+            nums, den = over_common_denominator(coeffs + (rhs,))
+            rhs = nums.pop()
             sign = std.sign[i]
             row = [0] * self.width
-            for j, a in terms:
+            for j, a in enumerate(nums):
                 row[2 * j] = sign * a
                 row[2 * j + 1] = -sign * a
             if con.relation == LE:
@@ -798,7 +840,8 @@ def _ref_solve_strict(lp, strict, stall_limit):
         margin = zero
         if i in strict:
             margin = one if con.relation == LE else -one
-        rows.append((con.coeffs + (margin,), con.relation, con.rhs))
+        coeffs, rhs = _dense(con, n)
+        rows.append((coeffs + (margin,), con.relation, rhs))
     rows.append(((zero,) * n + (one,), LE, one))
     rows.append(((zero,) * n + (one,), GE, zero))
     aux = make_lp(n + 1, rows, objective=(zero,) * n + (one,), maximize=True)
@@ -813,10 +856,11 @@ def _ref_solve_strict(lp, strict, stall_limit):
     return LPOutcome(Status.INFEASIBLE, farkas=out.duals[:nrows])
 
 
-def _oriented(con):
+def _oriented(con, num_vars):
+    coeffs, rhs = _dense(con, num_vars)
     if con.relation == GE:
-        return tuple(-a for a in con.coeffs), -con.rhs
-    return con.coeffs, con.rhs
+        return tuple(-a for a in coeffs), -rhs
+    return coeffs, rhs
 
 
 def _ref_combination(lp, mults):
@@ -828,7 +872,7 @@ def _ref_combination(lp, mults):
     for w, con in zip(mults, lp.constraints):
         if con.relation != EQ and w < 0:
             return None
-        coeffs, rhs = _oriented(con)
+        coeffs, rhs = _oriented(con, lp.num_vars)
         for j, a in enumerate(coeffs):
             combo[j] += w * a
         total += w * rhs
@@ -864,7 +908,7 @@ def _ref_check_ray(lp, ray):
     if lp.objective is None or len(ray) != lp.num_vars or not any(ray):
         return False
     for con in lp.constraints:
-        coeffs, _ = _oriented(con)
+        coeffs, _ = _oriented(con, lp.num_vars)
         drift = sum((a * r for a, r in zip(coeffs, ray)), ratio(0))
         if drift > 0 or (drift != 0 and con.relation == EQ):
             return False
@@ -906,19 +950,20 @@ def _with_stall_limit(limit, run):
         exact_lp._STALL_LIMIT = saved
 
 
-def _is_sign_row(con):
+def _is_sign_row(con, num_vars):
     """Does the row say x_j >= 0 for one column j?  The engine turns the
     first such row per column into a bound, so its pivots differ from the
     reference tableau's on purpose."""
-    nonzero = [a for a in con.coeffs if a]
-    if con.rhs != 0 or len(nonzero) != 1:
+    coeffs, rhs = _dense(con, num_vars)
+    nonzero = [a for a in coeffs if a]
+    if rhs != 0 or len(nonzero) != 1:
         return False
     (a,) = nonzero
     return (con.relation == GE and a > 0) or (con.relation == LE and a < 0)
 
 
 def _has_sign_row(lp):
-    return any(_is_sign_row(con) for con in lp.constraints)
+    return any(_is_sign_row(con, lp.num_vars) for con in lp.constraints)
 
 
 def _assert_agrees_with_reference(lp, got, ref):
@@ -1018,6 +1063,47 @@ def test_sign_bounds_match_reference(case, stall_limit):
     got = _with_stall_limit(stall_limit, lambda: solve_strict(weak, strict))
     ref = _ref_solve_strict(weak, strict, stall_limit)
     _assert_strict_agrees_with_reference(weak, strict, got, ref)
+
+
+def _margin_program(lp, strict):
+    """The margin program that solve_strict builds for lp and hands to
+    solve."""
+    seen = []
+    real = exact_lp.solve
+
+    def record(aux):
+        seen.append(aux)
+        return real(aux)
+
+    exact_lp.solve = record
+    try:
+        solve_strict(lp, strict)
+    finally:
+        exact_lp.solve = real
+    (aux,) = seen
+    return aux
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sign_programs())
+def test_margin_program_rows_are_the_ones_make_lp_parses(case):
+    # solve_strict builds the margin program straight from integer rows;
+    # the same rows as dense rationals through make_lp give equal rows,
+    # each in lowest terms over the lcm of its denominators.
+    rows, _, _, strict = case
+    lp = make_lp(len(rows[0][0]), rows)
+    aux = _margin_program(lp, strict)
+    dense = [_dense(con, aux.num_vars) for con in aux.constraints]
+    again = make_lp(
+        aux.num_vars,
+        [(c, con.relation, r) for (c, r), con in zip(dense, aux.constraints)],
+        objective=aux.objective,
+    )
+    assert again == aux
+    # Each program row keeps its coefficients and rhs; only the margin
+    # column n is new.
+    for con, (coeffs, rhs) in zip(lp.constraints, dense):
+        assert (coeffs[:-1], rhs) == _dense(con, lp.num_vars)
 
 
 def test_reference_cases_cover_retired_rows_and_bland():

@@ -189,9 +189,13 @@ def test_simplex_map_lp_rows_and_decoding():
     # points in index order; the pinned points get none.
     lp = program.lp
     assert lp.num_vars == 1 and program.offset == 0
-    assert [c.relation for c in lp.constraints] == [GE] * 4
-    assert [(c.coeffs, c.rhs) for c in lp.constraints] == [
-        ((-1,), -1), ((1,), 0), ((1,), 0), ((-1,), -1)
+    # Each row is read as (terms, relation, rhs, den): -w >= -1 and w >= 0,
+    # all in integers over 1.
+    assert [(c.terms, c.relation, c.rhs, c.den) for c in lp.constraints] == [
+        (((0, -1),), GE, -1, 1),
+        (((0, 1),), GE, 0, 1),
+        (((0, 1),), GE, 0, 1),
+        (((0, -1),), GE, -1, 1),
     ]
     out = program.solve()
     assert out.status is Status.FEASIBLE
