@@ -32,6 +32,8 @@ SETS = {
     "rhombus": [(0, 0), (2, "1/3"), ("5/2", "7/3"), ("1/2", 2)],
     "states": [("1/2", "1/3"), ("11/4", "7/5"), ("1/3", "5/2")],
     "cube": [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)],
+    # Its first three points are collinear.
+    "corner": [(0, 0), (1, 0), (2, 0), (0, 1)],
     # x -> (x + y/2 + 1/3, 2y - z/3, 3z/5 - x/7) on the cube's vertices.
     "cube~affine": [
         (
@@ -128,6 +130,22 @@ CASES = {
     "rank-cube-sampled-holds": (
         ("check-rank", "cube", "--k", "1", "--sample", "3", "--seed", "1"),
         "f61c356a48f0af2f26a8c9ccde4f2a8016a95081685656295d9a508c309d3756",
+    ),
+    "erdos-cube-holds": (
+        ("check-erdos", "cube", "--k", "1"),
+        "2ed91fe267e8b48cb2f0c928e09bee05b7b5c01dc67ae278fc1184b73c044349",
+    ),
+    "erdos-cube-holds-verify": (
+        ("--verify", "check-erdos", "cube", "--k", "1"),
+        "d1fcaef651a33f9d3b17dbae5e076f94d758ada9055fc3b23360c4b31614238d",
+    ),
+    "erdos-tetra-outside": (
+        ("check-erdos", "tetra", "--k", "2"),
+        "87fbba7fc78a334f8b9ddf7b67fd5807955bdc27efc98cf8da1188f51bd13d2a",
+    ),
+    "erdos-corner-dependent": (
+        ("check-erdos", "corner", "--k", "2"),
+        "807368d97f87bd3ec2755ab109ce050ecc5fb16a82ed44bd74f1f1b04c1c1625",
     ),
     "volume-cube-holds-verify": (
         ("--verify", "volume-check", "cube~affine", "--k", "1"),
