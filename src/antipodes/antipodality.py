@@ -30,9 +30,11 @@ Also provided: support halfspaces touching the other k chosen points,
 read off the certifying map as {x : out_i(x) >= 0} for chosen point i
 (the rank-k counterpart of the parallel supporting hyperplanes of an
 antipodal pair, Danzer and Grünbaum 1962), a projection-based variant
-that asks every point to project inside the chosen simplex, and a strict
-variant that forbids the remaining points from landing on simplex
-vertices.
+that asks every point to project orthogonally into the chosen closed
+simplex, and a strict variant that forbids the remaining points from
+landing on simplex vertices.  Both variants decide on the set's cleared
+integers: the first on the signs of integer projection coordinates, the
+second on each map's integer images.
 """
 
 from __future__ import annotations
@@ -48,18 +50,16 @@ from .geometry import (
     AffineMap,
     Dilation,
     PointSet,
-    Polytope,
     affine_rank,
     affine_symmetry,
-    barycentric,
     decode_map,
     member,
-    orthogonal_project,
     outside_simplex,
+    projection_coordinates,
     simplex_map_lp,
     vdot,
 )
-from .rationals import ONE, ZERO, ratio
+from .rationals import ZERO, ratio
 
 #: Exhaustive rank checks refuse beyond this many subsets; ask for
 #: sampling instead.
@@ -230,22 +230,22 @@ def _copies_lp(X: PointSet, chosen, factors):
         lam = factors[j]
         q = X[q_idx]
         for t in range(d):
-            coeffs = [ZERO] * nv
-            coeffs[t] = ONE
+            coeffs = [0] * nv
+            coeffs[t] = 1
             for i, x in enumerate(X):
                 coeffs[wcol(j, i)] = -lam * x[t]
             rows.append((tuple(coeffs), EQ, (1 - lam) * q[t]))
-        coeffs = [ZERO] * nv
+        coeffs = [0] * nv
         for i in range(n):
-            coeffs[wcol(j, i)] = ONE
-        rows.append((tuple(coeffs), EQ, ONE))
+            coeffs[wcol(j, i)] = 1
+        rows.append((tuple(coeffs), EQ, 1))
     strict_rows = []
     for j in range(k + 1):
         for i in range(n):
-            coeffs = [ZERO] * nv
-            coeffs[wcol(j, i)] = ONE
+            coeffs = [0] * nv
+            coeffs[wcol(j, i)] = 1
             strict_rows.append(len(rows))
-            rows.append((tuple(coeffs), GE, ZERO))
+            rows.append((tuple(coeffs), GE, 0))
     return make_lp(nv, rows), strict_rows
 
 
@@ -292,10 +292,9 @@ def verify_joint_certificate(X: PointSet, cert: AntipodalityCertificate) -> bool
         return False
     if sum(factors, ZERO) >= k:
         return False
-    hull = Polytope(X)
     for j, q_idx in enumerate(chosen):
         pre = Dilation(X[q_idx], factors[j]).preimage(cert.witness)
-        if not member(hull, pre).inside:
+        if not member(X, pre).inside:
             return False
     return True
 
@@ -561,20 +560,20 @@ def erdos_rank_k(X: PointSet, k: int) -> ProjectionReport:
 
     Each subset must be affinely independent and every point of X must
     project onto the subset's affine hull with nonnegative barycentric
-    coordinates, landing inside the subset's simplex.  This is stronger
-    than rank-k antipodality: the supporting slabs here are orthogonal.
-    Refuses sets with more than EXHAUSTIVE_LIMIT subsets.
+    coordinates, landing in the subset's closed simplex.  This is
+    stronger than rank-k antipodality: the supporting slabs here are
+    orthogonal.  The coordinates of every point come from one integer
+    elimination per subset (`geometry.projection_coordinates`), and their
+    signs decide.  Refuses sets with more than EXHAUSTIVE_LIMIT subsets.
     """
     _rank_argument(X, k)
     subsets = _all_subsets(len(X), k)
     _rank_within(X, k)
     for subset in subsets:
-        frame = PointSet(tuple(X[i] for i in subset))
-        if affine_rank(frame) != k:
+        found = projection_coordinates(X, subset)
+        if found is None:
             return ProjectionReport(k, False, subset, reason="dependent")
-        images = orthogonal_project(X, frame)
-        for idx, image in enumerate(images):
-            coords = barycentric(frame, image)
+        for idx, coords in enumerate(found[0]):
             if any(c < 0 for c in coords):
                 return ProjectionReport(
                     k, False, subset, offender=idx, reason="outside"
@@ -604,7 +603,9 @@ def strict_rank_k(X: PointSet, k: int) -> StrictReport:
     maps form a convex set and each vertex coordinate is linear in the
     map, a coincidence is unavoidable exactly when the coordinate's
     minimum over all certifying maps is 1; averaging per-pair minimisers
-    into one map yields the returned evidence.
+    into one map yields the returned evidence.  A map's values at the
+    points are read in integers, once per map (`AffineMap.cleared_images`):
+    a value is 1 exactly when its integer equals the common denominator.
 
     With exactly k+1 points the condition is vacuous beyond plain joint
     antipodality.  Refuses sets with more than EXHAUSTIVE_LIMIT subsets.
@@ -626,11 +627,11 @@ def strict_rank_k(X: PointSet, k: int) -> StrictReport:
                 failing_certificate=cert,
             )
         mapping = cert.mapping
+        images, den = mapping.cleared_images(X)
         others = [i for i in range(n) if i not in subset]
         for x_idx in others:
             for vertex_pos in range(k + 1):
-                value = mapping.apply(X[x_idx])[vertex_pos]
-                if value != 1:
+                if images[x_idx][vertex_pos] != den:
                     continue
                 program = simplex_map_lp(
                     X,
@@ -653,12 +654,11 @@ def strict_rank_k(X: PointSet, k: int) -> StrictReport:
                     )
                 deviator = decode_map(program, out.point)
                 mapping = _blend_maps(mapping, deviator)
+                images, den = mapping.cleared_images(X)
         witness_cert = AntipodalityCertificate(True, subset, mapping=mapping)
         if not verify_joint_certificate(X, witness_cert):
             raise CertificateError("blended evidence map failed verification")
-        for x_idx in others:
-            image = mapping.apply(X[x_idx])
-            if any(c == 1 for c in image):
-                raise CertificateError("blended evidence map still coincides")
+        if any(den in images[x_idx] for x_idx in others):
+            raise CertificateError("blended evidence map still coincides")
         evidence.append((subset, mapping))
     return StrictReport(k, True, len(subsets), evidence=tuple(evidence))

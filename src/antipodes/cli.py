@@ -55,7 +55,6 @@ from .exact_lp import LPError, SolverInvariantError
 from .geometry import (
     AffineMap,
     GeometryError,
-    Polytope,
     load_point_set,
 )
 from .hashcodes import (
@@ -316,11 +315,9 @@ def _cmd_check_strict(args):
             )
             if not verify_joint_certificate(Y, cert):
                 return False
-            others = [i for i in range(len(Y)) if i not in subset]
-            for i in others:
-                image = cert.mapping.apply(Y[i])
-                if any(c == 1 for c in image):
-                    return False
+            images, den = cert.mapping.cleared_images(Y)
+            if any(den in images[i] for i in range(len(Y)) if i not in subset):
+                return False
         return True
 
     return report, EXIT_HOLDS if result.strict else EXIT_FAILS, replay
@@ -533,7 +530,7 @@ def _cmd_volume_check(args):
 
 
 def _cmd_discriminate(args):
-    space = StateSpace(Polytope(load_point_set(args.space)))
+    space = StateSpace(load_point_set(args.space))
     states = load_point_set(args.states)
     value, measurement = min_error(space, states.points)
     report = {
@@ -547,7 +544,7 @@ def _cmd_discriminate(args):
     }
 
     def replay(parsed):
-        sp = StateSpace(Polytope(load_point_set(args.space)))
+        sp = StateSpace(load_point_set(args.space))
         meas = Measurement(sp, _parse_map(parsed["measurement"]))
         got = error_prob(meas, load_point_set(args.states).points)
         return got == _parse_rational(parsed["min_error"])

@@ -23,7 +23,6 @@ from .geometry import (
     AffineMap,
     Dilation,
     PointSet,
-    Polytope,
     affine_rank,
     volume,
 )
@@ -210,7 +209,7 @@ def volume_inequality_check(X: PointSet, k: int) -> VolumeReport:
         raise ConstructionError("X must span its ambient space")
     # The total volume comes first: above the dimension cap it refuses
     # before the rank pre-check spends any LP.
-    total = volume(Polytope(X))
+    total = volume(X)
     report = is_rank_k_antipodal(X, k)
     if not report.antipodal:
         raise ConstructionError(
@@ -220,7 +219,7 @@ def volume_inequality_check(X: PointSet, k: int) -> VolumeReport:
     expected = lam**d
     copy = expected * total
     shrink = Dilation(X[0], lam)
-    measured = volume(Polytope.from_points(shrink.apply(v) for v in X))
+    measured = volume(PointSet(tuple(shrink.apply(v) for v in X)))
     bound = ratio(k) * total
     summed = copy * len(X)
     return VolumeReport(

@@ -1,11 +1,14 @@
 """Minimum-error discrimination over polytopal state spaces.
 
-A measurement with k+1 outcomes is an affine map from the state space
-into the standard simplex; outcome j is read as the guess "it was state
-j".  The discrimination error of a tuple of states is the summed miss
+A state space is the convex hull of a `PointSet`.  A measurement with
+k+1 outcomes is an affine map from the state space into the standard
+simplex; outcome j is read as the guess "it was state j".  The
+discrimination error of a tuple of states is the summed miss
 probability, one term per state, and minimizing it over measurements is
 a linear program.  The minimum hits zero exactly on jointly antipodal
-tuples, which ties this layer to the geometric one.
+tuples, which ties this layer to the geometric one.  A measurement is
+checked on the vertices, and the error summed over the states, in
+integers (`AffineMap.cleared_images`).
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 from .exact_lp import Status
 from .geometry import (
     AffineMap,
-    Polytope,
+    PointSet,
     StandardSimplex,
     as_point,
     decode_map,
@@ -24,7 +27,7 @@ from .geometry import (
     outside_simplex,
     simplex_map_lp,
 )
-from .rationals import ratio
+from .rationals import int_ratio, ratio
 
 __all__ = [
     "DiscriminationError",
@@ -43,22 +46,24 @@ class DiscriminationError(ValueError):
 
 @dataclass(frozen=True)
 class StateSpace:
-    polytope: Polytope
+    """The convex hull of the spanning points."""
+
+    spanning: PointSet
 
     @classmethod
     def simplex(cls, n: int) -> "StateSpace":
         """The classical space of probability vectors over n+1 outcomes."""
         if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise DiscriminationError("n: expected a positive integer")
-        return cls(Polytope.from_points(StandardSimplex(n).vertices))
+        return cls(StandardSimplex(n).vertices)
 
     @property
     def dim(self) -> int:
-        return self.polytope.dim
+        return self.spanning.dim
 
     @property
     def vertices(self) -> tuple:
-        return self.polytope.spanning.points
+        return self.spanning.points
 
 
 @dataclass(frozen=True)
@@ -74,16 +79,13 @@ class Measurement:
             raise DiscriminationError("measurement needs at least two outcomes")
         if self.mapping.in_dim != self.space.dim:
             raise DiscriminationError("measurement does not fit the state space")
-        idx = outside_simplex(*self.mapping.cleared_images(self.space.polytope.spanning))
+        idx = outside_simplex(*self.mapping.cleared_images(self.space.spanning))
         if idx is not None:
             raise DiscriminationError(f"vertex {idx} is mapped outside the outcome simplex")
 
     @property
     def outcomes(self) -> int:
         return self.mapping.out_dim
-
-    def apply(self, state) -> tuple:
-        return self.mapping.apply(as_point(state))
 
 
 def _checked_states(space: StateSpace, states) -> tuple:
@@ -95,7 +97,7 @@ def _checked_states(space: StateSpace, states) -> tuple:
         p = as_point(s)
         if len(p) != space.dim:
             raise DiscriminationError(f"states[{idx}]: wrong dimension")
-        if p not in spanning and not member(space.polytope, p).inside:
+        if p not in spanning and not member(space.spanning, p).inside:
             raise DiscriminationError(f"states[{idx}]: outside the state space")
         rows.append(p)
     return tuple(rows)
@@ -112,11 +114,10 @@ def error_prob(measurement: Measurement, states):
 
 
 def _error_sum(measurement: Measurement, pts):
-    """error_prob on states already checked against the space."""
-    total = ratio(0)
-    for j, s in enumerate(pts):
-        total = total + 1 - measurement.apply(s)[j]
-    return total
+    """error_prob on states already checked against the space, summed in
+    integers: state j's own outcome is images[j][j] / den."""
+    images, den = measurement.mapping.cleared_images(pts)
+    return int_ratio(sum(den - image[j] for j, image in enumerate(images)), den)
 
 
 def min_error(space: StateSpace, states):

@@ -1,21 +1,22 @@
 """Exact convex geometry in V-representation.
 
-Points are tuples of exact rationals.  Polytopes are given by spanning
-points (not necessarily vertices); membership, relative-interior
-membership, barycentric coordinates, affine rank and orthogonal
-projection onto an affine hull are decided exactly.  Membership queries
-answer with a certificate either way: convex coefficients inside, a
-separating affine functional outside.
+Points are tuples of exact rationals, and a `PointSet` is the one
+point-set type: its convex hull is the polytope it spans (the points
+need not be vertices).  Membership and relative-interior membership in
+that hull, affine rank, and the barycentric coordinates of orthogonal
+projections onto the affine hull of a subset are decided exactly.
+Membership queries answer with a certificate either way: convex
+coefficients inside, a separating affine functional outside.
 
 The dense linear algebra is one fraction-free elimination,
-`rationals._bareiss` (Bareiss 1968), on rows cleared to integers: ranks,
-unique solutions, barycentric coordinates, determinants, facet normals,
-pivot columns and Gram matrices all come from it.  The kernel lives in
-the leaf module `rationals` because `exact_lp` uses it too, for the
-simplex's dual solve, and this module imports `exact_lp`.  A `PointSet`
-clears its coordinates over their common denominator once
-(`PointSet.cleared`), and its affine rank, symmetry, volume, map
-programs and map images (`AffineMap.cleared_images`) share that.
+`rationals._bareiss` (Bareiss 1968), on integers: ranks, projection
+coordinates, determinants, facet normals, pivot columns and Gram
+matrices all come from it.  The kernel lives in the leaf module
+`rationals` because `exact_lp` uses it too, for the simplex's dual
+solve, and this module imports `exact_lp`.  A `PointSet` clears its
+coordinates over their common denominator once (`PointSet.cleared`),
+and its affine rank, projections, symmetry, volume, map programs and
+map images (`AffineMap.cleared_images`) all read those integers.
 
 `simplex_map_lp` is the one builder of the program for an affine map
 into the standard simplex.  With the tuple's points pinned to the
@@ -68,7 +69,7 @@ from .rationals import (
     ratio,
 )
 
-#: Exact volume is supported up to this ambient dimension by default.  The
+#: Exact volume is supported up to this ambient dimension.  The
 #: boundary triangulation, and with it the cost, grows quickly with the
 #: dimension: the d-cube's 2d facets split into 2 d! boundary simplices.
 VOLUME_DIM_CAP = 4
@@ -84,18 +85,6 @@ class DegenerateVolumeWarning(UserWarning):
 
 def as_point(coords) -> tuple:
     return exact_tuple(coords)
-
-
-def vsub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def vadd(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def vscale(s, a):
-    return tuple(s * x for x in a)
 
 
 def vdot(a, b):
@@ -142,21 +131,6 @@ class PointSet:
         """(points, L): every coordinate times L, the lcm of all the
         denominators, as integer tuples; computed once per set."""
         return _integer_points(self.points)
-
-
-@dataclass(frozen=True)
-class Polytope:
-    """Convex hull of spanning points; no facet structure is maintained."""
-
-    spanning: PointSet
-
-    @classmethod
-    def from_points(cls, points) -> "Polytope":
-        return cls(PointSet(tuple(points)))
-
-    @property
-    def dim(self) -> int:
-        return self.spanning.dim
 
 
 @dataclass(frozen=True)
@@ -251,12 +225,14 @@ class AffineMap:
             raise GeometryError("point dimension does not match the map")
         return tuple(vdot(row, x) + c for row, c in zip(self.matrix, self.offset))
 
-    def cleared_images(self, ps: PointSet):
-        """(images, den): output i at ps[p] is images[p][i] / den, den > 0,
-        computed in integers.
+    def cleared_images(self, points):
+        """(images, den): output i at points[p] is images[p][i] / den,
+        den > 0, computed in integers.  `points` is a `PointSet` or any
+        sequence of points of exact rationals (`as_point`), so a point
+        may repeat.
 
         Row i is cleared over the lcm D_i of its denominators and raised
-        to D, the lcm of the D_i; with the set's coordinates over their
+        to D, the lcm of the D_i; with the points' coordinates over their
         lcm L (`PointSet.cleared`), den = D L.
         """
         rows = [
@@ -264,7 +240,10 @@ class AffineMap:
         ]
         common = lcm(*(d for _, d in rows))
         rows = [[a * (common // d) for a in row] for row, d in rows]
-        P, den = ps.cleared
+        if isinstance(points, PointSet):
+            P, den = points.cleared
+        else:
+            P, den = _integer_points(points)
         # zip stops at the point's coordinates, before the offset entry.
         images = [[row[-1] * den + sum(map(mul, row, p)) for row in rows] for p in P]
         return images, common * den
@@ -506,61 +485,48 @@ def decode_map(program: MapProgram, point) -> AffineMap:
 # `rationals._bareiss`, shared with the simplex's dual solve
 
 
-def _cleared_rows(rows):
-    """Each row of rationals (or anything `ratio` takes) times the lcm of
-    its own denominators: the same solutions, pivots and rank."""
-    return [over_common_denominator(exact_tuple(r))[0] for r in rows]
-
-
-def matrix_rank(rows) -> int:
-    if not rows:
-        return 0
-    pivots, _ = _bareiss(_cleared_rows(rows))
-    return len(pivots)
-
-
-def solve_unique(rows, rhs):
-    """Solve a square-rank linear system with a unique solution.
-
-    Raises GeometryError when the matrix is rank-deficient or the system
-    inconsistent; callers use this only where uniqueness is guaranteed.
-    """
-    aug = _cleared_rows([list(r) + [b] for r, b in zip(rows, rhs)])
-    ncols = len(aug[0]) - 1
-    pivots, _ = _bareiss(aug, jordan=True)
-    if ncols in pivots:
-        raise GeometryError("inconsistent linear system")
-    if len(pivots) != ncols:
-        raise GeometryError("linear system is rank-deficient")
-    return tuple(int_ratio(aug[r][-1], aug[r][c]) for r, c in enumerate(pivots))
-
-
 def affine_rank(ps: PointSet) -> int:
     """Dimension of the affine hull (0 for a single point): the pivots of
     the cleared difference vectors."""
     return len(_edge_pivots(ps.cleared[0]))
 
 
-def barycentric(vertices: PointSet, x) -> tuple:
-    """Coordinates of x in an affinely independent frame, summing to 1.
+def projection_coordinates(ps: PointSet, subset):
+    """Barycentric coordinates, over the frame ps[subset] (two or more
+    points), of every point's orthogonal projection onto the frame's
+    affine hull: (coords, den) with coordinate j of the projection of
+    ps[p] equal to coords[p][j] / den, den > 0; or None when the frame is
+    affinely dependent.
 
-    Coordinates may be negative when x lies outside the hull; the frame
-    must be affinely independent and x must lie in its affine hull.  One
-    fraction-free Gauss-Jordan pass over [V; 1 | x; 1] decides both: the
-    frame's columns must all be pivots, the last column must not be.
+    With E the frame's edge vectors q_j - q_0 as rows, over the set's
+    cleared integers, x projects to q_0 + E^T mu where
+    E E^T mu = E (x - q_0).  One fraction-free Gauss-Jordan pass over
+    [E E^T | E (x - q_0) for every x] solves every point at once.  The
+    Gram matrix E E^T is singular exactly when the frame is dependent;
+    otherwise it is positive definite, so every pivot is a positive
+    leading principal minor, no row is swapped, and the pass leaves
+    [D I | D mu] with D = det(E E^T) > 0.  The coordinates over D are
+    D - sum(D mu), then D mu_1 .. D mu_k.
     """
-    x = as_point(x)
-    if len(x) != vertices.dim:
-        raise GeometryError("point dimension does not match the frame")
-    n = len(vertices)
-    rows = [[p[t] for p in vertices] + [x[t]] for t in range(vertices.dim)]
-    aug = _cleared_rows(rows + [[ONE] * (n + 1)])
-    pivots, _ = _bareiss(aug, jordan=True)
-    if pivots[:n] != list(range(n)):
-        raise GeometryError("frame is affinely dependent")
-    if n in pivots:
-        raise GeometryError("point lies outside the affine hull of the frame")
-    return tuple(int_ratio(aug[r][-1], aug[r][r]) for r in range(n))
+    P, _ = ps.cleared
+    origin = P[subset[0]]
+    edges = [[a - b for a, b in zip(P[i], origin)] for i in subset[1:]]
+    k = len(edges)
+    mat = []
+    for e in edges:
+        shift = sum(map(mul, e, origin))
+        mat.append(
+            [sum(map(mul, e, f)) for f in edges] + [sum(map(mul, e, x)) - shift for x in P]
+        )
+    pivots, _ = _bareiss(mat, jordan=True)
+    if pivots[:k] != list(range(k)):
+        return None
+    den = mat[0][0]
+    coords = []
+    for c in range(k, k + len(P)):
+        mu = tuple(row[c] for row in mat)
+        coords.append((den - sum(mu),) + mu)
+    return coords, den
 
 
 # ---------------------------------------------------------------------------
@@ -584,23 +550,22 @@ class Membership:
     threshold: Optional[object] = None
 
 
-def member(poly: Polytope, x, strict: bool = False) -> Membership:
-    """Decide x in conv(spanning); strict decides x in the relative
-    interior (all convex coefficients positive)."""
+def member(pts: PointSet, x, strict: bool = False) -> Membership:
+    """Decide x in conv(pts); strict decides x in the relative interior
+    (all convex coefficients positive)."""
     x = as_point(x)
-    if len(x) != poly.dim:
+    d = pts.dim
+    if len(x) != d:
         raise GeometryError("point dimension does not match the polytope")
-    pts = poly.spanning
     n = len(pts)
-    d = poly.dim
     rows = []
     for t in range(d):
         rows.append((tuple(p[t] for p in pts), EQ, x[t]))
-    rows.append(((ONE,) * n, EQ, ONE))
+    rows.append(((1,) * n, EQ, 1))
     nonneg_start = len(rows)
     for i in range(n):
-        coeffs = tuple(ONE if j == i else ZERO for j in range(n))
-        rows.append((coeffs, GE, ZERO))
+        coeffs = tuple(int(j == i) for j in range(n))
+        rows.append((coeffs, GE, 0))
     lp = make_lp(n, rows)
     if strict:
         out = solve_strict(lp, range(nonneg_start, nonneg_start + n))
@@ -623,33 +588,6 @@ def member(poly: Polytope, x, strict: bool = False) -> Membership:
     elif margin <= 0:
         raise GeometryError("separating functional failed verification")
     return Membership(False, normal=normal, threshold=threshold)
-
-
-def orthogonal_project(ps: PointSet, frame: PointSet):
-    """Project every point of ps orthogonally onto the affine hull of the
-    frame; the frame must be affinely independent.
-
-    Returns a tuple of points aligned with ps (projections of distinct
-    points may coincide, so the result is not a PointSet).
-    """
-    if ps.dim != frame.dim:
-        raise GeometryError("point set and frame dimensions differ")
-    if affine_rank(frame) != len(frame) - 1:
-        raise GeometryError("projection frame is affinely dependent")
-    base = frame[0]
-    basis = [vsub(p, base) for p in frame.points[1:]]
-    out = []
-    if not basis:
-        return tuple(base for _ in ps)
-    gram = [[vdot(u, v) for v in basis] for u in basis]
-    for p in ps:
-        rhs = [vdot(u, vsub(p, base)) for u in basis]
-        coeffs = solve_unique(gram, rhs)
-        proj = base
-        for c, u in zip(coeffs, basis):
-            proj = vadd(proj, vscale(c, u))
-        out.append(proj)
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -750,8 +688,8 @@ def _boundary(P, simplex):
     return list(facets)
 
 
-def volume(poly: Polytope, dim_cap: int = VOLUME_DIM_CAP):
-    """Exact d-volume of the hull in its ambient dimension d.
+def volume(ps: PointSet):
+    """Exact d-volume of the hull of ps in its ambient dimension d.
 
     The coordinates are cleared to integers over their lcm L, and a
     beneath-beyond pass triangulates the hull's boundary.  Coning every
@@ -760,15 +698,14 @@ def volume(poly: Polytope, dim_cap: int = VOLUME_DIM_CAP):
     every determinant taken in integers.
 
     Degenerate inputs (affine rank below d) warn and return 0.  Dimensions
-    above dim_cap raise.
+    above VOLUME_DIM_CAP raise.
     """
-    d = poly.dim
-    if d > dim_cap:
+    d = ps.dim
+    if d > VOLUME_DIM_CAP:
         raise GeometryError(
-            f"exact volume is supported up to dimension {dim_cap}"
+            f"exact volume is supported up to dimension {VOLUME_DIM_CAP}"
         )
-    pts = poly.spanning.points
-    P, den = poly.spanning.cleared
+    P, den = ps.cleared
     simplex = _initial_simplex(P)
     if simplex is None:
         warnings.warn(
@@ -778,7 +715,7 @@ def volume(poly: Polytope, dim_cap: int = VOLUME_DIM_CAP):
         )
         return ZERO
     if d == 1:
-        coords = [p[0] for p in pts]
+        coords = [p[0] for p in ps]
         return max(coords) - min(coords)
     o = P[simplex[0]]
     total = 0
@@ -1017,7 +954,7 @@ def point_set_from_obj(obj) -> PointSet:
             raise GeometryError(f"point set document lacks the {field!r} field")
     dim = obj["dim"]
     rows = obj["points"]
-    if not isinstance(dim, int) or dim < 1:
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise GeometryError("field 'dim' must be a positive integer")
     if not isinstance(rows, list) or not rows:
         raise GeometryError("field 'points' must be a non-empty list")

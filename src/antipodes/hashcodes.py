@@ -380,17 +380,18 @@ def greedy_code(b: int, k: int, m: int, order=None) -> HashCode:
 
 
 def _iroot(x: int, r: int) -> int:
-    # Largest g with g**r <= x.
+    # Largest g with g**r <= x, by integer Newton steps from 2^ceil(bits/r),
+    # which is above the root; the steps fall strictly until they reach it.
     if x < 0:
         raise HashCodeError("iroot of a negative number")
     if x == 0 or r == 1:
         return x
-    g = max(1, int(round(x ** (1.0 / r))))
-    while g > 0 and g**r > x:
-        g -= 1
-    while (g + 1) ** r <= x:
-        g += 1
-    return g
+    g = 1 << -(-x.bit_length() // r)
+    while True:
+        step = ((r - 1) * g + x // g ** (r - 1)) // r
+        if step >= g:
+            return g
+        g = step
 
 
 def random_code(b: int, k: int, m: int, seed: int) -> HashCode:

@@ -13,9 +13,9 @@ is read out (through `int_ratio`).
 
 The one integer elimination kernel, the fraction-free `_bareiss`
 (Bareiss 1968), lives in this leaf module so that both `geometry` and
-`exact_lp` can import it: geometry takes its ranks, solves,
-determinants, facet normals and Gram matrices from it, and the simplex
-its dual solve.
+`exact_lp` can import it: geometry takes its ranks, projection
+coordinates, determinants, facet normals and Gram matrices from it, and
+the simplex its dual solve.
 """
 
 from __future__ import annotations

@@ -34,7 +34,6 @@ from antipodes.discrimination import (
 from antipodes.geometry import (
     Dilation,
     PointSet,
-    Polytope,
     dump_point_set,
     member,
 )
@@ -174,10 +173,9 @@ def test_c04_common_point_of_shrunk_copies():
                 sum((1 - lam) * X[q][t] for lam, q in zip(lams, chosen))
                 for t in range(d)
             )
-            hull = Polytope(X)
             for lam, q in zip(lams, chosen):
                 pre = Dilation(X[q], lam).preimage(p)
-                if not member(hull, pre).inside:
+                if not member(X, pre).inside:
                     bad.append((idx, q))
 
 
@@ -288,7 +286,7 @@ def test_c09_gap_reports():
 def test_c10_discrimination_matches_antipodality():
     with criterion(10, "zero error exactly on antipodal tuples; bit oracle; subadditivity") as bad:
         for idx, (X, k, chosen, _) in enumerate(_random_instances(200)):
-            space = StateSpace(Polytope(X))
+            space = StateSpace(X)
             states = tuple(X[i] for i in chosen)
             value, _meas = min_error(space, states)
             antipodal = joint_antipodal_direct(X, chosen).antipodal

@@ -23,7 +23,6 @@ from antipodes.antipodality import (
 from antipodes.geometry import (
     Dilation,
     PointSet,
-    Polytope,
     StandardSimplex,
     member,
     vdot,
@@ -58,12 +57,11 @@ def test_midpoint_pair_is_not_antipodal():
         assert verify_joint_certificate(COLLINEAR, cert)
         assert sum(cert.shrink_factors) < 1
         # The witness sits in both closed shrunk copies of [0, 1].
-        hull = Polytope(COLLINEAR)
         for j, q_idx in enumerate((0, 1)):
             pre = Dilation(COLLINEAR[q_idx], cert.shrink_factors[j]).preimage(
                 cert.witness
             )
-            assert member(hull, pre).inside
+            assert member(COLLINEAR, pre).inside
 
 
 def test_endpoints_pair_is_antipodal():
@@ -405,14 +403,15 @@ def test_shrunk_copies_of_simplex_in_vertex_coordinates(k, raw_l, raw_x):
     total = sum(g)
     factors = [1 - x / total for x in g]
     simplex = StandardSimplex(k)
-    hull = Polytope(simplex.vertices)
     w = [ratio(f.numerator, f.denominator) for f in raw_x[: k + 1]]
     x = tuple(c / sum(w) for c in w)  # strictly inside the simplex
     hits = 0
     for j in range(k + 1):
-        copy = Polytope.from_points(
-            Dilation(simplex.vertex(j), factors[j]).apply(v)
-            for v in simplex.vertices
+        copy = PointSet(
+            tuple(
+                Dilation(simplex.vertex(j), factors[j]).apply(v)
+                for v in simplex.vertices
+            )
         )
         inside = member(copy, x, strict=True).inside
         assert inside == (x[j] > 1 - factors[j])

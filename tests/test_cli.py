@@ -247,6 +247,25 @@ def test_module_entry_point_matches_main(capsys):
     assert proc.stderr == b""
 
 
+@pytest.mark.parametrize("m", ["500", "3000"])
+def test_hash_random_refuses_long_codes_promptly(m):
+    # The sample size is an exact integer root: the run reaches the batch
+    # refusal instead of looping or overflowing a float.
+    src = str(Path(antipodes.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    argv = ["hash-random", "--b", "3", "--k", "3", "--m", m, "--seed", "1"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "antipodes", *argv],
+        capture_output=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "more than 1000000 batches" in json.loads(proc.stdout)["error"]
+    assert proc.stderr == b""
+
+
 def test_hash_search_keeps_every_word_at_order_two(capsys):
     # 1024 chosen words: deeper than the default recursion limit.
     code, report, _ = run(capsys, "hash-search", "--b", "32", "--k", "2", "--m", "2")
@@ -365,10 +384,16 @@ def test_report_beyond_the_digit_limit_is_refused(tmp_path, capsys):
         sys.set_int_max_str_digits(limit)
 
 
-def test_input_errors(files, capsys):
+def test_input_errors(files, capsys, tmp_path):
     code, report, _ = run(capsys, "check-rank", files["broken"], "--k", "1")
     assert code == 2
     assert "error" in report
+    # A JSON true is not a dimension.
+    flag = tmp_path / "flag.json"
+    flag.write_text('{"dim": true, "points": [["0"], ["1"]]}')
+    code, report, _ = run(capsys, "check-rank", str(flag), "--k", "1")
+    assert code == 2
+    assert "'dim' must be a positive integer" in report["error"]
     code, report, _ = run(
         capsys, "check-rank", str(files["broken"]) + ".missing", "--k", "1"
     )
@@ -428,7 +453,7 @@ def test_rank_verbs_refuse_too_many_subsets(tmp_path, capsys, monkeypatch):
     # C(90, 3) = 117 480 subsets: every rank verb refuses before the set's
     # affine rank is computed, and so before any LP or projection runs.
     calls = []
-    for name in ("affine_rank", "solve_strict", "orthogonal_project"):
+    for name in ("affine_rank", "solve_strict", "projection_coordinates"):
         monkeypatch.setattr(
             antipodality, name, lambda *args, name=name: calls.append(name)
         )

@@ -15,15 +15,13 @@ from antipodes.discrimination import (
     error_prob,
     min_error,
 )
-from antipodes.geometry import AffineMap, PointSet, Polytope
+from antipodes.geometry import AffineMap, PointSet
 from antipodes.rationals import ratio
 
 BIT = StateSpace.simplex(1)
 TRIT = StateSpace.simplex(2)
 SQUARE = StateSpace(
-    Polytope.from_points(
-        tuple(ratio(c) for c in row) for row in product((0, 1), repeat=2)
-    )
+    PointSet(tuple(tuple(ratio(c) for c in row) for row in product((0, 1), repeat=2)))
 )
 
 
@@ -86,9 +84,7 @@ def test_relabeling_states_and_outcomes_is_free():
 
 def test_growing_the_space_cannot_help():
     tri = StateSpace(
-        Polytope.from_points(
-            tuple(ratio(c) for c in row) for row in ((0, 0), (1, 0), (0, 1))
-        )
+        PointSet(tuple(tuple(ratio(c) for c in row) for row in ((0, 0), (1, 0), (0, 1))))
     )
     states = (("1/4", "1/4"), ("1/2", 0))
     small, _ = min_error(tri, states)

@@ -410,7 +410,7 @@ def _recorded(monkeypatch, name):
     return calls
 
 
-_TRIANGLE = geometry.Polytope.from_points(((0, 0), (1, 0), (0, 1)))
+_TRIANGLE = geometry.PointSet(((0, 0), (1, 0), (0, 1)))
 
 
 def test_pinned_member_outside_triangle(monkeypatch):

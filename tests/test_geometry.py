@@ -1,4 +1,4 @@
-"""Geometry layer: membership certificates, barycentric frames, volume."""
+"""Geometry layer: membership certificates, projection coordinates, volume."""
 
 import warnings
 from fractions import Fraction
@@ -8,6 +8,7 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from antipodes import geometry
 from antipodes.exact_lp import GE, Status
 from antipodes.geometry import (
     AffineMap,
@@ -16,17 +17,15 @@ from antipodes.geometry import (
     GeometryError,
     Membership,
     PointSet,
-    Polytope,
     StandardSimplex,
     affine_rank,
     as_point,
-    barycentric,
     decode_map,
     member,
-    orthogonal_project,
     outside_simplex,
     point_set_from_obj,
     point_set_to_obj,
+    projection_coordinates,
     simplex_map_lp,
     vdot,
     volume,
@@ -35,7 +34,7 @@ from antipodes.rationals import ScalarError, exact_tuple, ratio
 
 
 def _cube(d):
-    return Polytope.from_points(product((0, 1), repeat=d))
+    return PointSet(tuple(product((0, 1), repeat=d)))
 
 
 def _pts(*rows):
@@ -67,24 +66,31 @@ def test_dilation_halves_toward_center():
         Dilation((0,), "3/2")
 
 
+def _projection_coordinates(ps, subset):
+    """projection_coordinates as rationals."""
+    coords, den = projection_coordinates(ps, subset)
+    assert den > 0
+    return [tuple(ratio(c, den) for c in row) for row in coords]
+
+
 def test_barycentric_triangle():
-    frame = _pts((0, 0), (1, 0), (0, 1))
-    assert barycentric(frame, ("1/3", "1/3")) == (
-        ratio(1, 3),
-        ratio(1, 3),
-        ratio(1, 3),
-    )
+    ps = _pts((0, 0), (1, 0), (0, 1), ("1/3", "1/3"), (2, 0))
+    coords = _projection_coordinates(ps, (0, 1, 2))
+    assert coords[3] == (ratio(1, 3), ratio(1, 3), ratio(1, 3))
     # Outside the hull but inside the affine hull: a negative coordinate.
-    coords = barycentric(frame, (2, 0))
-    assert coords == (ratio(-1), ratio(2), ratio(0))
+    assert coords[4] == (ratio(-1), ratio(2), ratio(0))
+    # The frame's own points are its vertices.
+    assert coords[:3] == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
 
 
 def test_barycentric_rejects_bad_frames():
-    with pytest.raises(GeometryError):
-        barycentric(_pts((0, 0), (1, 1), (2, 2)), (0, 0))
-    frame = _pts((0, 0, 0), (1, 0, 0))
-    with pytest.raises(GeometryError):
-        barycentric(frame, (0, 1, 0))
+    # A dependent frame has no coordinates.
+    assert projection_coordinates(_pts((0, 0), (1, 1), (2, 2)), (0, 1, 2)) is None
+    assert projection_coordinates(_pts((0, 0), (1, 1), (2, 2)), (2, 0, 1)) is None
+    # A point off the frame's affine hull has the coordinates of its
+    # projection.
+    ps = _pts((0, 0, 0), (1, 0, 0), ("1/4", 1, 0))
+    assert _projection_coordinates(ps, (0, 1))[2] == (ratio(3, 4), ratio(1, 4))
 
 
 def test_member_inside_returns_coefficients():
@@ -94,8 +100,7 @@ def test_member_inside_returns_coefficients():
     total = sum(got.coefficients)
     assert total == 1
     recon = [
-        sum(c * p[t] for c, p in zip(got.coefficients, square.spanning))
-        for t in range(2)
+        sum(c * p[t] for c, p in zip(got.coefficients, square)) for t in range(2)
     ]
     assert recon == [ratio(1, 2), ratio(1, 2)]
 
@@ -105,7 +110,7 @@ def test_member_outside_returns_separator():
     got = member(square, (2, "1/2"))
     assert not got.inside
     assert vdot(got.normal, (ratio(2), ratio(1, 2))) > got.threshold
-    for p in square.spanning:
+    for p in square:
         assert vdot(got.normal, p) <= got.threshold
 
 
@@ -120,14 +125,14 @@ def test_member_strict_boundary_point():
 
 
 def test_member_strict_interior_point():
-    tri = Polytope(_pts((0, 0), (1, 0), (0, 1)))
+    tri = _pts((0, 0), (1, 0), (0, 1))
     got = member(tri, ("1/4", "1/4"), strict=True)
     assert got.inside
     assert all(c > 0 for c in got.coefficients)
 
 
 def test_member_strict_on_flat_set_uses_relative_interior():
-    seg = Polytope(_pts((0, 0), (1, 1)))
+    seg = _pts((0, 0), (1, 1))
     assert member(seg, ("1/2", "1/2"), strict=True).inside
     assert not member(seg, (0, 0), strict=True).inside
     assert not member(seg, ("1/2", 0), strict=True).inside
@@ -248,13 +253,15 @@ def test_pinned_map_program_without_variables():
 
 
 def test_orthogonal_project_onto_axis():
-    frame = _pts((0, 0), (4, 0))
-    images = orthogonal_project(_pts((0, 0), (4, 0), (5, 2)), frame)
-    assert images[2] == (ratio(5), ratio(0))
+    # (5, 2) projects to (5, 0) = -1/4 (0, 0) + 5/4 (4, 0).
+    ps = _pts((0, 0), (4, 0), (5, 2), (1, -1), (1, 1))
+    coords = _projection_coordinates(ps, (0, 1))
+    assert coords[2] == (ratio(-1, 4), ratio(5, 4))
     # Projections of distinct points may collide: both ends of a vertical
-    # segment land on the same spot.
-    images = orthogonal_project(_pts((1, -1), (1, 1)), frame)
-    assert images[0] == images[1] == (ratio(1), ratio(0))
+    # segment land on (1, 0).
+    assert coords[3] == coords[4] == (ratio(3, 4), ratio(1, 4))
+    # The frame's order is the coordinates' order.
+    assert _projection_coordinates(ps, (1, 0))[2] == (ratio(5, 4), ratio(-1, 4))
 
 
 def test_volume_known_bodies():
@@ -267,33 +274,34 @@ def test_volume_known_bodies():
         pts = [tuple(0 for _ in range(d))]
         for j in range(d):
             pts.append(tuple(1 if t == j else 0 for t in range(d)))
-        assert volume(Polytope.from_points(pts)) == ratio(1, factorial(d))
+        assert volume(PointSet(tuple(pts))) == ratio(1, factorial(d))
     # Cross-polytope: 2^d / d!.
     for d in (2, 3):
         pts = []
         for j in range(d):
             for s in (1, -1):
                 pts.append(tuple(s if t == j else 0 for t in range(d)))
-        assert volume(Polytope.from_points(pts)) == ratio(2**d, factorial(d))
+        assert volume(PointSet(tuple(pts))) == ratio(2**d, factorial(d))
 
 
 def test_volume_interior_points_are_harmless():
     pts = list(product((0, 1), repeat=2)) + [("1/2", "1/2"), ("1/4", "3/4")]
-    assert volume(Polytope.from_points(pts)) == 1
+    assert volume(PointSet(tuple(pts))) == 1
 
 
 def test_volume_degenerate_warns_and_is_zero():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        v = volume(Polytope(_pts((0, 0), (1, 1))))
+        v = volume(_pts((0, 0), (1, 1)))
     assert v == 0
     assert any(issubclass(w.category, DegenerateVolumeWarning) for w in caught)
 
 
-def test_volume_dimension_cap():
-    with pytest.raises(GeometryError):
+def test_volume_dimension_cap(monkeypatch):
+    with pytest.raises(GeometryError, match="up to dimension 4"):
         volume(_cube(5))
-    assert volume(_cube(5), dim_cap=5) == 1
+    monkeypatch.setattr(geometry, "VOLUME_DIM_CAP", 5)
+    assert volume(_cube(5)) == 1
 
 
 def test_as_point_keeps_backend_rationals_and_refuses_floats_and_bools():
@@ -321,6 +329,10 @@ def test_point_set_round_trip():
 def test_point_set_from_obj_diagnostics():
     with pytest.raises(GeometryError, match="dim"):
         point_set_from_obj({"points": [["1"]]})
+    # A bool is an int to isinstance, but not a dimension.
+    for flag in (True, False):
+        with pytest.raises(GeometryError, match="'dim' must be a positive integer"):
+            point_set_from_obj({"dim": flag, "points": [["0"], ["1"]]})
     with pytest.raises(GeometryError, match="point 1"):
         point_set_from_obj({"dim": 2, "points": [["1", "2"], ["3"]]})
     with pytest.raises(GeometryError, match="point 0"):
@@ -344,8 +356,7 @@ def _point_sets(dim, min_size=1, max_size=6):
 @settings(max_examples=150, deadline=None)
 @given(_point_sets(2, min_size=1), st.tuples(_coord, _coord))
 def test_member_certificates_always_verify(ps, x):
-    poly = Polytope(ps)
-    got = member(poly, x)
+    got = member(ps, x)
     if got.inside:
         assert sum(got.coefficients) == 1
         assert all(c >= 0 for c in got.coefficients)
@@ -363,7 +374,7 @@ def test_member_certificates_always_verify(ps, x):
 def test_centroid_is_weakly_inside(ps):
     n = len(ps)
     centroid = tuple(sum(p[t] for p in ps) / n for t in range(2))
-    assert member(Polytope(ps), centroid).inside
+    assert member(ps, centroid).inside
 
 
 @settings(max_examples=40, deadline=None)
@@ -372,11 +383,8 @@ def test_centroid_is_weakly_inside(ps):
 ))
 def test_dilation_scales_area_by_factor_squared(ps, lam):
     lam = ratio(lam.numerator, lam.denominator)
-    poly = Polytope(ps)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateVolumeWarning)
-        base = volume(poly)
-        shrunk = volume(
-            Polytope.from_points(Dilation(ps[0], lam).apply(p) for p in ps)
-        )
+        base = volume(ps)
+        shrunk = volume(PointSet(tuple(Dilation(ps[0], lam).apply(p) for p in ps)))
     assert shrunk == lam * lam * base

@@ -453,6 +453,16 @@ def test_random_code_order_two():
     assert len(set(code.words)) == len(code)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**1500), st.integers(1, 9), st.integers(-1, 1), st.booleans())
+def test_iroot_is_the_exact_floor_root(a, r, delta, near_power):
+    # Arbitrary values and neighbours of exact powers, far past the range
+    # of a float.
+    x = max(0, a**r + delta) if near_power else a
+    g = hashcodes._iroot(x, r)
+    assert g**r <= x < (g + 1) ** r
+
+
 def test_random_code_needs_integer_seed():
     with pytest.raises(HashCodeError):
         random_code(2, 2, 3, seed="7")

@@ -36,9 +36,8 @@ from antipodes.geometry import (
     _det,
     _plane,
     affine_symmetry,
-    barycentric,
     dump_point_set,
-    orthogonal_project,
+    projection_coordinates,
 )
 from antipodes.rationals import _bareiss, ratio
 
@@ -285,9 +284,8 @@ def test_a_generator_that_joins_nothing_is_not_checked(monkeypatch):
 
 
 def _erdos_holds_on(X, subset):
-    frame = PointSet(tuple(X[i] for i in subset))
-    images = orthogonal_project(X, frame)
-    return all(all(c >= 0 for c in barycentric(frame, y)) for y in images)
+    coords, _ = projection_coordinates(X, subset)
+    return all(all(c >= 0 for c in row) for row in coords)
 
 
 def test_parallelogram_rotation_breaks_the_projection_criterion(monkeypatch):
@@ -307,10 +305,10 @@ def test_parallelogram_rotation_breaks_the_projection_criterion(monkeypatch):
 
     monkeypatch.setattr(antipodality, "affine_symmetry", refuse)
     seen = []
-    real = antipodality.orthogonal_project
+    real = antipodality.projection_coordinates
     monkeypatch.setattr(
-        antipodality, "orthogonal_project",
-        lambda ps, frame: seen.append(frame) or real(ps, frame),
+        antipodality, "projection_coordinates",
+        lambda ps, subset: seen.append(subset) or real(ps, subset),
     )
     square = _ps(cube(2))
     assert erdos_rank_k(square, 1).holds

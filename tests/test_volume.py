@@ -1,7 +1,7 @@
 """Exact volume from the integer beneath-beyond boundary, against the
 brute-force facet enumeration and centroid triangulation it replaced; and
-the integer elimination kernel against the rational Gauss-Jordan it
-replaced."""
+the integer elimination kernel, with the projection coordinates it gives,
+against the rational Gauss-Jordan it replaced."""
 
 import itertools
 import warnings
@@ -15,23 +15,80 @@ from antipodes.geometry import (
     DegenerateVolumeWarning,
     GeometryError,
     PointSet,
-    Polytope,
     _boundary,
     _det,
     _initial_simplex,
     _integer_points,
     affine_rank,
-    barycentric,
-    matrix_rank,
-    solve_unique,
+    as_point,
+    projection_coordinates,
     vdot,
     volume,
-    vscale,
-    vsub,
 )
-from antipodes.rationals import ONE, ZERO, ratio
+from antipodes.rationals import (
+    ONE,
+    ZERO,
+    _bareiss,
+    exact_tuple,
+    int_ratio,
+    over_common_denominator,
+    ratio,
+)
 
 _PRIMES = (53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
+
+
+# ---------------------------------------------------------------------------
+# rational vector helpers, and integer solvers over the Bareiss kernel that
+# `geometry` no longer needs: the brute-force references below use the
+# first, and the kernel test checks the second against rational
+# Gauss-Jordan
+
+
+def vsub(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def vscale(s, a):
+    return tuple(s * x for x in a)
+
+
+def _cleared_rows(rows):
+    """Each row times the lcm of its own denominators."""
+    return [over_common_denominator(exact_tuple(r))[0] for r in rows]
+
+
+def matrix_rank(rows) -> int:
+    if not rows:
+        return 0
+    pivots, _ = _bareiss(_cleared_rows(rows))
+    return len(pivots)
+
+
+def solve_unique(rows, rhs):
+    aug = _cleared_rows([list(r) + [b] for r, b in zip(rows, rhs)])
+    ncols = len(aug[0]) - 1
+    pivots, _ = _bareiss(aug, jordan=True)
+    if ncols in pivots:
+        raise GeometryError("inconsistent linear system")
+    if len(pivots) != ncols:
+        raise GeometryError("linear system is rank-deficient")
+    return tuple(int_ratio(aug[r][-1], aug[r][c]) for r, c in enumerate(pivots))
+
+
+def barycentric(vertices, x) -> tuple:
+    x = as_point(x)
+    if len(x) != vertices.dim:
+        raise GeometryError("point dimension does not match the frame")
+    n = len(vertices)
+    rows = [[p[t] for p in vertices] + [x[t]] for t in range(vertices.dim)]
+    aug = _cleared_rows(rows + [[ONE] * (n + 1)])
+    pivots, _ = _bareiss(aug, jordan=True)
+    if pivots[:n] != list(range(n)):
+        raise GeometryError("frame is affinely dependent")
+    if n in pivots:
+        raise GeometryError("point lies outside the affine hull of the frame")
+    return tuple(int_ratio(aug[r][-1], aug[r][r]) for r in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +271,7 @@ _any_set = st.sampled_from((2, 3, 4)).flatmap(_point_sets)
 def _volume_quietly(ps):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        v = volume(Polytope(ps))
+        v = volume(ps)
     return v, [w.category for w in caught]
 
 
@@ -301,9 +358,9 @@ def test_cube_boundary_and_volume(d):
     assert all(
         any(len({P[i][t] for i in f}) == 1 for t in range(d)) for f in facets
     )
-    assert volume(Polytope(ps)) == 2**d
+    assert volume(ps) == 2**d
     shrunk = PointSet(tuple(tuple(c * 3 / 7 for c in x) for x in ps.points))
-    assert volume(Polytope(shrunk)) == ratio(6, 7) ** d
+    assert volume(shrunk) == ratio(6, 7) ** d
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +407,16 @@ def _reference_barycentric(vertices, x):
     return tuple(coords)
 
 
+def _reference_projection_coordinates(frame, x):
+    """Barycentric coordinates of x's orthogonal projection onto the
+    affine hull of an independent frame, from the rational Gram system."""
+    base = frame[0]
+    edges = [vsub(p, base) for p in frame.points[1:]]
+    gram = [[vdot(u, v) for v in edges] for u in edges]
+    mu = _reference_solve(gram, [vdot(u, vsub(x, base)) for u in edges])
+    return (ONE - sum(mu, ZERO),) + mu
+
+
 _entry = st.builds(ratio, st.integers(-4, 4), st.sampled_from((1, 2) + _PRIMES))
 
 
@@ -394,3 +461,16 @@ def test_integer_kernel_matches_rational_reference(shape, data):
     anywhere = tuple(data.draw(st.lists(_entry, min_size=n, max_size=n)))
     for x in (inside, anywhere, anywhere + (ONE,)):
         assert _outcome(barycentric, ps, x) == _outcome(_reference_barycentric, ps, x)
+    # The coordinates of each projection onto the frame's affine hull.
+    if len(points) > 1:
+        for x in (inside, anywhere):
+            qs = PointSet(tuple(points) + ((x,) if x not in points else ()))
+            got = projection_coordinates(qs, range(len(points)))
+            if got is None:
+                assert _reference_affine_rank(ps) < len(points) - 1
+                continue
+            coords, den = got
+            assert den > 0
+            own = qs.points.index(x)
+            expect = _reference_projection_coordinates(ps, x)
+            assert tuple(ratio(c, den) for c in coords[own]) == expect
