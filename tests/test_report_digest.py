@@ -5,6 +5,8 @@ its exit code together with its stdout.  The digests were recorded with
 the two-column-per-variable simplex tableau, so any drift in pivot order,
 tie-breaking, or the points, maps and witnesses read out of the final
 basis shows up here, even where the new certificate would still verify.
+The hash-search and hash-greedy cases pin the words, node counts and
+optimal flags of the code searches in the same way.
 """
 
 import hashlib
@@ -150,6 +152,27 @@ CASES = {
     "volume-cube-holds-verify": (
         ("--verify", "volume-check", "cube~affine", "--k", "1"),
         "4db2215f63ba5cdeafd2afd46a314ff53a21c61f52b77cf59d72e006d9ad0027",
+    ),
+    "hash-search-433-verify": (
+        ("--verify", "hash-search", "--b", "4", "--k", "3", "--m", "3"),
+        "5f9d5ac6775678b70a9612837a4b150b9ebdd7c72cc377d61c48bc37e0383c0e",
+    ),
+    "hash-search-443-verify": (
+        ("--verify", "hash-search", "--b", "4", "--k", "4", "--m", "3"),
+        "17d7be983c5b06365a168d321afdb7e8906507d4d9547a008d9b3e87edc0a921",
+    ),
+    # The budget runs out first: exit 3 with the incumbent.
+    "hash-search-633-capped": (
+        ("hash-search", "--b", "6", "--k", "3", "--m", "3", "--budget", "20000"),
+        "1680f21e051b4ea8c7c0ea0268ec3909b932218f1be5065854dbd9e18b32f505",
+    ),
+    "hash-greedy-635-verify": (
+        ("--verify", "hash-greedy", "--b", "6", "--k", "3", "--m", "5"),
+        "a5e5c90e6e7a6bef7ba201689ce070705ff30d94a5770f7dd168cefd75dc8637",
+    ),
+    "hash-greedy-844-verify": (
+        ("--verify", "hash-greedy", "--b", "8", "--k", "4", "--m", "4"),
+        "a8abb06973108c2b404a3360f485c99b0a9a87704c599ac1670decaed495e5f3",
     ),
 }
 
