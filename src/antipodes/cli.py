@@ -11,7 +11,8 @@ Every verb prints one JSON report to stdout and exits with:
 Rationals appear as "p/q" strings; --decimal appends an approximate
 rendering.  --verify re-parses the canonical report and re-checks its
 certificates before printing.  A report that cannot be rendered (a
-number past the interpreter's digit limit) ends in exit 2.
+number past the interpreter's digit limit) ends in exit 2.  A reader that
+closes stdout early does not change the exit code.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from decimal import Decimal
 from math import comb
@@ -643,8 +645,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _print_error(exc, **extra):
-    print(json.dumps({"error": str(exc), **extra}, indent=2, sort_keys=True))
+def _error_text(exc, **extra) -> str:
+    return json.dumps({"error": str(exc), **extra}, indent=2, sort_keys=True)
 
 
 def main(argv=None) -> int:
@@ -658,12 +660,18 @@ def main(argv=None) -> int:
                 code = EXIT_FAILS
         text = _render(report, args.decimal)
     except _INPUT_ERRORS as exc:
-        _print_error(exc)
-        return EXIT_INPUT
+        text, code = _error_text(exc), EXIT_INPUT
     except _INTERNAL_ERRORS as exc:
-        _print_error(exc, layer=type(exc).__module__.rpartition(".")[2])
-        return EXIT_INTERNAL
-    print(text)
+        text = _error_text(exc, layer=type(exc).__module__.rpartition(".")[2])
+        code = EXIT_INTERNAL
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # The reader closed stdout early.  The verdict stands; stdout now
+        # points at the null device, so the flush at shutdown stays quiet.
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
     return code
 
 

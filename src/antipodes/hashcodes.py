@@ -112,17 +112,15 @@ class HashCode:
         return iter(self.words)
 
 
-def _refuse_many_words(b, m) -> None:
-    """Refuse b**m > WORD_LIMIT without building b**m when m is huge."""
+def _all_words(b, m) -> list:
+    """The b**m words in lexicographic order; refuses more than WORD_LIMIT."""
     # b**m >= 2**(m*(bits-1)): the first test settles every huge b or m,
     # and the exact test then builds a power of a few dozen bits at most.
-    if (
-        m * (b.bit_length() - 1) > WORD_LIMIT.bit_length()
-        or b**m > WORD_LIMIT
-    ):
+    if m * (b.bit_length() - 1) > WORD_LIMIT.bit_length() or b**m > WORD_LIMIT:
         raise HashCodeError(
             f"b**m words for b={b}, m={m} exceed the word limit {WORD_LIMIT}"
         )
+    return list(product(range(1, b + 1), repeat=m))
 
 
 def _separated(batch, m) -> bool:
@@ -151,9 +149,7 @@ def _lex_masks(b, m, n) -> list:
     for j in range(m):
         block = b ** (m - 1 - j)
         ones = (1 << block) - 1
-        symbol.append(
-            [0] + [_tile(ones << (s * block), b * block, n) for s in range(b)]
-        )
+        symbol.append([0] + [_tile(ones << (s * block), b * block, n) for s in range(b)])
     return symbol
 
 
@@ -189,20 +185,38 @@ def _blocked(batch, symbol) -> int:
     return out
 
 
-def _newly_blocked(chosen, word, k, symbol, memo, room) -> int:
-    """Words blocked by the order-k batches through `word` and `chosen`.
+def _pair_blocked(u, v, symbol) -> int:
+    """_blocked((u, v), symbol), without building the batch's columns."""
+    out = -1
+    for row, s, t in zip(symbol, u, v):
+        if s != t:
+            out &= row[s] | row[t]
+    return out
 
-    Each batch's mask is looked up in `memo` first; a mask computed anew
-    is kept there while it holds fewer than `room` masks.
-    """
+
+def _newly_blocked(chosen, idx, k, words, symbol, memo, room) -> int:
+    """Words blocked by the order-k batches of words[idx] and the words at
+    the `chosen` indices.  Each batch's mask is looked up in `memo` first,
+    keyed by its indices: c * n + idx for a pair (c, idx) at order 3, else
+    their tuple.  A new mask is kept while `memo` holds fewer than `room`."""
     out = 0
+    if k == 3:
+        n, word = len(words), words[idx]
+        for c in chosen:
+            mask = memo.get(c * n + idx)
+            if mask is None:
+                mask = _pair_blocked(words[c], word, symbol)
+                if len(memo) < room:
+                    memo[c * n + idx] = mask
+            out |= mask
+        return out
     for rest in combinations(chosen, k - 2):
-        batch = rest + (word,)
-        mask = memo.get(batch)
+        key = rest + (idx,)
+        mask = memo.get(key)
         if mask is None:
-            mask = _blocked(batch, symbol)
+            mask = _blocked([words[i] for i in key], symbol)
             if len(memo) < room:
-                memo[batch] = mask
+                memo[key] = mask
         out |= mask
     return out
 
@@ -234,7 +248,7 @@ class SearchResult:
 
 
 def max_code(b: int, k: int, m: int, budget: int | None = DEFAULT_BUDGET) -> SearchResult:
-    """Depth-first search for a largest order-k code.
+    """Depth-first search over word indices for a largest order-k code.
 
     Candidates are scanned in lexicographic order.  Per-coordinate symbol
     renaming is factored out: a word may only use symbols at most one above
@@ -244,32 +258,21 @@ def max_code(b: int, k: int, m: int, budget: int | None = DEFAULT_BUDGET) -> Sea
     incumbent meets the counting bound.  A spent node budget returns the
     incumbent with optimal=False.
 
-    Each level of the search keeps two bitmasks over the words after its
-    position: the words the renaming rule allows, and the words that some
-    order-k batch with the chosen words would leave unseparated.  Testing
-    a word is one bit test, and the nodes between two kept words are
-    counted by one popcount.
-
-    Forward checking (Haralick and Elliott, 1980) ends a level early.
-    Once the next free word f is found, the words at or after f that no
-    batch blocks are counted over the whole tail, not only those the
-    renaming rule allows now, since a growing maxseen may allow any of
-    them.  If the chosen words plus that count cannot beat the
-    incumbent, every word left at the level is dismissed.  A dismissed
-    word counts as a node, exactly as a blocked word does, so a node
-    budget buys about the same work with or without the check.
-
-    Sibling branches keep the same batches again and again, so the
-    blocked mask of each batch is computed once per call and looked up
-    after that, up to _BLOCKED_CACHE_BITS bits of masks; past that bound
-    new batches are computed every time.  Nothing is kept between calls.
+    Each level keeps two bitmasks over the words after its position: the
+    words the renaming rule allows, and those that some order-k batch with
+    the chosen words leaves unseparated, so testing a word is one bit test.
+    Forward checking (Haralick and Elliott, 1980) dismisses the rest of a
+    level once the chosen words plus the unblocked words from the next free
+    one on, over the whole tail, cannot beat the incumbent; a dismissed
+    word counts as a node, exactly as a blocked word does.  Each batch's
+    blocked mask is computed once per call and then looked up by its word
+    indices, up to _BLOCKED_CACHE_BITS bits of masks.
     """
     _check_params(b, k, m)
     if budget is not None and budget < 1:
         raise HashCodeError("budget: must be positive when given")
-    _refuse_many_words(b, m)
+    universe = _all_words(b, m)
     cap = floor_ratio(counting_bound(b, k, m))
-    universe = list(product(range(1, b + 1), repeat=m))
     n = len(universe)
     # With one coordinate, or at order 2, distinct words always split, so
     # no batch ever blocks a word.
@@ -287,7 +290,6 @@ def max_code(b: int, k: int, m: int, budget: int | None = DEFAULT_BUDGET) -> Sea
                 mask &= prefix[j][maxseen[j] + 1]
         return mask >> start
 
-    # Masks of the batches met so far, keyed by their words.
     memo: dict = {}
     room = _BLOCKED_CACHE_BITS // (b**m + _BLOCKED_ENTRY_BITS)
     chosen: list = []
@@ -327,24 +329,23 @@ def max_code(b: int, k: int, m: int, budget: int | None = DEFAULT_BUDGET) -> Sea
                 chosen.pop()
             continue
         step = span.bit_length()
-        word = universe[pos + step - 1]
-        start = pos + step
+        idx, start = pos + step - 1, pos + step
         allow >>= step
         forbidden >>= step
         frame[:3] = start, allow, forbidden
         if blocks:
-            forbidden |= _newly_blocked(chosen, word, k, symbol, memo, room) >> start
-        chosen.append(word)
+            forbidden |= _newly_blocked(chosen, idx, k, universe, symbol, memo, room) >> start
+        chosen.append(idx)
         best_len = max(best_len, len(chosen))
         if best_len >= cap:
             break
-        seen = tuple(map(max, maxseen, word))
+        seen = tuple(map(max, maxseen, universe[idx]))
         if seen != maxseen:
             allow = allowed(seen, start)
         stack.append([start, allow, forbidden, seen])
     if len(chosen) == best_len > len(best):
         best = list(chosen)
-    code = HashCode(b, k, m, tuple(best))
+    code = HashCode(b, k, m, tuple(universe[i] for i in best))
     return SearchResult(code=code, optimal=not exhausted, nodes=nodes)
 
 
@@ -357,8 +358,7 @@ def greedy_code(b: int, k: int, m: int, order=None) -> HashCode:
     scanned words marks those a batch of kept words already blocks."""
     _check_params(b, k, m)
     if order is None:
-        _refuse_many_words(b, m)
-        words = list(product(range(1, b + 1), repeat=m))
+        words = _all_words(b, m)
     else:
         words = [tuple(w) for w in order]
         _check_words(words, b, m, "order")
@@ -369,14 +369,14 @@ def greedy_code(b: int, k: int, m: int, order=None) -> HashCode:
         symbol = _lex_masks(b, m, len(words)) if order is None else _listed_masks(words, m)
     kept: list = []
     forbidden = 0
-    for idx, word in enumerate(words):
+    for idx in range(len(words)):
         if forbidden >> idx & 1:
             continue
         if blocks:
             # A sweep meets each batch once, so it keeps no masks.
-            forbidden |= _newly_blocked(kept, word, k, symbol, {}, 0)
-        kept.append(word)
-    return HashCode(b, k, m, tuple(kept))
+            forbidden |= _newly_blocked(kept, idx, k, words, symbol, {}, 0)
+        kept.append(idx)
+    return HashCode(b, k, m, tuple(words[i] for i in kept))
 
 
 def _iroot(x: int, r: int) -> int:

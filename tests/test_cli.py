@@ -247,6 +247,29 @@ def test_module_entry_point_matches_main(capsys):
     assert proc.stderr == b""
 
 
+def test_closed_stdout_keeps_the_verdict():
+    # The read end is closed before the child starts, so its first write
+    # to stdout fails with a broken pipe.
+    src = str(Path(antipodes.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    argv = ["hash-search", "--b", "6", "--k", "3", "--m", "3", "--budget", "20000"]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "antipodes", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 3
+    assert proc.stderr == b""
+
+
 @pytest.mark.parametrize("m", ["500", "3000"])
 def test_hash_random_refuses_long_codes_promptly(m):
     # The sample size is an exact integer root: the run reaches the batch

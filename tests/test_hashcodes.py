@@ -257,22 +257,29 @@ def test_max_code_node_pins():
 
 def _record_memo(monkeypatch):
     """Spy on max_code's memo: (size, room) after every lookup, and every
-    batch whose mask is computed.  bound(n, entries) clears both records
-    and, given `entries`, cuts the memo's bound to that many masks over a
+    batch whose mask is computed, as a tuple of words (pairs at order 3,
+    through _pair_blocked).  bound(n, entries) clears both records and,
+    given `entries`, cuts the memo's bound to that many masks over a
     universe of n words."""
-    real_newly, real_blocked = hashcodes._newly_blocked, hashcodes._blocked
+    real_newly = hashcodes._newly_blocked
+    real_pair, real_blocked = hashcodes._pair_blocked, hashcodes._blocked
     sizes, computed = [], []
 
-    def newly(chosen, word, k, symbol, memo, room):
-        out = real_newly(chosen, word, k, symbol, memo, room)
+    def newly(chosen, idx, k, words, symbol, memo, room):
+        out = real_newly(chosen, idx, k, words, symbol, memo, room)
         sizes.append((len(memo), room))
         return out
 
+    def pair(u, v, symbol):
+        computed.append((u, v))
+        return real_pair(u, v, symbol)
+
     def blocked(batch, symbol):
-        computed.append(batch)
+        computed.append(tuple(batch))
         return real_blocked(batch, symbol)
 
     monkeypatch.setattr(hashcodes, "_newly_blocked", newly)
+    monkeypatch.setattr(hashcodes, "_pair_blocked", pair)
     monkeypatch.setattr(hashcodes, "_blocked", blocked)
 
     def bound(n, entries=None):
@@ -291,6 +298,7 @@ def test_max_code_computes_each_batch_once(monkeypatch):
         bound(b**m)
         result = max_code(b, k, m, budget)
         assert result == ref_max_code(b, k, m, budget)
+        assert computed and all(len(batch) == k - 1 for batch in computed)
         assert len(computed) == len(set(computed)) == sizes[-1][0]
         assert sizes[-1][0] < sizes[-1][1]
 
@@ -306,7 +314,7 @@ def test_max_code_with_a_full_memo_matches_reference(monkeypatch, deep_recursion
     cases += random.Random(8).sample(blocking, 40)
     bound, sizes, computed = _record_memo(monkeypatch)
     for entries in (0, 3):
-        recomputed = 0
+        recomputed = {}
         for (b, k, m), budget in cases:
             bound(b**m, entries)
             result = max_code(b, k, m, budget)
@@ -314,8 +322,22 @@ def test_max_code_with_a_full_memo_matches_reference(monkeypatch, deep_recursion
             assert all(size <= room == entries for size, room in sizes)
             if len(set(computed)) > entries:
                 assert sizes[-1][0] == entries
-            recomputed += len(computed) - len(set(computed))
-        assert recomputed > 0
+            recomputed[k] = recomputed.get(k, 0) + len(computed) - len(set(computed))
+        assert recomputed[3] > 0 and recomputed[4] > 0
+
+
+def test_max_code_keeps_few_masks_over_a_large_universe(monkeypatch):
+    # 3**10 = 59 049 words: each mask is 59 049 bits, so the memo may hold
+    # only 68 of them.
+    bound, sizes, computed = _record_memo(monkeypatch)
+    bound(3**10)
+    result = max_code(3, 3, 10, budget=20000)
+    room = hashcodes._BLOCKED_CACHE_BITS // (3**10 + hashcodes._BLOCKED_ENTRY_BITS)
+    assert room == 68
+    assert sizes and all(size <= r == room for size, r in sizes)
+    assert len(computed) == len(set(computed)) == sizes[-1][0]
+    assert (len(result.code), result.nodes, result.optimal) == (7, 20001, False)
+    assert result.code.words[-1] == (1, 1, 1, 1, 1, 3, 3, 3, 3, 3)
 
 
 def test_greedy_code_matches_reference():
@@ -328,6 +350,51 @@ def test_greedy_code_matches_reference():
         order = [rng.choice(universe) for _ in range(len(universe))]
         order = [list(w) for w in order + order[::3]]
         assert greedy_code(b, k, m, order) == ref_greedy_code(b, k, m, order)
+
+
+@st.composite
+def _kernel_cases(draw):
+    """A word list with its symbol masks, lexicographic or listed, and an
+    index with a set of partner indices for the batch kernel."""
+    k = draw(st.sampled_from((3, 4)))
+    b = draw(st.integers(k, 5))
+    m = draw(st.integers(2, 3))
+    universe = list(product(range(1, b + 1), repeat=m))
+    if draw(st.booleans()):
+        words = universe
+        symbol = hashcodes._lex_masks(b, m, len(words))
+    else:
+        words = draw(st.permutations(universe))[: draw(st.integers(k, len(universe)))]
+        symbol = hashcodes._listed_masks(words, m)
+    idx = draw(st.integers(0, len(words) - 1))
+    others = st.integers(0, len(words) - 1).filter(lambda i: i != idx)
+    chosen = sorted(draw(st.sets(others, max_size=6)))
+    room = draw(st.sampled_from((0, 2, 1000)))
+    return k, words, symbol, idx, chosen, room
+
+
+@settings(max_examples=150, deadline=None)
+@given(_kernel_cases())
+def test_newly_blocked_is_the_or_of_batch_masks(case):
+    k, words, symbol, idx, chosen, room = case
+    expected = 0
+    for rest in combinations(chosen, k - 2):
+        expected |= hashcodes._blocked([words[i] for i in rest] + [words[idx]], symbol)
+    memo = {}
+    # The second call reads back whatever masks the first one kept.
+    for _ in range(2):
+        assert hashcodes._newly_blocked(chosen, idx, k, words, symbol, memo, room) == expected
+        assert len(memo) <= room
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((3, 4)), st.data())
+def test_greedy_in_a_listed_order_matches_reference(k, data):
+    b = data.draw(st.integers(k, 5))
+    m = data.draw(st.integers(2, 3))
+    universe = list(product(range(1, b + 1), repeat=m))
+    order = data.draw(st.lists(st.sampled_from(universe), min_size=1, max_size=2 * len(universe)))
+    assert greedy_code(b, k, m, order) == ref_greedy_code(b, k, m, order)
 
 
 def test_order_two_search_goes_deeper_than_the_recursion_limit():
