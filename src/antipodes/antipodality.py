@@ -20,8 +20,12 @@ only the k(r - k) map entries the pins leave free, r being the affine
 rank of X; when k = r there are none, and the signs of barycentric
 coordinates decide.  A negative answer carries a witness point lying in
 all k+1 closed shrunk copies for factors summing to strictly less than
-k, a configuration that is impossible for jointly antipodal tuples;
-checking it needs only convex hull membership.
+k, a configuration that is impossible for jointly antipodal tuples.
+Its self-check substitutes the copy weights of the shrunk-copy solution
+in integers, with no LP (`_witness_holds`); checking the certificate on
+its own (`verify_joint_certificate`, the `--verify` replay) needs convex
+hull membership.  The shrunk-copy program's rows are built straight from
+the set's cleared integers.
 
 Exhaustive rank checks count their subsets first and refuse more than
 EXHAUSTIVE_LIMIT of them before the set's affine rank is computed.
@@ -45,7 +49,15 @@ from itertools import combinations
 from math import comb
 from typing import Optional
 
-from .exact_lp import EQ, GE, Status, make_lp, solve_strict
+from .exact_lp import (
+    EQ,
+    GE,
+    Constraint,
+    LinearProgram,
+    Status,
+    integer_row,
+    solve_strict,
+)
 from .geometry import (
     AffineMap,
     Dilation,
@@ -59,7 +71,7 @@ from .geometry import (
     simplex_map_lp,
     vdot,
 )
-from .rationals import ZERO, ratio
+from .rationals import ZERO, int_pair, over_common_denominator, ratio
 
 #: Exhaustive rank checks refuse beyond this many subsets; ask for
 #: sampling instead.
@@ -215,38 +227,26 @@ def _copies_lp(X: PointSet, chosen, factors):
     shrunk copies of conv(X), one copy per chosen point.
 
     Variables: the common point z (d of them), then convex weights over X
-    for each copy.  Weight positivity rows are the strict ones.
+    for each copy.  Weight positivity rows are the strict ones.  With the
+    points cleared to P / L and factor l_j = a / b, copy j's coordinate
+    row z_t - l_j sum_i w_ji x_it = (1 - l_j) q_t is the integer row
+    b L z_t - a sum_i P_it w_ji = (b - a) Q_t over b L.
     """
     n = len(X)
     d = X.dim
     k = len(chosen) - 1
-    nv = d + (k + 1) * n
-
-    def wcol(j, i):
-        return d + j * n + i
-
+    P, L = X.cleared
     rows = []
     for j, q_idx in enumerate(chosen):
-        lam = factors[j]
-        q = X[q_idx]
+        a, b = int_pair(factors[j])
+        base = d + j * n
         for t in range(d):
-            coeffs = [0] * nv
-            coeffs[t] = 1
-            for i, x in enumerate(X):
-                coeffs[wcol(j, i)] = -lam * x[t]
-            rows.append((tuple(coeffs), EQ, (1 - lam) * q[t]))
-        coeffs = [0] * nv
-        for i in range(n):
-            coeffs[wcol(j, i)] = 1
-        rows.append((tuple(coeffs), EQ, 1))
-    strict_rows = []
-    for j in range(k + 1):
-        for i in range(n):
-            coeffs = [0] * nv
-            coeffs[wcol(j, i)] = 1
-            strict_rows.append(len(rows))
-            rows.append((tuple(coeffs), GE, 0))
-    return make_lp(nv, rows), strict_rows
+            terms = [(t, b * L)] + [(base + i, -a * p[t]) for i, p in enumerate(P)]
+            rows.append(integer_row(terms, EQ, (b - a) * P[q_idx][t], b * L))
+        rows.append(Constraint(tuple((base + i, 1) for i in range(n)), EQ, 1, 1))
+    first = len(rows)
+    rows.extend(Constraint(((d + c, 1),), GE, 0, 1) for c in range((k + 1) * n))
+    return LinearProgram(d + (k + 1) * n, tuple(rows)), list(range(first, len(rows)))
 
 
 def _witness_from_solution(X, chosen, factors, point):
@@ -268,6 +268,43 @@ def _witness_from_solution(X, chosen, factors, point):
             raise CertificateError("interior weights must lie in (0, 1)")
         reduced.append(factors[j] * (1 - m_center))
     return witness, tuple(reduced)
+
+
+def _witness_holds(X: PointSet, chosen, witness, factors, weights) -> bool:
+    """Does the witness lie in every closed shrunk copy, as the copy
+    weights show?  Decided by substitution in integers, with no LP.
+
+    weights[j] holds one weight per point of X for the copy shrunk toward
+    q = X[chosen[j]] by factors[j] = s.  Without the centre's weight m_q
+    and rescaled by 1 - m_q, they must be a convex combination v of the
+    other points, and the witness must equal (1 - s) q + s sum v_x x.
+    The factors must lie in (0, 1) and sum to less than k.
+    """
+    k = len(chosen) - 1
+    if len(factors) != k + 1 or len(weights) != k + 1:
+        return False
+    if any(not 0 < f < 1 for f in factors) or sum(factors, ZERO) >= k:
+        return False
+    P, L = X.cleared
+    Z, zden = over_common_denominator(witness)
+    for q_idx, s, m in zip(chosen, factors, weights):
+        if len(m) != len(X):
+            return False
+        # v_x = M_x / rest with the weights cleared to M / mden.
+        M, mden = over_common_denominator(m)
+        rest = mden - M[q_idx]
+        others = [(M[i], p) for i, p in enumerate(P) if i != q_idx]
+        if rest <= 0 or any(w < 0 for w, _ in others):
+            return False
+        if sum(w for w, _ in others) != rest:
+            return False
+        # Times L * sden * rest * zden, the coordinates must agree.
+        sn, sden = int(s.numerator), int(s.denominator)
+        for t, (z, q) in enumerate(zip(Z, P[q_idx])):
+            point = (sden - sn) * rest * q + sn * sum(w * p[t] for w, p in others)
+            if L * sden * rest * z != zden * point:
+                return False
+    return True
 
 
 def verify_joint_certificate(X: PointSet, cert: AntipodalityCertificate) -> bool:
@@ -322,12 +359,13 @@ def _witness_certificate(X: PointSet, chosen, factors):
     if out.status is not Status.FEASIBLE:
         return None
     witness, reduced = _witness_from_solution(X, chosen, factors, out.point)
-    cert = AntipodalityCertificate(
+    d, n = X.dim, len(X)
+    weights = [out.point[d + j * n : d + (j + 1) * n] for j in range(len(chosen))]
+    if not _witness_holds(X, chosen, witness, reduced, weights):
+        raise CertificateError("witness certificate failed verification")
+    return AntipodalityCertificate(
         False, chosen, witness=witness, shrink_factors=reduced
     )
-    if not verify_joint_certificate(X, cert):
-        raise CertificateError("witness certificate failed verification")
-    return cert
 
 
 def joint_antipodal_direct(X: PointSet, chosen) -> AntipodalityCertificate:

@@ -16,11 +16,17 @@ minus the first.  The first row per variable that says x_j >= 0 (one
 nonzero coefficient, rhs 0) is not a row of the tableau but the
 variable's sign bound: its second part never enters, and the row's
 multiplier is read off the variable's final reduced cost.  The other rows
-receive slacks, and artificials label the starting basis without being
-stored: they never re-enter, and the multipliers they would carry are
-recovered from the final basis by one square integer solve, a
-Gauss-Jordan pass of the package's one elimination kernel
-(`rationals._bareiss`).  Pivoting is Dantzig's rule with a permanent
+receive slacks.  The starting basis is a slack ("crash") basis (Bixby
+1992): a row whose slack has coefficient +1 once its rhs is made
+nonnegative (a <= row with rhs >= 0, a >= row with rhs <= 0, negated)
+starts with that slack basic, and only the other rows start with an
+artificial.  Artificials are not stored, since they never re-enter;
+phase one prices only those that start basic and is skipped when there
+are none.  An inequality row's multiplier is then its slack's final
+reduced cost; only the equality rows whose artificial left the basis
+are solved for, in one Gauss-Jordan pass of the package's one
+elimination kernel (`rationals._bareiss`) over the basic variable
+columns.  Pivoting is Dantzig's rule with a permanent
 switch to Bland's rule after a run of degenerate steps, which keeps the
 solver fast on typical inputs and terminating on all of them.  The whole
 pipeline is deterministic: identical programs produce identical outcomes,
@@ -38,7 +44,9 @@ out.
 A constraint is an integer row (`Constraint`): its nonzero coefficients
 as (column, integer) pairs and an integer rhs, every value standing for
 itself over den, the lcm of the row's denominators.  `make_lp` reads each
-scalar once to build it, and nothing keeps a rational copy.  The tableau
+scalar once to build it, `integer_row` builds it from integers (as the
+weight programs of `geometry.member` and the shrunk copies do), and
+nothing keeps a rational copy.  The tableau
 is built from these rows, and the same rows re-verify every certificate.
 `check_point` and `check_ray` clear the vector's denominators to one lcm
 L and test signs of integer dot products, the signs the rational ones
@@ -132,6 +140,21 @@ def _dot(a, b):
     for x, y in zip(a, b):
         total += x * y
     return total
+
+
+def integer_row(terms, relation, rhs, den) -> Constraint:
+    """The row sum of a * x_j over terms (relation) rhs, every value over
+    den > 0, in lowest terms: zero coefficients dropped, and den, rhs and
+    the coefficients divided by their gcd.  den is then the lcm of the
+    row's denominators, so this is the row `make_lp` builds from the same
+    rationals.  terms must be in column order."""
+    terms = [(j, a) for j, a in terms if a]
+    g = math.gcd(den, rhs, *(a for _, a in terms))
+    if g != 1:
+        terms = [(j, a // g) for j, a in terms]
+        rhs //= g
+        den //= g
+    return Constraint(tuple(terms), relation, rhs, den)
 
 
 def make_lp(num_vars, rows, objective=None, maximize=True) -> LinearProgram:
@@ -332,7 +355,10 @@ class _Standard:
     row kept[r].  Then comes one slack label per kept inequality row,
     nstruct labels in all, and label nstruct+r is kept row r's artificial.
     Kept row r becomes sign_r * (row with slack) so the standard rhs is
-    nonnegative; the tableau builds these rows from the program's rows.
+    nonnegative, and a >= row with rhs 0 is negated as well; the tableau
+    builds these rows from the program's rows.  crash[r] says that the
+    slack then has coefficient +1, so the row can start with its slack
+    basic.
     """
 
     def __init__(self, lp: LinearProgram):
@@ -354,7 +380,15 @@ class _Standard:
                 self.slack_col.append(ncols)
                 ncols += 1
         self.nstruct = ncols
-        self.sign = [-1 if lp.constraints[i].rhs < 0 else 1 for i in self.kept]
+        self.sign = []
+        self.crash = []
+        for i in self.kept:
+            con = lp.constraints[i]
+            negate = con.rhs < 0 or con.rhs == 0 and con.relation == GE
+            self.sign.append(-1 if negate else 1)
+            # The slack has coefficient +1 in a <= row kept as it is and
+            # in a >= row negated.
+            self.crash.append(con.relation == (GE if negate else LE))
 
     def objective_min(self):
         """Internal objective (minimisation), one (numerator, denominator)
@@ -445,7 +479,13 @@ class _Tableau:
             row[-1] = sign * con.rhs
             self.rows.append(row)
             self.dens.append(con.den)
-        self.basis = [self.nstruct + r for r in range(self.m)]
+        # Crash basis: a row whose slack has coefficient +1 in the
+        # standard form starts with that slack basic, every other row with
+        # its artificial.
+        self.basis = [
+            std.slack_col[r] if crash else self.nstruct + r
+            for r, crash in enumerate(std.crash)
+        ]
         self.active = [True] * self.m
         self.obj = [0] * (self.ncols + 1)
         self.obj_den = 1
@@ -598,8 +638,10 @@ class _Tableau:
     # -- phases -----------------------------------------------------------
 
     def phase1(self) -> bool:
-        # Cost 1 on each artificial; every row starts with its artificial
-        # basic.
+        # Cost 1 on each basic artificial; with none, the crash basis is
+        # already feasible.
+        if all(label < self.nstruct for label in self.basis):
+            return True
         self._price([(0, 1)] * self.ncols, 1)
         escape = self._optimize()
         if escape is not None:
@@ -667,59 +709,77 @@ class _Tableau:
         """y = c_B B^-1 for the final basis, one backend rational per
         tableau row.
 
-        Row i never pivoted while its own artificial is basic, so that
-        artificial's column is still e_i and y_i is its cost, art_cost.  A
-        basic slack of row i is a column +-e_i of cost 0, so y_i = 0.
-        Every other y_i is unknown, and there is one basic variable column
-        j per unknown: the equations y . A_j = c_j form a square,
-        nonsingular system in the kept integer rows, for
-        u_i = sign_i * y_i / den_i.  One fraction-free Gauss-Jordan pass of
-        the shared kernel `rationals._bareiss` solves it; the system is
-        empty when no multiplier is unknown.
+        An inequality row's slack has the column sigma_r e_r, sigma_r the
+        sign of its coefficient once the row is oriented, and cost 0, so
+        its final reduced cost obj[s] / obj_den is -sigma_r y_r: y_r is
+        read off the objective row, and is 0 when the slack is basic.  An
+        equality row whose own artificial is basic never pivoted, that
+        artificial's column is still e_r, and y_r is its cost, art_cost.
+        The other equality rows are the unknowns.  Each basic variable
+        column j gives y . A_j = c_j; in u_r = sign_r * y_r / den_r on the
+        kept integer rows these equations are consistent, with exactly
+        one solution, and one fraction-free Gauss-Jordan pass of the
+        shared kernel `rationals._bareiss` solves them.
         """
         std = self.std
+        n = self.n
         rows = [std.lp.constraints[i] for i in std.kept]
-        basic = {self.basis[r] for r in range(self.m) if self.active[r]}
-        known, unknown = [], []
-        for i in range(self.m):
-            if self.basis[i] == self.nstruct + i:
-                known.append(i)
-            elif std.slack_col[i] not in basic:
-                unknown.append(i)
-        columns = sorted(label >> 1 for label in basic if label < 2 * self.n)
-        if len(columns) != len(unknown):
-            raise SolverInvariantError("the dual system is not square")
+        y = [None] * self.m
+        # Known u_r, as (numerator, denominator) pairs.
+        known = []
+        unknown = []
+        for r, con in enumerate(rows):
+            s = std.slack_col[r]
+            if s is not None:
+                d = self.obj[s - n]
+                oriented = std.sign[r] if con.relation == LE else -std.sign[r]
+                y[r] = int_ratio(-oriented * d, self.obj_den)
+                if d:
+                    # u_r = -sign_r sigma_r d / (obj_den den_r), and
+                    # sign_r sigma_r is +1 on a <= row, -1 on a >= row.
+                    num = -d if con.relation == LE else d
+                    known.append((r, num, self.obj_den * con.den))
+            elif self.basis[r] == self.nstruct + r:
+                y[r] = int_ratio(art_cost, 1)
+                if art_cost:
+                    known.append((r, std.sign[r] * art_cost, con.den))
+            else:
+                unknown.append(r)
+        if not unknown:
+            return y
+        columns = sorted(
+            self.basis[r] >> 1
+            for r in range(self.m)
+            if self.active[r] and self.basis[r] < 2 * n
+        )
         at = {j: e for e, j in enumerate(columns)}
-        feeders = known if art_cost else []
         scale = math.lcm(
             *(cost[j][1] for j in columns if cost[j][0]),
-            *(rows[i].den for i in feeders),
+            *(den for _, _, den in known),
         )
         system = [[0] * len(unknown) + [0] for _ in columns]
         for e, j in enumerate(columns):
             num, den = cost[j]
             system[e][-1] = num * (scale // den)
-        for i in feeders:
-            factor = art_cost * std.sign[i] * (scale // rows[i].den)
-            for j, a in rows[i].terms:
+        for r, num, den in known:
+            factor = num * (scale // den)
+            for j, a in rows[r].terms:
                 e = at.get(j)
                 if e is not None:
                     system[e][-1] -= factor * a
-        for u, i in enumerate(unknown):
-            for j, a in rows[i].terms:
+        for u, r in enumerate(unknown):
+            for j, a in rows[r].terms:
                 e = at.get(j)
                 if e is not None:
                     system[e][u] = a
-        y = [ZERO] * self.m
-        for i in feeders:
-            y[i] = int_ratio(art_cost, 1)
-        # Jordan form [D I | D x]: u_e = system[e][-1] / system[e][e].
+        # Jordan form [D I | D u] above rows of zeros; a pivot on the rhs
+        # column would mean the equations are inconsistent.
         pivots, _ = _bareiss(system, jordan=True)
         if pivots != list(range(len(unknown))):
-            raise SolverInvariantError("the dual system is singular")
-        for e, i in enumerate(unknown):
+            raise SolverInvariantError("the dual system has no unique solution")
+        for e, r in enumerate(unknown):
             num, den = system[e][-1], system[e][e]
-            y[i] = int_ratio(std.sign[i] * rows[i].den * num, den * scale)
+            y[r] = int_ratio(std.sign[r] * rows[r].den * num, den * scale)
         return y
 
 
@@ -828,22 +888,9 @@ def solve_strict(lp: LinearProgram, strict_rows: Sequence[int]) -> LPOutcome:
         margin = 0
         if i in strict_set:
             margin = den if con.relation == LE else -den
-        terms = []
-        for j, a in con.terms:
-            if j in step:
-                margin += a * step[j]
-            terms.append((j, a * scale))
-        if margin:
-            terms.append((n, margin))
-        rhs = con.rhs * scale
-        # Dividing out the common factor leaves den the lcm of the row's
-        # denominators, as `make_lp` would.
-        g = math.gcd(den, rhs, *(a for _, a in terms))
-        if g != 1:
-            terms = [(j, a // g) for j, a in terms]
-            rhs //= g
-            den //= g
-        rows.append(Constraint(tuple(terms), con.relation, rhs, den))
+        margin += sum(a * step[j] for j, a in con.terms if j in step)
+        terms = [(j, a * scale) for j, a in con.terms] + [(n, margin)]
+        rows.append(integer_row(terms, con.relation, con.rhs * scale, den))
     rows.append(Constraint(((n, 1),), LE, 1, 1))
     rows.append(Constraint(((n, 1),), GE, 0, 1))
     aux = LinearProgram(n + 1, tuple(rows), (ZERO,) * n + (ONE,), True)

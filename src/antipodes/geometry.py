@@ -52,9 +52,11 @@ from .exact_lp import (
     EQ,
     GE,
     LE,
+    Constraint,
     LinearProgram,
     LPOutcome,
     Status,
+    integer_row,
     make_lp,
     solve,
     solve_strict,
@@ -558,15 +560,19 @@ def member(pts: PointSet, x, strict: bool = False) -> Membership:
     if len(x) != d:
         raise GeometryError("point dimension does not match the polytope")
     n = len(pts)
+    # Coordinate rows sum_i w_i p_i = x over L * xden, the points cleared
+    # to P / L and x to X / xden; then the weight sum and the sign rows
+    # w_i >= 0.
+    P, L = pts.cleared
+    X, xden = over_common_denominator(x)
     rows = []
     for t in range(d):
-        rows.append((tuple(p[t] for p in pts), EQ, x[t]))
-    rows.append(((1,) * n, EQ, 1))
+        terms = [(i, p[t] * xden) for i, p in enumerate(P)]
+        rows.append(integer_row(terms, EQ, X[t] * L, L * xden))
+    rows.append(Constraint(tuple((i, 1) for i in range(n)), EQ, 1, 1))
     nonneg_start = len(rows)
-    for i in range(n):
-        coeffs = tuple(int(j == i) for j in range(n))
-        rows.append((coeffs, GE, 0))
-    lp = make_lp(n, rows)
+    rows.extend(Constraint(((i, 1),), GE, 0, 1) for i in range(n))
+    lp = LinearProgram(n, tuple(rows))
     if strict:
         out = solve_strict(lp, range(nonneg_start, nonneg_start + n))
     else:

@@ -75,9 +75,16 @@ def ratio(value: RationalLike, denominator: RationalLike | None = None):
         if not _RATIO_RE.match(value):
             raise ScalarError(f"not a 'p/q' rational string: {value!r}")
     try:
+        if isinstance(value, str):
+            # The match leaves a signed int, then at most one "/" and an
+            # unsigned int.
+            num, _, den = value.partition("/")
+            result = _make(int(num), int(den) if den else 1)
+        else:
+            result = _make(value)
         if denominator is None:
-            return _make(value)
-        return _make(value) / _make(denominator)
+            return result
+        return result / _make(denominator)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
         raise ScalarError(f"not an exact rational: {value!r}") from exc
 

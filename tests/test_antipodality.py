@@ -6,10 +6,13 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from antipodes import geometry
 from antipodes.antipodality import (
     AntipodalityError,
     HalfSpace,
+    _copies_lp,
     _map_certificate,
+    _witness_holds,
     default_factors,
     erdos_rank_k,
     is_rank_k_antipodal,
@@ -27,6 +30,7 @@ from antipodes.geometry import (
     member,
     vdot,
 )
+from antipodes.exact_lp import EQ, GE, make_lp
 from antipodes.rationals import ratio
 
 
@@ -417,3 +421,141 @@ def test_shrunk_copies_of_simplex_in_vertex_coordinates(k, raw_l, raw_x):
         assert inside == (x[j] > 1 - factors[j])
         hits += inside
     assert hits <= k
+
+
+# ---------------------------------------------------------------------------
+# integer weight programs and the witness substitution check
+
+
+def _dense_copies_lp(X, chosen, factors):
+    """The shrunk-copy program as dense rational rows through make_lp,
+    as it was built before the rows were cleared from the set's integers."""
+    n, d = len(X), X.dim
+    nv = d + len(chosen) * n
+    rows = []
+    for j, q_idx in enumerate(chosen):
+        lam, q = factors[j], X[q_idx]
+        for t in range(d):
+            coeffs = [0] * nv
+            coeffs[t] = 1
+            for i, x in enumerate(X):
+                coeffs[d + j * n + i] = -lam * x[t]
+            rows.append((tuple(coeffs), EQ, (1 - lam) * q[t]))
+        coeffs = [0] * nv
+        for i in range(n):
+            coeffs[d + j * n + i] = 1
+        rows.append((tuple(coeffs), EQ, 1))
+    first = len(rows)
+    for c in range(len(chosen) * n):
+        coeffs = [0] * nv
+        coeffs[d + c] = 1
+        rows.append((tuple(coeffs), GE, 0))
+    return make_lp(nv, rows), list(range(first, len(rows)))
+
+
+def _dense_member_lp(X, x):
+    n = len(X)
+    rows = [(tuple(p[t] for p in X), EQ, x[t]) for t in range(X.dim)]
+    rows.append(((1,) * n, EQ, 1))
+    rows += [(tuple(int(j == i) for j in range(n)), GE, 0) for i in range(n)]
+    return make_lp(n, rows)
+
+
+def _member_program(X, x, strict):
+    """The program `member` hands to its solver."""
+    seen = []
+    name = "solve_strict" if strict else "solve"
+    real = getattr(geometry, name)
+
+    def record(lp, *args):
+        seen.append(lp)
+        return real(lp, *args)
+
+    setattr(geometry, name, record)
+    try:
+        member(X, x, strict=strict)
+    finally:
+        setattr(geometry, name, real)
+    (lp,) = seen
+    return lp
+
+
+_factor = st.fractions(min_value=Fraction(1, 9), max_value=Fraction(8, 9)).map(
+    lambda f: ratio(f.numerator, f.denominator)
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    _planar_sets(min_size=3, max_size=5),
+    st.integers(1, 2),
+    st.lists(_factor, min_size=3, max_size=3),
+    st.tuples(_coord, _coord),
+    st.booleans(),
+)
+def test_copies_and_member_rows_are_the_ones_make_lp_parses(X, k, raw, x, strict):
+    # `_copies_lp` and `member` build their integer rows straight from
+    # `PointSet.cleared`; the old dense rational rows through make_lp give
+    # equal programs, each row in lowest terms over the lcm of its
+    # denominators.
+    chosen = tuple(range(k + 1))
+    factors = tuple(raw[: k + 1])
+    assert _copies_lp(X, chosen, factors) == _dense_copies_lp(X, chosen, factors)
+    assert _member_program(X, x, strict) == _dense_member_lp(X, x)
+
+
+def test_witness_check_accepts_a_substitution_certificate():
+    # 0 and 1/2 in {0, 1/2, 1}: the witness 1/4 is in the copy toward 0
+    # shrunk by 1/4 (through the point 1) and in the copy toward 1/2
+    # shrunk by 1/2 (through 0); 1/4 + 1/2 < 1.  The centre's own weight
+    # is dropped and the rest rescaled.
+    factors = (ratio(1, 4), ratio(1, 2))
+    weights = ((0, 0, 1), (1, 0, 0))
+    assert _witness_holds(COLLINEAR, (0, 1), (ratio(1, 4),), factors, weights)
+    weights = ((ratio(1, 2), 0, ratio(1, 2)), (1, 0, 0))
+    assert _witness_holds(COLLINEAR, (0, 1), (ratio(1, 4),), factors, weights)
+
+
+def test_witness_check_rejects_tampering():
+    factors = (ratio(1, 4), ratio(1, 2))
+    weights = ((0, 0, 1), (1, 0, 0))
+    # A tampered witness coordinate.
+    moved = (ratio(1, 4) + ratio(1, 97),)
+    assert not _witness_holds(COLLINEAR, (0, 1), moved, factors, weights)
+    # A negative weight: -1/2 on 1/2 and 3/2 on 1 reach 5/4, and the
+    # factor 1/5 brings the copy's point back to 1/4.
+    bent = ((0, ratio(-1, 2), ratio(3, 2)), (1, 0, 0))
+    bent_factors = (ratio(1, 5), ratio(1, 2))
+    assert not _witness_holds(COLLINEAR, (0, 1), (ratio(1, 4),), bent_factors, bent)
+    # All weight on the centre leaves nothing to rescale.
+    centred = ((1, 0, 0), (1, 0, 0))
+    assert not _witness_holds(COLLINEAR, (0, 1), (ratio(1, 4),), factors, centred)
+    # Wrong lengths.
+    assert not _witness_holds(COLLINEAR, (0, 1), (ratio(1, 4),), factors, weights[:1])
+    assert not _witness_holds(COLLINEAR, (0, 1), (ratio(1, 4),), factors[:1], weights)
+
+
+def test_witness_check_rejects_a_factor_sum_of_k():
+    # The endpoints 0 and 1 are antipodal: the midpoint lies in both
+    # copies shrunk by 1/2, every equation holds, and only the factor sum,
+    # which reaches k = 1, is refused.
+    half = ratio(1, 2)
+    weights = ((0, 0, 1), (1, 0, 0))
+    assert not _witness_holds(COLLINEAR, (0, 2), (half,), (half, half), weights)
+
+
+def test_witness_certificates_need_no_member_program(monkeypatch):
+    # A negative verdict is self-checked by substitution; `member` runs
+    # only when a certificate is verified on its own.
+    calls = []
+    real = geometry.member
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr("antipodes.antipodality.member", counted)
+    cert = joint_antipodal_direct(CUBE3, (0, 1, 2))
+    assert not cert.antipodal and not calls
+    assert verify_joint_certificate(CUBE3, cert)
+    assert len(calls) == 3

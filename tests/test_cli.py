@@ -48,6 +48,16 @@ def files(tmp_path):
     save_points("bit_space", _ps((1, 0), (0, 1)))
     save_points("bit_states", _ps(("1/2", "1/2"), (1, 0)))
     save_points("bit_vertices", _ps((1, 0), (0, 1)))
+    save_points(
+        "tilted",
+        _ps((-3, 3, -2), (-1, 3, -2), (0, -2, -3), (0, 0, -3), (0, 0, 3), (1, -3, 2),
+            (3, -3, 2)),
+    )
+    save_points(
+        "spread",
+        _ps((-6, -2, 0, -5), (-6, 4, -6, -3), (-6, 6, -6, -2), (-4, 2, 6, 2),
+            (-3, 0, 3, -5), (1, 6, 2, 3), (4, 2, 2, -4)),
+    )
 
     code_path = tmp_path / "cube_code.json"
     dump_code(greedy_code(2, 2, 3), code_path)
@@ -123,8 +133,9 @@ def _map(matrix, offset):
 def test_check_joint_map_pins(files, capsys):
     # Exact maps: they move if the presolved map program's row order
     # drifts.  Its rows are outputs 0..k >= 0 at each unpinned point in
-    # index order.
-    cube_map = _map([["0", "0", "-1"], ["0", "0", "1"]], ["1", "0"])
+    # index order.  The cube's programs are feasible at the slack basis,
+    # so its maps pin the starting basis but no longer the row order.
+    cube_map = _map([["-1", "0", "0"], ["1", "0", "0"]], ["1", "0"])
     for extra, route in (((), "direct"), (("--lambda", "1/2,1/2"), "shrunk")):
         code, report, _ = run(capsys, "check-joint", files["cube"], "0", "7", *extra)
         assert code == 0
@@ -132,17 +143,32 @@ def test_check_joint_map_pins(files, capsys):
         assert report["certificate"] == {
             "antipodal": True, "chosen": [0, 7], "map": cube_map,
         }
-    # (3, 4) moves if the points are listed in reverse or each point's
-    # output-1 row comes first; (0, 7) above also moves if all output-0
-    # rows come last.
     code, report, _ = run(capsys, "check-joint", files["cube"], "3", "4")
     assert code == 0
-    assert report["certificate"]["map"] == _map(
-        [["0", "1", "0"], ["0", "-1", "0"]], ["0", "1"]
-    )
+    assert report["certificate"]["map"] == cube_map
     code, report, _ = run(capsys, "check-joint", files["cube"], "0", "3")
     assert code == 0
-    assert report["certificate"]["map"] == cube_map
+    assert report["certificate"]["map"] == _map(
+        [["0", "-1", "0"], ["0", "1", "0"]], ["1", "0"]
+    )
+    # (0, 3) of "tilted" moves if the points are listed in reverse or all
+    # output-0 rows come last; (0, 4, 6) of "spread" moves if each point's
+    # output-1 row comes first or all output-0 rows come last.
+    tilted_map = _map([["-1/2", "-2/9", "1/6"], ["1/2", "2/9", "-1/6"]], ["1/2", "1/2"])
+    for extra in ((), ("--lambda", "1/2,1/2")):
+        code, report, _ = run(capsys, "check-joint", files["tilted"], "0", "3", *extra)
+        assert code == 0
+        assert report["certificate"]["map"] == tilted_map
+    code, report, _ = run(capsys, "check-joint", files["spread"], "0", "4", "6")
+    assert code == 0
+    assert report["certificate"]["map"] == _map(
+        [
+            ["1/25", "-8/25", "-4/25", "1/5"],
+            ["-23/125", "211/500", "59/250", "-8/25"],
+            ["18/125", "-51/500", "-19/250", "3/25"],
+        ],
+        ["8/5", "-93/50", "63/50"],
+    )
 
 
 def test_check_strict_pins(files, capsys):

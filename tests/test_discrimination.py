@@ -5,7 +5,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from antipodes import discrimination
+from antipodes import discrimination, exact_lp
 from antipodes.antipodality import joint_antipodal_direct
 from antipodes.discrimination import (
     DiscriminationError,
@@ -166,3 +166,30 @@ def test_error_stays_between_zero_and_k(raws):
     value, meas = min_error(TRIT, states)
     assert 0 <= value <= len(states) - 1
     assert error_prob(meas, states) == value
+
+
+def test_min_error_makes_no_phase_one_pivot(monkeypatch):
+    # Every row of the discrimination program (outputs >= 0, outputs
+    # summing to <= 1 at each vertex) holds at 0 with its slack, so the
+    # slack basis is feasible and phase one neither prices nor pivots.
+    # The states' membership programs solve first, on tableaux of their
+    # own.
+    pivots = []
+    real_pivot, real_phase2 = exact_lp._Tableau._pivot, exact_lp._Tableau.phase2
+
+    def pivot(self, *args, **kwargs):
+        pivots.append((self, self.cost is not None))
+        return real_pivot(self, *args, **kwargs)
+
+    def phase2(self, cost):
+        assert all(self.std.crash) and not any(self.obj)
+        return real_phase2(self, cost)
+
+    monkeypatch.setattr(exact_lp._Tableau, "_pivot", pivot)
+    monkeypatch.setattr(exact_lp._Tableau, "phase2", phase2)
+    value, _ = min_error(TRIT, (("1/2", "1/4", "1/4"), (0, 1, 0), ("1/3", 0, "2/3")))
+    assert value == ratio(5, 6)
+    tableau = pivots[-1][0]
+    assert tableau.cost is not None
+    mine = [in_phase2 for tab, in_phase2 in pivots if tab is tableau]
+    assert mine and all(mine)

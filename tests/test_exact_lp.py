@@ -314,7 +314,9 @@ def test_pinned_infeasible():
     )
     out = solve(lp)
     assert out.status is Status.INFEASIBLE
-    assert out.farkas == _q(1, 0, 2, 1, -1)
+    # The first row starts with its slack basic; the three lower bounds
+    # alone overrun it, and the equality row carries no weight.
+    assert out.farkas == _q(1, 1, 1, 1, 0)
 
 
 def test_pinned_unbounded():
@@ -592,9 +594,16 @@ class _RefStandard:
                 self.slack_col.append(ncols)
                 ncols += 1
         self.nstruct = ncols
-        self.sign = [
-            -1 if _dense(con, lp.num_vars)[1] < 0 else 1 for con in lp.constraints
-        ]
+        # Crash rule: a row whose slack gets coefficient +1 once the row is
+        # oriented (<= with rhs >= 0, >= with rhs <= 0, negated) starts
+        # with its slack basic.
+        self.sign = []
+        self.crash = []
+        for con in lp.constraints:
+            rhs = _dense(con, lp.num_vars)[1]
+            negate = rhs < 0 or rhs == 0 and con.relation == GE
+            self.sign.append(-1 if negate else 1)
+            self.crash.append(con.relation == (GE if negate else LE))
 
     def objective_min(self):
         coeffs = [(0, 1)] * self.nstruct
@@ -662,7 +671,9 @@ class _RefTableau:
             row[-1] = sign * rhs
             self.rows.append(row)
             self.dens.append(den)
-        self.basis = list(self.art)
+        self.basis = [
+            std.slack_col[i] if std.crash[i] else self.art[i] for i in range(self.m)
+        ]
         self.active = [True] * self.m
         self.obj = [0] * self.width
         self.obj_den = 1
@@ -766,7 +777,11 @@ class _RefTableau:
         self.obj, self.obj_den = obj, den
 
     def phase1(self):
-        self._price([(0, 1)] * self.nstruct + [(1, 1)] * self.m + [(0, 1)])
+        # Cost 1 on the artificials that start basic; a crash row's
+        # artificial costs nothing and, like every artificial, never enters.
+        self.art_cost = [0 if crash else 1 for crash in self.std.crash]
+        costs = [(c, 1) for c in self.art_cost]
+        self._price([(0, 1)] * self.nstruct + costs + [(0, 1)])
         assert self._optimize() is None
         if self.obj[-1] != 0:
             return False
@@ -782,7 +797,10 @@ class _RefTableau:
 
     def phase1_duals(self):
         den = self.obj_den
-        return [ratio(den - self.obj[self.art[i]], den) for i in range(self.m)]
+        return [
+            ratio(self.art_cost[i] * den - self.obj[self.art[i]], den)
+            for i in range(self.m)
+        ]
 
     def phase2(self, cost_struct):
         self._price(cost_struct + [(0, 1)] * (self.m + 1))

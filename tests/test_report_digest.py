@@ -51,7 +51,7 @@ SETS = {
 CASES = {
     "joint-direct-holds": (
         ("check-joint", "hepta", "0", "2"),
-        "cb1b8837c9e6934e1652dfaf4d315463ce1969f59fa65cd180730df40c575793",
+        "7e51316d69facf02def06033f917bc080cc4b6598ee94d337dbde0e6a070530c",
     ),
     "joint-direct-witness": (
         ("check-joint", "hepta", "0", "6"),
@@ -67,7 +67,7 @@ CASES = {
     ),
     "joint-lambda-holds": (
         ("check-joint", "space", "1", "2", "3", "--lambda", "1/2,3/4,3/4"),
-        "f34298416ab529e673042152d654784867033de66f9e884e78a4f4100052eccd",
+        "c091f337b9f91e137bf18960ce9086e29e5803b5bf4b4782f92a189d788ba059",
     ),
     "joint-lambda-holds-verify": (
         ("--verify", "check-joint", "hepta", "1", "4", "--lambda", "1/3,2/3"),
@@ -79,7 +79,7 @@ CASES = {
     ),
     "strict-evidence-tetra-verify": (
         ("--verify", "check-strict", "tetra", "--k", "2"),
-        "f2d6e395bd19f159361c5a5f689c2f91b226a5754e312535b4abbc5733f410fe",
+        "3693723e9595377a904a5583191015ffc692dd5934cb91feaa92a6fad39fa1a4",
     ),
     "strict-forced": (
         ("check-strict", "rhombus", "--k", "1"),
