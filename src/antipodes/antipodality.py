@@ -21,11 +21,15 @@ rank of X; when k = r there are none, and the signs of barycentric
 coordinates decide.  A negative answer carries a witness point lying in
 all k+1 closed shrunk copies for factors summing to strictly less than
 k, a configuration that is impossible for jointly antipodal tuples.
-Its self-check substitutes the copy weights of the shrunk-copy solution
-in integers, with no LP (`_witness_holds`); checking the certificate on
-its own (`verify_joint_certificate`, the `--verify` replay) needs convex
-hull membership.  The shrunk-copy program's rows are built straight from
-the set's cleared integers.
+The shrunk-copy program (`_copies_lp`) keeps only the weights each copy
+puts on the points other than its centre, and the common point is copy
+0's point substituted into the other copies, so its variables are
+(k+1)(n-1) weights under k d equality rows built straight from the set's
+cleared integers.  The witness is copy 0's point; each copy's weights,
+times its factor, sum to the copy's reduced factor.  Its self-check
+substitutes those weights in integers, with no LP (`_witness_holds`);
+checking the certificate on its own (`verify_joint_certificate`, the
+`--verify` replay) needs convex hull membership.
 
 Exhaustive rank checks count their subsets first and refuse more than
 EXHAUSTIVE_LIMIT of them before the set's affine rank is computed.
@@ -52,6 +56,7 @@ from typing import Optional
 from .exact_lp import (
     EQ,
     GE,
+    LE,
     Constraint,
     LinearProgram,
     Status,
@@ -71,7 +76,7 @@ from .geometry import (
     simplex_map_lp,
     vdot,
 )
-from .rationals import ZERO, int_pair, over_common_denominator, ratio
+from .rationals import ZERO, int_pair, int_ratio, over_common_denominator, ratio
 
 #: Exhaustive rank checks refuse beyond this many subsets; ask for
 #: sampling instead.
@@ -226,83 +231,111 @@ def _copies_lp(X: PointSet, chosen, factors):
     """Strict system: a common point of the relative interiors of the
     shrunk copies of conv(X), one copy per chosen point.
 
-    Variables: the common point z (d of them), then convex weights over X
-    for each copy.  Weight positivity rows are the strict ones.  With the
-    points cleared to P / L and factor l_j = a / b, copy j's coordinate
-    row z_t - l_j sum_i w_ji x_it = (1 - l_j) q_t is the integer row
-    b L z_t - a sum_i P_it w_ji = (b - a) Q_t over b L.
+    Copy j, shrunk toward q_j by l_j, holds the points
+    q_j + l_j sum_x w_jx (x - q_j) over the points x other than q_j, with
+    every w_jx > 0 and sum_x w_jx < 1; the centre keeps the weight
+    1 - sum_x w_jx > 0.  The variables are these weights, copy by copy,
+    n - 1 per copy in index order; the common point z is copy 0's point,
+    substituted into copies 1..k.  With the points cleared to P / L and
+    l_j = a_j / b_j, row (j, t) for j >= 1 is the integer row
+    a_0 b_j sum w_0x (P_x - Q_0)_t - a_j b_0 sum w_jx (P_x - Q_j)_t
+    = b_0 b_j (Q_j - Q_0)_t over b_0 b_j L; a row with no coefficient
+    (every point has the same coordinate t) is left out.  The sum rows
+    and the sign rows are the strict ones.
     """
-    n = len(X)
-    d = X.dim
-    k = len(chosen) - 1
     P, L = X.cleared
+    m = len(X) - 1
+    ratios = [int_pair(f) for f in factors]
+    # edges[j][t]: (P_x - Q_j)_t for the points x other than q_j.
+    edges = []
+    for q_idx in chosen:
+        q = P[q_idx]
+        edges.append(
+            [[p[t] - q[t] for i, p in enumerate(P) if i != q_idx] for t in range(X.dim)]
+        )
+    a0, b0 = ratios[0]
+    q0 = P[chosen[0]]
     rows = []
-    for j, q_idx in enumerate(chosen):
-        a, b = int_pair(factors[j])
-        base = d + j * n
-        for t in range(d):
-            terms = [(t, b * L)] + [(base + i, -a * p[t]) for i, p in enumerate(P)]
-            rows.append(integer_row(terms, EQ, (b - a) * P[q_idx][t], b * L))
-        rows.append(Constraint(tuple((base + i, 1) for i in range(n)), EQ, 1, 1))
+    for j in range(1, len(chosen)):
+        a, b = ratios[j]
+        q = P[chosen[j]]
+        base = j * m
+        for t in range(X.dim):
+            terms = [(c, a0 * b * e) for c, e in enumerate(edges[0][t])]
+            terms += [(base + c, -a * b0 * e) for c, e in enumerate(edges[j][t])]
+            row = integer_row(terms, EQ, b0 * b * (q[t] - q0[t]), b0 * b * L)
+            if row.terms:
+                rows.append(row)
     first = len(rows)
-    rows.extend(Constraint(((d + c, 1),), GE, 0, 1) for c in range((k + 1) * n))
-    return LinearProgram(d + (k + 1) * n, tuple(rows)), list(range(first, len(rows)))
+    for j in range(len(chosen)):
+        rows.append(Constraint(tuple((j * m + c, 1) for c in range(m)), LE, 1, 1))
+    rows.extend(Constraint(((c, 1),), GE, 0, 1) for c in range(len(chosen) * m))
+    return LinearProgram(len(chosen) * m, tuple(rows)), list(range(first, len(rows)))
 
 
-def _witness_from_solution(X, chosen, factors, point):
-    """Convert a common relative-interior point of the shrunk copies
-    (factor sum k) into the closed-copy witness form (factor sum < k).
+def _witness_from_solution(X: PointSet, chosen, factors, point):
+    """Read the closed-copy witness (factor sum < k) off a solution of
+    `_copies_lp` (factor sum k).
 
-    With z = (1 - l_j) q_j + l_j sum_i m_i x_i and all weights m positive,
-    dropping the weight the copy's own center carries leaves z inside the
-    copy shrunk by the smaller factor l_j (1 - m_center), and the total
-    slips strictly below k.
+    Copy j's point is q_j + sum_x u_jx (x - q_j) with u_j = l_j w_j > 0:
+    it lies in the closed copy shrunk toward q_j by the smaller factor
+    s_j = sum_x u_jx = l_j sum_x w_jx < l_j, and the total slips strictly
+    below k.  The witness is copy 0's point, computed in integers.
+    Returns (witness, factors s, weights u), u_j one weight per point
+    other than q_j in index order.
     """
-    n = len(X)
-    d = X.dim
-    witness = tuple(point[:d])
+    P, L = X.cleared
+    m = len(X) - 1
     reduced = []
-    for j, q_idx in enumerate(chosen):
-        m_center = point[d + j * n + q_idx]
-        if not 0 < m_center < 1:
-            raise CertificateError("interior weights must lie in (0, 1)")
-        reduced.append(factors[j] * (1 - m_center))
-    return witness, tuple(reduced)
+    weights = []
+    for j, f in enumerate(factors):
+        a, b = int_pair(f)
+        W, wden = over_common_denominator(point[j * m : (j + 1) * m])
+        weights.append(tuple(int_ratio(a * w, b * wden) for w in W))
+        reduced.append(int_ratio(a * sum(W), b * wden))
+    # z = q_0 + sum_x u_0x (x - q_0), with u_0 cleared to U / uden.
+    U, uden = over_common_denominator(weights[0])
+    q = P[chosen[0]]
+    others = [p for i, p in enumerate(P) if i != chosen[0]]
+    witness = tuple(
+        int_ratio(uden * c + sum(u * (p[t] - c) for u, p in zip(U, others)), uden * L)
+        for t, c in enumerate(q)
+    )
+    return witness, tuple(reduced), tuple(weights)
 
 
 def _witness_holds(X: PointSet, chosen, witness, factors, weights) -> bool:
     """Does the witness lie in every closed shrunk copy, as the copy
     weights show?  Decided by substitution in integers, with no LP.
 
-    weights[j] holds one weight per point of X for the copy shrunk toward
-    q = X[chosen[j]] by factors[j] = s.  Without the centre's weight m_q
-    and rescaled by 1 - m_q, they must be a convex combination v of the
-    other points, and the witness must equal (1 - s) q + s sum v_x x.
-    The factors must lie in (0, 1) and sum to less than k.
+    weights[j] holds one weight u_x per point x of X other than
+    q = X[chosen[j]], in index order, for the copy shrunk toward q by
+    factors[j] = s.  The weights must be nonnegative and sum to s, and
+    the witness z must satisfy z - q = sum_x u_x (x - q); z is then
+    (1 - s) q + s sum_x (u_x / s) x.  The factors must lie in (0, 1) and
+    sum to less than k.
     """
     k = len(chosen) - 1
-    if len(factors) != k + 1 or len(weights) != k + 1:
+    if len(factors) != k + 1 or len(weights) != k + 1 or len(witness) != X.dim:
         return False
-    if any(not 0 < f < 1 for f in factors) or sum(factors, ZERO) >= k:
+    if any(not 0 < s < 1 for s in factors) or sum(factors, ZERO) >= k:
         return False
     P, L = X.cleared
     Z, zden = over_common_denominator(witness)
-    for q_idx, s, m in zip(chosen, factors, weights):
-        if len(m) != len(X):
+    for q_idx, s, u in zip(chosen, factors, weights):
+        if len(u) != len(X) - 1:
             return False
-        # v_x = M_x / rest with the weights cleared to M / mden.
-        M, mden = over_common_denominator(m)
-        rest = mden - M[q_idx]
-        others = [(M[i], p) for i, p in enumerate(P) if i != q_idx]
-        if rest <= 0 or any(w < 0 for w, _ in others):
+        U, uden = over_common_denominator(u)
+        if any(w < 0 for w in U):
             return False
-        if sum(w for w, _ in others) != rest:
+        if sum(U) * int(s.denominator) != int(s.numerator) * uden:
             return False
-        # Times L * sden * rest * zden, the coordinates must agree.
-        sn, sden = int(s.numerator), int(s.denominator)
-        for t, (z, q) in enumerate(zip(Z, P[q_idx])):
-            point = (sden - sn) * rest * q + sn * sum(w * p[t] for w, p in others)
-            if L * sden * rest * z != zden * point:
+        q = P[q_idx]
+        others = [p for i, p in enumerate(P) if i != q_idx]
+        # Times L * zden * uden, the coordinates of both sides.
+        for t, (z, c) in enumerate(zip(Z, q)):
+            step = sum(w * (p[t] - c) for w, p in zip(U, others))
+            if uden * (L * z - zden * c) != zden * step:
                 return False
     return True
 
@@ -358,9 +391,7 @@ def _witness_certificate(X: PointSet, chosen, factors):
     out = solve_strict(lp, strict_rows)
     if out.status is not Status.FEASIBLE:
         return None
-    witness, reduced = _witness_from_solution(X, chosen, factors, out.point)
-    d, n = X.dim, len(X)
-    weights = [out.point[d + j * n : d + (j + 1) * n] for j in range(len(chosen))]
+    witness, reduced, weights = _witness_from_solution(X, chosen, factors, out.point)
     if not _witness_holds(X, chosen, witness, reduced, weights):
         raise CertificateError("witness certificate failed verification")
     return AntipodalityCertificate(

@@ -56,18 +56,23 @@ one positive scale (`_combination`).
 
 `solve_strict` decides systems in which selected inequality rows must hold
 strictly.  It maximises a margin variable bounded by 1, in a margin
-program built straight from the integer rows; a positive optimum
-yields a strictly feasible point, a zero optimum yields dual multipliers
-that certify strict emptiness (a nonnegative combination of the rows that
-proves `0 <= rhs` with positive weight on at least one strict row, or
-outright weak infeasibility).  A strict sign row x_j > 0 is shifted by the
-margin, so that in the margin program it is a sign bound as well.
+program built straight from the integer rows, and runs the same two
+phases as `solve` (`_two_phase`).  A positive optimum yields a strictly
+feasible point, which is checked and returned; the margin program's duals
+are not read, since they would certify an optimum nobody uses.  A zero
+optimum yields dual multipliers, checked as the margin program's
+optimality proof, that certify strict emptiness (a nonnegative
+combination of the rows that proves `0 <= rhs` with positive weight on at
+least one strict row), and an infeasible margin program yields Farkas
+multipliers for outright weak infeasibility.  A strict sign row x_j > 0
+is shifted by the margin, so that in the margin program it is a sign
+bound as well.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -805,6 +810,47 @@ def _eliminate(target, den, factor, support, piv):
 # public solving interface
 
 
+def _two_phase(lp: LinearProgram):
+    """Both phases of the simplex on a validated program.
+
+    Returns (outcome, tableau).  Every certificate in the outcome is
+    checked.  An optimum comes without its dual multipliers: the caller
+    that wants them reads them off the returned tableau (`_with_duals`).
+    """
+    std = _Standard(lp)
+    tab = _Tableau(std)
+    if not tab.phase1():
+        mults = tab.phase1_duals()
+        if not check_farkas(lp, mults):
+            raise SolverInvariantError("infeasibility certificate failed")
+        return LPOutcome(Status.INFEASIBLE, farkas=mults), tab
+    if lp.objective is None:
+        point = std.point_from(tab.struct_values())
+        if not check_point(lp, point):
+            raise SolverInvariantError("feasible point failed substitution")
+        return LPOutcome(Status.FEASIBLE, point=point), tab
+    escape = tab.phase2(std.objective_min())
+    if escape is not None:
+        ray = std.point_from(tab.ray_values(escape))
+        if not check_ray(lp, ray):
+            raise SolverInvariantError("unboundedness ray failed substitution")
+        return LPOutcome(Status.UNBOUNDED, ray=ray), tab
+    point = std.point_from(tab.struct_values())
+    if not check_point(lp, point):
+        raise SolverInvariantError("optimal point failed substitution")
+    return LPOutcome(
+        Status.FEASIBLE, point=point, objective_value=_dot(lp.objective, point)
+    ), tab
+
+
+def _with_duals(lp: LinearProgram, out: LPOutcome, tab: _Tableau) -> LPOutcome:
+    """The optimum `out` of `_two_phase` with its verified duals."""
+    mults = tab.duals()
+    if not check_duals(lp, mults, out.objective_value):
+        raise SolverInvariantError("dual certificate failed substitution")
+    return replace(out, duals=mults)
+
+
 def solve(lp: LinearProgram) -> LPOutcome:
     """Decide a weak system, optionally optimising a linear objective.
 
@@ -813,47 +859,22 @@ def solve(lp: LinearProgram) -> LPOutcome:
     certificate, or UNBOUNDED with an improving ray.
     """
     _validate(lp)
-    std = _Standard(lp)
-    tab = _Tableau(std)
-    if not tab.phase1():
-        mults = tab.phase1_duals()
-        if not check_farkas(lp, mults):
-            raise SolverInvariantError("infeasibility certificate failed")
-        return LPOutcome(Status.INFEASIBLE, farkas=mults)
-    if lp.objective is None:
-        point = std.point_from(tab.struct_values())
-        if not check_point(lp, point):
-            raise SolverInvariantError("feasible point failed substitution")
-        return LPOutcome(Status.FEASIBLE, point=point)
-    escape = tab.phase2(std.objective_min())
-    if escape is not None:
-        ray = std.point_from(tab.ray_values(escape))
-        if not check_ray(lp, ray):
-            raise SolverInvariantError("unboundedness ray failed substitution")
-        return LPOutcome(Status.UNBOUNDED, ray=ray)
-    point = std.point_from(tab.struct_values())
-    value = _dot(lp.objective, point)
-    mults = tab.duals()
-    if not check_point(lp, point):
-        raise SolverInvariantError("optimal point failed substitution")
-    if not check_duals(lp, mults, value):
-        raise SolverInvariantError("dual certificate failed substitution")
-    return LPOutcome(
-        Status.FEASIBLE,
-        point=point,
-        objective_value=value,
-        duals=mults,
-    )
+    out, tab = _two_phase(lp)
+    if out.objective_value is None:
+        return out
+    return _with_duals(lp, out, tab)
 
 
 def solve_strict(lp: LinearProgram, strict_rows: Sequence[int]) -> LPOutcome:
     """Decide a system with the listed inequality rows required strict.
 
     FEASIBLE outcomes carry a strictly feasible point and, in
-    objective_value, the verified margin by which the strict rows hold.
-    INFEASIBLE outcomes carry multipliers accepted by
-    check_strict_emptiness.  The margin variable is capped at 1, so the
-    auxiliary program is never unbounded.
+    objective_value, the verified margin by which the strict rows hold;
+    the margin program's duals are then never read out.  INFEASIBLE
+    outcomes carry multipliers accepted by check_strict_emptiness: the
+    margin program's checked duals at a zero margin, its Farkas
+    multipliers when it is infeasible.  The margin variable is capped at
+    1, so the auxiliary program is never unbounded.
     """
     _validate(lp)
     strict = sorted(set(strict_rows))
@@ -894,13 +915,15 @@ def solve_strict(lp: LinearProgram, strict_rows: Sequence[int]) -> LPOutcome:
     rows.append(Constraint(((n, 1),), LE, 1, 1))
     rows.append(Constraint(((n, 1),), GE, 0, 1))
     aux = LinearProgram(n + 1, tuple(rows), (ZERO,) * n + (ONE,), True)
-    out = solve(aux)
+    out, tab = _two_phase(aux)
     if out.status is Status.UNBOUNDED:
         raise SolverInvariantError("margin program cannot be unbounded")
     nrows = len(lp.constraints)
     if out.status is Status.INFEASIBLE:
         mults = out.farkas[:nrows]
     elif out.objective_value > 0:
+        # The strict point is the certificate; the margin program's duals
+        # would certify only an optimum that nothing reads.
         t = out.objective_value
         point = list(out.point[:n])
         for j, p in step.items():
@@ -910,7 +933,7 @@ def solve_strict(lp: LinearProgram, strict_rows: Sequence[int]) -> LPOutcome:
             raise SolverInvariantError("strict point failed substitution")
         return LPOutcome(Status.FEASIBLE, point=point, objective_value=t)
     else:
-        mults = out.duals[:nrows]
+        mults = _with_duals(aux, out, tab).duals[:nrows]
     if not check_strict_emptiness(lp, strict, mults):
         raise SolverInvariantError("strict emptiness certificate failed")
     return LPOutcome(Status.INFEASIBLE, farkas=mults)

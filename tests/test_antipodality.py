@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from antipodes import geometry
 from antipodes.antipodality import (
@@ -30,8 +30,18 @@ from antipodes.geometry import (
     member,
     vdot,
 )
-from antipodes.exact_lp import EQ, GE, make_lp
-from antipodes.rationals import ratio
+from antipodes.exact_lp import (
+    EQ,
+    GE,
+    LE,
+    Constraint,
+    LinearProgram,
+    Status,
+    integer_row,
+    make_lp,
+    solve_strict,
+)
+from antipodes.rationals import int_pair, ratio
 
 
 def _ps(*rows):
@@ -106,7 +116,7 @@ def test_collinear_triple_falls_through_the_map_program():
     cert = joint_antipodal_direct(X, (0, 1, 2))
     assert not cert.antipodal and cert.mapping is None
     assert cert.witness == (ratio(11, 12), ratio(1, 12))
-    assert cert.shrink_factors == (ratio(7, 12),) * 3
+    assert cert.shrink_factors == (ratio(7, 12), ratio(1, 4), ratio(7, 12))
     assert verify_joint_certificate(X, cert)
 
 
@@ -428,28 +438,31 @@ def test_shrunk_copies_of_simplex_in_vertex_coordinates(k, raw_l, raw_x):
 
 
 def _dense_copies_lp(X, chosen, factors):
-    """The shrunk-copy program as dense rational rows through make_lp,
-    as it was built before the rows were cleared from the set's integers."""
-    n, d = len(X), X.dim
-    nv = d + len(chosen) * n
+    """The shrunk-copy program as dense rational rows through make_lp:
+    for each copy j >= 1 and coordinate t, the row
+    l_0 sum w_0x (x - q_0)_t - l_j sum w_jx (x - q_j)_t = (q_j - q_0)_t
+    over the points x other than each copy's centre, left out when it has
+    no coefficient; then sum_x w_jx < 1 and w_jx > 0."""
+    m = len(X) - 1
+    nv = len(chosen) * m
+    others = [[x for i, x in enumerate(X) if i != q_idx] for q_idx in chosen]
+    q0 = X[chosen[0]]
     rows = []
-    for j, q_idx in enumerate(chosen):
-        lam, q = factors[j], X[q_idx]
-        for t in range(d):
-            coeffs = [0] * nv
-            coeffs[t] = 1
-            for i, x in enumerate(X):
-                coeffs[d + j * n + i] = -lam * x[t]
-            rows.append((tuple(coeffs), EQ, (1 - lam) * q[t]))
-        coeffs = [0] * nv
-        for i in range(n):
-            coeffs[d + j * n + i] = 1
-        rows.append((tuple(coeffs), EQ, 1))
+    for j in range(1, len(chosen)):
+        q = X[chosen[j]]
+        for t in range(X.dim):
+            coeffs = [ratio(0)] * nv
+            for c, x in enumerate(others[0]):
+                coeffs[c] = factors[0] * (x[t] - q0[t])
+            for c, x in enumerate(others[j]):
+                coeffs[j * m + c] = -factors[j] * (x[t] - q[t])
+            if any(coeffs):
+                rows.append((tuple(coeffs), EQ, q[t] - q0[t]))
     first = len(rows)
-    for c in range(len(chosen) * n):
-        coeffs = [0] * nv
-        coeffs[d + c] = 1
-        rows.append((tuple(coeffs), GE, 0))
+    for j in range(len(chosen)):
+        rows.append((tuple(int(c // m == j) for c in range(nv)), LE, 1))
+    for c in range(nv):
+        rows.append((tuple(int(i == c) for i in range(nv)), GE, 0))
     return make_lp(nv, rows), list(range(first, len(rows)))
 
 
@@ -504,35 +517,106 @@ def test_copies_and_member_rows_are_the_ones_make_lp_parses(X, k, raw, x, strict
     assert _member_program(X, x, strict) == _dense_member_lp(X, x)
 
 
+def _centre_copies_lp(X, chosen, factors):
+    """The shrunk-copy program with the common point z and every centre
+    weight kept: z, then n convex weights per copy, and for each copy the
+    rows z - l_j sum_x w_jx x = (1 - l_j) q_j and sum_x w_jx = 1, every
+    weight strictly positive."""
+    n = len(X)
+    d = X.dim
+    k = len(chosen) - 1
+    P, L = X.cleared
+    rows = []
+    for j, q_idx in enumerate(chosen):
+        a, b = int_pair(factors[j])
+        base = d + j * n
+        for t in range(d):
+            terms = [(t, b * L)] + [(base + i, -a * p[t]) for i, p in enumerate(P)]
+            rows.append(integer_row(terms, EQ, (b - a) * P[q_idx][t], b * L))
+        rows.append(Constraint(tuple((base + i, 1) for i in range(n)), EQ, 1, 1))
+    first = len(rows)
+    rows.extend(Constraint(((d + c, 1),), GE, 0, 1) for c in range((k + 1) * n))
+    return LinearProgram(d + (k + 1) * n, tuple(rows)), list(range(first, len(rows)))
+
+
+@st.composite
+def _joint_cases(draw):
+    """A set of 2 to 6 points in 1 to 4 dimensions, about half of them
+    integer affine images of lower-dimensional points; a tuple of k + 1
+    of its points, k from 1 to 3; and factors in (0, 1) summing to k."""
+    d = draw(st.integers(1, 4))
+    r = draw(st.integers(1, d)) if draw(st.booleans()) else d
+    low = draw(st.lists(st.tuples(*[_coord] * r), min_size=2, max_size=6, unique=True))
+    if r < d:
+        small = st.integers(-2, 2)
+        matrix = draw(st.lists(st.tuples(*[small] * r), min_size=d, max_size=d))
+        offset = draw(st.tuples(*[small] * d))
+        images = [
+            tuple(c + sum(a * x for a, x in zip(row, p)) for row, c in zip(matrix, offset))
+            for p in low
+        ]
+        low = list(dict.fromkeys(images))
+    assume(len(low) >= 2)
+    X = PointSet(tuple(tuple(ratio(c) for c in p) for p in low))
+    k = draw(st.integers(1, min(3, len(X) - 1)))
+    chosen = tuple(draw(st.permutations(range(len(X))))[: k + 1])
+    g = draw(st.lists(_factor, min_size=k + 1, max_size=k + 1))
+    factors = tuple(1 - x / sum(g) for x in g)
+    return X, chosen, factors
+
+
+@settings(max_examples=80, deadline=None)
+@given(_joint_cases())
+def test_substituted_copies_decide_as_the_centre_weight_program(case):
+    # Taking out the centre weights and the common point keeps the
+    # system's meaning: both programs are strictly feasible or neither
+    # is.  The witness read off the new program verifies on its own, and
+    # it exists exactly when there is no certifying map.
+    X, chosen, factors = case
+    old = solve_strict(*_centre_copies_lp(X, chosen, factors))
+    new = solve_strict(*_copies_lp(X, chosen, factors))
+    assert old.status is new.status
+    cert = joint_antipodal_shrunk(X, chosen, factors)
+    assert cert.antipodal == (new.status is not Status.FEASIBLE)
+    assert verify_joint_certificate(X, cert)
+    assert cert.antipodal == (_map_certificate(X, chosen) is not None)
+
+
 def test_witness_check_accepts_a_substitution_certificate():
-    # 0 and 1/2 in {0, 1/2, 1}: the witness 1/4 is in the copy toward 0
-    # shrunk by 1/4 (through the point 1) and in the copy toward 1/2
-    # shrunk by 1/2 (through 0); 1/4 + 1/2 < 1.  The centre's own weight
-    # is dropped and the rest rescaled.
+    # 0 and 1/2 in {0, 1/2, 1}: the witness 1/4 is 0 + 1/4 (1 - 0) in the
+    # copy toward 0 shrunk by 1/4, and 1/2 + 1/2 (0 - 1/2) in the copy
+    # toward 1/2 shrunk by 1/2; 1/4 + 1/2 < 1.  Each copy's weights are
+    # over the points other than its centre and sum to its factor.
+    weights = ((0, ratio(1, 4)), (ratio(1, 2), 0))
     factors = (ratio(1, 4), ratio(1, 2))
-    weights = ((0, 0, 1), (1, 0, 0))
     assert _witness_holds(COLLINEAR, (0, 1), (ratio(1, 4),), factors, weights)
-    weights = ((ratio(1, 2), 0, ratio(1, 2)), (1, 0, 0))
+    # 1/4 = 1/6 (1/2) + 1/6 (1) as well, in the copy shrunk by 1/3.
+    weights = ((ratio(1, 6), ratio(1, 6)), (ratio(1, 2), 0))
+    factors = (ratio(1, 3), ratio(1, 2))
     assert _witness_holds(COLLINEAR, (0, 1), (ratio(1, 4),), factors, weights)
 
 
 def test_witness_check_rejects_tampering():
+    quarter = (ratio(1, 4),)
     factors = (ratio(1, 4), ratio(1, 2))
-    weights = ((0, 0, 1), (1, 0, 0))
+    weights = ((0, ratio(1, 4)), (ratio(1, 2), 0))
     # A tampered witness coordinate.
     moved = (ratio(1, 4) + ratio(1, 97),)
     assert not _witness_holds(COLLINEAR, (0, 1), moved, factors, weights)
-    # A negative weight: -1/2 on 1/2 and 3/2 on 1 reach 5/4, and the
-    # factor 1/5 brings the copy's point back to 1/4.
-    bent = ((0, ratio(-1, 2), ratio(3, 2)), (1, 0, 0))
-    bent_factors = (ratio(1, 5), ratio(1, 2))
-    assert not _witness_holds(COLLINEAR, (0, 1), (ratio(1, 4),), bent_factors, bent)
-    # All weight on the centre leaves nothing to rescale.
-    centred = ((1, 0, 0), (1, 0, 0))
-    assert not _witness_holds(COLLINEAR, (0, 1), (ratio(1, 4),), factors, centred)
-    # Wrong lengths.
-    assert not _witness_holds(COLLINEAR, (0, 1), (ratio(1, 4),), factors, weights[:1])
-    assert not _witness_holds(COLLINEAR, (0, 1), (ratio(1, 4),), factors[:1], weights)
+    # A negative weight: -1/4 on 1/2 and 3/8 on 1 reach 1/4 and sum to
+    # the factor 1/8; only the sign is wrong.
+    bent = ((ratio(-1, 4), ratio(3, 8)), (ratio(1, 2), 0))
+    bent_factors = (ratio(1, 8), ratio(1, 2))
+    assert not _witness_holds(COLLINEAR, (0, 1), quarter, bent_factors, bent)
+    # Weights that do not sum to the copy's factor.
+    short = ((0, ratio(1, 4)), (ratio(1, 4), ratio(1, 4)))
+    assert not _witness_holds(COLLINEAR, (0, 1), quarter, factors, short)
+    # Wrong lengths, a weight for the centre included.
+    assert not _witness_holds(COLLINEAR, (0, 1), quarter, factors, weights[:1])
+    assert not _witness_holds(COLLINEAR, (0, 1), quarter, factors[:1], weights)
+    centred = ((0, 0, ratio(1, 4)), (ratio(1, 2), 0))
+    assert not _witness_holds(COLLINEAR, (0, 1), quarter, factors, centred)
+    assert not _witness_holds(COLLINEAR, (0, 1), quarter * 2, factors, weights)
 
 
 def test_witness_check_rejects_a_factor_sum_of_k():
@@ -540,8 +624,24 @@ def test_witness_check_rejects_a_factor_sum_of_k():
     # copies shrunk by 1/2, every equation holds, and only the factor sum,
     # which reaches k = 1, is refused.
     half = ratio(1, 2)
-    weights = ((0, 0, 1), (1, 0, 0))
+    weights = ((0, half), (half, 0))
     assert not _witness_holds(COLLINEAR, (0, 2), (half,), (half, half), weights)
+
+
+def test_witness_check_rejects_a_factor_of_one():
+    # {0, 1, 2, 3} with chosen (0, 1, 2), k = 2, and the witness 1:
+    # 1 - 0 = 1 (1 - 0), 1 - 1 = 1/8 (0 - 1) + 1/8 (2 - 1) and
+    # 1 - 2 = 1/2 (0 - 2).  The factors 1, 1/4, 1/2 sum to 7/4 < 2 and every
+    # equation holds, but the copy toward 0 is not shrunk at all.
+    X = _ps((0,), (1,), (2,), (3,))
+    weights = ((1, 0, 0), (ratio(1, 8), ratio(1, 8), 0), (ratio(1, 2), 0, 0))
+    factors = (ratio(1), ratio(1, 4), ratio(1, 2))
+    assert not _witness_holds(X, (0, 1, 2), (ratio(1),), factors, weights)
+    # The witness 1/2, with factors 1/2, 1/2 and 3/4, passes.
+    half = ratio(1, 2)
+    weights = ((half, 0, 0), (half, 0, 0), (ratio(3, 4), 0, 0))
+    factors = (half, half, ratio(3, 4))
+    assert _witness_holds(X, (0, 1, 2), (half,), factors, weights)
 
 
 def test_witness_certificates_need_no_member_program(monkeypatch):

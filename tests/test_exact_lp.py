@@ -1085,19 +1085,19 @@ def test_sign_bounds_match_reference(case, stall_limit):
 
 def _margin_program(lp, strict):
     """The margin program that solve_strict builds for lp and hands to
-    solve."""
+    the two phases it shares with solve."""
     seen = []
-    real = exact_lp.solve
+    real = exact_lp._two_phase
 
     def record(aux):
         seen.append(aux)
         return real(aux)
 
-    exact_lp.solve = record
+    exact_lp._two_phase = record
     try:
         solve_strict(lp, strict)
     finally:
-        exact_lp.solve = real
+        exact_lp._two_phase = real
     (aux,) = seen
     return aux
 
@@ -1122,6 +1122,49 @@ def test_margin_program_rows_are_the_ones_make_lp_parses(case):
     # column n is new.
     for con, (coeffs, rhs) in zip(lp.constraints, dense):
         assert (coeffs[:-1], rhs) == _dense(con, lp.num_vars)
+
+
+def _dual_reads(monkeypatch):
+    """Record each read-out of an optimum's duals and each check of them."""
+    seen = []
+    read, check = exact_lp._Tableau.duals, exact_lp.check_duals
+
+    def reading(tab):
+        seen.append("read")
+        return read(tab)
+
+    def checking(*args):
+        seen.append("check")
+        return check(*args)
+
+    monkeypatch.setattr(exact_lp._Tableau, "duals", reading)
+    monkeypatch.setattr(exact_lp, "check_duals", checking)
+    return seen
+
+
+def test_positive_margin_reads_no_duals(monkeypatch):
+    # 0 < x < 1 holds with margin 1/2: the strict point is the
+    # certificate, and the margin program's duals are never read.
+    seen = _dual_reads(monkeypatch)
+    lp = make_lp(1, [((1,), GE, 0), ((1,), LE, 1)])
+    out = solve_strict(lp, [0, 1])
+    assert out.status is Status.FEASIBLE and out.objective_value == ratio(1, 2)
+    assert seen == []
+
+
+def test_zero_margin_reads_and_checks_duals(monkeypatch):
+    # 0 <= x <= 0 cannot hold with x > 0: the margin program's optimum
+    # is 0, and its duals are read, checked, and certify emptiness.
+    seen = _dual_reads(monkeypatch)
+    lp = make_lp(1, [((1,), GE, 0), ((1,), LE, 0)])
+    out = solve_strict(lp, [0])
+    assert out.status is Status.INFEASIBLE
+    assert check_strict_emptiness(lp, [0], out.farkas)
+    assert seen == ["read", "check"]
+    # An objective program through solve reads and checks its duals too.
+    seen.clear()
+    solve(make_lp(1, [((1,), LE, 1)], objective=(1,)))
+    assert seen == ["read", "check"]
 
 
 def test_reference_cases_cover_retired_rows_and_bland():
