@@ -9,20 +9,24 @@ Every verb prints one JSON report to stdout and exits with:
      report names the layer; this is a bug, never a verdict)
 
 Rationals appear as "p/q" strings; --decimal appends an approximate
-rendering.  --verify re-parses the canonical report and re-checks its
-certificates before printing.  A report that cannot be rendered (a
-number past the interpreter's digit limit) ends in exit 2.  A reader that
-closes stdout early does not change the exit code.
+rendering.  --verify re-parses the canonical report (its text without
+decimals) and re-checks its claims and certificates against the inputs
+as the verb parsed them, without reading any file again; the printed
+report is the canonical one plus "verified".  A report that cannot be
+rendered (a number past the interpreter's digit limit) ends in exit 2.
+A reader that closes stdout early does not change the exit code.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
 import sys
 from decimal import Decimal
+from itertools import combinations
 from math import comb
 
 from .antipodality import (
@@ -135,12 +139,13 @@ def _finalize(tree, decimal: bool):
     return tree
 
 
-def _render(report, decimal: bool) -> str:
-    """The report as JSON text.  Python refuses to turn an int longer than
-    its digit limit (4300 digits by default) into a string, so a report
-    holding one is refused rather than printed."""
+@contextlib.contextmanager
+def _rendering():
+    """Python refuses to turn an int longer than its digit limit (4300
+    digits by default) into a string, so a report holding one is refused
+    rather than printed."""
     try:
-        return json.dumps(_finalize(report, decimal), indent=2, sort_keys=True)
+        yield
     except ValueError as exc:
         raise RenderError(f"the report cannot be rendered: {exc}") from None
 
@@ -222,9 +227,10 @@ def _cmd_check_joint(args):
     }
 
     def replay(parsed):
-        return verify_joint_certificate(
-            load_point_set(args.file), _parse_cert(parsed["certificate"])
-        )
+        claim = parsed["certificate"]
+        if tuple(claim["chosen"]) != chosen:
+            return False
+        return verify_joint_certificate(X, _parse_cert(claim))
 
     return report, EXIT_HOLDS if cert.antipodal else EXIT_FAILS, replay
 
@@ -251,21 +257,27 @@ def _cmd_check_rank(args):
         report["certificate"] = _cert_obj(result.failing)
 
     def replay(parsed):
-        if "certificate" in parsed:
-            return verify_joint_certificate(
-                load_point_set(args.file), _parse_cert(parsed["certificate"])
-            )
-        return (parsed["points"] <= parsed["max_points"]) == parsed["within_bound"]
+        if (parsed["points"] <= parsed["max_points"]) != parsed["within_bound"]:
+            return False
+        if parsed["antipodal"]:
+            return "certificate" not in parsed
+        # A failing report carries the failing subset's negative witness.
+        claim = parsed.get("certificate")
+        return (
+            claim is not None
+            and not claim["antipodal"]
+            and claim["chosen"] == parsed["failing_subset"]
+            and verify_joint_certificate(X, _parse_cert(claim))
+        )
 
     return report, EXIT_HOLDS if result.antipodal else EXIT_FAILS, replay
 
 
-def _cmd_check_erdos(args):
-    X = load_point_set(args.file)
-    result = erdos_rank_k(X, args.k)
+def _erdos_report(X, k) -> dict:
+    result = erdos_rank_k(X, k)
     report = {
         "verb": "check-erdos",
-        "k": args.k,
+        "k": k,
         "points": len(X),
         "dim": X.dim,
         "holds": result.holds,
@@ -274,20 +286,24 @@ def _cmd_check_erdos(args):
         report["failing_subset"] = list(result.failing_subset)
         report["offender"] = result.offender
         report["reason"] = result.reason
+    return report
+
+
+def _cmd_check_erdos(args):
+    X = load_point_set(args.file)
+    report = _erdos_report(X, args.k)
 
     def replay(parsed):
-        again, _, _ = _cmd_check_erdos(args)
-        return _finalize(again, False) == parsed
+        return _finalize(_erdos_report(X, args.k), False) == parsed
 
-    return report, EXIT_HOLDS if result.holds else EXIT_FAILS, replay
+    return report, EXIT_HOLDS if report["holds"] else EXIT_FAILS, replay
 
 
-def _cmd_check_strict(args):
-    X = load_point_set(args.file)
-    result = strict_rank_k(X, args.k)
+def _strict_report(X, k) -> dict:
+    result = strict_rank_k(X, k)
     report = {
         "verb": "check-strict",
-        "k": args.k,
+        "k": k,
         "points": len(X),
         "dim": X.dim,
         "strict": result.strict,
@@ -304,25 +320,36 @@ def _cmd_check_strict(args):
         if result.forced_pair is not None:
             report["forced_point"] = result.forced_pair[0]
             report["forced_vertex"] = result.forced_pair[1]
+    return report
+
+
+def _cmd_check_strict(args):
+    X = load_point_set(args.file)
+    report = _strict_report(X, args.k)
 
     def replay(parsed):
         if not parsed["strict"]:
-            again, _, _ = _cmd_check_strict(args)
-            return _finalize(again, False) == parsed
-        Y = load_point_set(args.file)
-        for item in parsed["evidence"]:
+            return _finalize(_strict_report(X, args.k), False) == parsed
+        # One evidence map per (k+1)-subset, in index order.
+        evidence = parsed["evidence"]
+        subsets = list(combinations(range(len(X)), args.k + 1))
+        if [tuple(item["subset"]) for item in evidence] != subsets:
+            return False
+        if parsed["subsets_checked"] != len(subsets):
+            return False
+        for item in evidence:
             subset = tuple(item["subset"])
             cert = AntipodalityCertificate(
                 antipodal=True, chosen=subset, mapping=_parse_map(item["map"])
             )
-            if not verify_joint_certificate(Y, cert):
+            if not verify_joint_certificate(X, cert):
                 return False
-            images, den = cert.mapping.cleared_images(Y)
-            if any(den in images[i] for i in range(len(Y)) if i not in subset):
+            images, den = cert.mapping.cleared_images(X)
+            if any(den in images[i] for i in range(len(X)) if i not in subset):
                 return False
         return True
 
-    return report, EXIT_HOLDS if result.strict else EXIT_FAILS, replay
+    return report, EXIT_HOLDS if report["strict"] else EXIT_FAILS, replay
 
 
 def _code_report(verb: str, code, extra: dict) -> dict:
@@ -361,8 +388,18 @@ def _cmd_hash_verify(args):
     report = _code_report("hash-verify", code, extra)
 
     def replay(parsed):
-        again, bad = is_perfect(code_from_obj(parsed["code"]))
-        return again == parsed["perfect"]
+        again = code_from_obj(parsed["code"])
+        if again != code or is_perfect(again)[0] != parsed["perfect"]:
+            return False
+        if parsed["perfect"]:
+            return True
+        # k distinct words of the code that no coordinate separates.
+        batch = {tuple(w) for w in parsed["violating"]}
+        return (
+            len(parsed["violating"]) == len(batch) == code.k
+            and batch <= set(code.words)
+            and all(len({w[j] for w in batch}) < code.k for j in range(code.m))
+        )
 
     return report, EXIT_HOLDS if ok else EXIT_FAILS, replay
 
@@ -424,15 +461,10 @@ def _cmd_construct(args):
     }
 
     def replay(parsed):
-        fresh = product_construct(
-            StartingConfig(load_point_set(args.base), rank=args.k),
-            load_code(args.code),
-        )
-        points = tuple(_parse_point(row) for row in parsed["result"]["points"])
-        if points != fresh.result.points:
+        fresh = product_construct(StartingConfig(points, rank=args.k), code)
+        got = tuple(_parse_point(row) for row in parsed["result"]["points"])
+        if got != fresh.result.points:
             return False
-        from itertools import combinations
-
         # projection_certificate verifies each projected certificate
         # against fresh.result and raises when one fails.
         for chosen in combinations(range(len(fresh.result)), args.k + 1):
@@ -546,10 +578,11 @@ def _cmd_discriminate(args):
     }
 
     def replay(parsed):
-        sp = StateSpace(load_point_set(args.space))
-        meas = Measurement(sp, _parse_map(parsed["measurement"]))
-        got = error_prob(meas, load_point_set(args.states).points)
-        return got == _parse_rational(parsed["min_error"])
+        claimed = _parse_rational(parsed["min_error"])
+        if parsed["distinguishable"] != (claimed == 0):
+            return False
+        meas = Measurement(space, _parse_map(parsed["measurement"]))
+        return error_prob(meas, states.points) == claimed
 
     return report, EXIT_HOLDS if value == 0 else EXIT_FAILS, replay
 
@@ -653,12 +686,21 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         report, code, replay = args.handler(args)
+        with _rendering():
+            tree = _finalize(report, args.decimal)
         if args.verify:
-            verified = bool(replay(json.loads(_render(report, False))))
-            report["verified"] = verified
+            # The replay reads the canonical copy back from its text.  Its
+            # compact dump runs in json's C encoder; setting indent would
+            # not.
+            with _rendering():
+                canonical = _finalize(report, False) if args.decimal else tree
+                text = json.dumps(canonical, sort_keys=True)
+            verified = bool(replay(json.loads(text)))
+            tree["verified"] = verified
             if not verified and code == EXIT_HOLDS:
                 code = EXIT_FAILS
-        text = _render(report, args.decimal)
+        with _rendering():
+            text = json.dumps(tree, indent=2, sort_keys=True)
     except _INPUT_ERRORS as exc:
         text, code = _error_text(exc), EXIT_INPUT
     except _INTERNAL_ERRORS as exc:

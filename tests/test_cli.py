@@ -1,9 +1,11 @@
 """End-to-end command line behavior: reports, exit codes, determinism."""
 
+import dataclasses
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from itertools import product
 from pathlib import Path
 from types import SimpleNamespace
@@ -11,8 +13,8 @@ from types import SimpleNamespace
 import pytest
 
 import antipodes
-from antipodes import antipodality, geometry, hashcodes
-from antipodes.antipodality import CertificateError
+from antipodes import antipodality, cli, geometry, hashcodes
+from antipodes.antipodality import CertificateError, RankReport
 from antipodes.cli import _build_parser, main
 from antipodes.exact_lp import SolverInvariantError
 from antipodes.geometry import PointSet, dump_point_set
@@ -66,6 +68,11 @@ def files(tmp_path):
     tern_path = tmp_path / "ternary_code.json"
     dump_code(max_code(3, 3, 2).code, tern_path)
     paths["ternary_code"] = str(tern_path)
+
+    # (1,1), (1,2), (2,2): no coordinate separates them.
+    loose_path = tmp_path / "loose_code.json"
+    dump_code(HashCode(3, 3, 2, ((1, 1), (1, 2), (2, 2))), loose_path)
+    paths["loose_code"] = str(loose_path)
 
     bad_path = tmp_path / "broken.json"
     bad_path.write_text('{"dim": 2, "points": [["1/2", "oops"]]}')
@@ -413,7 +420,8 @@ def test_decimal_rendering(files, capsys):
 def test_report_beyond_the_digit_limit_is_refused(tmp_path, capsys):
     # The map of this set has entries longer than 4300 digits, which
     # Python refuses to turn into strings: exit 2 with an error, in the
-    # printed copy and in the --verify canonical copy alike.
+    # printed copy, in the --verify canonical copy and under --decimal
+    # alike.
     a, b = 10**2100 + 7, 10**2100 + 9
     path = tmp_path / "long.json"
     long = _ps((0, 0), (ratio(1, a), 0), (0, ratio(1, b)), (ratio(a, b), ratio(b, a)))
@@ -424,6 +432,7 @@ def test_report_beyond_the_digit_limit_is_refused(tmp_path, capsys):
         for argv in (
             ("check-joint", str(path), "1", "2"),
             ("--verify", "check-joint", str(path), "1", "2"),
+            ("--decimal", "--verify", "check-joint", str(path), "1", "2"),
             ("check-rank", str(path), "--k", "1"),
         ):
             code, report, _ = run(capsys, *argv)
@@ -634,3 +643,175 @@ def test_sampled_rank_requires_seed(files, capsys):
     )
     assert code == 0
     assert not report["exhaustive"]
+
+
+# ---------------------------------------------------------------------------
+# --verify: the printed report, the inputs the replay reads, the claims
+
+
+# One command line per report shape that has a replay; names of the
+# `files` fixture stand for their paths.
+VERIFIED_CASES = {
+    "check-joint-direct": ("check-joint", "square", "0", "3"),
+    "check-joint-witness": ("check-joint", "collinear", "0", "1"),
+    "check-joint-shrunk": ("check-joint", "square", "0", "3", "--lambda", "1/3,2/3"),
+    "check-rank-holds": ("check-rank", "cube", "--k", "1"),
+    "check-rank-fails": ("check-rank", "cube", "--k", "2"),
+    "check-strict-strict": ("check-strict", "triangle", "--k", "1"),
+    "check-strict-forced": ("check-strict", "square", "--k", "1"),
+    "check-erdos": ("check-erdos", "obtuse", "--k", "1"),
+    "discriminate": ("discriminate", "bit_space", "bit_states"),
+    "volume-check": ("volume-check", "square", "--k", "1"),
+    "construct": ("construct", "segment", "cube_code", "--k", "1"),
+    "hash-search": ("hash-search", "--b", "3", "--k", "3", "--m", "2"),
+    "hash-greedy": ("hash-greedy", "--b", "3", "--k", "3", "--m", "2"),
+    "hash-random": ("hash-random", "--b", "2", "--k", "2", "--m", "3", "--seed", "9"),
+    "hash-verify-perfect": ("hash-verify", "ternary_code"),
+    "hash-verify-violated": ("hash-verify", "loose_code"),
+    "bounds": ("bounds", "--d", "3", "--k", "2"),
+    "gap": ("gap", "--k", "2", "--d", "2", "--b", "3"),
+}
+
+
+def _argv(files, case):
+    return [files.get(word, word) for word in VERIFIED_CASES[case]]
+
+
+@pytest.mark.parametrize("flags", [(), ("--decimal",)], ids=["plain", "decimal"])
+@pytest.mark.parametrize("case", sorted(VERIFIED_CASES))
+def test_verify_prints_the_plain_report_plus_verified(files, capsys, case, flags):
+    argv = [*flags, *_argv(files, case)]
+    code, plain, _ = run(capsys, *argv)
+    verified_code, _, text = run(capsys, "--verify", *argv)
+    assert verified_code == code
+    expected = json.dumps({**plain, "verified": True}, indent=2, sort_keys=True)
+    assert text == expected + "\n"
+
+
+def test_a_failed_replay_changes_only_verified_and_the_exit(files, capsys, monkeypatch):
+    argv = _argv(files, "check-joint-direct")
+    code, plain, _ = run(capsys, *argv)
+    assert code == 0
+    monkeypatch.setattr("antipodes.cli.verify_joint_certificate", lambda X, cert: False)
+    code, _, text = run(capsys, "--verify", *argv)
+    assert code == 1
+    expected = json.dumps({**plain, "verified": False}, indent=2, sort_keys=True)
+    assert text == expected + "\n"
+
+
+FILE_VERBS = {
+    "check-joint", "check-rank", "check-strict", "check-erdos", "discriminate",
+    "volume-check", "construct", "hash-verify",
+}
+
+
+@pytest.mark.parametrize(
+    "case", sorted(case for case, argv in VERIFIED_CASES.items() if argv[0] in FILE_VERBS)
+)
+def test_no_replay_reads_a_file(files, capsys, monkeypatch, case):
+    loaded = Counter()
+
+    def counting(load):
+        def wrapper(path):
+            loaded[path] += 1
+            return load(path)
+
+        return wrapper
+
+    monkeypatch.setattr(cli, "load_point_set", counting(cli.load_point_set))
+    monkeypatch.setattr(cli, "load_code", counting(cli.load_code))
+    argv = _argv(files, case)
+    code, report, _ = run(capsys, "--verify", *argv)
+    assert report["verified"] is True
+    inputs = [word for word in argv if word in files.values()]
+    assert inputs and loaded == Counter(inputs)
+
+
+def test_verify_checks_the_chosen_indices(files, capsys, monkeypatch):
+    # A valid certificate of another tuple does not answer for (0, 1).
+    direct = antipodality.joint_antipodal_direct
+    monkeypatch.setattr(
+        "antipodes.cli.joint_antipodal_direct", lambda X, chosen: direct(X, (0, 3))
+    )
+    code, report, _ = run(capsys, "--verify", "check-joint", files["square"], "0", "1")
+    assert report["certificate"]["chosen"] == [0, 3]
+    assert report["verified"] is False and code == 1
+
+
+def test_verify_requires_a_negative_certificate_on_a_failing_rank(
+    files, capsys, monkeypatch
+):
+    direct = antipodality.joint_antipodal_direct
+
+    def wrong(X, k, samples=None, seed=None):
+        return RankReport(k, False, 1, True, failing=direct(X, (0, 1)))
+
+    monkeypatch.setattr("antipodes.cli.is_rank_k_antipodal", wrong)
+    code, report, _ = run(capsys, "--verify", "check-rank", files["square"], "--k", "1")
+    assert not report["antipodal"] and report["certificate"]["antipodal"]
+    assert report["verified"] is False and code == 1
+
+
+def test_verify_requires_an_unseparated_batch(files, capsys, monkeypatch):
+    # Three words of the code, pairwise distinct at coordinate 0.
+    monkeypatch.setattr(
+        "antipodes.cli.is_perfect", lambda code: (False, ((3, 3), (2, 3), (1, 2)))
+    )
+    code, report, _ = run(capsys, "--verify", "hash-verify", files["ternary_code"])
+    assert report["violating"] == [[3, 3], [2, 3], [1, 2]]
+    assert report["verified"] is False and code == 1
+
+
+@pytest.mark.parametrize(
+    "violating",
+    [
+        [[1, 1], [1, 2], [2, 2]],
+        [[1, 1], [1, 2], [1, 2]],
+        [[1, 1], [1, 2]],
+        [[1, 1], [1, 2], [2, 1]],
+    ],
+    ids=["unseparated", "repeated", "short", "outside"],
+)
+def test_hash_verify_replay_reads_the_violating_batch(files, violating):
+    args = _build_parser().parse_args(["hash-verify", files["loose_code"]])
+    report, _, replay = cli._cmd_hash_verify(args)
+    parsed = json.loads(json.dumps(cli._finalize(report, False)))
+    assert parsed["violating"] == [[1, 1], [1, 2], [2, 2]]
+    parsed["violating"] = violating
+    assert replay(parsed) is (violating == [[1, 1], [1, 2], [2, 2]])
+
+
+def test_verify_requires_evidence_for_every_subset(files, capsys, monkeypatch):
+    strict = antipodality.strict_rank_k
+
+    def partial(X, k):
+        result = strict(X, k)
+        return dataclasses.replace(result, evidence=result.evidence[:1])
+
+    monkeypatch.setattr("antipodes.cli.strict_rank_k", partial)
+    code, report, _ = run(capsys, "--verify", "check-strict", files["triangle"], "--k", "1")
+    assert report["strict"] and report["subsets_checked"] == 3
+    assert len(report["evidence"]) == 1
+    assert report["verified"] is False and code == 1
+
+
+def test_verify_reads_distinguishable_against_the_error(files):
+    args = _build_parser().parse_args(
+        ["discriminate", files["bit_space"], files["bit_states"]]
+    )
+    report, _, replay = cli._cmd_discriminate(args)
+    parsed = json.loads(json.dumps(cli._finalize(report, False)))
+    assert replay(parsed)
+    parsed["distinguishable"] = not parsed["distinguishable"]
+    assert not replay(parsed)
+
+
+def test_hash_verify_replay_reads_the_input_code(files):
+    # One more word keeps the report's batch and verdict, but the report
+    # no longer names the code in the file.
+    args = _build_parser().parse_args(["hash-verify", files["loose_code"]])
+    report, _, replay = cli._cmd_hash_verify(args)
+    parsed = json.loads(json.dumps(cli._finalize(report, False)))
+    assert replay(parsed)
+    parsed["code"]["words"].append([3, 3])
+    assert not replay(parsed)
