@@ -34,13 +34,9 @@ checking the certificate on its own (`verify_joint_certificate`, the
 Exhaustive rank checks count their subsets first and refuse more than
 EXHAUSTIVE_LIMIT of them before the set's affine rank is computed.
 
-Also provided: support halfspaces touching the other k chosen points,
-read off the certifying map as {x : out_i(x) >= 0} for chosen point i
-(the rank-k counterpart of the parallel supporting hyperplanes of an
-antipodal pair, Danzer and Grünbaum 1962), a projection-based variant
-that asks every point to project orthogonally into the chosen closed
-simplex, and a strict variant that forbids the remaining points from
-landing on simplex vertices.  Both variants decide on the set's cleared
+Also provided: a projection-based variant that asks every point to
+project orthogonally into the chosen closed simplex, and a strict variant
+that forbids the remaining points from landing on simplex vertices.  Both variants decide on the set's cleared
 integers: the first on the signs of integer projection coordinates, the
 second on each map's integer images.
 """
@@ -74,7 +70,6 @@ from .geometry import (
     outside_simplex,
     projection_coordinates,
     simplex_map_lp,
-    vdot,
 )
 from .rationals import ZERO, int_pair, int_ratio, over_common_denominator, ratio
 
@@ -112,41 +107,6 @@ class AntipodalityCertificate:
     mapping: Optional[AffineMap] = None
     witness: Optional[tuple] = None
     shrink_factors: Optional[tuple] = None
-
-
-@dataclass(frozen=True)
-class HalfSpace:
-    """The closed region normal . x <= offset."""
-
-    normal: tuple
-    offset: object
-
-    def __post_init__(self):
-        normal = tuple(ratio(c) for c in self.normal)
-        if all(c == 0 for c in normal):
-            raise AntipodalityError("halfspace normal must be nonzero")
-        object.__setattr__(self, "normal", normal)
-        object.__setattr__(self, "offset", ratio(self.offset))
-
-    def contains(self, x) -> bool:
-        return vdot(self.normal, x) <= self.offset
-
-    def on_boundary(self, x) -> bool:
-        return vdot(self.normal, x) == self.offset
-
-
-@dataclass(frozen=True)
-class SupportCertificate:
-    """One supporting halfspace per chosen point.
-
-    Halfspace i contains all of X, touches every chosen point except the
-    i-th on its boundary, and keeps the i-th strictly inside.  Restricted
-    to the affine hull of the chosen points the halfspaces cut out exactly
-    their simplex.
-    """
-
-    chosen: tuple
-    halfspaces: tuple
 
 
 @dataclass(frozen=True)
@@ -568,56 +528,6 @@ def is_rank_k_antipodal(
         if pos == 0 and len(subsets) > 1:
             classes = _subset_classes(X, subsets, rank)
     return RankReport(k, True, len(subsets), exhaustive)
-
-
-# ---------------------------------------------------------------------------
-# support halfspaces for antipodal tuples
-
-
-def verify_support_certificate(X: PointSet, cert: SupportCertificate) -> bool:
-    """Re-check support halfspaces: containment of X, the boundary touch
-    at every other chosen point, strict slack at the own point."""
-    chosen = cert.chosen
-    if len(cert.halfspaces) != len(chosen):
-        return False
-    for i, hs in enumerate(cert.halfspaces):
-        if not all(hs.contains(x) for x in X):
-            return False
-        for j, q_idx in enumerate(chosen):
-            q = X[q_idx]
-            if j == i:
-                if vdot(hs.normal, q) >= hs.offset:
-                    return False
-            elif not hs.on_boundary(q):
-                return False
-    return True
-
-
-def support_certificate(X: PointSet, chosen) -> SupportCertificate:
-    """Supporting halfspaces witnessing joint antipodality geometrically.
-
-    Read off the certifying map of `joint_antipodal_direct`: halfspace i
-    is {x : out_i(x) >= 0}.  It contains X, which the map carries into
-    the simplex; its boundary holds the other k chosen points, which go
-    to vertices e_j with j != i; and it keeps the i-th chosen point
-    strictly inside, since out_i there is 1.  Restricted to the affine
-    hull of the chosen points the k+1 boundaries cut out exactly their
-    simplex.
-
-    The chosen tuple must be jointly antipodal.
-    """
-    chosen = _validate_chosen(X, chosen)
-    base_cert = joint_antipodal_direct(X, chosen)
-    if not base_cert.antipodal:
-        raise AntipodalityError("the chosen points are not jointly antipodal")
-    m = base_cert.mapping
-    halfspaces = tuple(
-        HalfSpace(tuple(-a for a in row), c) for row, c in zip(m.matrix, m.offset)
-    )
-    cert = SupportCertificate(chosen, halfspaces)
-    if not verify_support_certificate(X, cert):
-        raise CertificateError("map-derived support halfspaces failed verification")
-    return cert
 
 
 # ---------------------------------------------------------------------------

@@ -131,7 +131,7 @@ def min_error(space: StateSpace, states):
     r = len(pts)
     if r < 2:
         raise DiscriminationError("need at least two states")
-    program = simplex_map_lp(space.vertices, r, score=list(enumerate(pts)))
+    program = simplex_map_lp(space.spanning, r, score=list(enumerate(pts)))
     outcome = program.solve()
     if outcome.status is not Status.FEASIBLE:
         raise DiscriminationError("discrimination program did not optimize")

@@ -19,11 +19,13 @@ and its affine rank, projections, symmetry, volume, map programs and
 map images (`AffineMap.cleared_images`) all read those integers.
 
 `simplex_map_lp` is the one builder of the program for an affine map
-into the standard simplex.  With the tuple's points pinned to the
-vertices, one integer Gauss-Jordan pass presolves the pins away
+into the standard simplex.  Its variables are the map's images of an
+affine basis of aff X that one integer Gauss-Jordan pass finds.  With
+the tuple's points pinned to the vertices the pins are presolved away
 (Andersen & Andersen 1995): k(r - k) variables remain for a k-simplex in
-a set of affine rank r, none when k = r, and `decode_map` rebuilds the
-map in the original coordinates in integers.
+a set of affine rank r, none when k = r.  Without pins, as for minimum-
+error discrimination, k(r + 1) remain.  `decode_map` rebuilds the map in
+the original coordinates in integers.
 
 Exact volume works in integers: the coordinates are cleared over their
 common denominator, a beneath-beyond pass (Seidel 1986) triangulates the
@@ -51,7 +53,6 @@ from typing import Optional
 from .exact_lp import (
     EQ,
     GE,
-    LE,
     Constraint,
     LinearProgram,
     LPOutcome,
@@ -271,9 +272,10 @@ class MapProgram:
     empty point (and a zero objective value when there is a score).  The
     score at a solution is the objective value plus `offset`.
 
-    A pinned program keeps D B^-1 in integers (`inverse`, its first r
-    rows, and `scale` = D > 0), the set's common denominator `den`, the
-    cleared first pinned point `origin`, and `free` = r - k.
+    Unless it is decided infeasible, the program keeps D B^-1 in
+    integers column by column (`inverse`, D = `scale` > 0, B the cleared
+    basis directions), the set's common denominator `den`, the cleared
+    frame point `origin`, and `pins`, the number of pinned basis points.
     """
 
     lp: Optional[LinearProgram]
@@ -284,7 +286,7 @@ class MapProgram:
     scale: int = 1
     den: int = 1
     origin: Optional[tuple] = None
-    free: int = 0
+    pins: int = 0
 
     def solve(self) -> LPOutcome:
         """The outcome: `decided`, or the solver's on `lp`."""
@@ -293,137 +295,119 @@ class MapProgram:
 
 def simplex_map_lp(points, outputs, pinned=(), score=(), maximize=True):
     """Program for an affine map sending every point into the standard
-    simplex on `outputs` outcomes, with pinned[j] sent to vertex j.
+    simplex on `outputs` outcomes, with pinned[j] sent to vertex j (all
+    `outputs` of them, points of the set, or none).
 
-    A nonempty `score`, a list of (output, point) pairs, makes the sum of
-    those outputs at those points the objective, to maximise or minimise;
-    a program objective has no constant term, so the score's constant
-    part goes to the returned `MapProgram`'s offset.
+    A nonempty `score`, a list of (output, point) pairs with points in
+    the set's affine hull, makes the sum of those outputs at those points
+    the objective, to maximise or minimise; a program objective has no
+    constant term, so the score's constant part goes to the returned
+    `MapProgram`'s offset.
 
-    Without pins, the first outputs - 1 map rows are the variables:
-    (outputs - 1) x (d+1) entries, row-major, each row holding d linear
-    coefficients followed by its offset.  The last output is 1 minus the
-    sum of the others, so the outputs sum to 1 everywhere.  Rows: every
-    variable output >= 0 at every point, then the variable outputs
-    summing to <= 1 at every point.  A score pair naming the last output
-    adds minus the other outputs and 1 to the offset.
+    The variables are the map's images of an affine basis of aff X, of
+    affine rank r, with k = outputs - 1.  The frame (the pins, or point 0
+    without pins) starts the basis, and one fraction-free Gauss-Jordan
+    pass over the cleared integer matrix [q_1-q_0 .. q_k-q_0 | x-q_0 for
+    the other points x, q_0 last | score points off the set, each column
+    times its own denominator | I_d] finds the rest.  Unless the frame's
+    columns are all pivots it is dependent and no map exists; a pivot
+    among the score columns lies off aff X.  The other pivots among the
+    points are the free basis points, each column's barycentric
+    coordinates c over the basis are read off the pass times D, and the
+    I_d block holds D B^-1.
 
-    With pins (all `outputs` of them, points of the set), the pins fix
-    the map on the frame's affine hull, so only k(r - k) entries are
-    left, k = outputs - 1 and r the affine rank of the set.  One
-    fraction-free Gauss-Jordan pass over the cleared integer matrix
-    [q_1-q_0 .. q_k-q_0 | x-q_0 for the other points x | I_d] finds
-    them.  Unless its first k columns are all pivots the frame is
-    dependent and no map exists.  The other pivots among the points give
-    r - k free directions u_s = x_s - q_0, which with the edges form a
-    basis of the directions of aff X, and every point's coordinates
-    (beta, gamma) in it; the I_d block holds D B^-1.  The variables are
-    w_{s,i}, the map's linear part on u_s at output i = 1..k, output by
-    output (output 0 takes minus their sum).  Rows: output i >= 0 at
-    every unpinned point, outputs 0..k in turn, as
-    beta_i(x) + sum_s gamma_s(x) w_{s,i} >= 0 for i >= 1 and
-    1 - sum beta(x) - sum_s gamma_s(x) sum_i w_{s,i} >= 0 for output 0,
+    A pinned basis point's image is its vertex.  At every other basis
+    point b, outputs 1..k are the variables w_{b,i}, output by output
+    (k(r - k) of them with pins, k(r + 1) without), and output 0 is 1
+    minus their sum.  Rows: output i >= 0 at every unpinned point, outputs
+    0..k in turn, as c_{q_i} + sum_b c_b w_{b,i} >= 0 for i >= 1 and
+    1 - sum_{j>=1} c_{q_j} - sum_b c_b sum_i w_{b,i} >= 0 for output 0,
     each times D.  A row without variables is checked at once and
-    dropped, so k = r needs no program at all.  Each free direction's
-    own point makes its rows sign bounds, which the solver keeps out of
-    the tableau.
+    dropped, so k = r needs no program at all.  A variable basis point's
+    own rows make its outputs 1..k sign bounds, which the solver keeps
+    out of the tableau.
     """
-    if pinned:
-        if not isinstance(points, PointSet):
-            points = PointSet(tuple(points))
-        return _pinned_program(points, outputs, tuple(pinned), score, maximize)
-    points = tuple(points)
-    free = outputs - 1
-    blank = (ZERO,) * (len(points[0]) + 1)
-
-    def at(i, p):
-        # Output i < free evaluated at p, as a row over the map entries.
-        return blank * i + p + (ONE,) + blank * (free - 1 - i)
-
-    rows = [(at(i, x), GE, ZERO) for x in points for i in range(free)]
-    rows += [((x + (ONE,)) * free, LE, ONE) for x in points]
-    objective = None
-    offset = 0
-    if score:
-        objective = [ZERO] * (len(blank) * free)
-        for i, x in score:
-            if i < free:
-                blocks, sign = (i,), ONE
-            else:
-                blocks, sign = range(free), -ONE
-                offset += 1
-            for b in blocks:
-                for col, c in enumerate(x + (ONE,), b * len(blank)):
-                    objective[col] += sign * c
-    lp = make_lp(len(blank) * free, rows, objective=objective, maximize=maximize)
-    return MapProgram(lp, offset, outputs)
-
-
-def _pinned_program(ps: PointSet, outputs, pinned, score, maximize) -> MapProgram:
-    """The presolved pinned program of `simplex_map_lp`."""
-    if len(pinned) != outputs:
-        raise GeometryError("a pinned program pins every output")
+    ps = points if isinstance(points, PointSet) else PointSet(tuple(points))
     P, den = ps.cleared
+    pins = len(pinned)
+    if pins and pins != outputs:
+        raise GeometryError("a pinned program pins every output")
     try:
-        frame = [ps.points.index(q) for q in pinned]
+        frame = [ps.points.index(q) for q in pinned] or [0]
     except ValueError:
         raise GeometryError("pinned points must be points of the set") from None
-    infeasible = MapProgram(None, 0, outputs, LPOutcome(Status.INFEASIBLE))
     k = outputs - 1
     origin = P[frame[0]]
     d = len(origin)
-    taken = set(frame)
-    rest = [i for i in range(len(P)) if i not in taken]
-    columns = [P[i] for i in frame[1:]] + [P[i] for i in rest]
-    mat = [
-        [p[t] - origin[t] for p in columns] + [int(t == u) for u in range(d)]
-        for t in range(d)
-    ]
+    rest = [i for i in range(len(P)) if i not in frame]
+    order = frame[1:] + rest + frame[:1]
+    columns = [[a - o for a, o in zip(P[i], origin)] for i in order]
+    width = len(columns)
+    column = [0] * len(P)
+    for c, i in enumerate(order):
+        column[i] = c
+    # A score point off the set gets a column of its own, scaled by the
+    # lcm of its coordinates' denominators.
+    scales, extra, scored = [1] * width, [], []
+    for _, x in score:
+        x = as_point(x)
+        if x in ps.points:
+            scored.append(column[ps.points.index(x)])
+            continue
+        if len(x) != d:
+            raise GeometryError("score points must match the set's dimension")
+        if x not in extra:
+            extra.append(x)
+            nums, xden = over_common_denominator(x)
+            columns.append([den * a - xden * o for a, o in zip(nums, origin)])
+            scales.append(xden)
+        scored.append(width + extra.index(x))
+    mat = [[p[t] for p in columns] + [int(t == u) for u in range(d)] for t in range(d)]
     pivots, _ = _bareiss(mat, jordan=True)
-    if pivots[:k] != list(range(k)):
-        return infeasible
-    free = sum(1 for c in pivots if k <= c < len(columns))
+    if pivots[: len(frame) - 1] != list(range(len(frame) - 1)):
+        return MapProgram(None, 0, outputs, LPOutcome(Status.INFEASIBLE))
+    if any(width <= c < len(columns) for c in pivots):
+        raise GeometryError("score points must lie in the affine hull of the set")
+    r = sum(1 for c in pivots if c < width)
     # Every pivot row reads the last pivot at its pivot column; reading
     # the rows times its sign makes D > 0.
-    sign = 1 if mat[0][0] > 0 else -1
-    D = sign * mat[0][0]
-    nvars = k * free
-    # Each point's column in the pass; q_0 has none (all coordinates 0).
-    column = {i: j for j, i in enumerate(frame[1:])}
-    column.update((i, k + j) for j, i in enumerate(rest))
+    sign = 1 if mat[0][pivots[0]] > 0 else -1
+    D = sign * mat[0][pivots[0]]
+    basis = r + 1 - pins
+    nvars = k * basis
 
-    def output(i, idx):
-        # Output i at point idx: integer coefficients over the variables
-        # and a constant, both over D.
-        c = column.get(idx)
-        beta = [0] * k if c is None else [sign * mat[j][c] for j in range(k)]
-        gamma = [0] * free if c is None else [sign * mat[k + s][c] for s in range(free)]
-        if i == 0:
-            return [-g for g in gamma] * k, D - sum(beta)
-        coeffs = [0] * nvars
-        coeffs[(i - 1) * free : i * free] = gamma
-        return coeffs, beta[i - 1]
+    def outputs_at(c):
+        # Outputs 0..k at column c as (coefficients, constant) pairs over
+        # D times c's scale.
+        tail = [sign * mat[j][c] for j in range(r)]
+        coords = [D * scales[c] - sum(tail)] + tail
+        var = coords[pins:]
+        at = [([-v for v in var] * k, D * scales[c] - sum(coords[1:pins]))]
+        for i in range(1, outputs):
+            coeffs = [0] * nvars
+            coeffs[(i - 1) * basis : i * basis] = var
+            at.append((coeffs, coords[i] if i < pins else 0))
+        return at
 
     rows = []
-    for idx in rest:
-        for i in range(outputs):
-            coeffs, const = output(i, idx)
-            if any(coeffs):
-                rows.append((coeffs, GE, -const))
-            elif const < 0:
-                return infeasible
+    for idx in rest if pins else range(len(P)):
+        at = outputs_at(column[idx])
+        # Output 0's coefficients hold every variable the point has.
+        if any(at[0][0]):
+            rows.extend((coeffs, GE, -const) for coeffs, const in at)
+        elif any(const < 0 for _, const in at):
+            return MapProgram(None, 0, outputs, LPOutcome(Status.INFEASIBLE))
     objective, offset = None, 0
     if score:
+        common = lcm(*scales[width:])
         total, constant = [0] * nvars, 0
-        for i, x in score:
-            try:
-                coeffs, const = output(i, ps.points.index(x))
-            except ValueError:
-                raise GeometryError("score points must be points of the set") from None
-            total = [a + b for a, b in zip(total, coeffs)]
-            constant += const
-        objective = tuple(int_ratio(a, D) for a in total)
-        offset = int_ratio(constant, D)
+        for (i, _), c in zip(score, scored):
+            coeffs, const = outputs_at(c)[i]
+            lift = common // scales[c]
+            total = [a + lift * b for a, b in zip(total, coeffs)]
+            constant += lift * const
+        objective = tuple(int_ratio(a, D * common) for a in total)
+        offset = int_ratio(constant, D * common)
     lp = decided = None
     if rows:
         lp = make_lp(nvars, rows, objective=objective, maximize=maximize)
@@ -436,49 +420,42 @@ def _pinned_program(ps: PointSet, outputs, pinned, score, maximize) -> MapProgra
         outputs,
         decided,
         inverse=tuple(
-            tuple(sign * a for a in row[len(columns) :]) for row in mat[: k + free]
+            tuple(sign * mat[j][len(columns) + t] for j in range(r)) for t in range(d)
         ),
         scale=D,
         den=den,
         origin=origin,
-        free=free,
+        pins=pins,
     )
 
 
 def decode_map(program: MapProgram, point) -> AffineMap:
     """The affine map held in a solution point of a `simplex_map_lp`
-    program.
+    program, read off the basis images.
 
-    Without pins, the last row is rebuilt as 1 minus the sum of the
-    others.  With pins, the map's values on the basis vectors are e_j - e_0
-    on the edge q_j - q_0 and w_s on the free direction u_s; over the
-    integers M (those values times the lcm l of the point's denominators)
-    the linear part is L M (D B^-1) / (D l) and the offset
-    e_0 - M (D B^-1) P_0 / (D l), with P = L x the cleared coordinates.
-    The map is zero on directions outside aff X.
+    Over the lcm l of the point's denominators, a pinned basis point's
+    image is l e_j and a variable one's is (l - sum(w_b), w_b).  With M
+    the images minus q_0's, one per basis direction, the linear part is
+    L M (D B^-1) / (D l) and the offset f(q_0) - M (D B^-1) P_0 / (D l),
+    with P = L x the cleared coordinates.  The map is zero on directions
+    outside aff X.
     """
     outputs = program.outputs
-    if program.inverse is None:
-        width = len(point) // (outputs - 1)
-        rows = [point[i * width : (i + 1) * width] for i in range(outputs - 1)]
-        last = tuple(-sum(col, ZERO) for col in zip(*rows))
-        last = last[:-1] + (ONE + last[-1],)
-        rows.append(last)
-        return AffineMap(tuple(r[:-1] for r in rows), tuple(r[-1] for r in rows))
-    k, free = outputs - 1, program.free
     nums, lw = over_common_denominator(point)
-    values = [
-        [lw if j == i else 0 for j in range(k)] + nums[i * free : (i + 1) * free]
-        for i in range(k)
-    ]
-    values.insert(0, [-sum(col) for col in zip(*values)])
+    basis = len(nums) // (outputs - 1)
+    images = [[lw * (i == j) for i in range(outputs)] for j in range(program.pins)]
+    for b in range(basis):
+        tail = nums[b::basis]
+        images.append([lw - sum(tail)] + tail)
+    base = images[0]
     scale = program.scale * lw
     matrix, offset = [], []
-    for i, row in enumerate(values):
-        linear = [sum(map(mul, row, col)) for col in zip(*program.inverse)]
+    for i in range(outputs):
+        steps = [image[i] - base[i] for image in images[1:]]
+        linear = [sum(map(mul, steps, col)) for col in program.inverse]
         matrix.append(tuple(int_ratio(program.den * a, scale) for a in linear))
         shift = sum(map(mul, linear, program.origin))
-        offset.append(int_ratio((scale if i == 0 else 0) - shift, scale))
+        offset.append(int_ratio(base[i] * program.scale - shift, scale))
     return AffineMap(tuple(matrix), tuple(offset))
 
 

@@ -1,7 +1,7 @@
 """Joint antipodality routes, certificates, rank checks, strict variant."""
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -9,7 +9,6 @@ from hypothesis import assume, given, settings, strategies as st
 from antipodes import geometry
 from antipodes.antipodality import (
     AntipodalityError,
-    HalfSpace,
     _copies_lp,
     _map_certificate,
     _witness_holds,
@@ -19,16 +18,13 @@ from antipodes.antipodality import (
     joint_antipodal_direct,
     joint_antipodal_shrunk,
     strict_rank_k,
-    support_certificate,
     verify_joint_certificate,
-    verify_support_certificate,
 )
 from antipodes.geometry import (
     Dilation,
     PointSet,
     StandardSimplex,
     member,
-    vdot,
 )
 from antipodes.exact_lp import (
     EQ,
@@ -181,41 +177,6 @@ def test_sampled_mode_requires_seed_and_is_deterministic():
 
 
 # ---------------------------------------------------------------------------
-# support halfspaces
-
-
-def test_support_certificate_square_diagonal():
-    cert = support_certificate(SQUARE, (0, 3))
-    assert verify_support_certificate(SQUARE, cert)
-    h0, h1 = cert.halfspaces
-    # Halfspace 0 touches the far corner and holds the near one strictly.
-    assert h0.on_boundary(SQUARE[3])
-    assert vdot(h0.normal, SQUARE[0]) < h0.offset
-    assert h1.on_boundary(SQUARE[0])
-    assert vdot(h1.normal, SQUARE[3]) < h1.offset
-    # Restricted to the diagonal the two halfspaces cut out the segment.
-    beyond = (ratio(2), ratio(2))
-    assert not (h0.contains(beyond) and h1.contains(beyond))
-
-
-def test_support_certificate_triangle_full_rank():
-    cert = support_certificate(TRIANGLE, (0, 1, 2))
-    assert verify_support_certificate(TRIANGLE, cert)
-
-
-def test_support_certificate_rejects_non_antipodal():
-    with pytest.raises(AntipodalityError):
-        support_certificate(COLLINEAR, (0, 1))
-
-
-def test_support_certificate_on_flat_set():
-    # The halfspaces come from the map, which needs no spanning set.
-    flat = _ps((0, 0), (1, 1))
-    cert = support_certificate(flat, (0, 1))
-    assert verify_support_certificate(flat, cert)
-
-
-# ---------------------------------------------------------------------------
 # projection criterion and strict variant
 
 
@@ -323,38 +284,6 @@ def test_routes_agree_on_random_pairs(X, pick):
     assert direct.antipodal == shrunk.antipodal
     assert verify_joint_certificate(X, direct)
     assert verify_joint_certificate(X, shrunk)
-
-
-@st.composite
-def _integer_sets(draw):
-    d = draw(st.integers(2, 3))
-    rows = draw(
-        st.lists(
-            st.tuples(*[st.integers(0, 2)] * d), min_size=2, max_size=5, unique=True
-        )
-    )
-    return _ps(*rows)
-
-
-@settings(max_examples=30, deadline=None)
-@given(_integer_sets())
-def test_support_halfspaces_are_the_map_rows(X):
-    # Every jointly antipodal tuple gets a verified certificate whose
-    # halfspace i is {x : out_i(x) >= 0} of the direct route's map.
-    for size in range(2, min(len(X), X.dim + 1) + 1):
-        for chosen in combinations(range(len(X)), size):
-            direct = joint_antipodal_direct(X, chosen)
-            if not direct.antipodal:
-                with pytest.raises(AntipodalityError):
-                    support_certificate(X, chosen)
-                continue
-            cert = support_certificate(X, chosen)
-            assert verify_support_certificate(X, cert)
-            m = direct.mapping
-            assert cert.halfspaces == tuple(
-                HalfSpace(tuple(-a for a in row), c)
-                for row, c in zip(m.matrix, m.offset)
-            )
 
 
 @settings(max_examples=40, deadline=None)

@@ -210,25 +210,49 @@ def test_simplex_map_lp_rows_and_decoding():
     assert mapping.apply(square[3]) == (0, 1)
     assert all(StandardSimplex(1).contains(mapping.apply(x)) for x in square)
 
-    # A score sums its outputs: output 1 at (1, 0) twice, output 0 at
-    # (0, 1) once.  Output 1 is 1 minus output 0, so each pair naming it
-    # subtracts output 0 and adds 1 to the offset.
+    # Without pins the frame is (0, 0), and output 1's values at the basis
+    # points (0, 0), (1, 0), (0, 1) are the variables; output 0 is 1 minus
+    # output 1.  Rows: outputs 0 and 1 >= 0 at every point in index order,
+    # so the basis points' rows for output 1 are sign bounds, and (1, 1) is
+    # (1, 0) + (0, 1) - (0, 0).
     score = [(1, square[1]), (0, square[2]), (1, square[1])]
     program = simplex_map_lp(square, 2, score=score)
     lp = program.lp
-    assert lp.objective == tuple(map(ratio, (-2, 1, -1)))
-    assert program.offset == 2 and lp.maximize
+    assert lp.num_vars == 3
+    assert [(c.terms, c.relation, c.rhs, c.den) for c in lp.constraints] == [
+        (((0, -1),), GE, -1, 1),
+        (((0, 1),), GE, 0, 1),
+        (((1, -1),), GE, -1, 1),
+        (((1, 1),), GE, 0, 1),
+        (((2, -1),), GE, -1, 1),
+        (((2, 1),), GE, 0, 1),
+        (((0, 1), (1, -1), (2, -1)), GE, -1, 1),
+        (((0, -1), (1, 1), (2, 1)), GE, 0, 1),
+    ]
+    # The score sums output 1 at (1, 0) twice and output 0 at (0, 1) once,
+    # which adds 1 to the offset.
+    assert lp.objective == tuple(map(ratio, (0, 2, -1)))
+    assert program.offset == 1 and lp.maximize
     out = program.solve()
     mapping = decode_map(program, out.point)
     assert out.objective_value + program.offset == sum(
         mapping.apply(x)[i] for i, x in score
     )
 
-    # With three outputs a pair naming output 2 subtracts both others.
+    # With three outputs the variables go output by output.
     program = simplex_map_lp(square, 3, score=[(2, square[3])], maximize=False)
     assert program.lp.num_vars == 6
-    assert program.lp.objective == tuple(map(ratio, (-1, -1, -1) * 2))
-    assert program.offset == 1 and not program.lp.maximize
+    assert program.lp.objective == tuple(map(ratio, (0, 0, 0, -1, 1, 1)))
+    assert program.offset == 0 and not program.lp.maximize
+
+    # A score point may lie off the set but not off its affine hull.
+    line = _pts((0, 0), (1, 1), (2, 2))
+    half = (ratio(1, 2), ratio(1, 2))
+    program = simplex_map_lp(line, 2, score=[(0, half), (1, half)])
+    assert program.offset == 1 and program.lp.objective == (0, 0)
+    for pinned in ((), line[:2]):
+        with pytest.raises(GeometryError):
+            simplex_map_lp(line, 2, pinned, score=[(1, (ratio(1), ratio(0)))])
 
 
 def test_pinned_map_program_without_variables():

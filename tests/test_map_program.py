@@ -164,17 +164,26 @@ def test_map_program_decides_like_the_full_program(instance):
 def test_map_program_scores_like_the_full_program(instance, data):
     X, chosen = instance
     k = len(chosen) - 1
-    # One pair on the last output, then any pairs, then a repeat.
+    # One pair on output 0, the one the others determine, then any pairs,
+    # then a repeat.
     pair = st.tuples(st.integers(0, k), st.integers(0, len(X) - 1))
-    first = (k, data.draw(st.integers(0, len(X) - 1)))
+    first = (0, data.draw(st.integers(0, len(X) - 1)))
     rest = data.draw(st.lists(pair, max_size=3))
     pairs = [first] + rest + data.draw(st.sampled_from(([], [first], rest[:1])))
     score = [(i, X[j]) for i, j in pairs]
+    if data.draw(st.booleans()):
+        # The midpoint of two set points, which need not be a set point.
+        a, b = data.draw(st.lists(st.sampled_from(X.points), min_size=2, max_size=2, unique=True))
+        score.append((data.draw(st.integers(0, k)), tuple((s + t) / 2 for s, t in zip(a, b))))
     pinned = [X[i] for i in chosen] if data.draw(st.booleans()) else []
     maximize = data.draw(st.booleans())
     program = simplex_map_lp(X, k + 1, pinned, score, maximize)
+    r = affine_rank(X)
+    if program.lp is not None:
+        assert program.lp.num_vars == (k * (r - k) if pinned else k * (r + 1))
     if not pinned:
-        assert program.offset == sum(1 for i, _ in pairs if i == k)
+        # Output 0 is 1 minus the others at every point.
+        assert program.offset == sum(1 for i, _ in score if i == 0)
     out = program.solve()
     ref = solve(_full_map_lp(X, k + 1, pinned, score, maximize))
     assert out.status is ref.status
