@@ -35,10 +35,11 @@ Exhaustive rank checks count their subsets first and refuse more than
 EXHAUSTIVE_LIMIT of them before the set's affine rank is computed.
 
 Also provided: a projection-based variant that asks every point to
-project orthogonally into the chosen closed simplex, and a strict variant
-that forbids the remaining points from landing on simplex vertices.  Both variants decide on the set's cleared
-integers: the first on the signs of integer projection coordinates, the
-second on each map's integer images.
+project orthogonally into the chosen closed simplex, decided on the signs
+of integer projection coordinates, and a strict variant that forbids the
+remaining points from landing on simplex vertices, decided on the integer
+images of one map per subset, moved into the relative interior of the
+certifying maps by one more program when it has a coincidence.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ from .exact_lp import (
     LinearProgram,
     Status,
     integer_row,
+    relative_interior,
     solve_strict,
 )
 from .geometry import (
@@ -564,80 +566,52 @@ def erdos_rank_k(X: PointSet, k: int) -> ProjectionReport:
 # strict variant
 
 
-def _blend_maps(m1: AffineMap, m2: AffineMap) -> AffineMap:
-    half = ratio(1, 2)
-    matrix = tuple(
-        tuple(half * a + half * b for a, b in zip(r1, r2))
-        for r1, r2 in zip(m1.matrix, m2.matrix)
-    )
-    offset = tuple(half * a + half * b for a, b in zip(m1.offset, m2.offset))
-    return AffineMap(matrix, offset)
+def _first_coincidence(X: PointSet, subset, mapping: AffineMap):
+    """The first (point, vertex) off the subset where the map's value is 1."""
+    images, den = mapping.cleared_images(X)
+    for x_idx, image in enumerate(images):
+        if x_idx not in subset and den in image:
+            return x_idx, image.index(den)
+    return None
 
 
 def strict_rank_k(X: PointSet, k: int) -> StrictReport:
-    """Rank-k antipodality with vertex coincidences forbidden.
+    """Rank-k antipodality with vertex coincidences forbidden: every
+    (k+1)-subset needs a certifying map under which no other point of X
+    lands on a simplex vertex.
 
-    For every (k+1)-subset there must be a certifying map under which no
-    other point of X lands on a simplex vertex.  Since the certifying
-    maps form a convex set and each vertex coordinate is linear in the
-    map, a coincidence is unavoidable exactly when the coordinate's
-    minimum over all certifying maps is 1; averaging per-pair minimisers
-    into one map yields the returned evidence.  A map's values at the
-    points are read in integers, once per map (`AffineMap.cleared_images`):
-    a value is 1 exactly when its integer equals the common denominator.
-
-    With exactly k+1 points the condition is vacuous beyond plain joint
-    antipodality.  Refuses sets with more than EXHAUSTIVE_LIMIT subsets.
+    The certifying maps form a convex set on which each vertex value
+    f_v(x) <= 1 is linear, so a coincidence at a map in its relative
+    interior holds at every map: it is forced.  Each subset's map program
+    is solved once; only when that map has a coincidence does
+    `exact_lp.relative_interior` move it into the relative interior.  The
+    first coincidence left, in (point, vertex) order, is the forced pair;
+    else the map is the subset's evidence.  With exactly k+1 points this
+    is plain joint antipodality.  Refuses sets with more than
+    EXHAUSTIVE_LIMIT subsets.
     """
     _rank_argument(X, k)
-    n = len(X)
-    subsets = _all_subsets(n, k)
+    subsets = _all_subsets(len(X), k)
     _rank_within(X, k)
     evidence = []
     for pos, subset in enumerate(subsets):
-        cert = joint_antipodal_direct(X, subset)
-        if not cert.antipodal:
+        program = simplex_map_lp(X, k + 1, pinned=[X[i] for i in subset])
+        out = program.solve()
+        if out.status is not Status.FEASIBLE:
+            cert = joint_antipodal_direct(X, subset)
             return StrictReport(
-                k,
-                False,
-                pos + 1,
-                failing_subset=subset,
-                cause="not_antipodal",
-                failing_certificate=cert,
+                k, False, pos + 1, subset, "not_antipodal", failing_certificate=cert
             )
-        mapping = cert.mapping
-        images, den = mapping.cleared_images(X)
-        others = [i for i in range(n) if i not in subset]
-        for x_idx in others:
-            for vertex_pos in range(k + 1):
-                if images[x_idx][vertex_pos] != den:
-                    continue
-                program = simplex_map_lp(
-                    X,
-                    k + 1,
-                    pinned=[X[i] for i in subset],
-                    score=[(vertex_pos, X[x_idx])],
-                    maximize=False,
-                )
-                out = program.solve()
-                if out.status is not Status.FEASIBLE:
-                    raise CertificateError("vertex-value program went infeasible")
-                if out.objective_value + program.offset == 1:
-                    return StrictReport(
-                        k,
-                        False,
-                        pos + 1,
-                        failing_subset=subset,
-                        cause="forced",
-                        forced_pair=(x_idx, vertex_pos),
-                    )
-                deviator = decode_map(program, out.point)
-                mapping = _blend_maps(mapping, deviator)
-                images, den = mapping.cleared_images(X)
-        witness_cert = AntipodalityCertificate(True, subset, mapping=mapping)
-        if not verify_joint_certificate(X, witness_cert):
-            raise CertificateError("blended evidence map failed verification")
-        if any(den in images[x_idx] for x_idx in others):
-            raise CertificateError("blended evidence map still coincides")
+        mapping = decode_map(program, out.point)
+        pair = _first_coincidence(X, subset, mapping)
+        # At k = r the map needs no program, and puts no other point on a vertex.
+        if pair is not None:
+            mapping = decode_map(program, relative_interior(program.lp, out.point))
+            pair = _first_coincidence(X, subset, mapping)
+        if pair is not None:
+            return StrictReport(k, False, pos + 1, subset, "forced", forced_pair=pair)
+        cert = AntipodalityCertificate(True, subset, mapping=mapping)
+        if not verify_joint_certificate(X, cert):
+            raise CertificateError("evidence map failed verification")
         evidence.append((subset, mapping))
     return StrictReport(k, True, len(subsets), evidence=tuple(evidence))

@@ -139,6 +139,22 @@ def _finalize(tree, decimal: bool):
     return tree
 
 
+_scalar = json.JSONEncoder(sort_keys=True).encode
+
+
+def _render(tree, indent="\n") -> str:
+    """`json.dumps(tree, indent=2, sort_keys=True)` without the reference
+    cycle its pure-Python encoder leaves: only scalars and keys go to json."""
+    inner = indent + "  "
+    if isinstance(tree, dict) and tree:
+        items = [f"{_scalar(k)}: {_render(v, inner)}" for k, v in sorted(tree.items())]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(tree, (list, tuple)) and tree:
+        items = [_render(v, inner) for v in tree]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    return _scalar(tree)
+
+
 @contextlib.contextmanager
 def _rendering():
     """Python refuses to turn an int longer than its digit limit (4300
@@ -679,7 +695,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _error_text(exc, **extra) -> str:
-    return json.dumps({"error": str(exc), **extra}, indent=2, sort_keys=True)
+    return _render({"error": str(exc), **extra})
 
 
 def main(argv=None) -> int:
@@ -700,7 +716,7 @@ def main(argv=None) -> int:
             if not verified and code == EXIT_HOLDS:
                 code = EXIT_FAILS
         with _rendering():
-            text = json.dumps(tree, indent=2, sort_keys=True)
+            text = _render(tree)
     except _INPUT_ERRORS as exc:
         text, code = _error_text(exc), EXIT_INPUT
     except _INTERNAL_ERRORS as exc:

@@ -49,15 +49,11 @@ class ConstructionError(ValueError):
 
 @dataclass(frozen=True)
 class StartingConfig:
-    """Base point set with a certified antipodality rank.
-
-    Construction runs the full rank check unless trusted=True, which
-    only validates shapes (for bases certified elsewhere).
-    """
+    """Base point set with a certified antipodality rank: construction
+    validates the shapes, then runs the full rank check."""
 
     points: PointSet
     rank: int
-    trusted: bool = False
 
     def __post_init__(self):
         if not isinstance(self.rank, int) or isinstance(self.rank, bool):
@@ -66,13 +62,12 @@ class StartingConfig:
             raise ConstructionError("rank: must be at least 1")
         if len(self.points) < self.rank + 1:
             raise ConstructionError("points: need at least rank + 1 of them")
-        if not self.trusted:
-            report = is_rank_k_antipodal(self.points, self.rank)
-            if not report.antipodal:
-                raise ConstructionError(
-                    f"points: not rank-{self.rank} antipodal, "
-                    f"subset {report.failing_subset} fails"
-                )
+        report = is_rank_k_antipodal(self.points, self.rank)
+        if not report.antipodal:
+            raise ConstructionError(
+                f"points: not rank-{self.rank} antipodal, "
+                f"subset {report.failing_subset} fails"
+            )
 
     @property
     def b(self) -> int:

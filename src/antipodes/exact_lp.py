@@ -939,6 +939,48 @@ def solve_strict(lp: LinearProgram, strict_rows: Sequence[int]) -> LPOutcome:
     return LPOutcome(Status.INFEASIBLE, farkas=mults)
 
 
+def relative_interior(lp: LinearProgram, point) -> tuple:
+    """From a feasible point, one at which the only tight inequality rows
+    are those tight on the whole feasible set (Freund, Roundy & Todd 1985).
+
+    The rows tight at the point get a slack t_r in [0, 1], in units of the
+    row's largest coefficient.  With x = point + z / theta and theta >= 1,
+    row a.x (rel) b becomes a.z + (a.point - b) theta (rel) 0, loosened by
+    t_r when tight.  One `solve` maximises the sum of the t_r, so x
+    loosens every row that some feasible point loosens (the optimum is
+    dual-checked), and the returned point + z / (2 theta) also keeps loose
+    the rows loose at the point.  z = 0 starts one pivot from feasible.
+    A point at which no row is tight is returned as it is.
+    """
+    _validate(lp)
+    if not check_point(lp, point):
+        raise LPError("the anchor point is not feasible")
+    n = lp.num_vars
+    scaled, lcm = over_common_denominator(point)
+    rows, t = [], n + 1
+    for con in lp.constraints:
+        gap = con.rhs * lcm - sum(a * scaled[j] for j, a in con.terms)
+        terms = [(j, a * lcm) for j, a in con.terms]
+        if gap or con.relation == EQ:
+            terms.append((n, -gap))
+        else:
+            unit = lcm * max((abs(a) for _, a in con.terms), default=0)
+            terms.append((t, unit if con.relation == LE else -unit))
+            t += 1
+        rows.append(integer_row(terms, con.relation, 0, con.den * lcm))
+    if t == n + 1:
+        return tuple(point)
+    rows.append(Constraint(((n, 1),), GE, 1, 1))
+    for j in range(n + 1, t):
+        rows += [Constraint(((j, 1),), GE, 0, 1), Constraint(((j, 1),), LE, 1, 1)]
+    out = solve(LinearProgram(t, tuple(rows), (ZERO,) * (n + 1) + (ONE,) * (t - n - 1)))
+    theta = 2 * out.point[n]
+    inner = tuple(x + z / theta for x, z in zip(point, out.point[:n]))
+    if not check_point(lp, inner):
+        raise SolverInvariantError("relative-interior point failed substitution")
+    return inner
+
+
 def _validate(lp: LinearProgram):
     if not isinstance(lp, LinearProgram):
         raise LPError("expected a LinearProgram")

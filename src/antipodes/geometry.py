@@ -293,14 +293,14 @@ class MapProgram:
         return self.decided if self.lp is None else solve(self.lp)
 
 
-def simplex_map_lp(points, outputs, pinned=(), score=(), maximize=True):
+def simplex_map_lp(points, outputs, pinned=(), score=()):
     """Program for an affine map sending every point into the standard
     simplex on `outputs` outcomes, with pinned[j] sent to vertex j (all
     `outputs` of them, points of the set, or none).
 
     A nonempty `score`, a list of (output, point) pairs with points in
     the set's affine hull, makes the sum of those outputs at those points
-    the objective, to maximise or minimise; a program objective has no
+    the objective to maximise; a program objective has no
     constant term, so the score's constant part goes to the returned
     `MapProgram`'s offset.
 
@@ -410,7 +410,7 @@ def simplex_map_lp(points, outputs, pinned=(), score=(), maximize=True):
         offset = int_ratio(constant, D * common)
     lp = decided = None
     if rows:
-        lp = make_lp(nvars, rows, objective=objective, maximize=maximize)
+        lp = make_lp(nvars, rows, objective=objective)
     else:
         value = ZERO if score else None
         decided = LPOutcome(Status.FEASIBLE, point=(), objective_value=value)

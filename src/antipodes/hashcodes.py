@@ -76,17 +76,6 @@ def _check_params(b, k, m, min_m: int = 1) -> None:
         raise HashCodeError(f"m: length must be at least {min_m}")
 
 
-def _check_words(words, b, m, label) -> None:
-    for w_idx, word in enumerate(words):
-        if not isinstance(word, tuple) or len(word) != m:
-            raise HashCodeError(f"{label}[{w_idx}]: expected a length-{m} tuple")
-        for s_idx, sym in enumerate(word):
-            if not isinstance(sym, int) or isinstance(sym, bool):
-                raise HashCodeError(f"{label}[{w_idx}][{s_idx}]: expected an integer")
-            if not 1 <= sym <= b:
-                raise HashCodeError(f"{label}[{w_idx}][{s_idx}]: symbol outside 1..{b}")
-
-
 @dataclass(frozen=True)
 class HashCode:
     """Validated container; the separation promise itself is checked by
@@ -101,7 +90,14 @@ class HashCode:
         _check_params(self.b, self.k, self.m)
         if not isinstance(self.words, tuple):
             raise HashCodeError("words: expected a tuple of words")
-        _check_words(self.words, self.b, self.m, "words")
+        for w_idx, word in enumerate(self.words):
+            if not isinstance(word, tuple) or len(word) != self.m:
+                raise HashCodeError(f"words[{w_idx}]: expected a length-{self.m} tuple")
+            for s_idx, sym in enumerate(word):
+                if not isinstance(sym, int) or isinstance(sym, bool):
+                    raise HashCodeError(f"words[{w_idx}][{s_idx}]: expected an integer")
+                if not 1 <= sym <= self.b:
+                    raise HashCodeError(f"words[{w_idx}][{s_idx}]: symbol outside 1..{self.b}")
         if len(set(self.words)) != len(self.words):
             raise HashCodeError("words: duplicates present")
 
@@ -150,21 +146,6 @@ def _lex_masks(b, m, n) -> list:
         block = b ** (m - 1 - j)
         ones = (1 << block) - 1
         symbol.append([0] + [_tile(ones << (s * block), b * block, n) for s in range(b)])
-    return symbol
-
-
-def _listed_masks(words, m) -> list:
-    """symbol[j][s]: the listed words with symbol s at coordinate j."""
-    nbytes = (len(words) + 7) // 8
-    symbol = []
-    for j in range(m):
-        bits: dict = {}
-        for idx, word in enumerate(words):
-            row = bits.get(word[j])
-            if row is None:
-                row = bits[word[j]] = bytearray(nbytes)
-            row[idx >> 3] |= 1 << (idx & 7)
-        symbol.append({s: int.from_bytes(row, "little") for s, row in bits.items()})
     return symbol
 
 
@@ -349,24 +330,15 @@ def max_code(b: int, k: int, m: int, budget: int | None = DEFAULT_BUDGET) -> Sea
     return SearchResult(code=code, optimal=not exhausted, nodes=nodes)
 
 
-def greedy_code(b: int, k: int, m: int, order=None) -> HashCode:
-    """Single sweep keeping every word that preserves separation.
-
-    Scans in lexicographic order unless an explicit word order is given;
-    the lexicographic sweep refuses more than WORD_LIMIT words.  Fast,
+def greedy_code(b: int, k: int, m: int) -> HashCode:
+    """Single sweep in lexicographic order keeping every word that
+    preserves separation; refuses more than WORD_LIMIT words.  Fast,
     deterministic, and usually short of optimal.  A bitmask over the
     scanned words marks those a batch of kept words already blocks."""
     _check_params(b, k, m)
-    if order is None:
-        words = _all_words(b, m)
-    else:
-        words = [tuple(w) for w in order]
-        _check_words(words, b, m, "order")
-        words = list(dict.fromkeys(words))
+    words = _all_words(b, m)
     blocks = k > 2 and m > 1
-    symbol = []
-    if blocks:
-        symbol = _lex_masks(b, m, len(words)) if order is None else _listed_masks(words, m)
+    symbol = _lex_masks(b, m, len(words)) if blocks else []
     kept: list = []
     forbidden = 0
     for idx in range(len(words)):

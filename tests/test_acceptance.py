@@ -9,8 +9,6 @@ import random
 from contextlib import contextmanager
 from itertools import combinations, product
 
-import pytest
-
 from antipodes.antipodality import (
     is_rank_k_antipodal,
     joint_antipodal_direct,

@@ -1,18 +1,20 @@
 """Joint antipodality routes, certificates, rank checks, strict variant."""
 
+from dataclasses import replace
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from antipodes import geometry
 from antipodes.antipodality import (
+    AntipodalityCertificate,
     AntipodalityError,
+    StrictReport,
     _copies_lp,
     _map_certificate,
     _witness_holds,
-    default_factors,
     erdos_rank_k,
     is_rank_k_antipodal,
     joint_antipodal_direct,
@@ -21,10 +23,13 @@ from antipodes.antipodality import (
     verify_joint_certificate,
 )
 from antipodes.geometry import (
+    AffineMap,
     Dilation,
     PointSet,
     StandardSimplex,
+    decode_map,
     member,
+    simplex_map_lp,
 )
 from antipodes.exact_lp import (
     EQ,
@@ -240,6 +245,77 @@ def test_rank_is_monotone_downward():
     simplex3 = _ps((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
     for k in (3, 2, 1):
         assert is_rank_k_antipodal(simplex3, k).antipodal
+
+
+def _blend(m1, m2):
+    half = ratio(1, 2)
+    matrix = tuple(
+        tuple(half * a + half * b for a, b in zip(r1, r2))
+        for r1, r2 in zip(m1.matrix, m2.matrix)
+    )
+    offset = tuple(half * a + half * b for a, b in zip(m1.offset, m2.offset))
+    return AffineMap(matrix, offset)
+
+
+def _reference_strict(X, k):
+    """The per-pair algorithm: for each coincidence of the current map,
+    in (point, vertex) order, minimise that vertex value over the
+    certifying maps; a minimum of 1 is forced, otherwise the minimiser is
+    averaged into the map.  The vertex value f_v(x) is minimised as
+    1 minus the maximum of the other outputs at x."""
+    subsets = list(combinations(range(len(X)), k + 1))
+    evidence = []
+    for pos, subset in enumerate(subsets):
+        cert = joint_antipodal_direct(X, subset)
+        if not cert.antipodal:
+            return StrictReport(
+                k, False, pos + 1, failing_subset=subset,
+                cause="not_antipodal", failing_certificate=cert,
+            )
+        mapping = cert.mapping
+        for x_idx in range(len(X)):
+            for vertex in range(k + 1):
+                if x_idx in subset or mapping.apply(X[x_idx])[vertex] != 1:
+                    continue
+                others = [(i, X[x_idx]) for i in range(k + 1) if i != vertex]
+                program = simplex_map_lp(X, k + 1, [X[i] for i in subset], others)
+                out = program.solve()
+                assert out.status is Status.FEASIBLE
+                if out.objective_value + program.offset == 0:
+                    return StrictReport(
+                        k, False, pos + 1, failing_subset=subset,
+                        cause="forced", forced_pair=(x_idx, vertex),
+                    )
+                mapping = _blend(mapping, decode_map(program, out.point))
+        evidence.append((subset, mapping))
+    return StrictReport(k, True, len(subsets), evidence=tuple(evidence))
+
+
+@st.composite
+def _strict_cases(draw):
+    """Small integer sets, often with points on the faces of the hull of
+    others, and a rank k in 1..3 no larger than the set's affine rank."""
+    dim = draw(st.integers(1, 3))
+    point = st.tuples(*[st.integers(0, 2)] * dim)
+    points = draw(st.lists(point, min_size=2, max_size=6, unique=True))
+    X = _ps(*points)
+    k = draw(st.integers(1, min(3, geometry.affine_rank(X))))
+    return X, k
+
+
+@settings(max_examples=150, deadline=None)
+@given(_strict_cases())
+def test_strict_matches_the_per_pair_reference(case):
+    X, k = case
+    report = strict_rank_k(X, k)
+    ref = _reference_strict(X, k)
+    assert replace(report, evidence=()) == replace(ref, evidence=())
+    assert [s for s, _ in report.evidence] == [s for s, _ in ref.evidence]
+    for subset, mapping in report.evidence:
+        cert = AntipodalityCertificate(True, subset, mapping=mapping)
+        assert verify_joint_certificate(X, cert)
+        others = [X[i] for i in range(len(X)) if i not in subset]
+        assert all(1 not in mapping.apply(x) for x in others)
 
 
 def test_strict_and_projection_imply_plain():

@@ -1,6 +1,7 @@
 """End-to-end command line behavior: reports, exit codes, determinism."""
 
 import dataclasses
+import gc
 import json
 import os
 import subprocess
@@ -11,6 +12,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import antipodes
 from antipodes import antipodality, cli, geometry, hashcodes
@@ -411,6 +413,38 @@ def test_decimal_rendering(files, capsys):
     code, report, _ = run(capsys, "--decimal", "bounds", "--d", "2000", "--k", "1")
     assert code == 0
     assert report["bound"].endswith(" (approx 1.14813e+602)")
+
+
+_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False), st.text()
+)
+_trees = st.recursive(
+    _leaves,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_trees)
+def test_render_matches_indented_json_dumps(tree):
+    assert cli._render(tree) == json.dumps(tree, indent=2, sort_keys=True)
+
+
+def test_render_leaves_no_cyclic_garbage(files, capsys):
+    code, report, _ = run(capsys, "--verify", "check-strict", files["triangle"], "--k", "1")
+    assert code == 0
+    gc.collect()
+    saved = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for _ in range(20):
+            cli._render(report)
+        cli._error_text(ValueError("bad"), layer="cli")
+        assert gc.collect() == 0
+    finally:
+        gc.set_debug(saved)
+        gc.garbage.clear()
 
 
 @pytest.mark.skipif(

@@ -42,11 +42,9 @@ def _full_code(b, order, m):
 def test_starting_config_checks_rank():
     with pytest.raises(ConstructionError):
         StartingConfig(_ps((0,), ("1/2",), (1,)), rank=1)
-    # trusted skips the expensive check but still validates shape
-    cfg = StartingConfig(_ps((0,), ("1/2",), (1,)), rank=1, trusted=True)
-    assert cfg.b == 3
-    with pytest.raises(ConstructionError):
-        StartingConfig(_ps((0,), (1,)), rank=2, trusted=True)
+    # The shapes are validated before the rank check runs.
+    with pytest.raises(ConstructionError, match="rank \\+ 1"):
+        StartingConfig(_ps((0,), (1,)), rank=2)
 
 
 def test_segment_times_full_binary_code_is_the_cube():

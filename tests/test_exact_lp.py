@@ -2,6 +2,7 @@
 and agreement with the reference tableau and checks kept below."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -21,10 +22,11 @@ from antipodes.exact_lp import (
     check_ray,
     check_strict_emptiness,
     make_lp,
+    relative_interior,
     solve,
     solve_strict,
 )
-from antipodes.rationals import ScalarError, over_common_denominator, ratio
+from antipodes.rationals import ScalarError, int_ratio, over_common_denominator, ratio
 
 
 def _q(*texts):
@@ -511,6 +513,67 @@ def test_strict_outcomes_reverify(case):
         weak = solve(lp)
         if weak.status is Status.FEASIBLE:
             assert not check_point(lp, weak.point, strict)
+
+
+# ---------------------------------------------------------------------------
+# relative interior: only the rows tight on the whole feasible set stay tight
+
+
+@st.composite
+def _anchored_programs(draw):
+    """A program with a feasible point: rows through the point (tight),
+    rows past it (loose), and opposite pairs and sums of tight rows, whose
+    inequalities then hold with equality on the whole feasible set or on
+    part of it."""
+    n = draw(st.integers(1, 3))
+    point = tuple(draw(_small) for _ in range(n))
+    rows, tight = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        coeffs = tuple(draw(_coeff) for _ in range(n))
+        at = sum((a * x for a, x in zip(coeffs, point)), ratio(0))
+        rel = draw(st.sampled_from([LE, EQ, GE]))
+        gap = 0 if rel == EQ else draw(st.sampled_from([0, 0, 1, 2]))
+        rows.append((coeffs, rel, at + gap if rel == LE else at - gap))
+        if rel != EQ and not gap:
+            tight.append(rows[-1])
+    for _ in range(draw(st.integers(0, 2)) if tight else 0):
+        a, rel, b = draw(st.sampled_from(tight))
+        if draw(st.booleans()):
+            rows.append((a, GE if rel == LE else LE, b))
+        else:
+            c, rel2, d = draw(st.sampled_from(tight))
+            sign = 1 if rel == rel2 else -1
+            rows.append((tuple(x + sign * y for x, y in zip(a, c)), rel, b + sign * d))
+    return make_lp(n, rows), point
+
+
+@settings(max_examples=200, deadline=None)
+@given(_anchored_programs())
+def test_relative_interior_leaves_only_always_tight_rows_tight(case):
+    lp, point = case
+    inner = relative_interior(lp, point)
+    assert check_point(lp, inner)
+    scaled, den = over_common_denominator(inner)
+    for con in lp.constraints:
+        slack = con.rhs * den - sum(a * scaled[j] for j, a in con.terms)
+        if con.relation == EQ or slack:
+            continue
+        # Tight at the point: the row's slack is 0 all over the feasible
+        # set, so pushing the row away from its bound gains nothing.
+        objective = [ratio(0)] * lp.num_vars
+        for j, a in con.terms:
+            objective[j] = int_ratio(a, con.den)
+        probe = replace(lp, objective=tuple(objective), maximize=con.relation == GE)
+        out = solve(probe)
+        assert out.status is Status.FEASIBLE
+        assert out.objective_value == int_ratio(con.rhs, con.den)
+
+
+def test_relative_interior_returns_a_loose_point_unchanged():
+    lp = make_lp(1, [((1,), LE, 2), ((1,), GE, 0)])
+    assert relative_interior(lp, (ratio(1),)) == (ratio(1),)
+    with pytest.raises(LPError):
+        relative_interior(lp, (ratio(3),))
 
 
 # ---------------------------------------------------------------------------

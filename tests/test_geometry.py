@@ -15,7 +15,6 @@ from antipodes.geometry import (
     DegenerateVolumeWarning,
     Dilation,
     GeometryError,
-    Membership,
     PointSet,
     StandardSimplex,
     affine_rank,
@@ -240,10 +239,10 @@ def test_simplex_map_lp_rows_and_decoding():
     )
 
     # With three outputs the variables go output by output.
-    program = simplex_map_lp(square, 3, score=[(2, square[3])], maximize=False)
+    program = simplex_map_lp(square, 3, score=[(2, square[3])])
     assert program.lp.num_vars == 6
     assert program.lp.objective == tuple(map(ratio, (0, 0, 0, -1, 1, 1)))
-    assert program.offset == 0 and not program.lp.maximize
+    assert program.offset == 0 and program.lp.maximize
 
     # A score point may lie off the set but not off its affine hull.
     line = _pts((0, 0), (1, 1), (2, 2))

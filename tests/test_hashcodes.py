@@ -155,17 +155,9 @@ def ref_max_code_plain(b, k, m, budget=hashcodes.DEFAULT_BUDGET):
     return SearchResult(code=code, optimal=not exhausted, nodes=nodes)
 
 
-def ref_greedy_code(b, k, m, order=None):
-    if order is None:
-        candidates = product(range(1, b + 1), repeat=m)
-    else:
-        candidates = (tuple(w) for w in order)
+def ref_greedy_code(b, k, m):
     kept = []
-    seen = set()
-    for word in candidates:
-        if word in seen:
-            continue
-        seen.add(word)
+    for word in product(range(1, b + 1), repeat=m):
         if _ref_compatible(kept, word, k, m):
             kept.append(word)
     return HashCode(b, k, m, tuple(kept))
@@ -341,31 +333,19 @@ def test_max_code_keeps_few_masks_over_a_large_universe(monkeypatch):
 
 
 def test_greedy_code_matches_reference():
-    rng = random.Random(11)
     for b, k, m in _small_instances():
         assert greedy_code(b, k, m) == ref_greedy_code(b, k, m), (b, k, m)
-        universe = list(product(range(1, b + 1), repeat=m))
-        order = sorted(universe, reverse=True)
-        assert greedy_code(b, k, m, order) == ref_greedy_code(b, k, m, order)
-        order = [rng.choice(universe) for _ in range(len(universe))]
-        order = [list(w) for w in order + order[::3]]
-        assert greedy_code(b, k, m, order) == ref_greedy_code(b, k, m, order)
 
 
 @st.composite
 def _kernel_cases(draw):
-    """A word list with its symbol masks, lexicographic or listed, and an
-    index with a set of partner indices for the batch kernel."""
+    """The lexicographic word list with its symbol masks, and an index
+    with a set of partner indices for the batch kernel."""
     k = draw(st.sampled_from((3, 4)))
     b = draw(st.integers(k, 5))
     m = draw(st.integers(2, 3))
-    universe = list(product(range(1, b + 1), repeat=m))
-    if draw(st.booleans()):
-        words = universe
-        symbol = hashcodes._lex_masks(b, m, len(words))
-    else:
-        words = draw(st.permutations(universe))[: draw(st.integers(k, len(universe)))]
-        symbol = hashcodes._listed_masks(words, m)
+    words = list(product(range(1, b + 1), repeat=m))
+    symbol = hashcodes._lex_masks(b, m, len(words))
     idx = draw(st.integers(0, len(words) - 1))
     others = st.integers(0, len(words) - 1).filter(lambda i: i != idx)
     chosen = sorted(draw(st.sets(others, max_size=6)))
@@ -387,28 +367,11 @@ def test_newly_blocked_is_the_or_of_batch_masks(case):
         assert len(memo) <= room
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from((3, 4)), st.data())
-def test_greedy_in_a_listed_order_matches_reference(k, data):
-    b = data.draw(st.integers(k, 5))
-    m = data.draw(st.integers(2, 3))
-    universe = list(product(range(1, b + 1), repeat=m))
-    order = data.draw(st.lists(st.sampled_from(universe), min_size=1, max_size=2 * len(universe)))
-    assert greedy_code(b, k, m, order) == ref_greedy_code(b, k, m, order)
-
-
 def test_order_two_search_goes_deeper_than_the_recursion_limit():
     result = max_code(32, 2, 2)
     assert len(result.code) == 1024
     assert result.optimal
     assert result.nodes == 1024
-
-
-def test_greedy_rejects_a_foreign_word_in_its_order():
-    with pytest.raises(HashCodeError, match="order\\[1\\]\\[0\\]"):
-        greedy_code(3, 3, 2, order=[(1, 1), (4, 1)])
-    with pytest.raises(HashCodeError, match="order\\[0\\]: expected"):
-        greedy_code(3, 3, 2, order=[(1, 1, 1)])
 
 
 def test_counting_bound_values():
@@ -468,13 +431,6 @@ def test_greedy_is_perfect_but_smaller_here():
     assert is_perfect(code) == (True, None)
     assert code.words == ((1, 1), (1, 2), (1, 3))
     assert len(code) < len(max_code(3, 3, 2).code)
-
-
-def test_greedy_accepts_a_custom_scan_order():
-    order = sorted(product(range(1, 4), repeat=2), reverse=True)
-    code = greedy_code(3, 3, 2, order=order)
-    assert is_perfect(code) == (True, None)
-    assert code.words[0] == (3, 3)
 
 
 def test_exact_values_are_monotone():
@@ -550,8 +506,6 @@ def test_word_limit_is_exact(monkeypatch):
             with pytest.raises(HashCodeError, match="word limit"):
                 build(b, 2, m)
     assert len(built) == 2
-    # An explicit order lists no words, so it is not limited.
-    assert len(greedy_code(2, 2, 17, order=[(1,) * 17])) == 1
 
 
 def test_batch_limit_is_exact():

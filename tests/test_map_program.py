@@ -40,7 +40,7 @@ _prime_coord = st.builds(
 )
 
 
-def _full_map_lp(points, outputs, pinned=(), score=(), maximize=True):
+def _full_map_lp(points, outputs, pinned=(), score=()):
     """Reference: every output a variable, outputs >= 0 and summing to 1
     at every point, pinned points included."""
     points = tuple(points)
@@ -62,7 +62,7 @@ def _full_map_lp(points, outputs, pinned=(), score=(), maximize=True):
         for i, x in score:
             for col, c in enumerate(x + (ONE,), i * len(blank)):
                 objective[col] += c
-    return make_lp(len(blank) * outputs, rows, objective=objective, maximize=maximize)
+    return make_lp(len(blank) * outputs, rows, objective=objective)
 
 
 def _rational_map_check(X, cert):
@@ -176,8 +176,7 @@ def test_map_program_scores_like_the_full_program(instance, data):
         a, b = data.draw(st.lists(st.sampled_from(X.points), min_size=2, max_size=2, unique=True))
         score.append((data.draw(st.integers(0, k)), tuple((s + t) / 2 for s, t in zip(a, b))))
     pinned = [X[i] for i in chosen] if data.draw(st.booleans()) else []
-    maximize = data.draw(st.booleans())
-    program = simplex_map_lp(X, k + 1, pinned, score, maximize)
+    program = simplex_map_lp(X, k + 1, pinned, score)
     r = affine_rank(X)
     if program.lp is not None:
         assert program.lp.num_vars == (k * (r - k) if pinned else k * (r + 1))
@@ -185,7 +184,7 @@ def test_map_program_scores_like_the_full_program(instance, data):
         # Output 0 is 1 minus the others at every point.
         assert program.offset == sum(1 for i, _ in score if i == 0)
     out = program.solve()
-    ref = solve(_full_map_lp(X, k + 1, pinned, score, maximize))
+    ref = solve(_full_map_lp(X, k + 1, pinned, score))
     assert out.status is ref.status
     if out.status is not Status.FEASIBLE:
         return

@@ -79,7 +79,7 @@ CASES = {
     ),
     "strict-evidence-tetra-verify": (
         ("--verify", "check-strict", "tetra", "--k", "2"),
-        "3693723e9595377a904a5583191015ffc692dd5934cb91feaa92a6fad39fa1a4",
+        "55f47ad5bb68b66b2c060a3503576b864bfc965b355a277be927e6cf7ba66745",
     ),
     "strict-forced": (
         ("check-strict", "rhombus", "--k", "1"),
