@@ -598,7 +598,13 @@ def strict_rank_k(X: PointSet, k: int) -> StrictReport:
         program = simplex_map_lp(X, k + 1, pinned=[X[i] for i in subset])
         out = program.solve()
         if out.status is not Status.FEASIBLE:
-            cert = joint_antipodal_direct(X, subset)
+            # The map program just solved is the direct route's; only the
+            # shrunk copies are left to witness its infeasibility.
+            cert = _witness_certificate(X, subset, default_factors(k))
+            if cert is None:
+                raise CertificateError(
+                    "decision routes disagree: no map yet empty shrunk intersection"
+                )
             return StrictReport(
                 k, False, pos + 1, subset, "not_antipodal", failing_certificate=cert
             )

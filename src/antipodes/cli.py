@@ -27,6 +27,7 @@ import os
 import sys
 from decimal import Decimal
 from itertools import combinations
+from json.encoder import encode_basestring_ascii
 from math import comb
 
 from .antipodality import (
@@ -140,14 +141,24 @@ def _finalize(tree, decimal: bool):
 
 
 _scalar = json.JSONEncoder(sort_keys=True).encode
+_LITERALS = {True: "true", False: "false", None: "null"}
 
 
 def _render(tree, indent="\n") -> str:
     """`json.dumps(tree, indent=2, sort_keys=True)` without the reference
-    cycle its pure-Python encoder leaves: only scalars and keys go to json."""
+    cycle its pure-Python encoder leaves: only scalars and keys go to json.
+    Strings, bools, None and ints are written as json writes them, without
+    building an encoder per scalar; `int.__repr__` still refuses an int
+    past the digit limit."""
     inner = indent + "  "
+    if isinstance(tree, str):
+        return encode_basestring_ascii(tree)
+    if tree is None or isinstance(tree, bool):
+        return _LITERALS[tree]
+    if isinstance(tree, int):
+        return int.__repr__(tree)
     if isinstance(tree, dict) and tree:
-        items = [f"{_scalar(k)}: {_render(v, inner)}" for k, v in sorted(tree.items())]
+        items = [f"{_render(k)}: {_render(v, inner)}" for k, v in sorted(tree.items())]
         return "{" + inner + ("," + inner).join(items) + indent + "}"
     if isinstance(tree, (list, tuple)) and tree:
         items = [_render(v, inner) for v in tree]

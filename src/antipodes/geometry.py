@@ -186,14 +186,6 @@ class StandardSimplex:
     def vertices(self) -> PointSet:
         return PointSet(tuple(self.vertex(j) for j in range(self.rank + 1)))
 
-    def contains(self, p, strict=False) -> bool:
-        p = as_point(p)
-        if len(p) != self.rank + 1:
-            return False
-        if sum(p, ZERO) != 1:
-            return False
-        return all(c > 0 for c in p) if strict else all(c >= 0 for c in p)
-
 
 @dataclass(frozen=True)
 class AffineMap:
@@ -221,12 +213,6 @@ class AffineMap:
     @property
     def out_dim(self) -> int:
         return len(self.matrix)
-
-    def apply(self, x) -> tuple:
-        x = as_point(x)
-        if len(x) != self.in_dim:
-            raise GeometryError("point dimension does not match the map")
-        return tuple(vdot(row, x) + c for row, c in zip(self.matrix, self.offset))
 
     def cleared_images(self, points):
         """(images, den): output i at points[p] is images[p][i] / den,

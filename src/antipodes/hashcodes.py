@@ -202,6 +202,32 @@ def _newly_blocked(chosen, idx, k, words, symbol, memo, room) -> int:
     return out
 
 
+def _agreeing(word, agree, symbol) -> int:
+    """The words that agree with `word` in more than `agree` coordinates,
+    as a bitmask."""
+    # at_least[t]: the words that agree with `word` in at least t of the
+    # coordinates seen so far.
+    at_least = [-1] + [0] * (agree + 1)
+    for row, s in zip(symbol, word):
+        hit = row[s]
+        for t in range(agree + 1, 0, -1):
+            at_least[t] |= at_least[t - 1] & hit
+    return at_least[-1]
+
+
+def _near(idx, agree, words, symbol, memo, room) -> int:
+    """_agreeing(words[idx], agree, symbol), looked up in `memo` first
+    under the key ~(agree * n + idx), apart from every batch key.  A new
+    mask is kept while `memo` holds fewer than `room`."""
+    key = ~(agree * len(words) + idx)
+    mask = memo.get(key)
+    if mask is None:
+        mask = _agreeing(words[idx], agree, symbol)
+        if len(memo) < room:
+            memo[key] = mask
+    return mask
+
+
 def is_perfect(code: HashCode):
     """Return (True, None), or (False, first unseparated batch)."""
     for batch in combinations(code.words, code.k):
@@ -234,20 +260,42 @@ def max_code(b: int, k: int, m: int, budget: int | None = DEFAULT_BUDGET) -> Sea
     Candidates are scanned in lexicographic order.  Per-coordinate symbol
     renaming is factored out: a word may only use symbols at most one above
     the largest seen so far in that coordinate, which keeps exactly one
-    member of each renaming class reachable.  Every word the renaming rule
-    lets through counts as a search node.  The search stops early when the
-    incumbent meets the counting bound.  A spent node budget returns the
-    incumbent with optimal=False.
+    member of each renaming class reachable.
+
+    Where batches block words (k > 2 and m > 1), the first two words are
+    also a canonical pair, which factors out most coordinate permutations.
+    The first word is 1^m, and the second must be ascending, 1^a 2^(m-a);
+    a is its agreement with 1^m.  From then on every chosen word, those
+    two included, forbids every word that agrees with it in more than a
+    coordinates (nothing when a = m - 1).  This keeps an optimal code
+    reachable:
+      1. take any code and a pair of its words with the largest agreement
+         a over all pairs;
+      2. permute coordinates so that the pair agrees on the first a, and
+         rename symbols so that the pair becomes 1^m and 1^a 2^(m-a);
+      3. every other word agrees with 1^m in at most a places, so
+         1^a 2^(m-a) is the second-smallest word;
+      4. renamings that fix symbol 1 on the first a coordinates, and
+         symbols 1 and 2 on the rest, keep 1-3 true, and the lex-least of
+         them meets the renaming rule, by the usual swap argument;
+      5. all pairwise agreements stay at most a.
+
+    Every word that the renaming and pair rules let through counts as a
+    search node.  The search stops early when the incumbent meets the
+    counting bound.  A spent node budget returns the incumbent with
+    optimal=False.
 
     Each level keeps two bitmasks over the words after its position: the
-    words the renaming rule allows, and those that some order-k batch with
-    the chosen words leaves unseparated, so testing a word is one bit test.
+    words the renaming and pair rules allow, and those that some order-k
+    batch with the chosen words leaves unseparated or that the pair rule
+    forbids, so testing a word is one bit test.
     Forward checking (Haralick and Elliott, 1980) dismisses the rest of a
     level once the chosen words plus the unblocked words from the next free
     one on, over the whole tail, cannot beat the incumbent; a dismissed
     word counts as a node, exactly as a blocked word does.  Each batch's
-    blocked mask is computed once per call and then looked up by its word
-    indices, up to _BLOCKED_CACHE_BITS bits of masks.
+    blocked mask, and each word's mask of the words too near it, is
+    computed once per call and then looked up, up to _BLOCKED_CACHE_BITS
+    bits of masks.
     """
     _check_params(b, k, m)
     if budget is not None and budget < 1:
@@ -263,6 +311,9 @@ def max_code(b: int, k: int, m: int, budget: int | None = DEFAULT_BUDGET) -> Sea
     # Coordinate 0 is the most significant digit, so its renaming rule is
     # an index bound: words below (maxseen[0] + 1) * lead.
     lead = b ** (m - 1)
+    # The ascending words 1^a 2^(m-a), a < m: the only second words.
+    ascending = sum(1 << (b**r - 1) // (b - 1) for r in range(1, m + 1))
+    agree = m - 1
 
     def allowed(maxseen, start):
         mask = -1
@@ -315,6 +366,13 @@ def max_code(b: int, k: int, m: int, budget: int | None = DEFAULT_BUDGET) -> Sea
         forbidden >>= step
         frame[:3] = start, allow, forbidden
         if blocks:
+            if len(chosen) == 1:
+                agree = universe[idx].count(1)
+            if chosen and agree < m - 1:
+                near = _near(idx, agree, universe, symbol, memo, room)
+                if len(chosen) == 1:
+                    near |= _near(0, agree, universe, symbol, memo, room)
+                forbidden |= near >> start
             forbidden |= _newly_blocked(chosen, idx, k, universe, symbol, memo, room) >> start
         chosen.append(idx)
         best_len = max(best_len, len(chosen))
@@ -323,6 +381,8 @@ def max_code(b: int, k: int, m: int, budget: int | None = DEFAULT_BUDGET) -> Sea
         seen = tuple(map(max, maxseen, universe[idx]))
         if seen != maxseen:
             allow = allowed(seen, start)
+            if blocks and idx == 0:
+                allow &= ascending >> start
         stack.append([start, allow, forbidden, seen])
     if len(chosen) == best_len > len(best):
         best = list(chosen)

@@ -43,6 +43,7 @@ from antipodes.exact_lp import (
     solve_strict,
 )
 from antipodes.rationals import int_pair, ratio
+from evaluators import apply_map, in_simplex
 
 
 def _ps(*rows):
@@ -61,8 +62,8 @@ def test_square_diagonal_pair_is_antipodal_both_routes():
         assert cert.antipodal
         assert verify_joint_certificate(SQUARE, cert)
         m = cert.mapping
-        assert m.apply(SQUARE[0]) == (ratio(1), ratio(0))
-        assert m.apply(SQUARE[3]) == (ratio(0), ratio(1))
+        assert apply_map(m, SQUARE[0]) == (ratio(1), ratio(0))
+        assert apply_map(m, SQUARE[3]) == (ratio(0), ratio(1))
 
 
 def test_midpoint_pair_is_not_antipodal():
@@ -211,8 +212,8 @@ def test_strict_triangle_rank_one():
     for subset, mapping in report.evidence:
         others = [i for i in range(len(TRIANGLE)) if i not in subset]
         for i in others:
-            image = mapping.apply(TRIANGLE[i])
-            assert simplex.contains(image)
+            image = apply_map(mapping, TRIANGLE[i])
+            assert in_simplex(simplex, image)
             assert all(c != 1 for c in image)
 
 
@@ -229,6 +230,29 @@ def test_strict_with_exactly_k_plus_one_points():
     report = strict_rank_k(TRIANGLE, 2)
     assert report.strict
     assert report.subsets_checked == 1
+
+
+def test_strict_builds_one_map_program_per_subset(monkeypatch):
+    # The fifth pair's map program is infeasible; its negative certificate
+    # comes from the shrunk copies alone, with no second map program.
+    space = _ps(
+        (0, 0, 0), (2, "1/3", 0), ("1/2", 3, "1/5"), (0, "1/2", 2),
+        ("5/3", "5/3", "5/3"), ("1/2", "1/2", "1/2"),
+    )
+    builds = []
+    real = geometry.simplex_map_lp
+
+    def counted(*args, **kwargs):
+        builds.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr("antipodes.antipodality.simplex_map_lp", counted)
+    report = strict_rank_k(space, 1)
+    assert (report.strict, report.cause, report.subsets_checked) == (
+        False, "not_antipodal", 5,
+    )
+    assert not report.failing_certificate.antipodal
+    assert len(builds) == 5
 
 
 def test_five_planar_points_cannot_be_rank_one():
@@ -275,7 +299,7 @@ def _reference_strict(X, k):
         mapping = cert.mapping
         for x_idx in range(len(X)):
             for vertex in range(k + 1):
-                if x_idx in subset or mapping.apply(X[x_idx])[vertex] != 1:
+                if x_idx in subset or apply_map(mapping, X[x_idx])[vertex] != 1:
                     continue
                 others = [(i, X[x_idx]) for i in range(k + 1) if i != vertex]
                 program = simplex_map_lp(X, k + 1, [X[i] for i in subset], others)
@@ -315,7 +339,7 @@ def test_strict_matches_the_per_pair_reference(case):
         cert = AntipodalityCertificate(True, subset, mapping=mapping)
         assert verify_joint_certificate(X, cert)
         others = [X[i] for i in range(len(X)) if i not in subset]
-        assert all(1 not in mapping.apply(x) for x in others)
+        assert all(1 not in apply_map(mapping, x) for x in others)
 
 
 def test_strict_and_projection_imply_plain():

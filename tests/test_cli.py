@@ -415,12 +415,25 @@ def test_decimal_rendering(files, capsys):
     assert report["bound"].endswith(" (approx 1.14813e+602)")
 
 
+# Strings, bools, None and ints skip json's encoder, so big ints, tuples
+# and empty containers are drawn too.
 _leaves = st.one_of(
-    st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False), st.text()
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-(10**600), 10**600),
+    st.floats(allow_nan=False),
+    st.text(),
+    st.just([]),
+    st.just({}),
 )
 _trees = st.recursive(
     _leaves,
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(st.text(), inner, max_size=4)
+    ),
     max_leaves=20,
 )
 

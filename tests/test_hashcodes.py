@@ -61,17 +61,24 @@ def _ref_compatible(kept, word, k, m):
     return True
 
 
+def _agreement(u, v):
+    return sum(s == t for s, t in zip(u, v))
+
+
 def ref_max_code(b, k, m, budget=hashcodes.DEFAULT_BUDGET):
-    """The search with its forward check in set terms.
+    """The search with its forward check and pair rule in set terms.
 
     Each level keeps the ascending indices of the words compatible with the
     chosen ones; a child filters its parent's list only through the batches
     that hold the new word.  A compatible word is skipped, but counted,
     when the compatible words from it on cannot lift the chosen words past
-    the incumbent.
+    the incumbent.  At order 3 and up with two or more coordinates, the
+    second word must be sorted, and a word agreeing with a chosen word in
+    more places than the first two words agree is incompatible.
     """
     cap = floor_ratio(counting_bound(b, k, m))
     universe = list(product(range(1, b + 1), repeat=m))
+    paired = k > 2 and m > 1
     best = []
     nodes = 0
     exhausted = False
@@ -86,6 +93,8 @@ def ref_max_code(b, k, m, budget=hashcodes.DEFAULT_BUDGET):
                 ahead += 1
             word = universe[idx]
             if any(word[j] > maxseen[j] + 1 for j in range(m)):
+                continue
+            if paired and len(chosen) == 1 and word != tuple(sorted(word)):
                 continue
             nodes += 1
             if budget is not None and nodes > budget:
@@ -102,6 +111,14 @@ def ref_max_code(b, k, m, budget=hashcodes.DEFAULT_BUDGET):
                     for rest in combinations(chosen, k - 2)
                 )
             ]
+            if paired and chosen:
+                pair = (chosen + [word])[:2]
+                near = pair if len(chosen) == 1 else [word]
+                limit = _agreement(*pair)
+                later = [
+                    j for j in later
+                    if all(_agreement(u, universe[j]) <= limit for u in near)
+                ]
             chosen.append(word)
             if len(chosen) > len(best):
                 best = list(chosen)
@@ -211,6 +228,69 @@ def test_forward_check_keeps_the_optimum(deep_recursion):
     assert exhaustive == 35
 
 
+def _representative(words, m):
+    """max_code's representative of a code: a pair with the largest
+    agreement a becomes 1^m and 1^a 2^(m-a), with the agreeing coordinates
+    first, and the rest is renamed until each coordinate's symbols first
+    appear in the order 1, 2, 3, ... down the sorted words.  Each renaming
+    pass makes the sorted word list lexicographically smaller, so the
+    passes stop."""
+    u, v = max(combinations(words, 2), key=lambda pair: _agreement(*pair))
+    order = sorted(range(m), key=lambda j: u[j] != v[j])
+    words = [tuple(w[j] for j in order) for w in words]
+    # Symbol u_j goes first in coordinate j, then v_j, then the rest.
+    ranks = [sorted(set(col), key=lambda s: (s != u[j], s != v[j], s))
+             for j, col in zip(order, zip(*words))]
+    words = [tuple(rank.index(s) + 1 for rank, s in zip(ranks, w)) for w in words]
+    while True:
+        words.sort()
+        firsts = [list(dict.fromkeys(col)) for col in zip(*words)]
+        renamed = [tuple(first.index(s) + 1 for first, s in zip(firsts, w)) for w in words]
+        if renamed == words:
+            return words
+        words = renamed
+
+
+@st.composite
+def _perfect_codes(draw):
+    """A random perfect code: random words, each kept when it leaves every
+    batch separated."""
+    k = draw(st.sampled_from((3, 4)))
+    b = draw(st.integers(k, 5))
+    m = draw(st.integers(2, 4))
+    universe = list(product(range(1, b + 1), repeat=m))
+    order = draw(st.permutations(universe))
+    kept = []
+    for word in order[:draw(st.integers(2, 40))]:
+        if _ref_compatible(kept, word, k, m):
+            kept.append(word)
+    return b, k, m, kept
+
+
+@settings(max_examples=150, deadline=None)
+@given(_perfect_codes())
+def test_pair_rule_admits_every_code_up_to_symmetry(case):
+    b, k, m, words = case
+    if len(words) < 2:
+        return
+    words = _representative(words, m)
+    assert is_perfect(HashCode(b, k, m, tuple(words))) == (True, None)
+    a = _agreement(words[0], words[1])
+    # The renaming rule, then the pair rule: 1^m, an ascending second word,
+    # and no pair agreeing in more than a coordinates.
+    for j, col in enumerate(zip(*words)):
+        assert all(s <= max(col[:i], default=0) + 1 for i, s in enumerate(col)), j
+    assert words[0] == (1,) * m
+    assert words[1] == (1,) * a + (2,) * (m - a)
+    assert all(_agreement(u, v) <= a for u, v in combinations(words, 2))
+    # The same in max_code's masks: no word is near an earlier one.
+    universe = list(product(range(1, b + 1), repeat=m))
+    symbol = hashcodes._lex_masks(b, m, len(universe))
+    for i, u in enumerate(words):
+        near = hashcodes._agreeing(u, a, symbol)
+        assert not any(near >> universe.index(v) & 1 for v in words[i + 1:])
+
+
 #: The capped hash-search instances of the build-measure benchmark and the
 #: words each returns once its budget is spent.
 CAPPED = {
@@ -236,11 +316,11 @@ def test_max_code_matches_reference_on_capped_instances():
 def test_max_code_node_pins():
     for (b, k, m), size, nodes in (
         ((3, 3, 2), 4, 12),
-        ((3, 3, 3), 6, 220),
-        ((3, 3, 4), 9, 55747),
-        ((4, 3, 3), 9, 54531),
-        ((5, 3, 2), 8, 367),
-        ((4, 4, 3), 5, 5304),
+        ((3, 3, 3), 6, 116),
+        ((3, 3, 4), 9, 12020),
+        ((4, 3, 3), 9, 18361),
+        ((5, 3, 2), 8, 120),
+        ((4, 4, 3), 5, 1327),
     ):
         result = max_code(b, k, m)
         assert result.optimal, (b, k, m)
@@ -248,14 +328,16 @@ def test_max_code_node_pins():
 
 
 def _record_memo(monkeypatch):
-    """Spy on max_code's memo: (size, room) after every lookup, and every
+    """Spy on max_code's memo: (size, room) after every batch lookup, every
     batch whose mask is computed, as a tuple of words (pairs at order 3,
-    through _pair_blocked).  bound(n, entries) clears both records and,
-    given `entries`, cuts the memo's bound to that many masks over a
-    universe of n words."""
+    through _pair_blocked), and every (word, agreement) whose mask of near
+    words is computed.  bound(n, entries) clears the records and, given
+    `entries`, cuts the memo's bound to that many masks over a universe of
+    n words."""
     real_newly = hashcodes._newly_blocked
     real_pair, real_blocked = hashcodes._pair_blocked, hashcodes._blocked
-    sizes, computed = [], []
+    real_agreeing = hashcodes._agreeing
+    sizes, computed, near = [], [], []
 
     def newly(chosen, idx, k, words, symbol, memo, room):
         out = real_newly(chosen, idx, k, words, symbol, memo, room)
@@ -270,29 +352,41 @@ def _record_memo(monkeypatch):
         computed.append(tuple(batch))
         return real_blocked(batch, symbol)
 
+    def agreeing(word, agree, symbol):
+        near.append((word, agree))
+        return real_agreeing(word, agree, symbol)
+
     monkeypatch.setattr(hashcodes, "_newly_blocked", newly)
     monkeypatch.setattr(hashcodes, "_pair_blocked", pair)
     monkeypatch.setattr(hashcodes, "_blocked", blocked)
+    monkeypatch.setattr(hashcodes, "_agreeing", agreeing)
 
     def bound(n, entries=None):
         sizes.clear()
         computed.clear()
+        near.clear()
         if entries is not None:
             cost = n + hashcodes._BLOCKED_ENTRY_BITS
             monkeypatch.setattr(hashcodes, "_BLOCKED_CACHE_BITS", (entries + 1) * cost - 1)
 
-    return bound, sizes, computed
+    return bound, sizes, computed, near
 
 
 def test_max_code_computes_each_batch_once(monkeypatch):
-    bound, sizes, computed = _record_memo(monkeypatch)
+    # Near-word masks share the memo; a word meets each batch after its
+    # own near mask, so the last size counts both kinds.
+    bound, sizes, computed, near = _record_memo(monkeypatch)
     for (b, k, m), budget in (((4, 3, 3), None), ((3, 3, 5), 30000), ((4, 4, 3), None)):
         bound(b**m)
         result = max_code(b, k, m, budget)
         assert result == ref_max_code(b, k, m, budget)
         assert computed and all(len(batch) == k - 1 for batch in computed)
-        assert len(computed) == len(set(computed)) == sizes[-1][0]
-        assert sizes[-1][0] < sizes[-1][1]
+        assert len(computed) == len(set(computed))
+        assert len(near) == len(set(near))
+        assert len(computed) + len(near) == sizes[-1][0] < sizes[-1][1]
+        # (3, 3, 5) spends its budget under the second word 11112, whose
+        # agreement 4 = m - 1 forbids no word.
+        assert bool(near) == (budget is None)
 
 
 def test_max_code_with_a_full_memo_matches_reference(monkeypatch, deep_recursion):
@@ -304,7 +398,7 @@ def test_max_code_with_a_full_memo_matches_reference(monkeypatch, deep_recursion
     # Only order 3 and up with two or more coordinates has batches to keep.
     blocking = [case for case in _reference_cases() if case[0][1] > 2 and case[0][2] > 1]
     cases += random.Random(8).sample(blocking, 40)
-    bound, sizes, computed = _record_memo(monkeypatch)
+    bound, sizes, computed, near = _record_memo(monkeypatch)
     for entries in (0, 3):
         recomputed = {}
         for (b, k, m), budget in cases:
@@ -312,7 +406,7 @@ def test_max_code_with_a_full_memo_matches_reference(monkeypatch, deep_recursion
             result = max_code(b, k, m, budget)
             assert result == ref_max_code(b, k, m, budget), (b, k, m, budget)
             assert all(size <= room == entries for size, room in sizes)
-            if len(set(computed)) > entries:
+            if len(set(computed)) + len(set(near)) > entries:
                 assert sizes[-1][0] == entries
             recomputed[k] = recomputed.get(k, 0) + len(computed) - len(set(computed))
         assert recomputed[3] > 0 and recomputed[4] > 0
@@ -321,13 +415,14 @@ def test_max_code_with_a_full_memo_matches_reference(monkeypatch, deep_recursion
 def test_max_code_keeps_few_masks_over_a_large_universe(monkeypatch):
     # 3**10 = 59 049 words: each mask is 59 049 bits, so the memo may hold
     # only 68 of them.
-    bound, sizes, computed = _record_memo(monkeypatch)
+    bound, sizes, computed, near = _record_memo(monkeypatch)
     bound(3**10)
     result = max_code(3, 3, 10, budget=20000)
     room = hashcodes._BLOCKED_CACHE_BITS // (3**10 + hashcodes._BLOCKED_ENTRY_BITS)
     assert room == 68
     assert sizes and all(size <= r == room for size, r in sizes)
     assert len(computed) == len(set(computed)) == sizes[-1][0]
+    assert not near
     assert (len(result.code), result.nodes, result.optimal) == (7, 20001, False)
     assert result.code.words[-1] == (1, 1, 1, 1, 1, 3, 3, 3, 3, 3)
 

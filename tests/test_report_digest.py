@@ -155,11 +155,11 @@ CASES = {
     ),
     "hash-search-433-verify": (
         ("--verify", "hash-search", "--b", "4", "--k", "3", "--m", "3"),
-        "5f9d5ac6775678b70a9612837a4b150b9ebdd7c72cc377d61c48bc37e0383c0e",
+        "726fb02c89f7c82c19d2806789de754a58dec14f27291ccdb58be5befdb8ea09",
     ),
     "hash-search-443-verify": (
         ("--verify", "hash-search", "--b", "4", "--k", "4", "--m", "3"),
-        "17d7be983c5b06365a168d321afdb7e8906507d4d9547a008d9b3e87edc0a921",
+        "f6ca6d01a6da72a691ca9e6d34eca94470597f3b058af7c53a56d4dddd52ae80",
     ),
     # The budget runs out first: exit 3 with the incumbent.
     "hash-search-633-capped": (
