@@ -303,7 +303,8 @@ def _witness_holds(X: PointSet, chosen, witness, factors, weights) -> bool:
 
 
 def verify_joint_certificate(X: PointSet, cert: AntipodalityCertificate) -> bool:
-    """Re-check a joint antipodality certificate by substitution only."""
+    """Re-check a joint antipodality certificate: a map by substitution
+    in integers, a witness by one hull-membership program per copy."""
     chosen = cert.chosen
     k = len(chosen) - 1
     if cert.antipodal:

@@ -106,7 +106,6 @@ _INPUT_ERRORS = (
     LPError,
     ScalarError,
     OSError,
-    json.JSONDecodeError,
 )
 
 # Self-checks of the kernel that failed: bugs, reported apart from verdicts.

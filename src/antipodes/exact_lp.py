@@ -9,27 +9,29 @@ substitution (see the check_* helpers), and the solver re-checks its own
 output before returning, so a bug in the pivoting can only surface as an
 internal error, never as a wrong verdict.
 
-The engine is a dense two-phase primal simplex on rationals.  Variables are
-free; each is labelled as a pair of nonnegative parts, but the tableau
-stores one column per variable, since the second part's column is always
-minus the first.  The first row per variable that says x_j >= 0 (one
-nonzero coefficient, rhs 0) is not a row of the tableau but the
-variable's sign bound: its second part never enters, and the row's
-multiplier is read off the variable's final reduced cost.  The other rows
-receive slacks.  The starting basis is a slack ("crash") basis (Bixby
-1992): a row whose slack has coefficient +1 once its rhs is made
-nonnegative (a <= row with rhs >= 0, a >= row with rhs <= 0, negated)
-starts with that slack basic, and only the other rows start with an
-artificial.  Artificials are not stored, since they never re-enter;
-phase one prices only those that start basic and is skipped when there
-are none.  An inequality row's multiplier is then its slack's final
-reduced cost; only the equality rows whose artificial left the basis
-are solved for, in one Gauss-Jordan pass of the package's one
+The engine is a dense two-phase primal simplex on rationals.  One object,
+`_Tableau`, builds a program's standard form and runs both phases on it.
+An objective is always maximised: every program the package builds asks
+for a maximum.  Variables are free; each is labelled as a pair of
+nonnegative parts, but the tableau stores one column per variable, since
+the second part's column is always minus the first.  The first row per
+variable that says x_j >= 0 (one nonzero coefficient, rhs 0) is not a
+row of the tableau but the variable's sign bound: its second part never
+enters, and the row's multiplier is read off the variable's final
+reduced cost.  The other rows receive slacks.  The starting basis is a
+slack ("crash") basis (Bixby 1992): a row whose slack has coefficient +1
+once its rhs is made nonnegative (a <= row with rhs >= 0, a >= row with
+rhs <= 0, negated) starts with that slack basic, and only the other rows
+start with an artificial.  Artificials are not stored, since they never
+re-enter; phase one prices only those that start basic and is skipped
+when there are none.  An inequality row's multiplier is then its slack's
+final reduced cost; only the equality rows whose artificial left the
+basis are solved for, in one Gauss-Jordan pass of the package's one
 elimination kernel (`rationals._bareiss`) over the basic variable
-columns.  Pivoting is Dantzig's rule with a permanent
-switch to Bland's rule after a run of degenerate steps, which keeps the
-solver fast on typical inputs and terminating on all of them.  The whole
-pipeline is deterministic: identical programs produce identical outcomes,
+columns.  Pivoting is Dantzig's rule with a permanent switch to Bland's
+rule after a run of degenerate steps, which keeps the solver fast on
+typical inputs and terminating on all of them.  The whole pipeline is
+deterministic: identical programs produce identical outcomes,
 certificates included.
 
 The tableau stores each row as Python ints over one positive denominator
@@ -127,7 +129,6 @@ class LinearProgram:
     num_vars: int
     constraints: tuple
     objective: Optional[tuple] = None
-    maximize: bool = True
 
 
 @dataclass(frozen=True)
@@ -162,7 +163,7 @@ def integer_row(terms, relation, rhs, den) -> Constraint:
     return Constraint(tuple(terms), relation, rhs, den)
 
 
-def make_lp(num_vars, rows, objective=None, maximize=True) -> LinearProgram:
+def make_lp(num_vars, rows, objective=None) -> LinearProgram:
     """Validating constructor; accepts ints, 'p/q' strings and rationals as
     scalars.  Each row is given dense, (coeffs, relation, rhs), and each of
     its scalars is read once into the row's integers."""
@@ -191,7 +192,7 @@ def make_lp(num_vars, rows, objective=None, maximize=True) -> LinearProgram:
             raise LPError("objective length does not match num_vars")
     if not constraints:
         raise LPError("a program needs at least one constraint")
-    return LinearProgram(num_vars, tuple(constraints), objective, bool(maximize))
+    return LinearProgram(num_vars, tuple(constraints), objective)
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +311,7 @@ def check_ray(lp: LinearProgram, ray) -> bool:
             return False
     costs, _ = over_common_denominator(lp.objective)
     gain = sum(c * r for c, r in zip(costs, scaled))
-    return gain > 0 if lp.maximize else gain < 0
+    return gain > 0
 
 
 def check_duals(lp: LinearProgram, mults, optimum) -> bool:
@@ -318,8 +319,7 @@ def check_duals(lp: LinearProgram, mults, optimum) -> bool:
     objective and reproduces the optimal value.
 
     With all variables free, domination degenerates to equality on every
-    coordinate.  Stated for the maximisation form; minimisation is checked
-    through negation.
+    coordinate.
     """
     if lp.objective is None:
         return False
@@ -327,15 +327,14 @@ def check_duals(lp: LinearProgram, mults, optimum) -> bool:
     if combined is None:
         return False
     combo, total, scale = combined
-    sign = 1 if lp.maximize else -1
     for a, c in zip(combo, lp.objective):
-        if a * int(c.denominator) != sign * int(c.numerator) * scale:
+        if a * int(c.denominator) != int(c.numerator) * scale:
             return False
-    return total * int(optimum.denominator) == sign * int(optimum.numerator) * scale
+    return total * int(optimum.denominator) == int(optimum.numerator) * scale
 
 
 # ---------------------------------------------------------------------------
-# standard form
+# the tableau
 
 def _sign_column(con: Constraint):
     """The column j when the row says x_j >= 0 (one nonzero coefficient,
@@ -349,105 +348,26 @@ def _sign_column(con: Constraint):
     return None
 
 
-class _Standard:
-    """Sign bounds, slacks, rhs signs and column labels of the standard form.
+class _Tableau:
+    """Dense tableau of a program's standard form, with a separate
+    objective row and an explicit basis.
 
     Each variable is split into two nonnegative parts: labels 2j and 2j+1
     stand for x_j = col 2j - col 2j+1.  The first row per column that says
-    x_j >= 0 is that column's sign bound (`bound[j]`, its row index): the
-    standard form drops the row, and label 2j+1 never enters, so x_j is
-    col 2j alone.  The other rows are kept, tableau row r being program
-    row kept[r].  Then comes one slack label per kept inequality row,
-    nstruct labels in all, and label nstruct+r is kept row r's artificial.
-    Kept row r becomes sign_r * (row with slack) so the standard rhs is
-    nonnegative, and a >= row with rhs 0 is negated as well; the tableau
-    builds these rows from the program's rows.  crash[r] says that the
-    slack then has coefficient +1, so the row can start with its slack
-    basic.
-    """
+    x_j >= 0 is that column's sign bound (`bound[j]`, its row index): it is
+    not a tableau row, and label 2j+1 never enters, so x_j is col 2j alone.
+    The other rows are kept, tableau row r being program row kept[r].  Then
+    comes one slack label per kept inequality row, nstruct labels in all,
+    and label nstruct+r is kept row r's artificial.  Kept row r is stored
+    as sign_r * (row with slack), so that its rhs is nonnegative, and a >=
+    row with rhs 0 is negated as well.  crash[r] says that the slack then
+    has coefficient +1, so the row can start with its slack basic.
 
-    def __init__(self, lp: LinearProgram):
-        self.lp = lp
-        self.bound = [None] * lp.num_vars
-        self.kept = []
-        for i, con in enumerate(lp.constraints):
-            j = _sign_column(con)
-            if j is not None and self.bound[j] is None:
-                self.bound[j] = i
-            else:
-                self.kept.append(i)
-        self.slack_col = []
-        ncols = 2 * lp.num_vars
-        for i in self.kept:
-            if lp.constraints[i].relation == EQ:
-                self.slack_col.append(None)
-            else:
-                self.slack_col.append(ncols)
-                ncols += 1
-        self.nstruct = ncols
-        self.sign = []
-        self.crash = []
-        for i in self.kept:
-            con = lp.constraints[i]
-            negate = con.rhs < 0 or con.rhs == 0 and con.relation == GE
-            self.sign.append(-1 if negate else 1)
-            # The slack has coefficient +1 in a <= row kept as it is and
-            # in a >= row negated.
-            self.crash.append(con.relation == (GE if negate else LE))
-
-    def objective_min(self):
-        """Internal objective (minimisation), one (numerator, denominator)
-        pair per stored tableau column: each x_j's positive part, then the
-        slacks."""
-        sign = -1 if self.lp.maximize else 1
-        coeffs = [
-            (sign * int(c.numerator), int(c.denominator)) for c in self.lp.objective
-        ]
-        return coeffs + [(0, 1)] * (self.nstruct - 2 * self.lp.num_vars)
-
-    def point_from(self, values):
-        return tuple(
-            values[2 * j] - values[2 * j + 1] for j in range(self.lp.num_vars)
-        )
-
-    def row_mults_from(self, y, obj, obj_den):
-        """Oriented multipliers of the program's rows, from the standard-row
-        multipliers y of the kept rows and the final objective row.
-
-        For <= and = rows the oriented row equals the original, and the
-        multiplier is -sign * y; for >= rows orientation negates once more.
-        Column j's reduced cost is d_j = c_j - y.A_j; the kept rows combine
-        to d_j - c_j on x_j, and the dropped sign row a*x_j >= 0 with
-        weight d_j / |a| brings it to -c_j.  d_j is nonnegative at the end
-        of either phase, since label 2j did not enter.  The identities
-        checked by check_farkas / check_duals hold by construction;
-        callers re-verify anyway.
-        """
-        lp = self.lp
-        out = [None] * len(lp.constraints)
-        for r, i in enumerate(self.kept):
-            w = -self.sign[r] * y[r]
-            if lp.constraints[i].relation == GE:
-                w = -w
-            out[i] = w
-        for j, i in enumerate(self.bound):
-            if i is not None:
-                con = lp.constraints[i]
-                ((_, a),) = con.terms
-                out[i] = int_ratio(obj[j] * con.den, obj_den * abs(a))
-        return tuple(out)
-
-
-class _Tableau:
-    """Dense tableau with separate objective row and explicit basis.
-
-    One row per kept row of the standard form: sign bounds are not rows.
-    The basis holds _Standard's labels, but only one column is stored per
-    variable.  Row operations keep column 2j+1 equal to minus column 2j
-    in every row and in the objective, so stored column j holds label 2j
-    and label 2j+1 reads it negated; slack label s is stored at column
-    s - n, and the rhs comes last.  Label 2j+1 of a column with a sign
-    bound never enters.  Artificial columns are not stored: they never
+    Only one column is stored per variable.  Row operations keep column
+    2j+1 equal to minus column 2j in every row and in the objective, so
+    stored column j holds label 2j and label 2j+1 reads it negated; slack
+    label s is stored at column s - n (`slack[r]` for kept row r), and the
+    rhs comes last.  Artificial columns are not stored: they never
     re-enter the basis, and the multipliers they would carry follow from
     the final basis (`_duals`).  Pricing, ratio tests and tie-breaks read
     label values, so they decide as the full split tableau would.
@@ -458,41 +378,56 @@ class _Tableau:
     comparison decides exactly as it would on the rationals themselves.
     """
 
-    def __init__(self, std: _Standard):
-        self.std = std
-        lp = std.lp
-        self.m = len(std.kept)
+    def __init__(self, lp: LinearProgram):
+        self.lp = lp
         self.n = n = lp.num_vars
-        self.nstruct = std.nstruct
-        self.ncols = std.nstruct - n
-        # twin[j]: stored column j also holds an enterable label 2j+1.
-        self.twin = [b is None for b in std.bound] + [False] * (self.ncols - n)
-        self.rows = []
+        self.bound = [None] * n
+        self.kept = []
+        self.slack = []
+        self.sign = []
+        self.crash = []
         self.dens = []
-        for r, i in enumerate(std.kept):
-            # Kept row r of the standard form over den: a, slack +-den and
-            # rhs, all times sign_r.
-            con = lp.constraints[i]
-            sign = std.sign[r]
-            row = [0] * (self.ncols + 1)
+        rows = []
+        ncols = n
+        for i, con in enumerate(lp.constraints):
+            j = _sign_column(con)
+            if j is not None and self.bound[j] is None:
+                self.bound[j] = i
+                continue
+            self.kept.append(i)
+            negate = con.rhs < 0 or con.rhs == 0 and con.relation == GE
+            sign = -1 if negate else 1
+            # Kept row over den: a, then a slack +-den in a column of its
+            # own, all times sign; the rhs joins once the width is known.
+            row = [0] * ncols
             for j, a in con.terms:
                 row[j] = sign * a
-            if con.relation == LE:
-                row[std.slack_col[r] - n] = sign * con.den
-            elif con.relation == GE:
-                row[std.slack_col[r] - n] = -sign * con.den
-            row[-1] = sign * con.rhs
-            self.rows.append(row)
+            if con.relation == EQ:
+                self.slack.append(None)
+            else:
+                self.slack.append(ncols)
+                row.append(sign * con.den if con.relation == LE else -sign * con.den)
+                ncols += 1
+            rows.append((row, sign * con.rhs))
+            self.sign.append(sign)
+            # The slack has coefficient +1 in a <= row kept as it is and
+            # in a >= row negated.
+            self.crash.append(con.relation == (GE if negate else LE))
             self.dens.append(con.den)
-        # Crash basis: a row whose slack has coefficient +1 in the
-        # standard form starts with that slack basic, every other row with
-        # its artificial.
+        self.m = len(self.kept)
+        self.ncols = ncols
+        self.nstruct = n + ncols
+        self.rows = [row + [0] * (ncols - len(row)) + [rhs] for row, rhs in rows]
+        # twin[j]: stored column j also holds an enterable label 2j+1.
+        self.twin = [b is None for b in self.bound] + [False] * (ncols - n)
+        # Crash basis: a row whose slack has coefficient +1 starts with
+        # that slack basic, every other row with its artificial.
         self.basis = [
-            std.slack_col[r] if crash else self.nstruct + r
-            for r, crash in enumerate(std.crash)
+            s + n if crash else self.nstruct + r
+            for r, (s, crash) in enumerate(zip(self.slack, self.crash))
         ]
         self.active = [True] * self.m
-        self.obj = [0] * (self.ncols + 1)
+        self.obj = [0] * (ncols + 1)
         self.obj_den = 1
         self.cost = None
 
@@ -659,8 +594,7 @@ class _Tableau:
     def phase1_duals(self):
         """Farkas multipliers of the program's rows at a positive phase
         one optimum."""
-        y = self._duals([(0, 1)] * self.ncols, 1)
-        return self.std.row_mults_from(y, self.obj, self.obj_den)
+        return self._row_mults(self._duals([(0, 1)] * self.ncols, 1))
 
     def _evict_artificials(self):
         for r in range(self.m):
@@ -680,35 +614,78 @@ class _Tableau:
                 label = 2 * pcol if pcol < self.n else pcol + self.n
                 self._pivot(r, label, with_obj=False)
 
-    def phase2(self, cost):
-        self.cost = cost
-        self._price(cost, 0)
+    def phase2(self):
+        """Optimise the program's objective.  The tableau minimises, so
+        each x_j's positive part costs -c_j and the slacks cost nothing."""
+        self.cost = [
+            (-int(c.numerator), int(c.denominator)) for c in self.lp.objective
+        ] + [(0, 1)] * (self.ncols - self.n)
+        self._price(self.cost, 0)
         return self._optimize()
 
     # -- extraction -------------------------------------------------------
 
-    def struct_values(self):
-        values = [ZERO] * self.nstruct
-        for r in range(self.m):
-            if self.active[r] and self.basis[r] < self.nstruct:
-                values[self.basis[r]] = int_ratio(self.rows[r][-1], self.dens[r])
-        return values
+    def _split(self, values):
+        """The program's variables from (label, value) pairs: x_j is the
+        value of label 2j, or minus that of label 2j+1; at most one of the
+        two is listed, and slack and artificial labels are skipped."""
+        x = [ZERO] * self.n
+        for label, value in values:
+            if label < 2 * self.n:
+                x[label >> 1] = -value if label & 1 else value
+        return tuple(x)
 
-    def ray_values(self, label):
-        direction = [ZERO] * self.nstruct
-        direction[label] = ONE
+    def point(self):
+        """The basic solution."""
+        return self._split(
+            (self.basis[r], int_ratio(self.rows[r][-1], self.dens[r]))
+            for r in range(self.m)
+            if self.active[r]
+        )
+
+    def ray(self, label):
+        """The direction along which the entering `label` grows without
+        a leaving row."""
         pcol, sign = self._column(label)
-        for r in range(self.m):
-            if self.active[r] and self.basis[r] < self.nstruct:
-                direction[self.basis[r]] = int_ratio(
-                    -sign * self.rows[r][pcol], self.dens[r]
-                )
-        return direction
+        return self._split(
+            [(label, ONE)]
+            + [
+                (self.basis[r], int_ratio(-sign * self.rows[r][pcol], self.dens[r]))
+                for r in range(self.m)
+                if self.active[r]
+            ]
+        )
 
     def duals(self):
         """Dual multipliers of the program's rows at a phase two optimum."""
-        y = self._duals(self.cost, 0)
-        return self.std.row_mults_from(y, self.obj, self.obj_den)
+        return self._row_mults(self._duals(self.cost, 0))
+
+    def _row_mults(self, y):
+        """Oriented multipliers of the program's rows, from the multipliers
+        y of the kept rows and the final objective row.
+
+        For <= and = rows the oriented row equals the original, and the
+        multiplier is -sign * y; for >= rows orientation negates once more.
+        Column j's reduced cost is d_j = c_j - y.A_j; the kept rows combine
+        to d_j - c_j on x_j, and the sign bound a*x_j >= 0 with weight
+        d_j / |a| brings it to -c_j.  d_j is nonnegative at the end of
+        either phase, since label 2j did not enter.  The identities
+        checked by check_farkas / check_duals hold by construction;
+        callers re-verify anyway.
+        """
+        constraints = self.lp.constraints
+        out = [None] * len(constraints)
+        for r, i in enumerate(self.kept):
+            w = -self.sign[r] * y[r]
+            if constraints[i].relation == GE:
+                w = -w
+            out[i] = w
+        for j, i in enumerate(self.bound):
+            if i is not None:
+                con = constraints[i]
+                ((_, a),) = con.terms
+                out[i] = int_ratio(self.obj[j] * con.den, self.obj_den * abs(a))
+        return tuple(out)
 
     def _duals(self, cost, art_cost):
         """y = c_B B^-1 for the final basis, one backend rational per
@@ -726,18 +703,17 @@ class _Tableau:
         one solution, and one fraction-free Gauss-Jordan pass of the
         shared kernel `rationals._bareiss` solves them.
         """
-        std = self.std
         n = self.n
-        rows = [std.lp.constraints[i] for i in std.kept]
+        rows = [self.lp.constraints[i] for i in self.kept]
         y = [None] * self.m
         # Known u_r, as (numerator, denominator) pairs.
         known = []
         unknown = []
         for r, con in enumerate(rows):
-            s = std.slack_col[r]
+            s = self.slack[r]
             if s is not None:
-                d = self.obj[s - n]
-                oriented = std.sign[r] if con.relation == LE else -std.sign[r]
+                d = self.obj[s]
+                oriented = self.sign[r] if con.relation == LE else -self.sign[r]
                 y[r] = int_ratio(-oriented * d, self.obj_den)
                 if d:
                     # u_r = -sign_r sigma_r d / (obj_den den_r), and
@@ -747,7 +723,7 @@ class _Tableau:
             elif self.basis[r] == self.nstruct + r:
                 y[r] = int_ratio(art_cost, 1)
                 if art_cost:
-                    known.append((r, std.sign[r] * art_cost, con.den))
+                    known.append((r, self.sign[r] * art_cost, con.den))
             else:
                 unknown.append(r)
         if not unknown:
@@ -784,7 +760,7 @@ class _Tableau:
             raise SolverInvariantError("the dual system has no unique solution")
         for e, r in enumerate(unknown):
             num, den = system[e][-1], system[e][e]
-            y[r] = int_ratio(std.sign[r] * rows[r].den * num, den * scale)
+            y[r] = int_ratio(self.sign[r] * rows[r].den * num, den * scale)
         return y
 
 
@@ -817,25 +793,24 @@ def _two_phase(lp: LinearProgram):
     checked.  An optimum comes without its dual multipliers: the caller
     that wants them reads them off the returned tableau (`_with_duals`).
     """
-    std = _Standard(lp)
-    tab = _Tableau(std)
+    tab = _Tableau(lp)
     if not tab.phase1():
         mults = tab.phase1_duals()
         if not check_farkas(lp, mults):
             raise SolverInvariantError("infeasibility certificate failed")
         return LPOutcome(Status.INFEASIBLE, farkas=mults), tab
     if lp.objective is None:
-        point = std.point_from(tab.struct_values())
+        point = tab.point()
         if not check_point(lp, point):
             raise SolverInvariantError("feasible point failed substitution")
         return LPOutcome(Status.FEASIBLE, point=point), tab
-    escape = tab.phase2(std.objective_min())
+    escape = tab.phase2()
     if escape is not None:
-        ray = std.point_from(tab.ray_values(escape))
+        ray = tab.ray(escape)
         if not check_ray(lp, ray):
             raise SolverInvariantError("unboundedness ray failed substitution")
         return LPOutcome(Status.UNBOUNDED, ray=ray), tab
-    point = std.point_from(tab.struct_values())
+    point = tab.point()
     if not check_point(lp, point):
         raise SolverInvariantError("optimal point failed substitution")
     return LPOutcome(
@@ -852,7 +827,7 @@ def _with_duals(lp: LinearProgram, out: LPOutcome, tab: _Tableau) -> LPOutcome:
 
 
 def solve(lp: LinearProgram) -> LPOutcome:
-    """Decide a weak system, optionally optimising a linear objective.
+    """Decide a weak system, optionally maximising a linear objective.
 
     Returns FEASIBLE with a point (and, given an objective, its optimal
     value plus verified dual multipliers), INFEASIBLE with a Farkas
@@ -914,7 +889,7 @@ def solve_strict(lp: LinearProgram, strict_rows: Sequence[int]) -> LPOutcome:
         rows.append(integer_row(terms, con.relation, con.rhs * scale, den))
     rows.append(Constraint(((n, 1),), LE, 1, 1))
     rows.append(Constraint(((n, 1),), GE, 0, 1))
-    aux = LinearProgram(n + 1, tuple(rows), (ZERO,) * n + (ONE,), True)
+    aux = LinearProgram(n + 1, tuple(rows), (ZERO,) * n + (ONE,))
     out, tab = _two_phase(aux)
     if out.status is Status.UNBOUNDED:
         raise SolverInvariantError("margin program cannot be unbounded")

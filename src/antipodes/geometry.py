@@ -2,9 +2,9 @@
 
 Points are tuples of exact rationals, and a `PointSet` is the one
 point-set type: its convex hull is the polytope it spans (the points
-need not be vertices).  Membership and relative-interior membership in
-that hull, affine rank, and the barycentric coordinates of orthogonal
-projections onto the affine hull of a subset are decided exactly.
+need not be vertices).  Membership in that hull, affine rank, and the
+barycentric coordinates of orthogonal projections onto the affine hull
+of a subset are decided exactly.
 Membership queries answer with a certificate either way: convex
 coefficients inside, a separating affine functional outside.
 
@@ -60,7 +60,6 @@ from .exact_lp import (
     integer_row,
     make_lp,
     solve,
-    solve_strict,
 )
 from .rationals import (
     ONE,
@@ -502,11 +501,9 @@ def projection_coordinates(ps: PointSet, subset):
 class Membership:
     """Verdict plus certificate for a hull membership query.
 
-    Inside: convex coefficients over the spanning points (positive on every
-    point for relative-interior queries over the affine hull).  Outside: an
+    Inside: convex coefficients over the spanning points.  Outside: an
     affine functional with normal.x > threshold while normal.p <= threshold
-    on the hull (equality everywhere only in the relative-interior case,
-    where the functional exposes a proper face through x).
+    on the hull.
     """
 
     inside: bool
@@ -515,9 +512,9 @@ class Membership:
     threshold: Optional[object] = None
 
 
-def member(pts: PointSet, x, strict: bool = False) -> Membership:
-    """Decide x in conv(pts); strict decides x in the relative interior
-    (all convex coefficients positive)."""
+def member(pts: PointSet, x) -> Membership:
+    """Decide x in conv(pts), with convex coefficients or a separating
+    functional as the certificate."""
     x = as_point(x)
     d = pts.dim
     if len(x) != d:
@@ -533,13 +530,8 @@ def member(pts: PointSet, x, strict: bool = False) -> Membership:
         terms = [(i, p[t] * xden) for i, p in enumerate(P)]
         rows.append(integer_row(terms, EQ, X[t] * L, L * xden))
     rows.append(Constraint(tuple((i, 1) for i in range(n)), EQ, 1, 1))
-    nonneg_start = len(rows)
     rows.extend(Constraint(((i, 1),), GE, 0, 1) for i in range(n))
-    lp = LinearProgram(n, tuple(rows))
-    if strict:
-        out = solve_strict(lp, range(nonneg_start, nonneg_start + n))
-    else:
-        out = solve(lp)
+    out = solve(LinearProgram(n, tuple(rows)))
     if out.status is Status.FEASIBLE:
         return Membership(True, coefficients=out.point)
     # Farkas multipliers on the coordinate rows give the separating
@@ -547,14 +539,7 @@ def member(pts: PointSet, x, strict: bool = False) -> Membership:
     y = out.farkas
     normal = tuple(-y[t] for t in range(d))
     threshold = y[d]
-    for p in pts:
-        if vdot(normal, p) > threshold:
-            raise GeometryError("separating functional failed verification")
-    margin = vdot(normal, x) - threshold
-    if strict:
-        if margin < 0:
-            raise GeometryError("separating functional failed verification")
-    elif margin <= 0:
+    if vdot(normal, x) <= threshold or any(vdot(normal, p) > threshold for p in pts):
         raise GeometryError("separating functional failed verification")
     return Membership(False, normal=normal, threshold=threshold)
 
@@ -949,7 +934,9 @@ def load_point_set(path) -> PointSet:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # Malformed JSON, bytes that are not UTF-8, nesting past the
+            # recursion limit, or an integer too long to convert.
             raise GeometryError(f"{path}: not valid JSON ({exc})") from exc
     return point_set_from_obj(obj)
 

@@ -104,9 +104,6 @@ class HashCode:
     def __len__(self) -> int:
         return len(self.words)
 
-    def __iter__(self):
-        return iter(self.words)
-
 
 def _all_words(b, m) -> list:
     """The b**m words in lexicographic order; refuses more than WORD_LIMIT."""
@@ -254,7 +251,7 @@ class SearchResult:
     nodes: int
 
 
-def max_code(b: int, k: int, m: int, budget: int | None = DEFAULT_BUDGET) -> SearchResult:
+def max_code(b: int, k: int, m: int, budget: int = DEFAULT_BUDGET) -> SearchResult:
     """Depth-first search over word indices for a largest order-k code.
 
     Candidates are scanned in lexicographic order.  Per-coordinate symbol
@@ -298,8 +295,8 @@ def max_code(b: int, k: int, m: int, budget: int | None = DEFAULT_BUDGET) -> Sea
     bits of masks.
     """
     _check_params(b, k, m)
-    if budget is not None and budget < 1:
-        raise HashCodeError("budget: must be positive when given")
+    if budget < 1:
+        raise HashCodeError("budget: must be positive")
     universe = _all_words(b, m)
     cap = floor_ratio(counting_bound(b, k, m))
     n = len(universe)
@@ -348,7 +345,7 @@ def max_code(b: int, k: int, m: int, budget: int | None = DEFAULT_BUDGET) -> Sea
             free = 0
         span = free ^ (free - 1) if free else window
         nodes += (allow & span).bit_count()
-        if budget is not None and nodes > budget:
+        if nodes > budget:
             nodes = budget + 1
             exhausted = True
             break
@@ -518,8 +515,13 @@ def code_from_obj(obj) -> HashCode:
 
 
 def load_code(path) -> HashCode:
-    with open(path) as fh:
-        return code_from_obj(json.load(fh))
+    with open(path, encoding="utf-8") as fh:
+        try:
+            obj = json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            # As for point-set files (`geometry.load_point_set`).
+            raise HashCodeError(f"{path}: not valid JSON ({exc})") from exc
+    return code_from_obj(obj)
 
 
 def dump_code(code: HashCode, path) -> None:

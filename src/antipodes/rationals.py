@@ -174,11 +174,6 @@ def ratio_str(x) -> str:
     return str(_make(x))
 
 
-def to_float(x) -> float:
-    """Nearest double, used only for display."""
-    return int(x.numerator) / int(x.denominator)
-
-
 def floor_ratio(x) -> int:
     return int(x.numerator) // int(x.denominator)
 
@@ -190,10 +185,10 @@ def is_integer_ratio(x) -> bool:
 class LogRatio:
     """The number coeff * log(arg) with rational coeff and positive rational arg.
 
-    Supports exact ordering without evaluating any logarithm: comparing
-    c1*log(a1) with c2*log(a2) is the same as comparing a1**c1 with a2**c2,
-    and after clearing the exponent denominators both sides are plain
-    rationals.  Growth rates of code sizes live in this form.
+    Supports exact `==` and `<` without evaluating any logarithm:
+    comparing c1*log(a1) with c2*log(a2) is the same as comparing a1**c1
+    with a2**c2, and after clearing the exponent denominators both sides
+    are plain rationals.  Growth rates of code sizes live in this form.
     """
 
     __slots__ = ("coeff", "arg")
@@ -211,9 +206,6 @@ class LogRatio:
 
     def scaled(self, factor) -> "LogRatio":
         return LogRatio(self.coeff * ratio(factor), self.arg)
-
-    def is_zero(self) -> bool:
-        return self.coeff == 0
 
     def _compare(self, other) -> int:
         if not isinstance(other, LogRatio):
@@ -237,22 +229,10 @@ class LogRatio:
     def __lt__(self, other):
         return self._compare(other) < 0
 
-    def __le__(self, other):
-        return self._compare(other) <= 0
-
-    def __gt__(self, other):
-        return self._compare(other) > 0
-
-    def __ge__(self, other):
-        return self._compare(other) >= 0
-
     # Equal values admit different (coeff, arg) spellings (2*log 4 == 4*log 2)
     # and a hash consistent with == would need prime factorisation, so the
     # type is explicitly unhashable.
     __hash__ = None
-
-    def __float__(self):
-        return to_float(self.coeff) * math.log(to_float(self.arg))
 
     def __repr__(self):
         return f"LogRatio({ratio_str(self.coeff)}, {ratio_str(self.arg)})"

@@ -456,7 +456,9 @@ def test_shrunk_copies_of_simplex_in_vertex_coordinates(k, raw_l, raw_x):
                 for v in simplex.vertices
             )
         )
-        inside = member(copy, x, strict=True).inside
+        lp = _dense_member_lp(copy, x)
+        sign_rows = range(copy.dim + 1, copy.dim + 1 + len(copy))
+        inside = solve_strict(lp, sign_rows).status is Status.FEASIBLE
         assert inside == (x[j] > 1 - factors[j])
         hits += inside
     assert hits <= k
@@ -503,21 +505,20 @@ def _dense_member_lp(X, x):
     return make_lp(n, rows)
 
 
-def _member_program(X, x, strict):
+def _member_program(X, x):
     """The program `member` hands to its solver."""
     seen = []
-    name = "solve_strict" if strict else "solve"
-    real = getattr(geometry, name)
+    real = geometry.solve
 
-    def record(lp, *args):
+    def record(lp):
         seen.append(lp)
-        return real(lp, *args)
+        return real(lp)
 
-    setattr(geometry, name, record)
+    geometry.solve = record
     try:
-        member(X, x, strict=strict)
+        member(X, x)
     finally:
-        setattr(geometry, name, real)
+        geometry.solve = real
     (lp,) = seen
     return lp
 
@@ -533,9 +534,8 @@ _factor = st.fractions(min_value=Fraction(1, 9), max_value=Fraction(8, 9)).map(
     st.integers(1, 2),
     st.lists(_factor, min_size=3, max_size=3),
     st.tuples(_coord, _coord),
-    st.booleans(),
 )
-def test_copies_and_member_rows_are_the_ones_make_lp_parses(X, k, raw, x, strict):
+def test_copies_and_member_rows_are_the_ones_make_lp_parses(X, k, raw, x):
     # `_copies_lp` and `member` build their integer rows straight from
     # `PointSet.cleared`; the old dense rational rows through make_lp give
     # equal programs, each row in lowest terms over the lcm of its
@@ -543,7 +543,7 @@ def test_copies_and_member_rows_are_the_ones_make_lp_parses(X, k, raw, x, strict
     chosen = tuple(range(k + 1))
     factors = tuple(raw[: k + 1])
     assert _copies_lp(X, chosen, factors) == _dense_copies_lp(X, chosen, factors)
-    assert _member_program(X, x, strict) == _dense_member_lp(X, x)
+    assert _member_program(X, x) == _dense_member_lp(X, x)
 
 
 def _centre_copies_lp(X, chosen, factors):

@@ -509,6 +509,37 @@ def test_input_errors(files, capsys, tmp_path):
     assert code == 2
 
 
+_UNREADABLE = {
+    "not-utf8": b'{"dim": 1, "points": [["\xff"]]}',
+    "deep": b"[" * 100_000 + b"]" * 100_000,
+    "long-int": b'{"dim": ' + b"1" * 4301 + b', "points": [["0"]]}',
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_UNREADABLE))
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check-rank", "{bad}", "--k", "1"),
+        ("hash-verify", "{bad}"),
+        ("discriminate", "{bit_space}", "{bad}"),
+        ("construct", "{square}", "{bad}", "--k", "1"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_unreadable_input_files_exit_2(files, capsys, tmp_path, kind, argv):
+    # Bytes that are not UTF-8, arrays nested past the recursion limit and
+    # an integer literal past the conversion limit are bad input (exit 2),
+    # in point-set and code files alike, never a traceback.
+    bad = tmp_path / f"{kind}.json"
+    bad.write_bytes(_UNREADABLE[kind])
+    code = main([arg.format(bad=bad, **files) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert f"{bad}: not valid JSON" in json.loads(captured.out)["error"]
+    assert captured.err == ""
+
+
 def test_oversized_bound_is_refused(files, capsys):
     # (k+1)^d with 4301 digits is refused; 4300 digits still render.
     code, report, _ = run(capsys, "bounds", "--d", "14285", "--k", "1")

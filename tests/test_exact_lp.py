@@ -90,18 +90,18 @@ def test_minimisation_with_equality():
             ((-1, 1), GE, 0),
             ((1, 1), EQ, 1),
         ],
-        objective=(0, 1),
-        maximize=False,
+        objective=(0, -1),
     )
     out = solve(lp)
     assert out.status is Status.FEASIBLE
-    # y is minimised at x = y = 1/2 on the segment x + y = 1, y >= x.
-    assert out.objective_value == ratio(1, 2)
+    # y is minimised, -y maximised, at x = y = 1/2 on the segment
+    # x + y = 1, y >= x.
+    assert out.objective_value == ratio(-1, 2)
     assert check_duals(lp, out.duals, out.objective_value)
 
 
 def test_unbounded_has_improving_ray():
-    lp = make_lp(1, [((1,), GE, 0)], objective=(1,), maximize=True)
+    lp = make_lp(1, [((1,), GE, 0)], objective=(1,))
     out = solve(lp)
     assert out.status is Status.UNBOUNDED
     assert check_ray(lp, out.ray)
@@ -227,7 +227,6 @@ def _beale():
             ((0, 0, 0, 1), GE, 0),
         ],
         objective=("3/4", -150, "1/50", -6),
-        maximize=True,
     )
 
 
@@ -290,16 +289,15 @@ def _redundant(objective=None):
         2,
         [((1, 1), EQ, 1), ((2, 2), EQ, 2), ((1, -1), LE, "1/3")],
         objective=objective,
-        maximize=False,
     )
 
 
 def test_pinned_redundant_equality():
     out = solve(_redundant())
     assert out.point == _q("2/3", "1/3")
-    out = solve(_redundant(objective=(1, 2)))
+    out = solve(_redundant(objective=(-1, -2)))
     assert out.point == _q("2/3", "1/3")
-    assert out.objective_value == ratio(4, 3)
+    assert out.objective_value == ratio(-4, 3)
     assert out.duals == _q("-3/2", 0, "1/2")
 
 
@@ -381,9 +379,7 @@ def test_pinned_sign_bounds():
     assert out.objective_value == 2
     assert out.duals == _q(1, 0, 2, 0)
     # Only sign rows: the optimum sits at the bounds.
-    lp = make_lp(
-        2, [((1, 0), GE, 0), ((0, -2), LE, 0)], objective=(1, 1), maximize=False
-    )
+    lp = make_lp(2, [((1, 0), GE, 0), ((0, -2), LE, 0)], objective=(-1, -1))
     out = solve(lp)
     assert out.point == _q(0, 0)
     assert out.duals == _q(1, "1/2")
@@ -431,12 +427,14 @@ def test_pinned_member_outside_triangle(monkeypatch):
 
 
 def test_pinned_member_triangle_interior(monkeypatch):
-    # Every weight row is strict: w_i = w'_i + t in the margin program.
-    calls = _recorded(monkeypatch, "solve_strict")
-    got = geometry.member(_TRIANGLE, ("1/4", "1/2"), strict=True)
-    assert got.inside
-    assert got.coefficients == _q("1/4", "1/4", "1/2")
-    ((lp, out),) = calls
+    # The triangle's weight program for an interior point, with every
+    # weight row strict: w_i = w'_i + t in the margin program.
+    calls = _recorded(monkeypatch, "solve")
+    assert geometry.member(_TRIANGLE, ("1/4", "1/2")).inside
+    ((lp, _),) = calls
+    out = solve_strict(lp, range(3, 6))
+    assert out.status is Status.FEASIBLE
+    assert out.point == _q("1/4", "1/4", "1/2")
     assert out.objective_value == ratio(1, 4)
     assert check_point(lp, out.point, range(3, 6))
 
@@ -459,10 +457,16 @@ def _programs(draw):
         coeffs = tuple(draw(_coeff) for _ in range(n))
         rel = draw(st.sampled_from([LE, EQ, GE]))
         rows.append((coeffs, rel, draw(_small)))
-    objective = None
-    if draw(st.booleans()):
-        objective = tuple(draw(_coeff) for _ in range(n))
-    return make_lp(n, rows, objective=objective, maximize=draw(st.booleans()))
+    return make_lp(n, rows, objective=_objective(draw, n))
+
+
+def _objective(draw, n):
+    """No objective, or one times a drawn sign: a minimum is the negated
+    maximum of the negated objective."""
+    if not draw(st.booleans()):
+        return None
+    sign = draw(st.sampled_from([1, -1]))
+    return tuple(sign * draw(_coeff) for _ in range(n))
 
 
 @settings(max_examples=200, deadline=None)
@@ -560,13 +564,15 @@ def test_relative_interior_leaves_only_always_tight_rows_tight(case):
             continue
         # Tight at the point: the row's slack is 0 all over the feasible
         # set, so pushing the row away from its bound gains nothing.
+        # The row is maximised oriented by its relation: a.x for a >= row,
+        # -a.x for a <= row.
+        sign = 1 if con.relation == GE else -1
         objective = [ratio(0)] * lp.num_vars
         for j, a in con.terms:
-            objective[j] = int_ratio(a, con.den)
-        probe = replace(lp, objective=tuple(objective), maximize=con.relation == GE)
-        out = solve(probe)
+            objective[j] = int_ratio(sign * a, con.den)
+        out = solve(replace(lp, objective=tuple(objective)))
         assert out.status is Status.FEASIBLE
-        assert out.objective_value == int_ratio(con.rhs, con.den)
+        assert out.objective_value == int_ratio(sign * con.rhs, con.den)
 
 
 def test_relative_interior_returns_a_loose_point_unchanged():
@@ -670,9 +676,8 @@ class _RefStandard:
 
     def objective_min(self):
         coeffs = [(0, 1)] * self.nstruct
-        sign = -1 if self.lp.maximize else 1
         for j, c in enumerate(self.lp.objective):
-            num, den = sign * int(c.numerator), int(c.denominator)
+            num, den = -int(c.numerator), int(c.denominator)
             coeffs[2 * j] = (num, den)
             coeffs[2 * j + 1] = (-num, den)
         return coeffs
@@ -925,7 +930,7 @@ def _ref_solve_strict(lp, strict, stall_limit):
         rows.append((coeffs + (margin,), con.relation, rhs))
     rows.append(((zero,) * n + (one,), LE, one))
     rows.append(((zero,) * n + (one,), GE, zero))
-    aux = make_lp(n + 1, rows, objective=(zero,) * n + (one,), maximize=True)
+    aux = make_lp(n + 1, rows, objective=(zero,) * n + (one,))
     out = _ref_solve(aux, stall_limit)
     nrows = len(lp.constraints)
     if out.status is Status.INFEASIBLE:
@@ -979,10 +984,9 @@ def _ref_check_duals(lp, mults, optimum):
     combined = _ref_combination(lp, mults)
     if combined is None:
         return False
-    sign = 1 if lp.maximize else -1
-    if any(c != sign * t for c, t in zip(combined[0], lp.objective)):
+    if any(c != t for c, t in zip(combined[0], lp.objective)):
         return False
-    return combined[1] == sign * optimum
+    return combined[1] == optimum
 
 
 def _ref_check_ray(lp, ray):
@@ -994,7 +998,7 @@ def _ref_check_ray(lp, ray):
         if drift > 0 or (drift != 0 and con.relation == EQ):
             return False
     gain = sum((c * r for c, r in zip(lp.objective, ray)), ratio(0))
-    return gain > 0 if lp.maximize else gain < 0
+    return gain > 0
 
 
 _rhs = st.one_of(st.just(ratio(0)), _small)
@@ -1016,10 +1020,7 @@ def _rich_programs(draw):
         s = draw(st.sampled_from([ratio(1), ratio(2), ratio(-1, 2)]))
         at = draw(st.integers(0, len(rows)))
         rows.insert(at, (tuple(x + s * y for x, y in zip(a, b)), EQ, p + s * q))
-    objective = None
-    if draw(st.booleans()):
-        objective = tuple(draw(_coeff) for _ in range(n))
-    return make_lp(n, rows, objective=objective, maximize=draw(st.booleans()))
+    return make_lp(n, rows, objective=_objective(draw, n))
 
 
 def _with_stall_limit(limit, run):
@@ -1126,18 +1127,18 @@ def _sign_programs(draw):
             rows.insert(at, (tuple(coeffs), relation, ratio(0)))
     objective = None
     if draw(st.integers(0, 3)):
-        objective = tuple(draw(_coeff) for _ in range(n))
-    maximize = draw(st.booleans())
+        sign = draw(st.sampled_from([1, -1]))
+        objective = tuple(sign * draw(_coeff) for _ in range(n))
     inequalities = [i for i, (_, rel, _) in enumerate(rows) if rel != EQ]
     strict = sorted(draw(st.sets(st.sampled_from(inequalities), min_size=1)))
-    return rows, objective, maximize, strict
+    return rows, objective, strict
 
 
 @settings(max_examples=300, deadline=None)
 @given(_sign_programs(), st.sampled_from([1, 24]))
 def test_sign_bounds_match_reference(case, stall_limit):
-    rows, objective, maximize, strict = case
-    lp = make_lp(len(rows[0][0]), rows, objective=objective, maximize=maximize)
+    rows, objective, strict = case
+    lp = make_lp(len(rows[0][0]), rows, objective=objective)
     got = _with_stall_limit(stall_limit, lambda: solve(lp))
     _assert_agrees_with_reference(lp, got, _ref_solve(lp, stall_limit))
     weak = make_lp(lp.num_vars, rows)
@@ -1171,7 +1172,7 @@ def test_margin_program_rows_are_the_ones_make_lp_parses(case):
     # solve_strict builds the margin program straight from integer rows;
     # the same rows as dense rationals through make_lp give equal rows,
     # each in lowest terms over the lcm of its denominators.
-    rows, _, _, strict = case
+    rows, _, strict = case
     lp = make_lp(len(rows[0][0]), rows)
     aux = _margin_program(lp, strict)
     dense = [_dense(con, aux.num_vars) for con in aux.constraints]
@@ -1233,7 +1234,7 @@ def test_zero_margin_reads_and_checks_duals(monkeypatch):
 def test_reference_cases_cover_retired_rows_and_bland():
     # The pinned programs above, through both tableaux: a retired row
     # (redundant equality), Bland's rule, infeasible and unbounded ends.
-    cases = [_redundant(), _redundant(objective=(1, 2)), _beale()]
+    cases = [_redundant(), _redundant(objective=(-1, -2)), _beale()]
     cases.append(make_lp(3, _prime_rows(), objective=("1/89", "-2/97", "3/83")))
     cases.append(make_lp(1, [((1,), LE, 2), ((1,), GE, 5)]))
     cases.append(make_lp(1, [((1,), GE, 0)], objective=(1,)))

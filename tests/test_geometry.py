@@ -103,6 +103,8 @@ def test_member_inside_returns_coefficients():
         sum(c * p[t] for c, p in zip(got.coefficients, square)) for t in range(2)
     ]
     assert recon == [ratio(1, 2), ratio(1, 2)]
+    # A point on the boundary is inside too.
+    assert member(square, (0, "1/2")).inside
 
 
 def test_member_outside_returns_separator():
@@ -112,30 +114,6 @@ def test_member_outside_returns_separator():
     assert vdot(got.normal, (ratio(2), ratio(1, 2))) > got.threshold
     for p in square:
         assert vdot(got.normal, p) <= got.threshold
-
-
-def test_member_strict_boundary_point():
-    square = _cube(2)
-    assert member(square, (0, "1/2")).inside
-    got = member(square, (0, "1/2"), strict=True)
-    assert not got.inside
-    # The exposing functional holds the whole square on one side and is
-    # tight at the queried boundary point.
-    assert vdot(got.normal, (ratio(0), ratio(1, 2))) >= got.threshold
-
-
-def test_member_strict_interior_point():
-    tri = _pts((0, 0), (1, 0), (0, 1))
-    got = member(tri, ("1/4", "1/4"), strict=True)
-    assert got.inside
-    assert all(c > 0 for c in got.coefficients)
-
-
-def test_member_strict_on_flat_set_uses_relative_interior():
-    seg = _pts((0, 0), (1, 1))
-    assert member(seg, ("1/2", "1/2"), strict=True).inside
-    assert not member(seg, (0, 0), strict=True).inside
-    assert not member(seg, ("1/2", 0), strict=True).inside
 
 
 def test_standard_simplex_contains():
@@ -232,7 +210,7 @@ def test_simplex_map_lp_rows_and_decoding():
     # The score sums output 1 at (1, 0) twice and output 0 at (0, 1) once,
     # which adds 1 to the offset.
     assert lp.objective == tuple(map(ratio, (0, 2, -1)))
-    assert program.offset == 1 and lp.maximize
+    assert program.offset == 1
     out = program.solve()
     mapping = decode_map(program, out.point)
     assert out.objective_value + program.offset == sum(
@@ -243,7 +221,7 @@ def test_simplex_map_lp_rows_and_decoding():
     program = simplex_map_lp(square, 3, score=[(2, square[3])])
     assert program.lp.num_vars == 6
     assert program.lp.objective == tuple(map(ratio, (0, 0, 0, -1, 1, 1)))
-    assert program.offset == 0 and program.lp.maximize
+    assert program.offset == 0
 
     # A score point may lie off the set but not off its affine hull.
     line = _pts((0, 0), (1, 1), (2, 2))

@@ -97,7 +97,7 @@ def ref_max_code(b, k, m, budget=hashcodes.DEFAULT_BUDGET):
             if paired and len(chosen) == 1 and word != tuple(sorted(word)):
                 continue
             nodes += 1
-            if budget is not None and nodes > budget:
+            if nodes > budget:
                 exhausted = True
                 return
             if ahead == len(compatible) or compatible[ahead] != idx:
@@ -153,7 +153,7 @@ def ref_max_code_plain(b, k, m, budget=hashcodes.DEFAULT_BUDGET):
             if any(word[j] > maxseen[j] + 1 for j in range(m)):
                 continue
             nodes += 1
-            if budget is not None and nodes > budget:
+            if nodes > budget:
                 exhausted = True
                 return
             if not _ref_compatible(chosen, word, k, m):
@@ -198,9 +198,14 @@ def _small_instances():
                     yield b, k, m
 
 
+#: A budget that no search over at most 64 words spends: those searches
+#: run to the end.
+_EXHAUSTIVE = 10**9
+
+
 def _reference_cases():
     for b, k, m in _small_instances():
-        for budget in [1, 2, 37, 1000, 5000] + ([None] if b**m <= 64 else []):
+        for budget in [1, 2, 37, 1000, 5000] + ([_EXHAUSTIVE] if b**m <= 64 else []):
             yield (b, k, m), budget
 
 
@@ -219,8 +224,9 @@ def test_forward_check_keeps_the_optimum(deep_recursion):
     # finds a code of the same size, on no fewer nodes.
     exhaustive = 0
     for (b, k, m), budget in _reference_cases():
-        if budget is None:
-            plain, result = ref_max_code_plain(b, k, m, None), max_code(b, k, m, None)
+        if budget == _EXHAUSTIVE:
+            plain = ref_max_code_plain(b, k, m, budget)
+            result = max_code(b, k, m, budget)
             assert plain.optimal and result.optimal, (b, k, m)
             assert len(result.code) == len(plain.code), (b, k, m)
             assert result.nodes <= plain.nodes, (b, k, m)
@@ -376,7 +382,8 @@ def test_max_code_computes_each_batch_once(monkeypatch):
     # Near-word masks share the memo; a word meets each batch after its
     # own near mask, so the last size counts both kinds.
     bound, sizes, computed, near = _record_memo(monkeypatch)
-    for (b, k, m), budget in (((4, 3, 3), None), ((3, 3, 5), 30000), ((4, 4, 3), None)):
+    cases = (((4, 3, 3), _EXHAUSTIVE), ((3, 3, 5), 30000), ((4, 4, 3), _EXHAUSTIVE))
+    for (b, k, m), budget in cases:
         bound(b**m)
         result = max_code(b, k, m, budget)
         assert result == ref_max_code(b, k, m, budget)
@@ -386,7 +393,7 @@ def test_max_code_computes_each_batch_once(monkeypatch):
         assert len(computed) + len(near) == sizes[-1][0] < sizes[-1][1]
         # (3, 3, 5) spends its budget under the second word 11112, whose
         # agreement 4 = m - 1 forbids no word.
-        assert bool(near) == (budget is None)
+        assert bool(near) == (budget == _EXHAUSTIVE)
 
 
 def test_max_code_with_a_full_memo_matches_reference(monkeypatch, deep_recursion):
@@ -620,8 +627,7 @@ def test_rate_bounds_binary_meet():
 def test_rate_bounds_ternary_gap():
     lower, upper = rate_bounds(3, 3)
     assert upper == LogRatio(1, ratio(3, 2))
-    assert lower < upper
-    assert not lower.is_zero()
+    assert LogRatio(0, 1) < lower < upper
 
 
 def test_roundtrip(tmp_path):
