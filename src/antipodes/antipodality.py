@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
 from math import comb
 from typing import Optional
@@ -73,7 +74,7 @@ from .geometry import (
     projection_coordinates,
     simplex_map_lp,
 )
-from .rationals import ZERO, int_pair, int_ratio, over_common_denominator, ratio
+from .rationals import ZERO, int_pair, over_common_denominator, ratio
 
 #: Exhaustive rank checks refuse beyond this many subsets; ask for
 #: sampling instead.
@@ -253,14 +254,14 @@ def _witness_from_solution(X: PointSet, chosen, factors, point):
     for j, f in enumerate(factors):
         a, b = int_pair(f)
         W, wden = over_common_denominator(point[j * m : (j + 1) * m])
-        weights.append(tuple(int_ratio(a * w, b * wden) for w in W))
-        reduced.append(int_ratio(a * sum(W), b * wden))
+        weights.append(tuple(Fraction(a * w, b * wden) for w in W))
+        reduced.append(Fraction(a * sum(W), b * wden))
     # z = q_0 + sum_x u_0x (x - q_0), with u_0 cleared to U / uden.
     U, uden = over_common_denominator(weights[0])
     q = P[chosen[0]]
     others = [p for i, p in enumerate(P) if i != chosen[0]]
     witness = tuple(
-        int_ratio(uden * c + sum(u * (p[t] - c) for u, p in zip(U, others)), uden * L)
+        Fraction(uden * c + sum(u * (p[t] - c) for u, p in zip(U, others)), uden * L)
         for t, c in enumerate(q)
     )
     return witness, tuple(reduced), tuple(weights)
@@ -290,7 +291,7 @@ def _witness_holds(X: PointSet, chosen, witness, factors, weights) -> bool:
         U, uden = over_common_denominator(u)
         if any(w < 0 for w in U):
             return False
-        if sum(U) * int(s.denominator) != int(s.numerator) * uden:
+        if sum(U) * s.denominator != s.numerator * uden:
             return False
         q = P[q_idx]
         others = [p for i, p in enumerate(P) if i != q_idx]
@@ -434,14 +435,19 @@ def _sampled_subsets(n, k, samples, seed):
     return sorted(seen)
 
 
-def _all_subsets(n, k, hint=""):
-    """Every (k+1)-subset of range(n) in index order; refuses more than
-    EXHAUSTIVE_LIMIT of them before listing any."""
+def _refuse_exhaustive(n, k, hint=""):
+    """Refuse more than EXHAUSTIVE_LIMIT (k+1)-subsets of range(n)."""
     total = comb(n, k + 1)
     if total > EXHAUSTIVE_LIMIT:
         raise AntipodalityError(
             f"{total} subsets exceed the exhaustive limit {EXHAUSTIVE_LIMIT}{hint}"
         )
+
+
+def _all_subsets(n, k, hint=""):
+    """Every (k+1)-subset of range(n) in index order; refuses more than
+    EXHAUSTIVE_LIMIT of them before listing any."""
+    _refuse_exhaustive(n, k, hint)
     return list(combinations(range(n), k + 1))
 
 

@@ -26,15 +26,17 @@ import json
 import os
 import sys
 from decimal import Decimal
+from fractions import Fraction
 from itertools import combinations
 from json.encoder import encode_basestring_ascii
-from math import comb
+from math import comb, floor
 
 from .antipodality import (
     EXHAUSTIVE_LIMIT,
     AntipodalityCertificate,
     AntipodalityError,
     CertificateError,
+    _refuse_exhaustive,
     erdos_rank_k,
     is_rank_k_antipodal,
     joint_antipodal_direct,
@@ -77,7 +79,7 @@ from .hashcodes import (
     max_code,
     random_code,
 )
-from .rationals import ScalarError, floor_ratio, is_rational, ratio, ratio_str
+from .rationals import ScalarError, ratio
 
 EXIT_HOLDS = 0
 EXIT_FAILS = 1
@@ -122,13 +124,13 @@ def _approx(x) -> str:
     try:
         return f"{float(x):.6g}"
     except OverflowError:
-        return f"{Decimal(int(x.numerator)) / Decimal(int(x.denominator)):.6g}"
+        return f"{Decimal(x.numerator) / Decimal(x.denominator):.6g}"
 
 
 def _finalize(tree, decimal: bool):
     """Convert a report tree into plain JSON values."""
-    if is_rational(tree):
-        text = ratio_str(tree)
+    if isinstance(tree, Fraction):
+        text = str(tree)
         if decimal:
             return f"{text} (approx {_approx(tree)})"
         return text
@@ -264,8 +266,11 @@ def _cmd_check_joint(args):
 def _cmd_check_rank(args):
     X = load_point_set(args.file)
     _refuse_oversized_bound(X.dim, args.k)
+    if args.sample is None and args.k >= 1:
+        # Refused here, so that the hint names the command-line flags.
+        _refuse_exhaustive(len(X), args.k, "; pass --sample and --seed")
     result = is_rank_k_antipodal(X, args.k, samples=args.sample, seed=args.seed)
-    cap = floor_ratio(size_bound(X.dim, args.k))
+    cap = floor(size_bound(X.dim, args.k))
     report = {
         "verb": "check-rank",
         "k": args.k,
@@ -287,16 +292,21 @@ def _cmd_check_rank(args):
             return False
         if parsed["antipodal"]:
             return "certificate" not in parsed
-        # A failing report carries the failing subset's negative witness.
-        claim = parsed.get("certificate")
-        return (
-            claim is not None
-            and not claim["antipodal"]
-            and claim["chosen"] == parsed["failing_subset"]
-            and verify_joint_certificate(X, _parse_cert(claim))
-        )
+        return _failing_claim_holds(X, parsed)
 
     return report, EXIT_HOLDS if result.antipodal else EXIT_FAILS, replay
+
+
+def _failing_claim_holds(X, parsed) -> bool:
+    """Does the report's certificate witness that its failing subset is
+    not jointly antipodal?"""
+    claim = parsed.get("certificate")
+    return (
+        claim is not None
+        and not claim["antipodal"]
+        and claim["chosen"] == parsed["failing_subset"]
+        and verify_joint_certificate(X, _parse_cert(claim))
+    )
 
 
 def _erdos_report(X, k) -> dict:
@@ -343,6 +353,8 @@ def _strict_report(X, k) -> dict:
     else:
         report["failing_subset"] = list(result.failing_subset)
         report["cause"] = result.cause
+        if result.failing_certificate is not None:
+            report["certificate"] = _cert_obj(result.failing_certificate)
         if result.forced_pair is not None:
             report["forced_point"] = result.forced_pair[0]
             report["forced_vertex"] = result.forced_pair[1]
@@ -355,7 +367,10 @@ def _cmd_check_strict(args):
 
     def replay(parsed):
         if not parsed["strict"]:
-            return _finalize(_strict_report(X, args.k), False) == parsed
+            # A forced coincidence carries no certificate yet: rerun.
+            if parsed["cause"] == "forced":
+                return _finalize(_strict_report(X, args.k), False) == parsed
+            return _failing_claim_holds(X, parsed)
         # One evidence map per (k+1)-subset, in index order.
         evidence = parsed["evidence"]
         subsets = list(combinations(range(len(X)), args.k + 1))
@@ -386,7 +401,7 @@ def _code_report(verb: str, code, extra: dict) -> dict:
         "m": code.m,
         "size": len(code),
         "counting_bound": counting_bound(code.b, code.k, code.m),
-        "cap": floor_ratio(counting_bound(code.b, code.k, code.m)),
+        "cap": floor(counting_bound(code.b, code.k, code.m)),
         "code": code_to_obj(code),
     }
     report.update(extra)
@@ -468,7 +483,7 @@ def _cmd_construct(args):
             )
     base = StartingConfig(points, rank=args.k)
     built = product_construct(base, code)
-    cap = floor_ratio(size_bound(built.result.dim, args.k))
+    cap = floor(size_bound(built.result.dim, args.k))
     report = {
         "verb": "construct",
         "k": args.k,
@@ -526,7 +541,7 @@ def _cmd_bounds(args):
         "d": args.d,
         "k": args.k,
         "bound": bound,
-        "max_points": floor_ratio(bound),
+        "max_points": floor(bound),
     }
 
     def replay(parsed):

@@ -27,7 +27,7 @@ from .geometry import (
     volume,
 )
 from .hashcodes import HashCode, rate_bounds
-from .rationals import ZERO, LogRatio, is_integer_ratio, ratio
+from .rationals import ZERO, LogRatio, ratio
 
 __all__ = [
     "ConstructionError",
@@ -274,5 +274,5 @@ def gap_analysis(k: int, d0: int, b: int) -> GapReport:
         zero_gap=exponent == limit,
         gap_positive=exponent < limit,
         equalizing_size=equalizing,
-        equalizing_integral=is_integer_ratio(equalizing),
+        equalizing_integral=equalizing.denominator == 1,
     )

@@ -15,21 +15,22 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .exact_lp import Status
 from .geometry import (
     AffineMap,
     PointSet,
     StandardSimplex,
-    as_point,
     decode_map,
     member,
     outside_simplex,
     simplex_map_lp,
 )
-from .rationals import int_ratio, ratio
+from .rationals import exact_tuple, ratio
 
 __all__ = [
+    "PROGRAM_LIMIT",
     "DiscriminationError",
     "Measurement",
     "StateSpace",
@@ -38,6 +39,13 @@ __all__ = [
     "error_prob",
     "min_error",
 ]
+
+
+#: Largest min_error program, in spanning points times states: one sign
+#: row per pair.  Solving time grows faster than the square of that
+#: count, so a larger instance is refused rather than left to run for
+#: minutes.
+PROGRAM_LIMIT = 128
 
 
 class DiscriminationError(ValueError):
@@ -94,7 +102,7 @@ def _checked_states(space: StateSpace, states) -> tuple:
     spanning = set(space.vertices)
     rows = []
     for idx, s in enumerate(states):
-        p = as_point(s)
+        p = exact_tuple(s)
         if len(p) != space.dim:
             raise DiscriminationError(f"states[{idx}]: wrong dimension")
         if p not in spanning and not member(space.spanning, p).inside:
@@ -117,7 +125,7 @@ def _error_sum(measurement: Measurement, pts):
     """error_prob on states already checked against the space, summed in
     integers: state j's own outcome is images[j][j] / den."""
     images, den = measurement.mapping.cleared_images(pts)
-    return int_ratio(sum(den - image[j] for j, image in enumerate(images)), den)
+    return Fraction(sum(den - image[j] for j, image in enumerate(images)), den)
 
 
 def min_error(space: StateSpace, states):
@@ -125,8 +133,15 @@ def min_error(space: StateSpace, states):
 
     The program searches the affine maps with one output per state that
     send every vertex of the space into the simplex, maximizing the sum
-    of each state's own outcome probability.
+    of each state's own outcome probability.  Refuses a program of more
+    than PROGRAM_LIMIT spanning points times states before any work.
     """
+    if len(space.spanning) * len(states) > PROGRAM_LIMIT:
+        raise DiscriminationError(
+            f"{len(space.spanning)} spanning points times {len(states)} states "
+            f"({len(space.spanning) * len(states)}) exceed the program limit "
+            f"{PROGRAM_LIMIT}"
+        )
     pts = _checked_states(space, states)
     r = len(pts)
     if r < 2:

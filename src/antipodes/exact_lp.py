@@ -40,8 +40,7 @@ manner of Bareiss).  A pivot rescales every touched row by the pivot entry,
 cancels the pivot column and divides out the gcd of the row and its
 denominator; signs are read off numerators and ratio tests cross-multiply,
 so every decision is the one the rationals themselves give.  Values return
-to backend rationals only when a point, ray or multiplier vector is read
-out.
+to Fractions only when a point, ray or multiplier vector is read out.
 
 A constraint is an integer row (`Constraint`): its nonzero coefficients
 as (column, integer) pairs and an integer rhs, every value standing for
@@ -76,6 +75,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from fractions import Fraction
 from typing import Optional, Sequence
 
 from .rationals import (
@@ -84,8 +84,8 @@ from .rationals import (
     _bareiss,
     exact_tuple,
     int_pair,
-    int_ratio,
     over_common_denominator,
+    vdot,
 )
 
 LE = "<="
@@ -139,13 +139,6 @@ class LPOutcome:
     farkas: Optional[tuple] = None
     ray: Optional[tuple] = None
     duals: Optional[tuple] = None
-
-
-def _dot(a, b):
-    total = ZERO
-    for x, y in zip(a, b):
-        total += x * y
-    return total
 
 
 def integer_row(terms, relation, rhs, den) -> Constraint:
@@ -242,10 +235,10 @@ def _combination(lp: LinearProgram, mults):
         if con.relation != EQ and w < 0:
             return None
         if w:
-            num = int(w.numerator)
+            num = w.numerator
             if con.relation == GE:
                 num = -num
-            weights.append((num, int(w.denominator) * con.den, con))
+            weights.append((num, w.denominator * con.den, con))
     scale = math.lcm(*(d for _, d, _ in weights))
     combo = [0] * lp.num_vars
     total = 0
@@ -328,9 +321,9 @@ def check_duals(lp: LinearProgram, mults, optimum) -> bool:
         return False
     combo, total, scale = combined
     for a, c in zip(combo, lp.objective):
-        if a * int(c.denominator) != int(c.numerator) * scale:
+        if a * c.denominator != c.numerator * scale:
             return False
-    return total * int(optimum.denominator) == int(optimum.numerator) * scale
+    return total * optimum.denominator == optimum.numerator * scale
 
 
 # ---------------------------------------------------------------------------
@@ -618,7 +611,7 @@ class _Tableau:
         """Optimise the program's objective.  The tableau minimises, so
         each x_j's positive part costs -c_j and the slacks cost nothing."""
         self.cost = [
-            (-int(c.numerator), int(c.denominator)) for c in self.lp.objective
+            (-c.numerator, c.denominator) for c in self.lp.objective
         ] + [(0, 1)] * (self.ncols - self.n)
         self._price(self.cost, 0)
         return self._optimize()
@@ -638,7 +631,7 @@ class _Tableau:
     def point(self):
         """The basic solution."""
         return self._split(
-            (self.basis[r], int_ratio(self.rows[r][-1], self.dens[r]))
+            (self.basis[r], Fraction(self.rows[r][-1], self.dens[r]))
             for r in range(self.m)
             if self.active[r]
         )
@@ -650,7 +643,7 @@ class _Tableau:
         return self._split(
             [(label, ONE)]
             + [
-                (self.basis[r], int_ratio(-sign * self.rows[r][pcol], self.dens[r]))
+                (self.basis[r], Fraction(-sign * self.rows[r][pcol], self.dens[r]))
                 for r in range(self.m)
                 if self.active[r]
             ]
@@ -684,12 +677,11 @@ class _Tableau:
             if i is not None:
                 con = constraints[i]
                 ((_, a),) = con.terms
-                out[i] = int_ratio(self.obj[j] * con.den, self.obj_den * abs(a))
+                out[i] = Fraction(self.obj[j] * con.den, self.obj_den * abs(a))
         return tuple(out)
 
     def _duals(self, cost, art_cost):
-        """y = c_B B^-1 for the final basis, one backend rational per
-        tableau row.
+        """y = c_B B^-1 for the final basis, one Fraction per tableau row.
 
         An inequality row's slack has the column sigma_r e_r, sigma_r the
         sign of its coefficient once the row is oriented, and cost 0, so
@@ -714,14 +706,14 @@ class _Tableau:
             if s is not None:
                 d = self.obj[s]
                 oriented = self.sign[r] if con.relation == LE else -self.sign[r]
-                y[r] = int_ratio(-oriented * d, self.obj_den)
+                y[r] = Fraction(-oriented * d, self.obj_den)
                 if d:
                     # u_r = -sign_r sigma_r d / (obj_den den_r), and
                     # sign_r sigma_r is +1 on a <= row, -1 on a >= row.
                     num = -d if con.relation == LE else d
                     known.append((r, num, self.obj_den * con.den))
             elif self.basis[r] == self.nstruct + r:
-                y[r] = int_ratio(art_cost, 1)
+                y[r] = Fraction(art_cost, 1)
                 if art_cost:
                     known.append((r, self.sign[r] * art_cost, con.den))
             else:
@@ -760,7 +752,7 @@ class _Tableau:
             raise SolverInvariantError("the dual system has no unique solution")
         for e, r in enumerate(unknown):
             num, den = system[e][-1], system[e][e]
-            y[r] = int_ratio(self.sign[r] * rows[r].den * num, den * scale)
+            y[r] = Fraction(self.sign[r] * rows[r].den * num, den * scale)
         return y
 
 
@@ -814,7 +806,7 @@ def _two_phase(lp: LinearProgram):
     if not check_point(lp, point):
         raise SolverInvariantError("optimal point failed substitution")
     return LPOutcome(
-        Status.FEASIBLE, point=point, objective_value=_dot(lp.objective, point)
+        Status.FEASIBLE, point=point, objective_value=vdot(lp.objective, point)
     ), tab
 
 
@@ -902,7 +894,7 @@ def solve_strict(lp: LinearProgram, strict_rows: Sequence[int]) -> LPOutcome:
         t = out.objective_value
         point = list(out.point[:n])
         for j, p in step.items():
-            point[j] += int_ratio(p, scale) * t
+            point[j] += Fraction(p, scale) * t
         point = tuple(point)
         if not check_point(lp, point, strict):
             raise SolverInvariantError("strict point failed substitution")

@@ -45,6 +45,7 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from fractions import Fraction
 from itertools import combinations
 from math import factorial, lcm
 from operator import mul
@@ -66,9 +67,9 @@ from .rationals import (
     ZERO,
     _bareiss,
     exact_tuple,
-    int_ratio,
     over_common_denominator,
     ratio,
+    vdot,
 )
 
 #: Exact volume is supported up to this ambient dimension.  The
@@ -85,17 +86,6 @@ class DegenerateVolumeWarning(UserWarning):
     """Volume was requested for a set that does not span its space."""
 
 
-def as_point(coords) -> tuple:
-    return exact_tuple(coords)
-
-
-def vdot(a, b):
-    total = ZERO
-    for x, y in zip(a, b):
-        total += x * y
-    return total
-
-
 @dataclass(frozen=True)
 class PointSet:
     """Finite list of pairwise distinct points in a common dimension."""
@@ -103,7 +93,7 @@ class PointSet:
     points: tuple
 
     def __post_init__(self):
-        pts = tuple(as_point(p) for p in self.points)
+        pts = tuple(exact_tuple(p) for p in self.points)
         if not pts:
             raise GeometryError("a point set needs at least one point")
         dim = len(pts[0])
@@ -143,7 +133,7 @@ class Dilation:
     factor: object
 
     def __post_init__(self):
-        object.__setattr__(self, "center", as_point(self.center))
+        object.__setattr__(self, "center", exact_tuple(self.center))
         factor = ratio(self.factor)
         if not (0 < factor <= 1):
             raise GeometryError("dilation factor must lie in (0, 1]")
@@ -152,13 +142,13 @@ class Dilation:
     def apply(self, x) -> tuple:
         lam = self.factor
         return tuple(
-            (1 - lam) * c + lam * v for c, v in zip(self.center, as_point(x))
+            (1 - lam) * c + lam * v for c, v in zip(self.center, exact_tuple(x))
         )
 
     def preimage(self, y) -> tuple:
         lam = self.factor
         return tuple(
-            (v - (1 - lam) * c) / lam for c, v in zip(self.center, as_point(y))
+            (v - (1 - lam) * c) / lam for c, v in zip(self.center, exact_tuple(y))
         )
 
 
@@ -194,8 +184,8 @@ class AffineMap:
     offset: tuple
 
     def __post_init__(self):
-        rows = tuple(as_point(r) for r in self.matrix)
-        off = as_point(self.offset)
+        rows = tuple(exact_tuple(r) for r in self.matrix)
+        off = exact_tuple(self.offset)
         if not rows:
             raise GeometryError("affine map needs at least one output row")
         if len({len(r) for r in rows}) != 1:
@@ -216,7 +206,7 @@ class AffineMap:
     def cleared_images(self, points):
         """(images, den): output i at points[p] is images[p][i] / den,
         den > 0, computed in integers.  `points` is a `PointSet` or any
-        sequence of points of exact rationals (`as_point`), so a point
+        sequence of points of exact rationals (`exact_tuple`), so a point
         may repeat.
 
         Row i is cleared over the lcm D_i of its denominators and raised
@@ -335,7 +325,7 @@ def simplex_map_lp(points, outputs, pinned=(), score=()):
     # lcm of its coordinates' denominators.
     scales, extra, scored = [1] * width, [], []
     for _, x in score:
-        x = as_point(x)
+        x = exact_tuple(x)
         if x in ps.points:
             scored.append(column[ps.points.index(x)])
             continue
@@ -391,8 +381,8 @@ def simplex_map_lp(points, outputs, pinned=(), score=()):
             lift = common // scales[c]
             total = [a + lift * b for a, b in zip(total, coeffs)]
             constant += lift * const
-        objective = tuple(int_ratio(a, D * common) for a in total)
-        offset = int_ratio(constant, D * common)
+        objective = tuple(Fraction(a, D * common) for a in total)
+        offset = Fraction(constant, D * common)
     lp = decided = None
     if rows:
         lp = make_lp(nvars, rows, objective=objective)
@@ -438,9 +428,9 @@ def decode_map(program: MapProgram, point) -> AffineMap:
     for i in range(outputs):
         steps = [image[i] - base[i] for image in images[1:]]
         linear = [sum(map(mul, steps, col)) for col in program.inverse]
-        matrix.append(tuple(int_ratio(program.den * a, scale) for a in linear))
+        matrix.append(tuple(Fraction(program.den * a, scale) for a in linear))
         shift = sum(map(mul, linear, program.origin))
-        offset.append(int_ratio(base[i] * program.scale - shift, scale))
+        offset.append(Fraction(base[i] * program.scale - shift, scale))
     return AffineMap(tuple(matrix), tuple(offset))
 
 
@@ -515,7 +505,7 @@ class Membership:
 def member(pts: PointSet, x) -> Membership:
     """Decide x in conv(pts), with convex coefficients or a separating
     functional as the certificate."""
-    x = as_point(x)
+    x = exact_tuple(x)
     d = pts.dim
     if len(x) != d:
         raise GeometryError("point dimension does not match the polytope")
@@ -675,7 +665,7 @@ def volume(ps: PointSet):
     total = 0
     for facet in _boundary(P, simplex):
         total += abs(_det([[a - b for a, b in zip(P[i], o)] for i in facet]))
-    return int_ratio(total, factorial(d) * den**d)
+    return Fraction(total, factorial(d) * den**d)
 
 
 # ---------------------------------------------------------------------------
@@ -892,11 +882,9 @@ def affine_symmetry(ps: PointSet) -> AffineSymmetry:
 
 
 def point_set_to_obj(ps: PointSet) -> dict:
-    from .rationals import ratio_str
-
     return {
         "dim": ps.dim,
-        "points": [[ratio_str(c) for c in p] for p in ps.points],
+        "points": [[str(c) for c in p] for p in ps.points],
     }
 
 
@@ -919,7 +907,7 @@ def point_set_from_obj(obj) -> PointSet:
                 f"point {i} must be a list of {dim} rational strings"
             )
         try:
-            pts.append(as_point(row))
+            pts.append(exact_tuple(row))
         except ValueError as exc:
             raise GeometryError(f"point {i}: {exc}") from exc
     try:

@@ -12,10 +12,10 @@ import json
 import random
 from dataclasses import dataclass
 from itertools import accumulate, combinations, product
-from math import comb, factorial, perm
+from math import comb, factorial, floor, perm
 from operator import or_
 
-from .rationals import LogRatio, floor_ratio, ratio
+from .rationals import LogRatio, ratio
 
 __all__ = [
     "BATCH_LIMIT",
@@ -298,7 +298,7 @@ def max_code(b: int, k: int, m: int, budget: int = DEFAULT_BUDGET) -> SearchResu
     if budget < 1:
         raise HashCodeError("budget: must be positive")
     universe = _all_words(b, m)
-    cap = floor_ratio(counting_bound(b, k, m))
+    cap = floor(counting_bound(b, k, m))
     n = len(universe)
     # With one coordinate, or at order 2, distinct words always split, so
     # no batch ever blocks a word.
@@ -447,7 +447,7 @@ def random_code(b: int, k: int, m: int, seed: int) -> HashCode:
         )
     s = ratio(perm(b, k), b**k)
     q = (1 - s) ** m
-    target = _iroot(floor_ratio(ratio(factorial(k - 1)) / q), k - 1)
+    target = _iroot(floor(ratio(factorial(k - 1)) / q), k - 1)
     if comb(target, k) > BATCH_LIMIT:
         raise HashCodeError(
             f"the sample for b={b}, k={k}, m={m} has more than {BATCH_LIMIT} "

@@ -1,15 +1,14 @@
 """Exact rational scalars and exact logarithm comparisons.
 
 Every decision made by this package is carried out in arbitrary-precision
-rational arithmetic; floating point shows up only when a report asks for a
-decimal rendering.  gmpy2's mpq is used when it is installed (the `gmp`
-extra); plain fractions.Fraction is a drop-in fallback with identical
-semantics.  A linear program may be written in these rationals, in ints
-or in "p/q" strings, but exact_lp reads each scalar once (`int_pair`) and
-keeps every row as integers over one denominator; the tableau pivots on
-those integers and every point, ray and multiplier certificate is
-re-verified on them, so backend rationals come back only when a solution
-is read out (through `int_ratio`).
+rational arithmetic, and its one scalar type is the stdlib
+`fractions.Fraction`; floating point shows up only when a report asks for
+a decimal rendering.  A linear program may be written in Fractions, in
+ints or in "p/q" strings, but exact_lp reads each scalar once (`int_pair`)
+and keeps every row as integers over one denominator; the tableau pivots
+on those integers and every point, ray and multiplier certificate is
+re-verified on them, so Fractions come back only when a solution is read
+out.
 
 The one integer elimination kernel, the fraction-free `_bareiss`
 (Bareiss 1968), lives in this leaf module so that both `geometry` and
@@ -25,26 +24,7 @@ import re
 from fractions import Fraction
 from typing import Union
 
-try:
-    from gmpy2 import mpq as _mpq
-
-    _RATIONAL_TYPES = (_mpq, Fraction)
-
-    def _make(value, denominator=None):
-        if denominator is None:
-            return _mpq(value)
-        return _mpq(value, denominator)
-
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    _RATIONAL_TYPES = (Fraction,)
-
-    def _make(value, denominator=None):
-        if denominator is None:
-            return Fraction(value)
-        return Fraction(value, denominator)
-
-
-#: Anything `ratio` accepts: ints, "p/q" strings, Fractions, mpqs.
+#: Anything `ratio` accepts: ints, "p/q" strings, Fractions.
 RationalLike = Union[int, str, Fraction, float]
 
 
@@ -52,12 +32,12 @@ class ScalarError(ValueError):
     """Raised for inputs that do not denote an exact rational."""
 
 
-# "p" or "p/q" with optional sign; the only string shape accepted, so both
-# rational backends parse identically and file formats stay unambiguous.
+# "p" or "p/q" with optional sign; the only string shape accepted, so file
+# formats stay unambiguous.
 _RATIO_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 
-def ratio(value: RationalLike, denominator: RationalLike | None = None):
+def ratio(value: RationalLike, denominator: RationalLike | None = None) -> Fraction:
     """Build an exact rational from an int, a "p/q" string, or a rational.
 
     Floats are rejected on purpose: a float argument is almost always a bug
@@ -79,53 +59,54 @@ def ratio(value: RationalLike, denominator: RationalLike | None = None):
             # The match leaves a signed int, then at most one "/" and an
             # unsigned int.
             num, _, den = value.partition("/")
-            result = _make(int(num), int(den) if den else 1)
+            result = Fraction(int(num), int(den) if den else 1)
         else:
-            result = _make(value)
+            result = Fraction(value)
         if denominator is None:
             return result
-        return result / _make(denominator)
+        return result / Fraction(denominator)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
         raise ScalarError(f"not an exact rational: {value!r}") from exc
 
 
 ZERO = ratio(0)
 ONE = ratio(1)
-_RATIONAL = type(ONE)
 
 
 def exact_tuple(values) -> tuple:
-    """The values as a tuple of backend rationals: a scalar whose type is
-    exactly the backend's is kept as it is, anything else goes through
-    `ratio` (so floats and bools are still refused)."""
-    return tuple([a if type(a) is _RATIONAL else ratio(a) for a in values])
+    """The values as a tuple of Fractions: a Fraction is kept as it is,
+    anything else goes through `ratio` (so floats and bools are still
+    refused)."""
+    return tuple([a if type(a) is Fraction else ratio(a) for a in values])
+
+
+def vdot(a, b):
+    """The dot product of two vectors of rationals, as a Fraction."""
+    total = ZERO
+    for x, y in zip(a, b):
+        total += x * y
+    return total
 
 
 def int_pair(value) -> tuple:
     """(numerator, denominator) of one scalar, the denominator positive: an
-    int is itself over 1 with no rational built, a backend rational is read
-    as it stands, anything else goes through `ratio` (so floats, bools and
+    int is itself over 1 with no rational built, a Fraction is read as it
+    stands, anything else goes through `ratio` (so floats, bools and
     malformed strings are still refused)."""
     kind = type(value)
     if kind is int:
         return value, 1
-    if kind is not _RATIONAL:
+    if kind is not Fraction:
         value = ratio(value)
-    return int(value.numerator), int(value.denominator)
-
-
-def int_ratio(num: int, den: int):
-    """num/den as a backend rational, for ints computed by this package
-    (no parsing and no float guard; den must be nonzero)."""
-    return _make(num, den)
+    return value.numerator, value.denominator
 
 
 def over_common_denominator(values):
     """(nums, den) with values[i] == nums[i] / den, den the lcm of the
     values' denominators (1 for no values)."""
-    dens = [int(x.denominator) for x in values]
+    dens = [x.denominator for x in values]
     den = math.lcm(*dens)
-    return [int(x.numerator) * (den // d) for x, d in zip(values, dens)], den
+    return [x.numerator * (den // d) for x, d in zip(values, dens)], den
 
 
 def _bareiss(mat, jordan=False):
@@ -165,23 +146,6 @@ def _bareiss(mat, jordan=False):
     return pivots, sign
 
 
-def is_rational(value) -> bool:
-    return isinstance(value, _RATIONAL_TYPES) and not isinstance(value, bool)
-
-
-def ratio_str(x) -> str:
-    """Round-trippable rendering: "p/q", or just "p" for integers."""
-    return str(_make(x))
-
-
-def floor_ratio(x) -> int:
-    return int(x.numerator) // int(x.denominator)
-
-
-def is_integer_ratio(x) -> bool:
-    return x.denominator == 1
-
-
 class LogRatio:
     """The number coeff * log(arg) with rational coeff and positive rational arg.
 
@@ -212,7 +176,7 @@ class LogRatio:
             raise TypeError("can only compare LogRatio with LogRatio")
         # coeff exponents: arg1**(c1*L) vs arg2**(c2*L) with L = lcm of
         # denominators, so both exponents become integers.
-        scale = math.lcm(int(self.coeff.denominator), int(other.coeff.denominator))
+        scale = math.lcm(self.coeff.denominator, other.coeff.denominator)
         e1 = int(self.coeff * scale)
         e2 = int(other.coeff * scale)
         lhs = ratio(self.arg) ** e1
@@ -235,4 +199,4 @@ class LogRatio:
     __hash__ = None
 
     def __repr__(self):
-        return f"LogRatio({ratio_str(self.coeff)}, {ratio_str(self.arg)})"
+        return f"LogRatio({self.coeff}, {self.arg})"

@@ -8,6 +8,7 @@ import json
 import random
 from contextlib import contextmanager
 from itertools import combinations, product
+from math import floor
 
 from antipodes.antipodality import (
     is_rank_k_antipodal,
@@ -42,7 +43,7 @@ from antipodes.hashcodes import (
     max_code,
     random_code,
 )
-from antipodes.rationals import LogRatio, floor_ratio, ratio
+from antipodes.rationals import LogRatio, ratio
 
 SUITE_SEED = 20260823
 
@@ -128,7 +129,7 @@ def test_c02_cube_meets_the_rank_one_bound():
             if not (report.antipodal and report.exhaustive):
                 bad.append(("not antipodal", d))
                 continue
-            if 2**d != floor_ratio(size_bound(d, 1)):
+            if 2**d != floor(size_bound(d, 1)):
                 bad.append(("cap mismatch", d))
             _VERIFIED.append((X, 1))
 
@@ -216,7 +217,7 @@ def test_c06_hash_code_exact_values():
             bad.append("ternary size")
         if counting_bound(3, 3, 2) != ratio(9, 2):
             bad.append("ternary bound value")
-        if len(ternary.code) > floor_ratio(counting_bound(3, 3, 2)):
+        if len(ternary.code) > floor(counting_bound(3, 3, 2)):
             bad.append("ternary bound broken")
         built.append(greedy_code(3, 3, 2))
         built.append(random_code(3, 3, 10, seed=SUITE_SEED))
@@ -260,7 +261,7 @@ def test_c08_no_verified_set_beats_the_bound():
         if len(_VERIFIED) < 10:
             bad.append("registry unexpectedly small")
         for X, k in _VERIFIED:
-            if len(X) > floor_ratio(size_bound(X.dim, k)):
+            if len(X) > floor(size_bound(X.dim, k)):
                 bad.append((X.dim, k, len(X)))
 
 

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from collections import Counter
 from itertools import product
 from pathlib import Path
@@ -405,6 +406,25 @@ def test_discriminate(files, capsys):
     assert code == 0 and report["distinguishable"]
 
 
+def test_discriminate_refuses_an_oversized_program(tmp_path, capsys, monkeypatch):
+    # 80 points on a parabola, the first 40 of them the states: 3200 rows
+    # of the min_error program, refused before the program is built.
+    parabola = [(t, t * t) for t in range(80)]
+    space, states = tmp_path / "space.json", tmp_path / "states.json"
+    dump_point_set(_ps(*parabola), space)
+    dump_point_set(_ps(*parabola[:40]), states)
+    monkeypatch.setattr(
+        "antipodes.discrimination.simplex_map_lp", lambda *args, **kw: 1 / 0
+    )
+    start = time.perf_counter()
+    code, report, _ = run(capsys, "discriminate", str(space), str(states))
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert report["error"] == (
+        "80 spanning points times 40 states (3200) exceed the program limit 128"
+    )
+
+
 def test_decimal_rendering(files, capsys):
     code, report, _ = run(capsys, "--decimal", "bounds", "--d", "3", "--k", "2")
     assert code == 0
@@ -600,6 +620,9 @@ def test_rank_verbs_refuse_too_many_subsets(tmp_path, capsys, monkeypatch):
         code, report, _ = run(capsys, verb, str(crowd), "--k", "2")
         assert code == 2, verb
         assert "117480 subsets exceed the exhaustive limit 100000" in report["error"]
+        if verb == "check-rank":
+            # The way out is sampling, named by the command-line flags.
+            assert report["error"].endswith("; pass --sample and --seed")
     assert calls == []
 
 
@@ -737,6 +760,7 @@ VERIFIED_CASES = {
     "check-rank-fails": ("check-rank", "cube", "--k", "2"),
     "check-strict-strict": ("check-strict", "triangle", "--k", "1"),
     "check-strict-forced": ("check-strict", "square", "--k", "1"),
+    "check-strict-not-antipodal": ("check-strict", "collinear", "--k", "1"),
     "check-erdos": ("check-erdos", "obtuse", "--k", "1"),
     "discriminate": ("discriminate", "bit_space", "bit_states"),
     "volume-check": ("volume-check", "square", "--k", "1"),
@@ -871,6 +895,22 @@ def test_verify_requires_evidence_for_every_subset(files, capsys, monkeypatch):
     assert report["strict"] and report["subsets_checked"] == 3
     assert len(report["evidence"]) == 1
     assert report["verified"] is False and code == 1
+
+
+def test_strict_replay_checks_the_negative_certificate(files, monkeypatch):
+    args = _build_parser().parse_args(["check-strict", files["collinear"], "--k", "1"])
+    report, code, replay = cli._cmd_check_strict(args)
+    parsed = json.loads(json.dumps(cli._finalize(report, False)))
+    assert code == 1 and parsed["cause"] == "not_antipodal"
+    assert parsed["certificate"]["chosen"] == parsed["failing_subset"] == [0, 1]
+    # The replay checks the certificate; it does not run the verb again.
+    monkeypatch.setattr("antipodes.cli.strict_rank_k", None)
+    assert replay(parsed) is True
+    assert replay({**parsed, "failing_subset": [0, 2]}) is False
+    # Factors summing to k do not shrink the copies enough.
+    claim = {**parsed["certificate"], "shrink_factors": ["1/2", "1/2"]}
+    assert replay({**parsed, "certificate": claim}) is False
+    assert replay({key: v for key, v in parsed.items() if key != "certificate"}) is False
 
 
 def test_verify_reads_distinguishable_against_the_error(files):

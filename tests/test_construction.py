@@ -1,6 +1,7 @@
 """Product construction, size bound, volume inequality, gap reports."""
 
 from itertools import combinations, product
+from math import floor
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +23,7 @@ from antipodes.construction import (
 )
 from antipodes.geometry import GeometryError, PointSet
 from antipodes.hashcodes import HashCode, max_code
-from antipodes.rationals import LogRatio, floor_ratio, ratio
+from antipodes.rationals import LogRatio, ratio
 
 
 def _ps(*rows):
@@ -77,7 +78,7 @@ def test_triangle_times_ternary_code_is_rank_two_in_r4():
     report = is_rank_k_antipodal(built.result, 2)
     assert report.antipodal
     assert report.exhaustive
-    assert len(built.result) <= floor_ratio(size_bound(4, 2))
+    assert len(built.result) <= floor(size_bound(4, 2))
 
 
 def test_projection_certificates_cover_every_subset():
@@ -155,7 +156,7 @@ def test_parameter_mismatch():
 def test_size_bound_values():
     assert size_bound(3, 1) == 8
     assert size_bound(3, 2) == ratio(27, 4)
-    assert floor_ratio(size_bound(3, 2)) == 6
+    assert floor(size_bound(3, 2)) == 6
     assert size_bound(2, 2) == ratio(9, 2)
     for d in (1, 2, 3, 4, 5):
         assert size_bound(d, 1) == 2**d

@@ -26,7 +26,7 @@ from antipodes.exact_lp import (
     solve,
     solve_strict,
 )
-from antipodes.rationals import ScalarError, int_ratio, over_common_denominator, ratio
+from antipodes.rationals import ScalarError, over_common_denominator, ratio
 
 
 def _q(*texts):
@@ -197,7 +197,7 @@ def test_make_lp_parses_strings_ints_and_foreign_rationals():
         ((0, 2), (1, 36)), GE, 9, 9
     )
     assert lp.objective == _q(1, "-2/9")
-    # Strings, ints, backend rationals and Fractions spell equal rows;
+    # Strings, ints, `ratio` values and Fractions spell equal rows;
     # a zero coefficient leaves no term.
     spellings = [
         ((0, "1/3", 2), LE, "-5/7"),
@@ -569,10 +569,10 @@ def test_relative_interior_leaves_only_always_tight_rows_tight(case):
         sign = 1 if con.relation == GE else -1
         objective = [ratio(0)] * lp.num_vars
         for j, a in con.terms:
-            objective[j] = int_ratio(sign * a, con.den)
+            objective[j] = Fraction(sign * a, con.den)
         out = solve(replace(lp, objective=tuple(objective)))
         assert out.status is Status.FEASIBLE
-        assert out.objective_value == int_ratio(sign * con.rhs, con.den)
+        assert out.objective_value == Fraction(sign * con.rhs, con.den)
 
 
 def test_relative_interior_returns_a_loose_point_unchanged():
@@ -647,7 +647,7 @@ def test_check_point_matches_rational_substitution(case):
 
 # ---------------------------------------------------------------------------
 # reference: the two-column-per-variable tableau with an artificial block,
-# and the certificate checks in backend rationals, that the lean tableau
+# and the certificate checks in Fractions, that the lean tableau
 # and the integer checks replaced.  Outcomes must match to the last bit.
 
 

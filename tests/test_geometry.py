@@ -18,7 +18,6 @@ from antipodes.geometry import (
     PointSet,
     StandardSimplex,
     affine_rank,
-    as_point,
     decode_map,
     member,
     outside_simplex,
@@ -26,10 +25,9 @@ from antipodes.geometry import (
     point_set_to_obj,
     projection_coordinates,
     simplex_map_lp,
-    vdot,
     volume,
 )
-from antipodes.rationals import ScalarError, exact_tuple, ratio
+from antipodes.rationals import ScalarError, exact_tuple, ratio, vdot
 from evaluators import apply_map, in_simplex
 
 
@@ -306,15 +304,15 @@ def test_volume_dimension_cap(monkeypatch):
     assert volume(_cube(5)) == 1
 
 
-def test_as_point_keeps_backend_rationals_and_refuses_floats_and_bools():
+def test_exact_tuple_keeps_fractions_and_refuses_floats_and_bools():
     third = ratio(1, 3)
-    got = as_point((third, 2, "-5/7", Fraction(1, 2)))
+    got = exact_tuple((third, 2, "-5/7", Fraction(1, 2)))
     assert got == (third, ratio(2), ratio(-5, 7), ratio(1, 2))
     assert got[0] is third
-    assert all(type(c) is type(third) for c in got)
+    assert all(type(c) is Fraction for c in got)
     for bad in (0.5, True, False):
         with pytest.raises(ScalarError):
-            as_point((third, bad))
+            exact_tuple((third, bad))
         with pytest.raises(ScalarError):
             exact_tuple((bad,))
     with pytest.raises(GeometryError, match="point 0"):

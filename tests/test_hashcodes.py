@@ -3,6 +3,7 @@
 import random
 import sys
 from itertools import combinations, product
+from math import floor
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,7 +25,7 @@ from antipodes.hashcodes import (
     random_code,
     rate_bounds,
 )
-from antipodes.rationals import LogRatio, floor_ratio, ratio
+from antipodes.rationals import LogRatio, ratio
 
 
 def brute_max(b, k, m):
@@ -76,7 +77,7 @@ def ref_max_code(b, k, m, budget=hashcodes.DEFAULT_BUDGET):
     second word must be sorted, and a word agreeing with a chosen word in
     more places than the first two words agree is incompatible.
     """
-    cap = floor_ratio(counting_bound(b, k, m))
+    cap = floor(counting_bound(b, k, m))
     universe = list(product(range(1, b + 1), repeat=m))
     paired = k > 2 and m > 1
     best = []
@@ -138,7 +139,7 @@ def ref_max_code(b, k, m, budget=hashcodes.DEFAULT_BUDGET):
 def ref_max_code_plain(b, k, m, budget=hashcodes.DEFAULT_BUDGET):
     """The search without its forward check: it visits more nodes, but its
     optimal flags and sizes must agree wherever it finishes."""
-    cap = floor_ratio(counting_bound(b, k, m))
+    cap = floor(counting_bound(b, k, m))
     universe = list(product(range(1, b + 1), repeat=m))
     best = []
     nodes = 0
@@ -517,7 +518,7 @@ def test_ternary_order_three_length_two():
     assert brute_max(3, 3, 2) == 4
     # The counting bound is not reached here: floor(9/2) = 4 is, but the
     # unrounded value is strictly larger.
-    assert len(result.code) == floor_ratio(counting_bound(3, 3, 2))
+    assert len(result.code) == floor(counting_bound(3, 3, 2))
 
 
 def test_budget_cuts_search_short():
@@ -660,7 +661,7 @@ def test_greedy_properties(params):
     b, k, m = params
     code = greedy_code(b, k, m)
     assert is_perfect(code) == (True, None)
-    assert len(code) <= floor_ratio(counting_bound(b, k, m))
+    assert len(code) <= floor(counting_bound(b, k, m))
 
 
 @settings(max_examples=15, deadline=None)

@@ -91,7 +91,11 @@ CASES = {
     ),
     "strict-not-antipodal": (
         ("check-strict", "space", "--k", "1"),
-        "6bcec16b6465eed0c31c769f730e087bd13e74248bbdff4c27afe51b6d78e6be",
+        "0737468b3a8cfcbbc013a8b28c6357eb906b9183a9e45c0240e7c780107f92b8",
+    ),
+    "strict-not-antipodal-verify": (
+        ("--verify", "check-strict", "space", "--k", "1"),
+        "d5127819939acfc98fa4bf2148b37cda8826158a4cf553d88ba155b71e18136c",
     ),
     "discriminate-error": (
         ("discriminate", "hepta", "states"),

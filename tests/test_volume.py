@@ -20,9 +20,7 @@ from antipodes.geometry import (
     _initial_simplex,
     _integer_points,
     affine_rank,
-    as_point,
     projection_coordinates,
-    vdot,
     volume,
 )
 from antipodes.rationals import (
@@ -30,9 +28,9 @@ from antipodes.rationals import (
     ZERO,
     _bareiss,
     exact_tuple,
-    int_ratio,
     over_common_denominator,
     ratio,
+    vdot,
 )
 
 _PRIMES = (53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
@@ -73,11 +71,11 @@ def solve_unique(rows, rhs):
         raise GeometryError("inconsistent linear system")
     if len(pivots) != ncols:
         raise GeometryError("linear system is rank-deficient")
-    return tuple(int_ratio(aug[r][-1], aug[r][c]) for r, c in enumerate(pivots))
+    return tuple(Fraction(aug[r][-1], aug[r][c]) for r, c in enumerate(pivots))
 
 
 def barycentric(vertices, x) -> tuple:
-    x = as_point(x)
+    x = exact_tuple(x)
     if len(x) != vertices.dim:
         raise GeometryError("point dimension does not match the frame")
     n = len(vertices)
@@ -88,7 +86,7 @@ def barycentric(vertices, x) -> tuple:
         raise GeometryError("frame is affinely dependent")
     if n in pivots:
         raise GeometryError("point lies outside the affine hull of the frame")
-    return tuple(int_ratio(aug[r][-1], aug[r][r]) for r in range(n))
+    return tuple(Fraction(aug[r][-1], aug[r][r]) for r in range(n))
 
 
 # ---------------------------------------------------------------------------
