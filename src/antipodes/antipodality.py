@@ -64,7 +64,6 @@ from .exact_lp import (
 )
 from .geometry import (
     AffineMap,
-    Dilation,
     PointSet,
     affine_rank,
     affine_symmetry,
@@ -320,15 +319,17 @@ def verify_joint_certificate(X: PointSet, cert: AntipodalityCertificate) -> bool
     if cert.witness is None or cert.shrink_factors is None:
         return False
     factors = cert.shrink_factors
-    if len(factors) != k + 1:
+    if len(factors) != k + 1 or len(cert.witness) != X.dim:
         return False
     if any(not (0 < f < 1) for f in factors):
         return False
     if sum(factors, ZERO) >= k:
         return False
-    for j, q_idx in enumerate(chosen):
-        pre = Dilation(X[q_idx], factors[j]).preimage(cert.witness)
-        if not member(X, pre).inside:
+    # z lies in the copy shrunk toward q by s exactly when its preimage
+    # (z - (1 - s) q) / s lies in conv X.
+    for q_idx, s in zip(chosen, factors):
+        pre = tuple((z - (1 - s) * c) / s for c, z in zip(X[q_idx], cert.witness))
+        if not member(X, pre):
             return False
     return True
 
@@ -444,10 +445,10 @@ def _refuse_exhaustive(n, k, hint=""):
         )
 
 
-def _all_subsets(n, k, hint=""):
+def _all_subsets(n, k):
     """Every (k+1)-subset of range(n) in index order; refuses more than
     EXHAUSTIVE_LIMIT of them before listing any."""
-    _refuse_exhaustive(n, k, hint)
+    _refuse_exhaustive(n, k)
     return list(combinations(range(n), k + 1))
 
 
@@ -517,7 +518,7 @@ def is_rank_k_antipodal(
     exhaustive = samples is None
     if exhaustive:
         # An oversized check is refused before any work.
-        subsets = _all_subsets(len(X), k, "; pass samples= and seed=")
+        subsets = _all_subsets(len(X), k)
     rank = _rank_within(X, k)
     if not exhaustive:
         if not isinstance(samples, int) or samples < 1:

@@ -32,10 +32,10 @@ from json.encoder import encode_basestring_ascii
 from math import comb, floor
 
 from .antipodality import (
-    EXHAUSTIVE_LIMIT,
     AntipodalityCertificate,
     AntipodalityError,
     CertificateError,
+    _first_coincidence,
     _refuse_exhaustive,
     erdos_rank_k,
     is_rank_k_antipodal,
@@ -56,7 +56,6 @@ from .construction import (
 from .discrimination import (
     DiscriminationError,
     Measurement,
-    StateSpace,
     error_prob,
     min_error,
 )
@@ -70,6 +69,7 @@ from .hashcodes import (
     BATCH_LIMIT,
     DEFAULT_BUDGET,
     HashCodeError,
+    _separated,
     code_from_obj,
     code_to_obj,
     counting_bound,
@@ -182,19 +182,12 @@ def _parse_rational(text: str):
     return ratio(text.split(" ")[0])
 
 
-def _point_obj(p):
-    return [ratio(c) for c in p]
-
-
 def _parse_point(obj):
     return tuple(_parse_rational(s) for s in obj)
 
 
 def _map_obj(mapping: AffineMap) -> dict:
-    return {
-        "matrix": [[ratio(c) for c in row] for row in mapping.matrix],
-        "offset": [ratio(c) for c in mapping.offset],
-    }
+    return {"matrix": mapping.matrix, "offset": mapping.offset}
 
 
 def _parse_map(obj) -> AffineMap:
@@ -209,8 +202,8 @@ def _cert_obj(cert: AntipodalityCertificate) -> dict:
     if cert.mapping is not None:
         out["map"] = _map_obj(cert.mapping)
     if cert.witness is not None:
-        out["witness"] = _point_obj(cert.witness)
-        out["shrink_factors"] = [ratio(f) for f in cert.shrink_factors]
+        out["witness"] = cert.witness
+        out["shrink_factors"] = cert.shrink_factors
     return out
 
 
@@ -229,7 +222,7 @@ def _parse_cert(obj) -> AntipodalityCertificate:
 
 
 def _log_obj(value) -> dict:
-    return {"coeff": ratio(value.coeff), "log_of": ratio(value.arg)}
+    return {"coeff": value.coeff, "log_of": value.arg}
 
 
 # ---------------------------------------------------------------------------
@@ -385,8 +378,7 @@ def _cmd_check_strict(args):
             )
             if not verify_joint_certificate(X, cert):
                 return False
-            images, den = cert.mapping.cleared_images(X)
-            if any(den in images[i] for i in range(len(X)) if i not in subset):
+            if _first_coincidence(X, subset, cert.mapping) is not None:
                 return False
         return True
 
@@ -439,7 +431,7 @@ def _cmd_hash_verify(args):
         return (
             len(parsed["violating"]) == len(batch) == code.k
             and batch <= set(code.words)
-            and all(len({w[j] for w in batch}) < code.k for j in range(code.m))
+            and not _separated(batch, code.m)
         )
 
     return report, EXIT_HOLDS if ok else EXIT_FAILS, replay
@@ -475,12 +467,7 @@ def _cmd_construct(args):
     # The replay certifies every (k+1)-subset of the product's points,
     # one per code word.
     if args.verify and args.k >= 1:
-        subsets = comb(len(code), args.k + 1)
-        if subsets > EXHAUSTIVE_LIMIT:
-            raise ConstructionError(
-                f"--verify: {subsets} subsets exceed the exhaustive limit "
-                f"{EXHAUSTIVE_LIMIT}"
-            )
+        _refuse_exhaustive(len(code), args.k, "; run without --verify")
     base = StartingConfig(points, rank=args.k)
     built = product_construct(base, code)
     cap = floor(size_bound(built.result.dim, args.k))
@@ -497,19 +484,18 @@ def _cmd_construct(args):
         "within_bound": len(built.result) <= cap,
         "result": {
             "dim": built.result.dim,
-            "points": [_point_obj(p) for p in built.result],
+            "points": built.result.points,
         },
     }
 
     def replay(parsed):
-        fresh = product_construct(StartingConfig(points, rank=args.k), code)
         got = tuple(_parse_point(row) for row in parsed["result"]["points"])
-        if got != fresh.result.points:
+        if got != built.result.points:
             return False
         # projection_certificate verifies each projected certificate
-        # against fresh.result and raises when one fails.
-        for chosen in combinations(range(len(fresh.result)), args.k + 1):
-            projection_certificate(fresh, chosen)
+        # against built.result and raises when one fails.
+        for chosen in combinations(range(len(built.result)), args.k + 1):
+            projection_certificate(built, chosen)
         return True
 
     return report, EXIT_HOLDS, replay
@@ -605,12 +591,12 @@ def _cmd_volume_check(args):
 
 
 def _cmd_discriminate(args):
-    space = StateSpace(load_point_set(args.space))
+    space = load_point_set(args.space)
     states = load_point_set(args.states)
     value, measurement = min_error(space, states.points)
     report = {
         "verb": "discriminate",
-        "space_vertices": len(space.vertices),
+        "space_vertices": len(space),
         "states": len(states),
         "dim": space.dim,
         "min_error": value,

@@ -21,7 +21,6 @@ from .antipodality import (
 )
 from .geometry import (
     AffineMap,
-    Dilation,
     PointSet,
     affine_rank,
     volume,
@@ -213,8 +212,9 @@ def volume_inequality_check(X: PointSet, k: int) -> VolumeReport:
     lam = ratio(k, k + 1)
     expected = lam**d
     copy = expected * total
-    shrink = Dilation(X[0], lam)
-    measured = volume(PointSet(tuple(shrink.apply(v) for v in X)))
+    # The copy toward q = X[0]: x maps to (1 - lam) q + lam x.
+    shrunk = tuple(tuple((1 - lam) * c + lam * v for c, v in zip(X[0], x)) for x in X)
+    measured = volume(PointSet(shrunk))
     bound = ratio(k) * total
     summed = copy * len(X)
     return VolumeReport(

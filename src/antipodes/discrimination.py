@@ -33,7 +33,6 @@ __all__ = [
     "PROGRAM_LIMIT",
     "DiscriminationError",
     "Measurement",
-    "StateSpace",
     "SubadditivityReport",
     "classical_subadditivity_check",
     "error_prob",
@@ -53,33 +52,11 @@ class DiscriminationError(ValueError):
 
 
 @dataclass(frozen=True)
-class StateSpace:
-    """The convex hull of the spanning points."""
-
-    spanning: PointSet
-
-    @classmethod
-    def simplex(cls, n: int) -> "StateSpace":
-        """The classical space of probability vectors over n+1 outcomes."""
-        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-            raise DiscriminationError("n: expected a positive integer")
-        return cls(StandardSimplex(n).vertices)
-
-    @property
-    def dim(self) -> int:
-        return self.spanning.dim
-
-    @property
-    def vertices(self) -> tuple:
-        return self.spanning.points
-
-
-@dataclass(frozen=True)
 class Measurement:
-    """Affine map into the outcome simplex, checked on the space's
-    vertices; convexity extends the check to every state."""
+    """Affine map into the outcome simplex, checked on the points that
+    span the state space; convexity extends the check to every state."""
 
-    space: StateSpace
+    space: PointSet
     mapping: AffineMap
 
     def __post_init__(self):
@@ -87,7 +64,7 @@ class Measurement:
             raise DiscriminationError("measurement needs at least two outcomes")
         if self.mapping.in_dim != self.space.dim:
             raise DiscriminationError("measurement does not fit the state space")
-        idx = outside_simplex(*self.mapping.cleared_images(self.space.spanning))
+        idx = outside_simplex(*self.mapping.cleared_images(self.space))
         if idx is not None:
             raise DiscriminationError(f"vertex {idx} is mapped outside the outcome simplex")
 
@@ -96,16 +73,16 @@ class Measurement:
         return self.mapping.out_dim
 
 
-def _checked_states(space: StateSpace, states) -> tuple:
+def _checked_states(space: PointSet, states) -> tuple:
     # A spanning point of the space is inside by definition; any other
     # state is decided by the membership program.
-    spanning = set(space.vertices)
+    spanning = set(space.points)
     rows = []
     for idx, s in enumerate(states):
         p = exact_tuple(s)
         if len(p) != space.dim:
             raise DiscriminationError(f"states[{idx}]: wrong dimension")
-        if p not in spanning and not member(space.spanning, p).inside:
+        if p not in spanning and not member(space, p):
             raise DiscriminationError(f"states[{idx}]: outside the state space")
         rows.append(p)
     return tuple(rows)
@@ -128,25 +105,26 @@ def _error_sum(measurement: Measurement, pts):
     return Fraction(sum(den - image[j] for j, image in enumerate(images)), den)
 
 
-def min_error(space: StateSpace, states):
+def min_error(space: PointSet, states):
     """Exact minimum discrimination error and a measurement achieving it.
 
-    The program searches the affine maps with one output per state that
-    send every vertex of the space into the simplex, maximizing the sum
+    The state space is the convex hull of the `PointSet` `space`.  The
+    program searches the affine maps with one output per state that
+    send every spanning point into the simplex, maximizing the sum
     of each state's own outcome probability.  Refuses a program of more
     than PROGRAM_LIMIT spanning points times states before any work.
     """
-    if len(space.spanning) * len(states) > PROGRAM_LIMIT:
+    if len(space) * len(states) > PROGRAM_LIMIT:
         raise DiscriminationError(
-            f"{len(space.spanning)} spanning points times {len(states)} states "
-            f"({len(space.spanning) * len(states)}) exceed the program limit "
+            f"{len(space)} spanning points times {len(states)} states "
+            f"({len(space) * len(states)}) exceed the program limit "
             f"{PROGRAM_LIMIT}"
         )
     pts = _checked_states(space, states)
     r = len(pts)
     if r < 2:
         raise DiscriminationError("need at least two states")
-    program = simplex_map_lp(space.spanning, r, score=list(enumerate(pts)))
+    program = simplex_map_lp(space, r, score=list(enumerate(pts)))
     outcome = program.solve()
     if outcome.status is not Status.FEASIBLE:
         raise DiscriminationError("discrimination program did not optimize")
@@ -182,7 +160,7 @@ def classical_subadditivity_check(
             raise DiscriminationError(f"{label}: expected an integer")
     if n < 1 or k < 1 or trials < 1:
         raise DiscriminationError("n, k, trials must be positive")
-    space = StateSpace.simplex(n)
+    space = StandardSimplex(n).vertices
     master = random.Random(seed)
     worst = None
     failures = []

@@ -2,11 +2,11 @@
 
 Points are tuples of exact rationals, and a `PointSet` is the one
 point-set type: its convex hull is the polytope it spans (the points
-need not be vertices).  Membership in that hull, affine rank, and the
-barycentric coordinates of orthogonal projections onto the affine hull
-of a subset are decided exactly.
-Membership queries answer with a certificate either way: convex
-coefficients inside, a separating affine functional outside.
+need not be vertices).  Whether a point lies in that hull, affine rank,
+and the barycentric coordinates of orthogonal projections onto the
+affine hull of a subset are decided exactly.  `member` answers with a
+bool; an "outside" verdict is self-checked against a separating affine
+functional read off the weight program's Farkas multipliers.
 
 The dense linear algebra is one fraction-free elimination,
 `rationals._bareiss` (Bareiss 1968), on integers: ranks, projection
@@ -68,7 +68,6 @@ from .rationals import (
     _bareiss,
     exact_tuple,
     over_common_denominator,
-    ratio,
     vdot,
 )
 
@@ -123,33 +122,6 @@ class PointSet:
         """(points, L): every coordinate times L, the lcm of all the
         denominators, as integer tuples; computed once per set."""
         return _integer_points(self.points)
-
-
-@dataclass(frozen=True)
-class Dilation:
-    """x maps to (1 - factor) * center + factor * x, factor in (0, 1]."""
-
-    center: tuple
-    factor: object
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", exact_tuple(self.center))
-        factor = ratio(self.factor)
-        if not (0 < factor <= 1):
-            raise GeometryError("dilation factor must lie in (0, 1]")
-        object.__setattr__(self, "factor", factor)
-
-    def apply(self, x) -> tuple:
-        lam = self.factor
-        return tuple(
-            (1 - lam) * c + lam * v for c, v in zip(self.center, exact_tuple(x))
-        )
-
-    def preimage(self, y) -> tuple:
-        lam = self.factor
-        return tuple(
-            (v - (1 - lam) * c) / lam for c, v in zip(self.center, exact_tuple(y))
-        )
 
 
 @dataclass(frozen=True)
@@ -484,27 +456,13 @@ def projection_coordinates(ps: PointSet, subset):
 
 
 # ---------------------------------------------------------------------------
-# membership with certificates
+# hull membership
 
 
-@dataclass(frozen=True)
-class Membership:
-    """Verdict plus certificate for a hull membership query.
-
-    Inside: convex coefficients over the spanning points.  Outside: an
-    affine functional with normal.x > threshold while normal.p <= threshold
-    on the hull.
-    """
-
-    inside: bool
-    coefficients: Optional[tuple] = None
-    normal: Optional[tuple] = None
-    threshold: Optional[object] = None
-
-
-def member(pts: PointSet, x) -> Membership:
-    """Decide x in conv(pts), with convex coefficients or a separating
-    functional as the certificate."""
+def member(pts: PointSet, x) -> bool:
+    """Decide x in conv(pts) by the convex-weight program.  An "outside"
+    verdict is self-checked: the Farkas multipliers give an affine
+    functional that must separate x from every spanning point."""
     x = exact_tuple(x)
     d = pts.dim
     if len(x) != d:
@@ -523,7 +481,7 @@ def member(pts: PointSet, x) -> Membership:
     rows.extend(Constraint(((i, 1),), GE, 0, 1) for i in range(n))
     out = solve(LinearProgram(n, tuple(rows)))
     if out.status is Status.FEASIBLE:
-        return Membership(True, coefficients=out.point)
+        return True
     # Farkas multipliers on the coordinate rows give the separating
     # functional: y.x - t > 0 while y.p - t <= 0 for all spanning p.
     y = out.farkas
@@ -531,7 +489,7 @@ def member(pts: PointSet, x) -> Membership:
     threshold = y[d]
     if vdot(normal, x) <= threshold or any(vdot(normal, p) > threshold for p in pts):
         raise GeometryError("separating functional failed verification")
-    return Membership(False, normal=normal, threshold=threshold)
+    return False
 
 
 # ---------------------------------------------------------------------------

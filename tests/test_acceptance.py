@@ -26,13 +26,12 @@ from antipodes.construction import (
     volume_inequality_check,
 )
 from antipodes.discrimination import (
-    StateSpace,
     classical_subadditivity_check,
     min_error,
 )
 from antipodes.geometry import (
-    Dilation,
     PointSet,
+    StandardSimplex,
     dump_point_set,
     member,
 )
@@ -44,6 +43,7 @@ from antipodes.hashcodes import (
     random_code,
 )
 from antipodes.rationals import LogRatio, ratio
+from evaluators import homothety
 
 SUITE_SEED = 20260823
 
@@ -173,8 +173,7 @@ def test_c04_common_point_of_shrunk_copies():
                 for t in range(d)
             )
             for lam, q in zip(lams, chosen):
-                pre = Dilation(X[q], lam).preimage(p)
-                if not member(X, pre).inside:
+                if not member(X, homothety(X[q], 1 / lam, p)):
                     bad.append((idx, q))
 
 
@@ -285,15 +284,14 @@ def test_c09_gap_reports():
 def test_c10_discrimination_matches_antipodality():
     with criterion(10, "zero error exactly on antipodal tuples; bit oracle; subadditivity") as bad:
         for idx, (X, k, chosen, _) in enumerate(_random_instances(200)):
-            space = StateSpace(X)
             states = tuple(X[i] for i in chosen)
-            value, _meas = min_error(space, states)
+            value, _meas = min_error(X, states)
             antipodal = joint_antipodal_direct(X, chosen).antipodal
             if (value == 0) != antipodal:
                 bad.append(("equivalence", idx))
             if not (0 <= value <= k):
                 bad.append(("range", idx))
-        bit = StateSpace.simplex(1)
+        bit = StandardSimplex(1).vertices
         value, _ = min_error(bit, (("1/2", "1/2"), (1, 0)))
         if value != ratio(1, 2):
             bad.append("bit oracle")

@@ -24,7 +24,6 @@ from antipodes.antipodality import (
 )
 from antipodes.geometry import (
     AffineMap,
-    Dilation,
     PointSet,
     StandardSimplex,
     decode_map,
@@ -43,7 +42,7 @@ from antipodes.exact_lp import (
     solve_strict,
 )
 from antipodes.rationals import int_pair, ratio
-from evaluators import apply_map, in_simplex
+from evaluators import apply_map, homothety, in_simplex
 
 
 def _ps(*rows):
@@ -72,12 +71,11 @@ def test_midpoint_pair_is_not_antipodal():
         assert not cert.antipodal
         assert verify_joint_certificate(COLLINEAR, cert)
         assert sum(cert.shrink_factors) < 1
-        # The witness sits in both closed shrunk copies of [0, 1].
-        for j, q_idx in enumerate((0, 1)):
-            pre = Dilation(COLLINEAR[q_idx], cert.shrink_factors[j]).preimage(
-                cert.witness
-            )
-            assert member(COLLINEAR, pre).inside
+        # The witness sits in both closed shrunk copies of [0, 1]: blown
+        # back up by 1/s toward each copy's centre, it lands in [0, 1].
+        for q_idx, s in zip((0, 1), cert.shrink_factors):
+            pre = homothety(COLLINEAR[q_idx], 1 / s, cert.witness)
+            assert member(COLLINEAR, pre)
 
 
 def test_endpoints_pair_is_antipodal():
@@ -451,10 +449,7 @@ def test_shrunk_copies_of_simplex_in_vertex_coordinates(k, raw_l, raw_x):
     hits = 0
     for j in range(k + 1):
         copy = PointSet(
-            tuple(
-                Dilation(simplex.vertex(j), factors[j]).apply(v)
-                for v in simplex.vertices
-            )
+            tuple(homothety(simplex.vertex(j), factors[j], v) for v in simplex.vertices)
         )
         lp = _dense_member_lp(copy, x)
         sign_rows = range(copy.dim + 1, copy.dim + 1 + len(copy))
@@ -688,3 +683,14 @@ def test_witness_certificates_need_no_member_program(monkeypatch):
     assert not cert.antipodal and not calls
     assert verify_joint_certificate(CUBE3, cert)
     assert len(calls) == 3
+
+
+def test_joint_certificate_check_rejects_a_witness_of_the_wrong_length():
+    # A witness needs one coordinate per dimension of the set.  One more
+    # or one fewer makes a malformed certificate, which the check rejects
+    # rather than reading it through a truncating zip or failing on it.
+    X = _ps(*product((0, 1), repeat=2), ("1/2", "1/2"))
+    cert = joint_antipodal_direct(X, (0, 4))
+    assert not cert.antipodal and verify_joint_certificate(X, cert)
+    for witness in (cert.witness + (ratio(0),), cert.witness[:1]):
+        assert verify_joint_certificate(X, replace(cert, witness=witness)) is False

@@ -640,11 +640,36 @@ def test_construct_verify_refuses_too_many_subsets(files, tmp_path, capsys, monk
     code, report, _ = run(capsys, "--verify", *argv)
     assert code == 2
     assert report["error"] == (
-        "--verify: 523776 subsets exceed the exhaustive limit 100000"
+        "523776 subsets exceed the exhaustive limit 100000; run without --verify"
     )
     assert calls == []
     code, report, _ = run(capsys, *argv)
     assert code == 0 and report["size"] == 1024
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "verb, rows",
+    [
+        ("construct", [(t,) for t in range(450)]),
+        ("volume-check", list(product(range(15), range(30)))),
+    ],
+    ids=["construct", "volume-check"],
+)
+def test_base_rank_checks_name_no_missing_flags(verb, rows, tmp_path, capsys, monkeypatch):
+    # construct and volume-check run an exhaustive rank check of their
+    # input, C(450, 2) = 101 025 subsets here, and neither verb has a
+    # sampling flag: the refusal names no way out, and no LP runs.
+    calls = []
+    monkeypatch.setattr(geometry, "solve", lambda *args: calls.append(args))
+    points = tmp_path / "points.json"
+    dump_point_set(_ps(*rows), points)
+    code_path = tmp_path / "code.json"
+    dump_code(greedy_code(2, 2, 2), code_path)
+    extra = [str(code_path)] if verb == "construct" else []
+    code, report, _ = run(capsys, verb, str(points), *extra, "--k", "1")
+    assert code == 2
+    assert report["error"] == "101025 subsets exceed the exhaustive limit 100000"
     assert calls == []
 
 

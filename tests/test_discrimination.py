@@ -10,19 +10,16 @@ from antipodes.antipodality import joint_antipodal_direct
 from antipodes.discrimination import (
     DiscriminationError,
     Measurement,
-    StateSpace,
     classical_subadditivity_check,
     error_prob,
     min_error,
 )
-from antipodes.geometry import AffineMap, PointSet
+from antipodes.geometry import AffineMap, PointSet, StandardSimplex
 from antipodes.rationals import ratio
 
-BIT = StateSpace.simplex(1)
-TRIT = StateSpace.simplex(2)
-SQUARE = StateSpace(
-    PointSet(tuple(tuple(ratio(c) for c in row) for row in product((0, 1), repeat=2)))
-)
+BIT = StandardSimplex(1).vertices
+TRIT = StandardSimplex(2).vertices
+SQUARE = PointSet(tuple(tuple(ratio(c) for c in row) for row in product((0, 1), repeat=2)))
 
 
 def test_half_mixed_versus_pure_bit():
@@ -83,9 +80,7 @@ def test_relabeling_states_and_outcomes_is_free():
 
 
 def test_growing_the_space_cannot_help():
-    tri = StateSpace(
-        PointSet(tuple(tuple(ratio(c) for c in row) for row in ((0, 0), (1, 0), (0, 1))))
-    )
+    tri = PointSet(tuple(tuple(ratio(c) for c in row) for row in ((0, 0), (1, 0), (0, 1))))
     states = (("1/4", "1/4"), ("1/2", 0))
     small, _ = min_error(tri, states)
     big, _ = min_error(SQUARE, states)
@@ -103,13 +98,12 @@ def test_state_validation():
 
 def test_spanning_states_skip_the_membership_program(monkeypatch):
     # A vertex of the space is inside by definition; any other state is
-    # still decided by `member`.
+    # still decided by `member`, whose bool is the verdict.
     calls = []
-    real = discrimination.member
 
-    def counted(poly, x):
+    def counted(space, x):
         calls.append(x)
-        return real(poly, x)
+        return x == (ratio(1, 2), ratio(1, 2))
 
     monkeypatch.setattr(discrimination, "member", counted)
     value, _ = min_error(TRIT, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))

@@ -417,10 +417,10 @@ def test_pinned_member_outside_triangle(monkeypatch):
     # Rows: two coordinate rows, the weight sum, then w_i >= 0 per point,
     # all three of them bounds.
     calls = _recorded(monkeypatch, "solve")
-    got = geometry.member(_TRIANGLE, (1, 1))
-    assert not got.inside
-    assert got.normal == _q(1, 1) and got.threshold == 1
+    assert geometry.member(_TRIANGLE, (1, 1)) is False
     ((lp, out),) = calls
+    # The separator member checks: normal -y[:2] = (1, 1), threshold
+    # y[2] = 1.
     assert out.farkas == _q(-1, -1, 1, 1, 0, 0)
     assert all(w >= 0 for w in out.farkas[3:])
     assert check_farkas(lp, out.farkas)
@@ -430,7 +430,7 @@ def test_pinned_member_triangle_interior(monkeypatch):
     # The triangle's weight program for an interior point, with every
     # weight row strict: w_i = w'_i + t in the margin program.
     calls = _recorded(monkeypatch, "solve")
-    assert geometry.member(_TRIANGLE, ("1/4", "1/2")).inside
+    assert geometry.member(_TRIANGLE, ("1/4", "1/2")) is True
     ((lp, _),) = calls
     out = solve_strict(lp, range(3, 6))
     assert out.status is Status.FEASIBLE

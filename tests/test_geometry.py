@@ -1,6 +1,7 @@
-"""Geometry layer: membership certificates, projection coordinates, volume."""
+"""Geometry layer: hull membership, projection coordinates, volume."""
 
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 from math import factorial
@@ -13,7 +14,6 @@ from antipodes.exact_lp import GE, Status
 from antipodes.geometry import (
     AffineMap,
     DegenerateVolumeWarning,
-    Dilation,
     GeometryError,
     PointSet,
     StandardSimplex,
@@ -27,8 +27,8 @@ from antipodes.geometry import (
     simplex_map_lp,
     volume,
 )
-from antipodes.rationals import ScalarError, exact_tuple, ratio, vdot
-from evaluators import apply_map, in_simplex
+from antipodes.rationals import ScalarError, exact_tuple, ratio
+from evaluators import apply_map, homothety, in_hull_2d, in_simplex
 
 
 def _cube(d):
@@ -52,16 +52,6 @@ def test_affine_rank_examples():
     assert affine_rank(_pts((2, 7))) == 0
     assert affine_rank(_pts((0, 0), (1, 1), (2, 2))) == 1
     assert affine_rank(_pts((0, 0), (1, 0), (0, 1))) == 2
-
-
-def test_dilation_halves_toward_center():
-    d = Dilation((0, 0), "1/2")
-    assert d.apply((1, 1)) == (ratio(1, 2), ratio(1, 2))
-    assert d.preimage((ratio(1, 2), ratio(1, 2))) == (ratio(1), ratio(1))
-    with pytest.raises(GeometryError):
-        Dilation((0,), 0)
-    with pytest.raises(GeometryError):
-        Dilation((0,), "3/2")
 
 
 def _projection_coordinates(ps, subset):
@@ -91,27 +81,33 @@ def test_barycentric_rejects_bad_frames():
     assert _projection_coordinates(ps, (0, 1))[2] == (ratio(3, 4), ratio(1, 4))
 
 
-def test_member_inside_returns_coefficients():
+def test_member_decides_inside():
     square = _cube(2)
-    got = member(square, ("1/2", "1/2"))
-    assert got.inside
-    total = sum(got.coefficients)
-    assert total == 1
-    recon = [
-        sum(c * p[t] for c, p in zip(got.coefficients, square)) for t in range(2)
-    ]
-    assert recon == [ratio(1, 2), ratio(1, 2)]
+    assert member(square, ("1/2", "1/2")) is True
     # A point on the boundary is inside too.
-    assert member(square, (0, "1/2")).inside
+    assert member(square, (0, "1/2")) is True
 
 
-def test_member_outside_returns_separator():
+def test_member_decides_outside():
     square = _cube(2)
-    got = member(square, (2, "1/2"))
-    assert not got.inside
-    assert vdot(got.normal, (ratio(2), ratio(1, 2))) > got.threshold
-    for p in square:
-        assert vdot(got.normal, p) <= got.threshold
+    assert member(square, (2, "1/2")) is False
+    assert member(square, ("-1/7", 0)) is False
+
+
+def test_member_refuses_a_separator_that_fails(monkeypatch):
+    # An "outside" verdict stands only on an affine functional that
+    # separates x from every spanning point; Farkas multipliers that give
+    # none are a solver fault, not a verdict.
+    square = _cube(2)
+    real = geometry.solve
+
+    def wrong_multipliers(lp):
+        out = real(lp)
+        return replace(out, farkas=tuple(-y for y in out.farkas))
+
+    monkeypatch.setattr(geometry, "solve", wrong_multipliers)
+    with pytest.raises(GeometryError, match="separating functional"):
+        member(square, (2, "1/2"))
 
 
 def test_standard_simplex_contains():
@@ -356,17 +352,9 @@ def _point_sets(dim, min_size=1, max_size=6):
 @settings(max_examples=150, deadline=None)
 @given(_point_sets(2, min_size=1), st.tuples(_coord, _coord))
 def test_member_certificates_always_verify(ps, x):
-    got = member(ps, x)
-    if got.inside:
-        assert sum(got.coefficients) == 1
-        assert all(c >= 0 for c in got.coefficients)
-        recon = [
-            sum(c * p[t] for c, p in zip(got.coefficients, ps)) for t in range(2)
-        ]
-        assert tuple(recon) == tuple(ratio(c) for c in x)
-    else:
-        assert vdot(got.normal, x) > got.threshold
-        assert all(vdot(got.normal, p) <= got.threshold for p in ps)
+    # Every "outside" verdict has passed member's own separator check;
+    # both verdicts must match the Caratheodory oracle.
+    assert member(ps, x) is in_hull_2d(ps, x)
 
 
 @settings(max_examples=100, deadline=None)
@@ -374,7 +362,7 @@ def test_member_certificates_always_verify(ps, x):
 def test_centroid_is_weakly_inside(ps):
     n = len(ps)
     centroid = tuple(sum(p[t] for p in ps) / n for t in range(2))
-    assert member(ps, centroid).inside
+    assert member(ps, centroid)
 
 
 @settings(max_examples=40, deadline=None)
@@ -386,5 +374,5 @@ def test_dilation_scales_area_by_factor_squared(ps, lam):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateVolumeWarning)
         base = volume(ps)
-        shrunk = volume(PointSet(tuple(Dilation(ps[0], lam).apply(p) for p in ps)))
+        shrunk = volume(PointSet(tuple(homothety(ps[0], lam, p) for p in ps)))
     assert shrunk == lam * lam * base
