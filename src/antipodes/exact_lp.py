@@ -56,18 +56,19 @@ have; the multiplier checks (`check_farkas`, `check_strict_emptiness`,
 one positive scale (`_combination`).
 
 `solve_strict` decides systems in which selected inequality rows must hold
-strictly.  It maximises a margin variable bounded by 1, in a margin
-program built straight from the integer rows, and runs the same two
-phases as `solve` (`_two_phase`).  A positive optimum yields a strictly
-feasible point, which is checked and returned; the margin program's duals
-are not read, since they would certify an optimum nobody uses.  A zero
-optimum yields dual multipliers, checked as the margin program's
-optimality proof, that certify strict emptiness (a nonnegative
-combination of the rows that proves `0 <= rhs` with positive weight on at
-least one strict row), and an infeasible margin program yields Farkas
-multipliers for outright weak infeasibility.  A strict sign row x_j > 0
-is shifted by the margin, so that in the margin program it is a sign
-bound as well.
+strictly, in one phase, through their cone form (Motzkin's transposition
+theorem; Schrijver 1986, Ch. 7).  With x = y / tau and tau >= 1, a row
+a.x (rel) b becomes a.y - b tau (rel) 0, and a strict one must hold by one
+unit: a.y - b tau <= -1 for a <= row.  Scaling a strict point by a large
+tau solves this, and any solution gives the strict point y / tau, which is
+checked and returned.  The program has no objective, so `_two_phase` runs
+phase one only.  When it is infeasible, its Farkas multipliers u, cut to
+the program's rows, certify strict emptiness.  Cancelling the tau column
+gives sum u_i b_i = -v, v >= 0 being the weight on tau >= 1, and the
+combination's own rhs, -v minus the strict rows' weight, is negative.  So
+either sum u_i b_i < 0 (the weak system is empty), or it is 0, v = 0,
+and some strict row has positive weight.  A strict sign row x_j > 0 is
+shifted by its unit, and tau by 1, so that both are sign bounds.
 """
 
 from __future__ import annotations
@@ -835,13 +836,12 @@ def solve(lp: LinearProgram) -> LPOutcome:
 def solve_strict(lp: LinearProgram, strict_rows: Sequence[int]) -> LPOutcome:
     """Decide a system with the listed inequality rows required strict.
 
-    FEASIBLE outcomes carry a strictly feasible point and, in
-    objective_value, the verified margin by which the strict rows hold;
-    the margin program's duals are then never read out.  INFEASIBLE
-    outcomes carry multipliers accepted by check_strict_emptiness: the
-    margin program's checked duals at a zero margin, its Farkas
-    multipliers when it is infeasible.  The margin variable is capped at
-    1, so the auxiliary program is never unbounded.
+    The homogenised system of the module docstring is decided by phase
+    one alone.  FEASIBLE outcomes carry a strictly feasible point and no
+    objective_value: an objective of lp plays no part.  INFEASIBLE
+    outcomes carry the phase-one Farkas multipliers cut to lp's rows,
+    accepted by check_strict_emptiness.  Either certificate is checked
+    before it is returned.  With no strict row this is `solve`.
     """
     _validate(lp)
     strict = sorted(set(strict_rows))
@@ -853,12 +853,12 @@ def solve_strict(lp: LinearProgram, strict_rows: Sequence[int]) -> LPOutcome:
     if not strict:
         return solve(lp)
     n = lp.num_vars
-    # A strict sign row a*x_j > 0 (a > 0 once oriented) says x_j - t/a is
-    # nonnegative; with x_j = x'_j + t/a it becomes the sign row a*x'_j >= 0
-    # of the margin program, a bound rather than a row.  The change of
-    # variables is invertible, so row multipliers carry over unchanged.
-    # On the integer row, 1/a is den/|a|; step[j] / scale is 1/a, over one
-    # common scale.
+    # With x = y / tau, a strict sign row a*x_j > 0 (a > 0 once oriented)
+    # holds by one unit as a*y_j >= den; with y_j = y'_j + den/a it is the
+    # sign row a*y'_j >= 0, a bound rather than a row, as tau' >= 0 is for
+    # tau = tau' + 1.  The changes of variables are invertible, so row
+    # multipliers carry over unchanged.  step[j] / scale is den/|a|, over
+    # one common scale.
     shift = {}
     for i in strict:
         con = lp.constraints[i]
@@ -870,40 +870,30 @@ def solve_strict(lp: LinearProgram, strict_rows: Sequence[int]) -> LPOutcome:
     strict_set = set(strict)
     rows = []
     for i, con in enumerate(lp.constraints):
-        # Row i of the margin program over den * scale: the row's terms
-        # and rhs times scale, then the margin's coefficient in column n.
-        den = con.den * scale
-        margin = 0
+        # a.y - b*tau (rel) unit over den, times scale, in y' and tau'
+        # (column n); the unit is -den on a strict <= row, den on a
+        # strict >= row, else 0.
+        unit = 0
         if i in strict_set:
-            margin = den if con.relation == LE else -den
-        margin += sum(a * step[j] for j, a in con.terms if j in step)
-        terms = [(j, a * scale) for j, a in con.terms] + [(n, margin)]
-        rows.append(integer_row(terms, con.relation, con.rhs * scale, den))
-    rows.append(Constraint(((n, 1),), LE, 1, 1))
+            unit = -con.den if con.relation == LE else con.den
+        rhs = (unit + con.rhs) * scale
+        rhs -= sum(a * step[j] for j, a in con.terms if j in step)
+        terms = [(j, a * scale) for j, a in con.terms] + [(n, -con.rhs * scale)]
+        rows.append(integer_row(terms, con.relation, rhs, con.den * scale))
     rows.append(Constraint(((n, 1),), GE, 0, 1))
-    aux = LinearProgram(n + 1, tuple(rows), (ZERO,) * n + (ONE,))
-    out, tab = _two_phase(aux)
-    if out.status is Status.UNBOUNDED:
-        raise SolverInvariantError("margin program cannot be unbounded")
-    nrows = len(lp.constraints)
+    out, _ = _two_phase(LinearProgram(n + 1, tuple(rows)))
     if out.status is Status.INFEASIBLE:
-        mults = out.farkas[:nrows]
-    elif out.objective_value > 0:
-        # The strict point is the certificate; the margin program's duals
-        # would certify only an optimum that nothing reads.
-        t = out.objective_value
-        point = list(out.point[:n])
-        for j, p in step.items():
-            point[j] += Fraction(p, scale) * t
-        point = tuple(point)
-        if not check_point(lp, point, strict):
-            raise SolverInvariantError("strict point failed substitution")
-        return LPOutcome(Status.FEASIBLE, point=point, objective_value=t)
-    else:
-        mults = _with_duals(aux, out, tab).duals[:nrows]
-    if not check_strict_emptiness(lp, strict, mults):
-        raise SolverInvariantError("strict emptiness certificate failed")
-    return LPOutcome(Status.INFEASIBLE, farkas=mults)
+        mults = out.farkas[: len(lp.constraints)]
+        if not check_strict_emptiness(lp, strict, mults):
+            raise SolverInvariantError("strict emptiness certificate failed")
+        return LPOutcome(Status.INFEASIBLE, farkas=mults)
+    y, tau = list(out.point[:n]), out.point[n] + 1
+    for j, p in step.items():
+        y[j] += Fraction(p, scale)
+    point = tuple(v / tau for v in y)
+    if not check_point(lp, point, strict):
+        raise SolverInvariantError("strict point failed substitution")
+    return LPOutcome(Status.FEASIBLE, point=point)
 
 
 def relative_interior(lp: LinearProgram, point) -> tuple:

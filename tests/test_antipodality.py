@@ -116,7 +116,7 @@ def test_collinear_triple_falls_through_the_map_program():
     cert = joint_antipodal_direct(X, (0, 1, 2))
     assert not cert.antipodal and cert.mapping is None
     assert cert.witness == (ratio(11, 12), ratio(1, 12))
-    assert cert.shrink_factors == (ratio(7, 12), ratio(1, 4), ratio(7, 12))
+    assert cert.shrink_factors == (ratio(7, 12),) * 3
     assert verify_joint_certificate(X, cert)
 
 

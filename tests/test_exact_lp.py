@@ -121,7 +121,8 @@ def test_strict_interval_point_has_margin():
     assert out.status is Status.FEASIBLE
     (x,) = out.point
     assert 0 < x < 1
-    assert out.objective_value > 0
+    # A strict outcome carries no objective value.
+    assert out.objective_value is None
 
 
 def test_strictly_empty_point_interval():
@@ -360,9 +361,10 @@ def test_pinned_prime_denominators():
     )
     out = solve(make_lp(3, _prime_rows()))
     assert out.point == _q("4361/2217", "2716/2217", "-1152/739")
-    out = solve_strict(make_lp(3, _prime_rows()), range(6))
+    lp = make_lp(3, _prime_rows())
+    out = solve_strict(lp, range(6))
     assert out.point == _q(4, "645608/262527", "-216394/87509")
-    assert out.objective_value == ratio(18028, 262527)
+    assert check_point(lp, out.point, range(6))
 
 
 def test_pinned_sign_bounds():
@@ -428,14 +430,14 @@ def test_pinned_member_outside_triangle(monkeypatch):
 
 def test_pinned_member_triangle_interior(monkeypatch):
     # The triangle's weight program for an interior point, with every
-    # weight row strict: w_i = w'_i + t in the margin program.
+    # weight row strict: w_i = (w'_i + 1) / tau in the homogenised
+    # program.
     calls = _recorded(monkeypatch, "solve")
     assert geometry.member(_TRIANGLE, ("1/4", "1/2")) is True
     ((lp, _),) = calls
     out = solve_strict(lp, range(3, 6))
     assert out.status is Status.FEASIBLE
     assert out.point == _q("1/4", "1/4", "1/2")
-    assert out.objective_value == ratio(1, 4)
     assert check_point(lp, out.point, range(3, 6))
 
 
@@ -1064,8 +1066,10 @@ def _assert_agrees_with_reference(lp, got, ref):
 
 
 def _assert_strict_agrees_with_reference(lp, strict, got, ref):
+    """Same status as the reference margin program, and every
+    certificate passes the rational checks.  The two programs stop at
+    different vertices, so points and multipliers may differ."""
     assert got.status is ref.status
-    assert got.objective_value == ref.objective_value
     if got.status is Status.FEASIBLE:
         assert _substitutes(lp, got.point, strict)
     else:
@@ -1075,7 +1079,8 @@ def _assert_strict_agrees_with_reference(lp, strict, got, ref):
 # Programs without a sign row must pivot exactly as the reference does.
 # On the others the engine drops the bound rows, and its pivots differ on
 # purpose, so outcomes are compared by status, optimum and certificate
-# validity.  Every margin program of solve_strict has the sign row t >= 0.
+# validity.  Every homogenised program of solve_strict has the sign row
+# tau' >= 0, and every margin program of the reference the sign row t >= 0.
 
 
 @settings(max_examples=400, deadline=None)
@@ -1147,9 +1152,9 @@ def test_sign_bounds_match_reference(case, stall_limit):
     _assert_strict_agrees_with_reference(weak, strict, got, ref)
 
 
-def _margin_program(lp, strict):
-    """The margin program that solve_strict builds for lp and hands to
-    the two phases it shares with solve."""
+def _homogenised_program(lp, strict):
+    """The homogenised program that solve_strict builds for lp and hands
+    to `_two_phase`."""
     seen = []
     real = exact_lp._two_phase
 
@@ -1168,24 +1173,83 @@ def _margin_program(lp, strict):
 
 @settings(max_examples=200, deadline=None)
 @given(_sign_programs())
-def test_margin_program_rows_are_the_ones_make_lp_parses(case):
-    # solve_strict builds the margin program straight from integer rows;
-    # the same rows as dense rationals through make_lp give equal rows,
-    # each in lowest terms over the lcm of its denominators.
+def test_homogenised_program_rows_are_the_ones_make_lp_parses(case):
+    # solve_strict builds the homogenised program straight from integer
+    # rows; the same rows as dense rationals through make_lp give equal
+    # rows, each in lowest terms over the lcm of its denominators.
     rows, _, strict = case
     lp = make_lp(len(rows[0][0]), rows)
-    aux = _margin_program(lp, strict)
+    aux = _homogenised_program(lp, strict)
+    assert aux.objective is None
     dense = [_dense(con, aux.num_vars) for con in aux.constraints]
     again = make_lp(
         aux.num_vars,
         [(c, con.relation, r) for (c, r), con in zip(dense, aux.constraints)],
-        objective=aux.objective,
     )
     assert again == aux
-    # Each program row keeps its coefficients and rhs; only the margin
-    # column n is new.
-    for con, (coeffs, rhs) in zip(lp.constraints, dense):
-        assert (coeffs[:-1], rhs) == _dense(con, lp.num_vars)
+    # Each program row keeps its coefficients, and -rhs is its tau
+    # column n; tau' >= 0 comes last.
+    n = lp.num_vars
+    assert len(aux.constraints) == len(lp.constraints) + 1
+    for con, (coeffs, _) in zip(lp.constraints, dense):
+        a, b = _dense(con, n)
+        assert coeffs == a + (-b,)
+    assert dense[-1] == ((ratio(0),) * n + (ratio(1),), ratio(0))
+
+
+def test_strict_systems_are_decided_in_phase_one(monkeypatch):
+    # Neither phase two nor a dual read-out runs: a feasible system, a
+    # strictly empty one and a weakly infeasible one are all decided.
+    def refuse(*args):
+        raise AssertionError("solve_strict ran past phase one")
+
+    monkeypatch.setattr(exact_lp._Tableau, "phase2", refuse)
+    monkeypatch.setattr(exact_lp, "_with_duals", refuse)
+    lp = make_lp(1, [((1,), GE, 0), ((1,), LE, 1)])
+    out = solve_strict(lp, [0, 1])
+    assert out.status is Status.FEASIBLE
+    assert check_point(lp, out.point, [0, 1])
+    # x > 0 with x <= 0: the weak system is the point 0, so the
+    # certificate must weigh the strict row.
+    lp = make_lp(1, [((1,), GE, 0), ((1,), LE, 0)])
+    out = solve_strict(lp, [0])
+    assert out.status is Status.INFEASIBLE
+    assert check_strict_emptiness(lp, [0], out.farkas)
+    assert not check_farkas(lp, out.farkas)
+    # x > 3 with x <= 2: the weak system is empty already.
+    lp = make_lp(1, [((1,), GE, 3), ((1,), LE, 2)])
+    out = solve_strict(lp, [0])
+    assert out.status is Status.INFEASIBLE
+    assert check_farkas(lp, out.farkas)
+
+
+def _assert_strict_case(rows, strict, status):
+    lp = make_lp(len(rows[0][0]), rows)
+    out = solve_strict(lp, strict)
+    assert out.status is status
+    ref = _ref_solve_strict(lp, strict, 24)
+    _assert_strict_agrees_with_reference(lp, strict, out, ref)
+
+
+def test_strict_sign_row_after_a_weak_one():
+    # Column 0's first sign row x >= 0 is weak; the strict -2x <= 0 after
+    # it is the one shifted to a bound, and x >= 0 becomes a row.
+    rows = [((1, 0), GE, 0), ((-2, 0), LE, 0), ((1, 1), LE, 1), ((0, 1), GE, 0)]
+    _assert_strict_case(rows, [1], Status.FEASIBLE)
+    _assert_strict_case(rows, [1, 2, 3], Status.FEASIBLE)
+    rows[2] = ((1, 1), LE, 0)
+    _assert_strict_case(rows, [1], Status.INFEASIBLE)
+
+
+def test_two_strict_sign_rows_on_one_column():
+    # x > 0 twice over: the first row is shifted to a bound, the second
+    # stays a row.
+    rows = [((1,), GE, 0), ((-3,), LE, 0), ((1,), LE, 1)]
+    _assert_strict_case(rows, [0, 1], Status.FEASIBLE)
+    _assert_strict_case(rows, [0, 1, 2], Status.FEASIBLE)
+    rows[2] = ((1,), LE, 0)
+    _assert_strict_case(rows, [0, 1], Status.INFEASIBLE)
+    _assert_strict_case(rows, [1], Status.INFEASIBLE)
 
 
 def _dual_reads(monkeypatch):
@@ -1206,29 +1270,15 @@ def _dual_reads(monkeypatch):
     return seen
 
 
-def test_positive_margin_reads_no_duals(monkeypatch):
-    # 0 < x < 1 holds with margin 1/2: the strict point is the
-    # certificate, and the margin program's duals are never read.
+def test_objective_program_reads_and_checks_duals(monkeypatch):
+    # An objective program through solve reads its duals once and checks
+    # them once; a program without an objective reads none.
     seen = _dual_reads(monkeypatch)
-    lp = make_lp(1, [((1,), GE, 0), ((1,), LE, 1)])
-    out = solve_strict(lp, [0, 1])
-    assert out.status is Status.FEASIBLE and out.objective_value == ratio(1, 2)
-    assert seen == []
-
-
-def test_zero_margin_reads_and_checks_duals(monkeypatch):
-    # 0 <= x <= 0 cannot hold with x > 0: the margin program's optimum
-    # is 0, and its duals are read, checked, and certify emptiness.
-    seen = _dual_reads(monkeypatch)
-    lp = make_lp(1, [((1,), GE, 0), ((1,), LE, 0)])
-    out = solve_strict(lp, [0])
-    assert out.status is Status.INFEASIBLE
-    assert check_strict_emptiness(lp, [0], out.farkas)
-    assert seen == ["read", "check"]
-    # An objective program through solve reads and checks its duals too.
-    seen.clear()
     solve(make_lp(1, [((1,), LE, 1)], objective=(1,)))
     assert seen == ["read", "check"]
+    seen.clear()
+    solve(make_lp(1, [((1,), LE, 1)]))
+    assert seen == []
 
 
 def test_reference_cases_cover_retired_rows_and_bland():

@@ -55,11 +55,11 @@ CASES = {
     ),
     "joint-direct-witness": (
         ("check-joint", "hepta", "0", "6"),
-        "fb5d98351c9e990d2b2194d87e64fc579835bcec1b36bbbcf5c710bfa7d590e2",
+        "f34eceee1db1fb9b2d823f5987a3b76de2605db6400103a47bfee7fc24c27a3a",
     ),
     "joint-direct-witness-verify": (
         ("--verify", "check-joint", "hepta", "0", "6"),
-        "c4884adf61f6134efa0e9e507bd15718773172d2a57f3bfeedcf23452b1780f9",
+        "86d7061bc1127d5ae392c3639360cb2e963b21bfa07401a7a84db2e62054a94a",
     ),
     "joint-lambda-witness": (
         ("check-joint", "space", "0", "1", "2", "--lambda", "1/2,3/4,3/4"),
@@ -111,7 +111,7 @@ CASES = {
     ),
     "rank-fails-witness": (
         ("check-rank", "hepta", "--k", "1"),
-        "97d707535dd08d4a4874a2750ac9f5c7d3e9f10234ab410f1773289bc8e8e85f",
+        "0bff8130730f058720cf2c2afb9aa7adcee54b90033e06fe9323d3b053aeedb5",
     ),
     "rank-fails-witness-verify": (
         ("--verify", "check-rank", "space", "--k", "2"),
