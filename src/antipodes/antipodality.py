@@ -32,7 +32,8 @@ checking the certificate on its own (`verify_joint_certificate`, the
 `--verify` replay) needs convex hull membership.
 
 Exhaustive rank checks count their subsets first and refuse more than
-EXHAUSTIVE_LIMIT of them before the set's affine rank is computed.
+EXHAUSTIVE_LIMIT of them before the set's affine rank is computed; sampled
+ones refuse more than EXHAUSTIVE_LIMIT draws at the same point.
 
 Also provided: a projection-based variant that asks every point to
 project orthogonally into the chosen closed simplex, decided on the signs
@@ -513,18 +514,24 @@ def is_rank_k_antipodal(
 
     Exhaustive mode refuses sets with more than EXHAUSTIVE_LIMIT subsets;
     pass `samples` (a number of random draws, deduplicated) and `seed`.
+    Sampled mode refuses more than EXHAUSTIVE_LIMIT draws.
     """
     _rank_argument(X, k)
     exhaustive = samples is None
+    # An oversized check is refused before any work.
     if exhaustive:
-        # An oversized check is refused before any work.
         subsets = _all_subsets(len(X), k)
-    rank = _rank_within(X, k)
-    if not exhaustive:
+    else:
         if not isinstance(samples, int) or samples < 1:
             raise AntipodalityError("samples must be a positive integer")
+        if samples > EXHAUSTIVE_LIMIT:
+            raise AntipodalityError(
+                f"{samples} samples exceed the limit {EXHAUSTIVE_LIMIT}"
+            )
         if seed is None:
             raise AntipodalityError("sampled mode requires an explicit seed")
+    rank = _rank_within(X, k)
+    if not exhaustive:
         subsets = _sampled_subsets(len(X), k, samples, seed)
     # Symmetry is looked for only once the first subset holds, and only
     # when there is another subset for it to decide.

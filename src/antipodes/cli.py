@@ -92,6 +92,7 @@ EXIT_INTERNAL = 4
 #: in lowest terms, the largest number these reports hold; Python refuses
 #: to render an int longer than 4300 digits by default.
 MAX_BOUND_DIGITS = 4300
+_BOUND_LIMIT = 10**MAX_BOUND_DIGITS
 
 
 class RenderError(ValueError):
@@ -263,7 +264,8 @@ def _cmd_check_rank(args):
         # Refused here, so that the hint names the command-line flags.
         _refuse_exhaustive(len(X), args.k, "; pass --sample and --seed")
     result = is_rank_k_antipodal(X, args.k, samples=args.sample, seed=args.seed)
-    cap = floor(size_bound(X.dim, args.k))
+    bound = size_bound(X.dim, args.k)
+    cap = floor(bound)
     report = {
         "verb": "check-rank",
         "k": args.k,
@@ -272,7 +274,7 @@ def _cmd_check_rank(args):
         "antipodal": result.antipodal,
         "exhaustive": result.exhaustive,
         "subsets_checked": result.subsets_checked,
-        "bound": size_bound(X.dim, args.k),
+        "bound": bound,
         "max_points": cap,
         "within_bound": len(X) <= cap,
     }
@@ -386,14 +388,15 @@ def _cmd_check_strict(args):
 
 
 def _code_report(verb: str, code, extra: dict) -> dict:
+    bound = counting_bound(code.b, code.k, code.m)
     report = {
         "verb": verb,
         "b": code.b,
         "k": code.k,
         "m": code.m,
         "size": len(code),
-        "counting_bound": counting_bound(code.b, code.k, code.m),
-        "cap": floor(counting_bound(code.b, code.k, code.m)),
+        "counting_bound": bound,
+        "cap": floor(bound),
         "code": code_to_obj(code),
     }
     report.update(extra)
@@ -511,7 +514,7 @@ def _refuse_oversized_bound(d: int, k: int):
     # every huge d, and the exact test then only sees powers of <= 8L bits.
     if (
         d * (base.bit_length() - 1) > 4 * MAX_BOUND_DIGITS
-        or base**d >= 10**MAX_BOUND_DIGITS
+        or base**d >= _BOUND_LIMIT
     ):
         raise ConstructionError(
             f"the size bound for d={d}, k={k} has more than "

@@ -5,9 +5,10 @@ Every geometric decision in this package bottoms out in `solve` or
 point, an infeasibility claim carries nonnegative combination multipliers,
 an unboundedness claim carries an improving ray, and an optimality claim
 carries dual multipliers.  All certificates re-verify by direct
-substitution (see the check_* helpers), and the solver re-checks its own
-output before returning, so a bug in the pivoting can only surface as an
-internal error, never as a wrong verdict.
+substitution (see the check_* helpers), and each entry point checks the
+one certificate it returns, on the caller's program, before returning it,
+so a bug in the pivoting can only surface as an internal error, never as
+a wrong verdict.
 
 The engine is a dense two-phase primal simplex on rationals.  One object,
 `_Tableau`, builds a program's standard form and runs both phases on it.
@@ -61,8 +62,9 @@ theorem; Schrijver 1986, Ch. 7).  With x = y / tau and tau >= 1, a row
 a.x (rel) b becomes a.y - b tau (rel) 0, and a strict one must hold by one
 unit: a.y - b tau <= -1 for a <= row.  Scaling a strict point by a large
 tau solves this, and any solution gives the strict point y / tau, which is
-checked and returned.  The program has no objective, so `_two_phase` runs
-phase one only.  When it is infeasible, its Farkas multipliers u, cut to
+checked on the caller's program and returned.  The program has no
+objective, so only phase one runs, and nothing is checked on the cone
+program itself.  When it is infeasible, its Farkas multipliers u, cut to
 the program's rows, certify strict emptiness.  Cancelling the tau column
 gives sum u_i b_i = -v, v >= 0 being the weight on tau >= 1, and the
 combination's own rhs, -v minus the strict rows' weight, is negative.  So
@@ -74,7 +76,7 @@ shifted by its unit, and tau by 1, so that both are sign bounds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -779,58 +781,40 @@ def _eliminate(target, den, factor, support, piv):
 # public solving interface
 
 
-def _two_phase(lp: LinearProgram):
-    """Both phases of the simplex on a validated program.
-
-    Returns (outcome, tableau).  Every certificate in the outcome is
-    checked.  An optimum comes without its dual multipliers: the caller
-    that wants them reads them off the returned tableau (`_with_duals`).
-    """
-    tab = _Tableau(lp)
-    if not tab.phase1():
-        mults = tab.phase1_duals()
-        if not check_farkas(lp, mults):
-            raise SolverInvariantError("infeasibility certificate failed")
-        return LPOutcome(Status.INFEASIBLE, farkas=mults), tab
-    if lp.objective is None:
-        point = tab.point()
-        if not check_point(lp, point):
-            raise SolverInvariantError("feasible point failed substitution")
-        return LPOutcome(Status.FEASIBLE, point=point), tab
-    escape = tab.phase2()
-    if escape is not None:
-        ray = tab.ray(escape)
-        if not check_ray(lp, ray):
-            raise SolverInvariantError("unboundedness ray failed substitution")
-        return LPOutcome(Status.UNBOUNDED, ray=ray), tab
-    point = tab.point()
-    if not check_point(lp, point):
-        raise SolverInvariantError("optimal point failed substitution")
-    return LPOutcome(
-        Status.FEASIBLE, point=point, objective_value=vdot(lp.objective, point)
-    ), tab
-
-
-def _with_duals(lp: LinearProgram, out: LPOutcome, tab: _Tableau) -> LPOutcome:
-    """The optimum `out` of `_two_phase` with its verified duals."""
-    mults = tab.duals()
-    if not check_duals(lp, mults, out.objective_value):
-        raise SolverInvariantError("dual certificate failed substitution")
-    return replace(out, duals=mults)
-
-
 def solve(lp: LinearProgram) -> LPOutcome:
     """Decide a weak system, optionally maximising a linear objective.
 
     Returns FEASIBLE with a point (and, given an objective, its optimal
     value plus verified dual multipliers), INFEASIBLE with a Farkas
-    certificate, or UNBOUNDED with an improving ray.
+    certificate, or UNBOUNDED with an improving ray.  Phase two runs only
+    when there is an objective, and the returned certificate is checked.
     """
     _validate(lp)
-    out, tab = _two_phase(lp)
-    if out.objective_value is None:
-        return out
-    return _with_duals(lp, out, tab)
+    tab = _Tableau(lp)
+    if not tab.phase1():
+        mults = tab.phase1_duals()
+        if not check_farkas(lp, mults):
+            raise SolverInvariantError("infeasibility certificate failed")
+        return LPOutcome(Status.INFEASIBLE, farkas=mults)
+    if lp.objective is None:
+        point = tab.point()
+        if not check_point(lp, point):
+            raise SolverInvariantError("feasible point failed substitution")
+        return LPOutcome(Status.FEASIBLE, point=point)
+    escape = tab.phase2()
+    if escape is not None:
+        ray = tab.ray(escape)
+        if not check_ray(lp, ray):
+            raise SolverInvariantError("unboundedness ray failed substitution")
+        return LPOutcome(Status.UNBOUNDED, ray=ray)
+    point = tab.point()
+    if not check_point(lp, point):
+        raise SolverInvariantError("optimal point failed substitution")
+    value = vdot(lp.objective, point)
+    mults = tab.duals()
+    if not check_duals(lp, mults, value):
+        raise SolverInvariantError("dual certificate failed substitution")
+    return LPOutcome(Status.FEASIBLE, point=point, objective_value=value, duals=mults)
 
 
 def solve_strict(lp: LinearProgram, strict_rows: Sequence[int]) -> LPOutcome:
@@ -840,8 +824,8 @@ def solve_strict(lp: LinearProgram, strict_rows: Sequence[int]) -> LPOutcome:
     one alone.  FEASIBLE outcomes carry a strictly feasible point and no
     objective_value: an objective of lp plays no part.  INFEASIBLE
     outcomes carry the phase-one Farkas multipliers cut to lp's rows,
-    accepted by check_strict_emptiness.  Either certificate is checked
-    before it is returned.  With no strict row this is `solve`.
+    accepted by check_strict_emptiness.  Either certificate is checked on
+    lp, once, before it is returned.  With no strict row this is `solve`.
     """
     _validate(lp)
     strict = sorted(set(strict_rows))
@@ -881,13 +865,16 @@ def solve_strict(lp: LinearProgram, strict_rows: Sequence[int]) -> LPOutcome:
         terms = [(j, a * scale) for j, a in con.terms] + [(n, -con.rhs * scale)]
         rows.append(integer_row(terms, con.relation, rhs, con.den * scale))
     rows.append(Constraint(((n, 1),), GE, 0, 1))
-    out, _ = _two_phase(LinearProgram(n + 1, tuple(rows)))
-    if out.status is Status.INFEASIBLE:
-        mults = out.farkas[: len(lp.constraints)]
+    tab = _Tableau(LinearProgram(n + 1, tuple(rows)))
+    if not tab.phase1():
+        mults = tab.phase1_duals()[: len(lp.constraints)]
         if not check_strict_emptiness(lp, strict, mults):
             raise SolverInvariantError("strict emptiness certificate failed")
         return LPOutcome(Status.INFEASIBLE, farkas=mults)
-    y, tau = list(out.point[:n]), out.point[n] + 1
+    cone = tab.point()
+    y, tau = list(cone[:n]), cone[n] + 1
+    if tau <= 0:
+        raise SolverInvariantError("the cone program's tau is not positive")
     for j, p in step.items():
         y[j] += Fraction(p, scale)
     point = tuple(v / tau for v in y)

@@ -626,6 +626,39 @@ def test_rank_verbs_refuse_too_many_subsets(tmp_path, capsys, monkeypatch):
     assert calls == []
 
 
+def test_check_rank_refuses_too_many_samples(files, capsys, monkeypatch):
+    # More draws than the exhaustive limit are refused (exit 2) before the
+    # set's affine rank is computed and before any draw, in a message
+    # that names no flag; the limit itself is still drawn.
+    calls = []
+    monkeypatch.setattr(
+        antipodality, "affine_rank", lambda *args: calls.append("affine_rank")
+    )
+    monkeypatch.setattr(
+        antipodality, "_sampled_subsets", lambda *args: calls.append("draw")
+    )
+    code, report, _ = run(
+        capsys, "check-rank", files["square"], "--k", "1",
+        "--sample", "100001", "--seed", "1",
+    )
+    assert code == 2
+    assert report["error"] == "100001 samples exceed the limit 100000"
+    assert calls == []
+    monkeypatch.undo()
+    drawn = []
+    monkeypatch.setattr(
+        antipodality,
+        "_sampled_subsets",
+        lambda n, k, samples, seed: drawn.append(samples) or [(0, 3)],
+    )
+    code, report, _ = run(
+        capsys, "check-rank", files["square"], "--k", "1",
+        "--sample", "100000", "--seed", "1",
+    )
+    assert code == 0 and report["subsets_checked"] == 1
+    assert drawn == [100000]
+
+
 def test_construct_verify_refuses_too_many_subsets(files, tmp_path, capsys, monkeypatch):
     # The segment times all 1024 binary words of length 10: the replay
     # would certify C(1024, 2) = 523 776 pairs, so --verify refuses

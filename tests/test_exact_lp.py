@@ -1154,19 +1154,20 @@ def test_sign_bounds_match_reference(case, stall_limit):
 
 def _homogenised_program(lp, strict):
     """The homogenised program that solve_strict builds for lp and hands
-    to `_two_phase`."""
+    to `_Tableau`."""
     seen = []
-    real = exact_lp._two_phase
+    real = exact_lp._Tableau
 
-    def record(aux):
-        seen.append(aux)
-        return real(aux)
+    class Recording(real):
+        def __init__(self, aux):
+            seen.append(aux)
+            super().__init__(aux)
 
-    exact_lp._two_phase = record
+    exact_lp._Tableau = Recording
     try:
         solve_strict(lp, strict)
     finally:
-        exact_lp._two_phase = real
+        exact_lp._Tableau = real
     (aux,) = seen
     return aux
 
@@ -1204,7 +1205,7 @@ def test_strict_systems_are_decided_in_phase_one(monkeypatch):
         raise AssertionError("solve_strict ran past phase one")
 
     monkeypatch.setattr(exact_lp._Tableau, "phase2", refuse)
-    monkeypatch.setattr(exact_lp, "_with_duals", refuse)
+    monkeypatch.setattr(exact_lp._Tableau, "duals", refuse)
     lp = make_lp(1, [((1,), GE, 0), ((1,), LE, 1)])
     out = solve_strict(lp, [0, 1])
     assert out.status is Status.FEASIBLE
@@ -1221,6 +1222,45 @@ def test_strict_systems_are_decided_in_phase_one(monkeypatch):
     out = solve_strict(lp, [0])
     assert out.status is Status.INFEASIBLE
     assert check_farkas(lp, out.farkas)
+
+
+_CHECKS = (
+    "check_point", "check_farkas", "check_strict_emptiness", "check_ray", "check_duals",
+)
+
+
+def test_strict_certificates_are_checked_once_on_the_callers_program(monkeypatch):
+    # The one certificate returned is checked once, on lp; nothing is
+    # checked on the cone program.
+    seen = []
+
+    def recording(name, check):
+        def run(lp, *args):
+            seen.append((name, lp))
+            return check(lp, *args)
+
+        return run
+
+    for name in _CHECKS:
+        monkeypatch.setattr(exact_lp, name, recording(name, getattr(exact_lp, name)))
+    cases = [
+        (make_lp(1, [((1,), GE, 0), ((1,), LE, 1)]), [0, 1], "check_point"),
+        (make_lp(1, [((1,), GE, 0), ((1,), LE, 0)]), [0], "check_strict_emptiness"),
+        (make_lp(1, [((1,), GE, 3), ((1,), LE, 2)]), [0], "check_strict_emptiness"),
+    ]
+    for lp, strict, name in cases:
+        seen.clear()
+        solve_strict(lp, strict)
+        assert len(seen) == 1
+        assert seen[0][0] == name and seen[0][1] is lp
+
+
+def test_a_cone_point_without_positive_tau_is_an_internal_error(monkeypatch):
+    # tau = tau' + 1 divides the strict point; a tableau that read out
+    # tau' = -1 must end in the solver's own error, not a division by 0.
+    monkeypatch.setattr(exact_lp._Tableau, "point", lambda tab: (ratio(0), ratio(-1)))
+    with pytest.raises(exact_lp.SolverInvariantError):
+        solve_strict(make_lp(1, [((1,), GE, 0), ((1,), LE, 1)]), [0, 1])
 
 
 def _assert_strict_case(rows, strict, status):
