@@ -15,12 +15,13 @@ Two independent decision routes are implemented and kept separate:
 The routes agree on every input: empty intersection holds exactly when
 the map exists.  Either way the caller gets a self-contained certificate.
 A positive answer carries the map, checkable by substitution.  It comes
-from the presolved map program of `geometry.simplex_map_lp`, which keeps
-only the k(r - k) map entries the pins leave free, r being the affine
-rank of X; when k = r there are none, and the signs of barycentric
-coordinates decide.  A negative answer carries a witness point lying in
-all k+1 closed shrunk copies for factors summing to strictly less than
-k, a configuration that is impossible for jointly antipodal tuples.
+from the presolved map program of `geometry.simplex_map_lp`, pinned by
+the chosen indices, which keeps only the k(r - k) map entries the pins
+leave free, r being the affine rank of X; when k = r there are none, and
+the signs of barycentric coordinates decide.  A negative answer carries
+a witness point lying in all k+1 closed shrunk copies for factors
+summing to strictly less than k, a configuration that is impossible for
+jointly antipodal tuples.
 The shrunk-copy program (`_copies_lp`) keeps only the weights each copy
 puts on the points other than its centre, and the common point is copy
 0's point substituted into the other copies, so its variables are
@@ -327,9 +328,16 @@ def verify_joint_certificate(X: PointSet, cert: AntipodalityCertificate) -> bool
     if sum(factors, ZERO) >= k:
         return False
     # z lies in the copy shrunk toward q by s exactly when its preimage
-    # (z - (1 - s) q) / s lies in conv X.
+    # (z - (1 - s) q) / s lies in conv X; with z = Z / zden, q = Q / L and
+    # s = a / b that is (b L Z - (b - a) zden Q) / (a zden L).
+    P, L = X.cleared
+    Z, zden = over_common_denominator(cert.witness)
     for q_idx, s in zip(chosen, factors):
-        pre = tuple((z - (1 - s) * c) / s for c, z in zip(X[q_idx], cert.witness))
+        a, b = int_pair(s)
+        pre = tuple(
+            Fraction(b * L * z - (b - a) * zden * c, a * zden * L)
+            for c, z in zip(P[q_idx], Z)
+        )
         if not member(X, pre):
             return False
     return True
@@ -338,7 +346,7 @@ def verify_joint_certificate(X: PointSet, cert: AntipodalityCertificate) -> bool
 def _map_certificate(X: PointSet, chosen):
     """The verified certifying map for the chosen tuple, or None when the
     map program is infeasible."""
-    program = simplex_map_lp(X, len(chosen), pinned=[X[i] for i in chosen])
+    program = simplex_map_lp(X, len(chosen), pinned=chosen)
     out = program.solve()
     if out.status is not Status.FEASIBLE:
         return None
@@ -369,8 +377,8 @@ def joint_antipodal_direct(X: PointSet, chosen) -> AntipodalityCertificate:
     """Decide joint antipodality by searching for the certifying map."""
     chosen = _validate_chosen(X, chosen)
     k = len(chosen) - 1
-    frame = [X[i] for i in chosen]
-    if affine_rank(PointSet(tuple(frame))) == k:
+    P, L = X.cleared
+    if affine_rank(PointSet.from_integers([P[i] for i in chosen], L)) == k:
         cert = _map_certificate(X, chosen)
         if cert is not None:
             return cert
@@ -430,10 +438,16 @@ def _rank_within(X: PointSet, k: int):
 
 
 def _sampled_subsets(n, k, samples, seed):
+    """The distinct (k+1)-subsets among `samples` seeded draws, sorted; the
+    draws stop once every subset has been seen, which leaves the list as
+    it is."""
     rng = random.Random(seed)
+    total = comb(n, k + 1)
     seen = set()
     for _ in range(samples):
         seen.add(tuple(sorted(rng.sample(range(n), k + 1))))
+        if len(seen) == total:
+            break
     return sorted(seen)
 
 
@@ -610,7 +624,7 @@ def strict_rank_k(X: PointSet, k: int) -> StrictReport:
     _rank_within(X, k)
     evidence = []
     for pos, subset in enumerate(subsets):
-        program = simplex_map_lp(X, k + 1, pinned=[X[i] for i in subset])
+        program = simplex_map_lp(X, k + 1, pinned=subset)
         out = program.solve()
         if out.status is not Status.FEASIBLE:
             # The map program just solved is the direct route's; only the

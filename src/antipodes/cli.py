@@ -192,9 +192,10 @@ def _map_obj(mapping: AffineMap) -> dict:
 
 
 def _parse_map(obj) -> AffineMap:
+    # AffineMap reads the "p/q" strings straight into integers.
     return AffineMap(
-        tuple(tuple(_parse_rational(s) for s in row) for row in obj["matrix"]),
-        tuple(_parse_rational(s) for s in obj["offset"]),
+        [[s.split(" ")[0] for s in row] for row in obj["matrix"]],
+        [s.split(" ")[0] for s in obj["offset"]],
     )
 
 
@@ -596,7 +597,7 @@ def _cmd_volume_check(args):
 def _cmd_discriminate(args):
     space = load_point_set(args.space)
     states = load_point_set(args.states)
-    value, measurement = min_error(space, states.points)
+    value, measurement = min_error(space, states)
     report = {
         "verb": "discriminate",
         "space_vertices": len(space),
@@ -612,7 +613,7 @@ def _cmd_discriminate(args):
         if parsed["distinguishable"] != (claimed == 0):
             return False
         meas = Measurement(space, _parse_map(parsed["measurement"]))
-        return error_prob(meas, states.points) == claimed
+        return error_prob(meas, states) == claimed
 
     return report, EXIT_HOLDS if value == 0 else EXIT_FAILS, replay
 

@@ -26,7 +26,7 @@ from .geometry import (
     volume,
 )
 from .hashcodes import HashCode, rate_bounds
-from .rationals import ZERO, LogRatio, ratio
+from .rationals import LogRatio, ratio
 
 __all__ = [
     "ConstructionError",
@@ -99,13 +99,10 @@ def product_construct(base: StartingConfig, code: HashCode) -> ProductSet:
         )
     if not code.words:
         raise ConstructionError("code has no words")
-    rows = []
-    for word in code.words:
-        point: tuple = ()
-        for sym in word:
-            point = point + base.points[sym - 1]
-        rows.append(point)
-    return ProductSet(base=base, code=code, result=PointSet(tuple(rows)))
+    # Blocks of the base's integer rows, over the base's denominator.
+    P, L = base.points.cleared
+    rows = [[a for sym in word for a in P[sym - 1]] for word in code.words]
+    return ProductSet(base=base, code=code, result=PointSet.from_integers(rows, L))
 
 
 def projection_certificate(prod: ProductSet, chosen: tuple):
@@ -144,15 +141,16 @@ def projection_certificate(prod: ProductSet, chosen: tuple):
         prod.base_maps[base_chosen] = base_cert
     if not base_cert.antipodal:
         raise ConstructionError("base points at the separating coordinate fail")
+    # The base map's integer rows, padded with zeros to the other blocks.
     d0 = prod.base.d0
-    width = prod.code.m * d0
     lo = coord * d0
-    left, right = (ZERO,) * lo, (ZERO,) * (width - lo - d0)
-    matrix = tuple(left + row + right for row in base_cert.mapping.matrix)
+    left, right = [0] * lo, [0] * ((prod.code.m - coord - 1) * d0)
+    base_map = base_cert.mapping
+    rows = [left + list(row[:-1]) + right + [row[-1]] for row in base_map.rows]
     cert = AntipodalityCertificate(
         antipodal=True,
         chosen=tuple(chosen),
-        mapping=AffineMap(matrix, base_cert.mapping.offset),
+        mapping=AffineMap.from_integers(rows, base_map.den),
     )
     if not verify_joint_certificate(prod.result, cert):
         raise ConstructionError("projected certificate failed verification")
@@ -212,9 +210,11 @@ def volume_inequality_check(X: PointSet, k: int) -> VolumeReport:
     lam = ratio(k, k + 1)
     expected = lam**d
     copy = expected * total
-    # The copy toward q = X[0]: x maps to (1 - lam) q + lam x.
-    shrunk = tuple(tuple((1 - lam) * c + lam * v for c, v in zip(X[0], x)) for x in X)
-    measured = volume(PointSet(shrunk))
+    # The copy toward q = X[0]: x maps to (1 - lam) q + lam x, which is
+    # (Q + k P_x) / ((k + 1) L) on the cleared rows.
+    P, L = X.cleared
+    shrunk = [[c + k * v for c, v in zip(P[0], x)] for x in P]
+    measured = volume(PointSet.from_integers(shrunk, (k + 1) * L))
     bound = ratio(k) * total
     summed = copy * len(X)
     return VolumeReport(

@@ -6,7 +6,9 @@ simplex; outcome j is read as the guess "it was state j".  The
 discrimination error of a tuple of states is the summed miss
 probability, one term per state, and minimizing it over measurements is
 a linear program.  The minimum hits zero exactly on jointly antipodal
-tuples, which ties this layer to the geometric one.  A measurement is
+tuples, which ties this layer to the geometric one.  The states are
+checked against the space on integer rows (a spanning point by its row,
+any other state by the membership program), and a measurement is
 checked on the vertices, and the error summed over the states, in
 integers (`AffineMap.cleared_images`).
 """
@@ -16,6 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .exact_lp import Status
 from .geometry import (
@@ -27,7 +30,7 @@ from .geometry import (
     outside_simplex,
     simplex_map_lp,
 )
-from .rationals import exact_tuple, ratio
+from .rationals import exact_tuple, over_common_denominator, ratio
 
 __all__ = [
     "PROGRAM_LIMIT",
@@ -73,35 +76,49 @@ class Measurement:
         return self.mapping.out_dim
 
 
-def _checked_states(space: PointSet, states) -> tuple:
-    # A spanning point of the space is inside by definition; any other
-    # state is decided by the membership program.
-    spanning = set(space.points)
+def _checked_states(space: PointSet, states):
+    """The states, a `PointSet` or a sequence of points of exact
+    rationals, as integer rows over one denominator, (rows, den), a state
+    that repeats keeping its rows; each must lie in the space.
+
+    A spanning point of the space is inside by definition: x = X / xden
+    is spanning point P / L exactly when L X / xden is the integer row P.
+    Any other state is decided by the membership program."""
+    P, L = space.cleared
+    spanning = set(P)
+    if isinstance(states, PointSet):
+        S, sden = states.cleared
+        given = ((row, sden) for row in S)
+    else:
+        given = (over_common_denominator(exact_tuple(s)) for s in states)
     rows = []
-    for idx, s in enumerate(states):
-        p = exact_tuple(s)
-        if len(p) != space.dim:
+    for idx, (X, xden) in enumerate(given):
+        if len(X) != space.dim:
             raise DiscriminationError(f"states[{idx}]: wrong dimension")
-        if p not in spanning and not member(space, p):
-            raise DiscriminationError(f"states[{idx}]: outside the state space")
-        rows.append(p)
-    return tuple(rows)
+        scaled = [a * L for a in X]
+        if any(v % xden for v in scaled) or tuple(v // xden for v in scaled) not in spanning:
+            if not member(space, tuple(Fraction(a, xden) for a in X)):
+                raise DiscriminationError(f"states[{idx}]: outside the state space")
+        rows.append((X, xden))
+    den = lcm(*(xden for _, xden in rows))
+    return [tuple(a * (den // xden) for a in X) for X, xden in rows], den
 
 
 def error_prob(measurement: Measurement, states):
     """Sum over j of (1 - probability of outcome j on state j)."""
-    pts = _checked_states(measurement.space, states)
-    if len(pts) != measurement.outcomes:
+    checked = _checked_states(measurement.space, states)
+    if len(checked[0]) != measurement.outcomes:
         raise DiscriminationError(
-            f"expected {measurement.outcomes} states, got {len(pts)}"
+            f"expected {measurement.outcomes} states, got {len(checked[0])}"
         )
-    return _error_sum(measurement, pts)
+    return _error_sum(measurement, checked)
 
 
-def _error_sum(measurement: Measurement, pts):
-    """error_prob on states already checked against the space, summed in
-    integers: state j's own outcome is images[j][j] / den."""
-    images, den = measurement.mapping.cleared_images(pts)
+def _error_sum(measurement: Measurement, states):
+    """error_prob on states already checked against the space, (rows, den)
+    from `_checked_states`, summed in integers: state j's own outcome is
+    images[j][j] / den."""
+    images, den = measurement.mapping.cleared_images(states)
     return Fraction(sum(den - image[j] for j, image in enumerate(images)), den)
 
 
@@ -120,17 +137,19 @@ def min_error(space: PointSet, states):
             f"({len(space) * len(states)}) exceed the program limit "
             f"{PROGRAM_LIMIT}"
         )
-    pts = _checked_states(space, states)
-    r = len(pts)
+    checked = _checked_states(space, states)
+    S, den = checked
+    r = len(S)
     if r < 2:
         raise DiscriminationError("need at least two states")
-    program = simplex_map_lp(space, r, score=list(enumerate(pts)))
+    score = [(j, tuple(Fraction(a, den) for a in row)) for j, row in enumerate(S)]
+    program = simplex_map_lp(space, r, score=score)
     outcome = program.solve()
     if outcome.status is not Status.FEASIBLE:
         raise DiscriminationError("discrimination program did not optimize")
     measurement = Measurement(space, decode_map(program, outcome.point))
     value = ratio(r) - (outcome.objective_value + program.offset)
-    if _error_sum(measurement, pts) != value:
+    if _error_sum(measurement, checked) != value:
         raise DiscriminationError("optimizer does not reproduce its own value")
     return value, measurement
 

@@ -1,31 +1,40 @@
 """Exact convex geometry in V-representation.
 
-Points are tuples of exact rationals, and a `PointSet` is the one
-point-set type: its convex hull is the polytope it spans (the points
-need not be vertices).  Whether a point lies in that hull, affine rank,
-and the barycentric coordinates of orthogonal projections onto the
-affine hull of a subset are decided exactly.  `member` answers with a
-bool; an "outside" verdict is self-checked against a separating affine
-functional read off the weight program's Farkas multipliers.
+A `PointSet` is the one point-set type: its convex hull is the polytope
+it spans (the points need not be vertices).  It holds its points as
+integer rows over one positive denominator, the least one, so that
+equal sets hold equal rows; a point file is read straight into that
+form, sets made from others (product sets, shrunk copies, frames) are
+built from integer rows, and the Fractions of `PointSet.points` are
+built only when a report or a caller asks for rationals.  An
+`AffineMap` likewise holds integer rows [A | b] over one least
+denominator and builds its `matrix` and `offset` on request.
+
+Whether a point lies in the hull, affine rank, and the barycentric
+coordinates of orthogonal projections onto the affine hull of a subset
+are decided exactly.  `member` answers with a bool; an "outside" verdict
+is self-checked, in integers, against a separating affine functional
+read off the weight program's Farkas multipliers.
 
 The dense linear algebra is one fraction-free elimination,
 `rationals._bareiss` (Bareiss 1968), on integers: ranks, projection
 coordinates, determinants, facet normals, pivot columns and Gram
 matrices all come from it.  The kernel lives in the leaf module
 `rationals` because `exact_lp` uses it too, for the simplex's dual
-solve, and this module imports `exact_lp`.  A `PointSet` clears its
-coordinates over their common denominator once (`PointSet.cleared`),
-and its affine rank, projections, symmetry, volume, map programs and
-map images (`AffineMap.cleared_images`) all read those integers.
+solve, and this module imports `exact_lp`.  A set's affine rank,
+projections, symmetry, volume, map programs and map images
+(`AffineMap.cleared_images`) all read its integer rows
+(`PointSet.cleared`).
 
 `simplex_map_lp` is the one builder of the program for an affine map
 into the standard simplex.  Its variables are the map's images of an
 affine basis of aff X that one integer Gauss-Jordan pass finds.  With
-the tuple's points pinned to the vertices the pins are presolved away
-(Andersen & Andersen 1995): k(r - k) variables remain for a k-simplex in
-a set of affine rank r, none when k = r.  Without pins, as for minimum-
-error discrimination, k(r + 1) remain.  `decode_map` rebuilds the map in
-the original coordinates in integers.
+the tuple's points, given by their indices, pinned to the vertices the
+pins are presolved away (Andersen & Andersen 1995): k(r - k) variables
+remain for a k-simplex in a set of affine rank r, none when k = r.
+Without pins, as for minimum-error discrimination, k(r + 1) remain.
+`decode_map` rebuilds the map in the original coordinates as integer
+rows.
 
 Exact volume works in integers: the coordinates are cleared over their
 common denominator, a beneath-beyond pass (Seidel 1986) triangulates the
@@ -47,7 +56,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 from operator import mul
 from typing import Optional
 
@@ -66,9 +75,10 @@ from .rationals import (
     ONE,
     ZERO,
     _bareiss,
+    cleared_pairs,
     exact_tuple,
+    int_pair,
     over_common_denominator,
-    vdot,
 )
 
 #: Exact volume is supported up to this ambient dimension.  The
@@ -85,31 +95,63 @@ class DegenerateVolumeWarning(UserWarning):
     """Volume was requested for a set that does not span its space."""
 
 
-@dataclass(frozen=True)
+def _lowest_terms(rows, den):
+    """(rows, den) as a tuple of integer tuples over den > 0, with the
+    common factor of den and every entry divided out."""
+    rows = tuple(map(tuple, rows))
+    common = gcd(den, *(a for r in rows for a in r))
+    if common > 1:
+        rows = tuple(tuple(a // common for a in r) for r in rows)
+        den //= common
+    return rows, den
+
+
+@dataclass(frozen=True, init=False)
 class PointSet:
-    """Finite list of pairwise distinct points in a common dimension."""
+    """Finite list of pairwise distinct points in a common dimension.
 
-    points: tuple
+    The set is held in integers: point i is rows[i] / den, den > 0 the
+    least such denominator (gcd(den, every entry) is 1), so equal sets
+    hold equal rows.  `points` builds the rationals on first use.
+    """
 
-    def __post_init__(self):
-        pts = tuple(exact_tuple(p) for p in self.points)
-        if not pts:
+    rows: tuple
+    den: int
+
+    def __init__(self, points):
+        """The set of `points`, each a sequence of exact rationals (ints,
+        "p/q" strings or Fractions, read by `int_pair`)."""
+        self._hold(*_integer_points(points))
+
+    @classmethod
+    def from_integers(cls, rows, den) -> "PointSet":
+        """The set of the points rows[i] / den, for integer rows and an
+        integer den > 0; a common factor of den and every entry is
+        divided out."""
+        ps = cls.__new__(cls)
+        ps._hold(rows, den)
+        return ps
+
+    def _hold(self, rows, den):
+        rows, den = _lowest_terms(rows, den)
+        if not rows:
             raise GeometryError("a point set needs at least one point")
-        dim = len(pts[0])
+        dim = len(rows[0])
         if dim == 0:
             raise GeometryError("points need at least one coordinate")
-        if any(len(p) != dim for p in pts):
+        if any(len(p) != dim for p in rows):
             raise GeometryError("points have mixed dimensions")
-        if len(set(pts)) != len(pts):
+        if len(set(rows)) != len(rows):
             raise GeometryError("points must be pairwise distinct")
-        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "den", den)
 
     @property
     def dim(self) -> int:
-        return len(self.points[0])
+        return len(self.rows[0])
 
     def __len__(self):
-        return len(self.points)
+        return len(self.rows)
 
     def __iter__(self):
         return iter(self.points)
@@ -118,10 +160,16 @@ class PointSet:
         return self.points[idx]
 
     @cached_property
+    def points(self) -> tuple:
+        """The points as tuples of Fractions."""
+        den = self.den
+        return tuple(tuple(Fraction(a, den) for a in p) for p in self.rows)
+
+    @property
     def cleared(self):
-        """(points, L): every coordinate times L, the lcm of all the
-        denominators, as integer tuples; computed once per set."""
-        return _integer_points(self.points)
+        """(rows, den): every coordinate times den, the least common
+        denominator, as integer tuples."""
+        return self.rows, self.den
 
 
 @dataclass(frozen=True)
@@ -145,58 +193,77 @@ class StandardSimplex:
 
     @property
     def vertices(self) -> PointSet:
-        return PointSet(tuple(self.vertex(j) for j in range(self.rank + 1)))
+        n = self.rank + 1
+        return PointSet.from_integers([[int(i == j) for i in range(n)] for j in range(n)], 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class AffineMap:
-    """x maps to matrix @ x + offset, rows indexed by output coordinate."""
+    """x maps to matrix @ x + offset, rows indexed by output coordinate.
 
-    matrix: tuple
-    offset: tuple
+    The map is held in integers: output i at x is
+    (rows[i][:-1] . x + rows[i][-1]) / den, den > 0 the least common
+    denominator of the matrix and the offset, so equal maps hold equal
+    rows.  `matrix` and `offset` build the rationals on first use.
+    """
 
-    def __post_init__(self):
-        rows = tuple(exact_tuple(r) for r in self.matrix)
-        off = exact_tuple(self.offset)
-        if not rows:
+    rows: tuple
+    den: int
+
+    def __init__(self, matrix, offset):
+        """The map of a matrix and an offset of exact rationals (ints,
+        "p/q" strings or Fractions, read by `int_pair`)."""
+        linear = [[int_pair(a) for a in r] for r in matrix]
+        shift = [int_pair(c) for c in offset]
+        if not linear:
             raise GeometryError("affine map needs at least one output row")
-        if len({len(r) for r in rows}) != 1:
+        if len({len(r) for r in linear}) != 1:
             raise GeometryError("matrix rows have mixed lengths")
-        if len(off) != len(rows):
+        if len(shift) != len(linear):
             raise GeometryError("offset length must match the row count")
-        object.__setattr__(self, "matrix", rows)
-        object.__setattr__(self, "offset", off)
+        self._hold(*cleared_pairs([r + [c] for r, c in zip(linear, shift)]))
+
+    @classmethod
+    def from_integers(cls, rows, den) -> "AffineMap":
+        """The map whose output i at x is (rows[i][:-1] . x + rows[i][-1]) /
+        den, for integer rows and an integer den > 0; a common factor of
+        den and every entry is divided out."""
+        m = cls.__new__(cls)
+        m._hold(rows, den)
+        return m
+
+    def _hold(self, rows, den):
+        rows, den = _lowest_terms(rows, den)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "den", den)
+
+    @cached_property
+    def matrix(self) -> tuple:
+        return tuple(tuple(Fraction(a, self.den) for a in r[:-1]) for r in self.rows)
+
+    @cached_property
+    def offset(self) -> tuple:
+        return tuple(Fraction(r[-1], self.den) for r in self.rows)
 
     @property
     def in_dim(self) -> int:
-        return len(self.matrix[0])
+        return len(self.rows[0]) - 1
 
     @property
     def out_dim(self) -> int:
-        return len(self.matrix)
+        return len(self.rows)
 
     def cleared_images(self, points):
-        """(images, den): output i at points[p] is images[p][i] / den,
-        den > 0, computed in integers.  `points` is a `PointSet` or any
-        sequence of points of exact rationals (`exact_tuple`), so a point
-        may repeat.
+        """(images, den): output i at point p is images[p][i] / den, den > 0,
+        computed in integers.  `points` is a `PointSet`, or a pair
+        (rows, L) of integer rows over L > 0 in which a row may repeat.
 
-        Row i is cleared over the lcm D_i of its denominators and raised
-        to D, the lcm of the D_i; with the points' coordinates over their
-        lcm L (`PointSet.cleared`), den = D L.
+        With the map's rows over D and the points' over L, den = D L.
         """
-        rows = [
-            over_common_denominator(r + (c,)) for r, c in zip(self.matrix, self.offset)
-        ]
-        common = lcm(*(d for _, d in rows))
-        rows = [[a * (common // d) for a in row] for row, d in rows]
-        if isinstance(points, PointSet):
-            P, den = points.cleared
-        else:
-            P, den = _integer_points(points)
+        P, L = points.cleared if isinstance(points, PointSet) else points
         # zip stops at the point's coordinates, before the offset entry.
-        images = [[row[-1] * den + sum(map(mul, row, p)) for row in rows] for p in P]
-        return images, common * den
+        images = [[row[-1] * L + sum(map(mul, row, p)) for row in self.rows] for p in P]
+        return images, self.den * L
 
 
 def outside_simplex(images, den):
@@ -242,8 +309,8 @@ class MapProgram:
 
 def simplex_map_lp(points, outputs, pinned=(), score=()):
     """Program for an affine map sending every point into the standard
-    simplex on `outputs` outcomes, with pinned[j] sent to vertex j (all
-    `outputs` of them, points of the set, or none).
+    simplex on `outputs` outcomes, with the point of index pinned[j] sent
+    to vertex j (all `outputs` of them, or none).
 
     A nonempty `score`, a list of (output, point) pairs with points in
     the set's affine hull, makes the sum of those outputs at those points
@@ -279,10 +346,9 @@ def simplex_map_lp(points, outputs, pinned=(), score=()):
     pins = len(pinned)
     if pins and pins != outputs:
         raise GeometryError("a pinned program pins every output")
-    try:
-        frame = [ps.points.index(q) for q in pinned] or [0]
-    except ValueError:
-        raise GeometryError("pinned points must be points of the set") from None
+    if any(not isinstance(i, int) or not 0 <= i < len(P) for i in pinned):
+        raise GeometryError("pinned indices must index points of the set")
+    frame = list(pinned) or [0]
     k = outputs - 1
     origin = P[frame[0]]
     d = len(origin)
@@ -296,16 +362,20 @@ def simplex_map_lp(points, outputs, pinned=(), score=()):
     # A score point off the set gets a column of its own, scaled by the
     # lcm of its coordinates' denominators.
     scales, extra, scored = [1] * width, [], []
+    index = {p: i for i, p in enumerate(P)} if score else None
     for _, x in score:
-        x = exact_tuple(x)
-        if x in ps.points:
-            scored.append(column[ps.points.index(x)])
-            continue
-        if len(x) != d:
+        # x = nums / xden is set point P / den when den nums / xden is P.
+        nums, xden = over_common_denominator(exact_tuple(x))
+        if den % xden == 0:
+            found = index.get(tuple(a * (den // xden) for a in nums))
+            if found is not None:
+                scored.append(column[found])
+                continue
+        if len(nums) != d:
             raise GeometryError("score points must match the set's dimension")
+        x = (nums, xden)
         if x not in extra:
             extra.append(x)
-            nums, xden = over_common_denominator(x)
             columns.append([den * a - xden * o for a, o in zip(nums, origin)])
             scales.append(xden)
         scored.append(width + extra.index(x))
@@ -384,8 +454,8 @@ def decode_map(program: MapProgram, point) -> AffineMap:
     image is l e_j and a variable one's is (l - sum(w_b), w_b).  With M
     the images minus q_0's, one per basis direction, the linear part is
     L M (D B^-1) / (D l) and the offset f(q_0) - M (D B^-1) P_0 / (D l),
-    with P = L x the cleared coordinates.  The map is zero on directions
-    outside aff X.
+    with P = L x the cleared coordinates: integer rows over D l.  The map
+    is zero on directions outside aff X.
     """
     outputs = program.outputs
     nums, lw = over_common_denominator(point)
@@ -395,15 +465,13 @@ def decode_map(program: MapProgram, point) -> AffineMap:
         tail = nums[b::basis]
         images.append([lw - sum(tail)] + tail)
     base = images[0]
-    scale = program.scale * lw
-    matrix, offset = [], []
+    rows = []
     for i in range(outputs):
         steps = [image[i] - base[i] for image in images[1:]]
         linear = [sum(map(mul, steps, col)) for col in program.inverse]
-        matrix.append(tuple(Fraction(program.den * a, scale) for a in linear))
         shift = sum(map(mul, linear, program.origin))
-        offset.append(Fraction(base[i] * program.scale - shift, scale))
-    return AffineMap(tuple(matrix), tuple(offset))
+        rows.append([program.den * a for a in linear] + [base[i] * program.scale - shift])
+    return AffineMap.from_integers(rows, program.scale * lw)
 
 
 # ---------------------------------------------------------------------------
@@ -463,16 +531,15 @@ def member(pts: PointSet, x) -> bool:
     """Decide x in conv(pts) by the convex-weight program.  An "outside"
     verdict is self-checked: the Farkas multipliers give an affine
     functional that must separate x from every spanning point."""
-    x = exact_tuple(x)
+    X, xden = over_common_denominator(exact_tuple(x))
     d = pts.dim
-    if len(x) != d:
+    if len(X) != d:
         raise GeometryError("point dimension does not match the polytope")
     n = len(pts)
     # Coordinate rows sum_i w_i p_i = x over L * xden, the points cleared
     # to P / L and x to X / xden; then the weight sum and the sign rows
     # w_i >= 0.
     P, L = pts.cleared
-    X, xden = over_common_denominator(x)
     rows = []
     for t in range(d):
         terms = [(i, p[t] * xden) for i, p in enumerate(P)]
@@ -483,11 +550,12 @@ def member(pts: PointSet, x) -> bool:
     if out.status is Status.FEASIBLE:
         return True
     # Farkas multipliers on the coordinate rows give the separating
-    # functional: y.x - t > 0 while y.p - t <= 0 for all spanning p.
-    y = out.farkas
-    normal = tuple(-y[t] for t in range(d))
-    threshold = y[d]
-    if vdot(normal, x) <= threshold or any(vdot(normal, p) > threshold for p in pts):
+    # functional: y.x - t > 0 while y.p - t <= 0 for all spanning p, with
+    # normal y = -farkas[:d] and t = farkas[d], cleared to Y / yden and
+    # T / yden.
+    nums, _ = over_common_denominator(out.farkas[: d + 1])
+    Y, T = [-a for a in nums[:d]], nums[d]
+    if sum(map(mul, Y, X)) <= T * xden or any(sum(map(mul, Y, p)) > T * L for p in P):
         raise GeometryError("separating functional failed verification")
     return False
 
@@ -497,10 +565,10 @@ def member(pts: PointSet, x) -> bool:
 
 
 def _integer_points(pts):
-    """(points, L): every coordinate times L, the lcm of all denominators."""
-    d = len(pts[0])
-    nums, den = over_common_denominator([c for p in pts for c in p])
-    return [tuple(nums[i : i + d]) for i in range(0, len(nums), d)], den
+    """(points, L) for points of exact rationals: every coordinate times
+    L, the lcm of all the denominators in lowest terms, each read by
+    `int_pair`."""
+    return cleared_pairs([[int_pair(c) for c in p] for p in pts])
 
 
 def _det(rows):
@@ -617,8 +685,8 @@ def volume(ps: PointSet):
         )
         return ZERO
     if d == 1:
-        coords = [p[0] for p in ps]
-        return max(coords) - min(coords)
+        coords = [p[0] for p in P]
+        return Fraction(max(coords) - min(coords), den)
     o = P[simplex[0]]
     total = 0
     for facet in _boundary(P, simplex):
@@ -840,6 +908,7 @@ def affine_symmetry(ps: PointSet) -> AffineSymmetry:
 
 
 def point_set_to_obj(ps: PointSet) -> dict:
+    """The point-set document: "p/q" strings in lowest terms."""
     return {
         "dim": ps.dim,
         "points": [[str(c) for c in p] for p in ps.points],
@@ -858,18 +927,20 @@ def point_set_from_obj(obj) -> PointSet:
         raise GeometryError("field 'dim' must be a positive integer")
     if not isinstance(rows, list) or not rows:
         raise GeometryError("field 'points' must be a non-empty list")
-    pts = []
+    # Each entry, a JSON int or a "p"/"p/q" string, is read straight into
+    # an integer pair in lowest terms.
+    pairs = []
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != dim:
             raise GeometryError(
                 f"point {i} must be a list of {dim} rational strings"
             )
         try:
-            pts.append(exact_tuple(row))
+            pairs.append([int_pair(c) for c in row])
         except ValueError as exc:
             raise GeometryError(f"point {i}: {exc}") from exc
     try:
-        return PointSet(tuple(pts))
+        return PointSet.from_integers(*cleared_pairs(pairs))
     except GeometryError as exc:
         raise GeometryError(f"invalid point set: {exc}") from exc
 

@@ -3,12 +3,15 @@
 Every decision made by this package is carried out in arbitrary-precision
 rational arithmetic, and its one scalar type is the stdlib
 `fractions.Fraction`; floating point shows up only when a report asks for
-a decimal rendering.  A linear program may be written in Fractions, in
-ints or in "p/q" strings, but exact_lp reads each scalar once (`int_pair`)
-and keeps every row as integers over one denominator; the tableau pivots
-on those integers and every point, ray and multiplier certificate is
-re-verified on them, so Fractions come back only when a solution is read
-out.
+a decimal rendering.  `int_pair` reads an int, a Fraction or a "p/q"
+string straight into an integer pair in lowest terms, with no Fraction
+built; point sets and affine maps are read that way into integer rows
+over one denominator (`cleared_pairs`).  A linear program may be written
+in Fractions, in ints or in "p/q" strings, but exact_lp reads each scalar
+once (`int_pair`) and keeps every row as integers over one denominator;
+the tableau pivots on those integers and every point, ray and multiplier
+certificate is re-verified on them, so Fractions come back only when a
+solution is read out.
 
 The one integer elimination kernel, the fraction-free `_bareiss`
 (Bareiss 1968), lives in this leaf module so that both `geometry` and
@@ -37,6 +40,25 @@ class ScalarError(ValueError):
 _RATIO_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 
+def _text_pair(text: str) -> tuple:
+    """(p, q) in lowest terms, q > 0, of a "p" or "p/q" string, read
+    without building a rational; surrounding whitespace is ignored."""
+    text = text.strip()
+    if not _RATIO_RE.match(text):
+        raise ScalarError(f"not a 'p/q' rational string: {text!r}")
+    # The match leaves a signed int, then at most one "/" and an unsigned
+    # int; int() refuses one past the interpreter's digit limit.
+    num, _, den = text.partition("/")
+    try:
+        p, q = int(num), int(den) if den else 1
+    except ValueError as exc:
+        raise ScalarError(f"not an exact rational: {text!r}") from exc
+    if q == 0:
+        raise ScalarError(f"not an exact rational: {text!r}")
+    g = math.gcd(p, q)
+    return p // g, q // g
+
+
 def ratio(value: RationalLike, denominator: RationalLike | None = None) -> Fraction:
     """Build an exact rational from an int, a "p/q" string, or a rational.
 
@@ -52,16 +74,11 @@ def ratio(value: RationalLike, denominator: RationalLike | None = None) -> Fract
         )
     if isinstance(value, str):
         value = value.strip()
-        if not _RATIO_RE.match(value):
-            raise ScalarError(f"not a 'p/q' rational string: {value!r}")
+        args = _text_pair(value)
+    else:
+        args = (value,)
     try:
-        if isinstance(value, str):
-            # The match leaves a signed int, then at most one "/" and an
-            # unsigned int.
-            num, _, den = value.partition("/")
-            result = Fraction(int(num), int(den) if den else 1)
-        else:
-            result = Fraction(value)
+        result = Fraction(*args)
         if denominator is None:
             return result
         return result / Fraction(denominator)
@@ -89,16 +106,27 @@ def vdot(a, b):
 
 
 def int_pair(value) -> tuple:
-    """(numerator, denominator) of one scalar, the denominator positive: an
-    int is itself over 1 with no rational built, a Fraction is read as it
-    stands, anything else goes through `ratio` (so floats, bools and
-    malformed strings are still refused)."""
+    """(numerator, denominator) of one scalar in lowest terms, the
+    denominator positive, with no rational built for an int, a Fraction or
+    a "p/q" string; anything else goes through `ratio`, so floats, bools
+    and malformed strings are refused with `ratio`'s messages."""
     kind = type(value)
     if kind is int:
         return value, 1
-    if kind is not Fraction:
-        value = ratio(value)
+    if kind is Fraction:
+        return value.numerator, value.denominator
+    if kind is str:
+        return _text_pair(value)
+    value = ratio(value)
     return value.numerator, value.denominator
+
+
+def cleared_pairs(rows) -> tuple:
+    """(rows, L) for rows of `int_pair` pairs: every entry times L, the lcm
+    of the denominators (1 for no entries), as integer lists.  gcd(L,
+    every entry) is 1, the denominators being in lowest terms."""
+    den = math.lcm(*(q for row in rows for _, q in row))
+    return [[p * (den // q) for p, q in row] for row in rows], den
 
 
 def over_common_denominator(values):

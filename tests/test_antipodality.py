@@ -1,8 +1,10 @@
 """Joint antipodality routes, certificates, rank checks, strict variant."""
 
+import random
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
+from math import comb
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -14,6 +16,7 @@ from antipodes.antipodality import (
     StrictReport,
     _copies_lp,
     _map_certificate,
+    _sampled_subsets,
     _witness_holds,
     erdos_rank_k,
     is_rank_k_antipodal,
@@ -180,6 +183,38 @@ def test_sampled_mode_requires_seed_and_is_deterministic():
     assert not a.exhaustive
 
 
+def _counted_draws(monkeypatch):
+    """Count the draws of every random.Random."""
+    draws = []
+    real = random.Random.sample
+
+    def counted(self, population, k, **kw):
+        draws.append(k)
+        return real(self, population, k, **kw)
+
+    monkeypatch.setattr(random.Random, "sample", counted)
+    return draws
+
+
+@pytest.mark.parametrize("n, k", [(2, 1), (4, 1), (5, 2), (6, 3), (7, 1), (9, 4)])
+@pytest.mark.parametrize("samples", [1, 5, 40, 500])
+def test_sampling_stops_once_every_subset_is_seen(monkeypatch, n, k, samples):
+    for seed in (0, 1, 5, 11):
+        # Reference: every draw made, then deduplicated; and the draw at
+        # which the last new subset turned up.
+        rng = random.Random(seed)
+        full = [tuple(sorted(rng.sample(range(n), k + 1))) for _ in range(samples)]
+        seen = set()
+        last = next(
+            (i for i, s in enumerate(full) if seen.add(s) or len(seen) == comb(n, k + 1)),
+            samples - 1,
+        )
+        draws = _counted_draws(monkeypatch)
+        assert _sampled_subsets(n, k, samples, seed) == sorted(set(full))
+        assert len(draws) == last + 1
+        monkeypatch.undo()
+
+
 # ---------------------------------------------------------------------------
 # projection criterion and strict variant
 
@@ -300,7 +335,7 @@ def _reference_strict(X, k):
                 if x_idx in subset or apply_map(mapping, X[x_idx])[vertex] != 1:
                     continue
                 others = [(i, X[x_idx]) for i in range(k + 1) if i != vertex]
-                program = simplex_map_lp(X, k + 1, [X[i] for i in subset], others)
+                program = simplex_map_lp(X, k + 1, subset, others)
                 out = program.solve()
                 assert out.status is Status.FEASIBLE
                 if out.objective_value + program.offset == 0:

@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -657,6 +658,34 @@ def test_check_rank_refuses_too_many_samples(files, capsys, monkeypatch):
     )
     assert code == 0 and report["subsets_checked"] == 1
     assert drawn == [100000]
+
+
+def test_sampled_check_rank_stops_drawing_once_every_pair_is_seen(files, capsys, monkeypatch):
+    # The square has 6 pairs; 100 000 seeded draws print what 6 distinct
+    # pairs print, and the draws stop at the one that finds the 6th.
+    rng = random.Random(1)
+    seen, needed = set(), 0
+    while len(seen) < 6:
+        seen.add(tuple(sorted(rng.sample(range(4), 2))))
+        needed += 1
+    draws = []
+    real = random.Random.sample
+    monkeypatch.setattr(
+        random.Random,
+        "sample",
+        lambda self, *args, **kw: draws.append(1) or real(self, *args, **kw),
+    )
+    code, _, out = run(
+        capsys, "check-rank", files["square"], "--k", "1",
+        "--sample", "100000", "--seed", "1",
+    )
+    assert code == 0
+    assert out == (
+        '{\n  "antipodal": true,\n  "bound": "4",\n  "dim": 2,\n'
+        '  "exhaustive": false,\n  "k": 1,\n  "max_points": 4,\n  "points": 4,\n'
+        '  "subsets_checked": 6,\n  "verb": "check-rank",\n  "within_bound": true\n}\n'
+    )
+    assert len(draws) == needed < 100000
 
 
 def test_construct_verify_refuses_too_many_subsets(files, tmp_path, capsys, monkeypatch):

@@ -159,7 +159,7 @@ def test_outside_simplex_names_the_first_bad_image():
 
 def test_simplex_map_lp_rows_and_decoding():
     square = _pts((0, 0), (1, 0), (0, 1), (1, 1))
-    program = simplex_map_lp(square, 2, pinned=[square[0], square[3]])
+    program = simplex_map_lp(square, 2, pinned=[0, 3])
     # The pins fix the map along the diagonal, so the one variable is
     # output 1's slope along the free direction (1, 0) - (0, 0); (0, 1) is
     # the diagonal minus it.  Rows: outputs 0 and 1 >= 0 at the unpinned
@@ -222,7 +222,7 @@ def test_simplex_map_lp_rows_and_decoding():
     half = (ratio(1, 2), ratio(1, 2))
     program = simplex_map_lp(line, 2, score=[(0, half), (1, half)])
     assert program.offset == 1 and program.lp.objective == (0, 0)
-    for pinned in ((), line[:2]):
+    for pinned in ((), (0, 1)):
         with pytest.raises(GeometryError):
             simplex_map_lp(line, 2, pinned, score=[(1, (ratio(1), ratio(0)))])
 
@@ -231,21 +231,22 @@ def test_pinned_map_program_without_variables():
     # Three pins on a triangle with an interior point: k = r, so the map
     # is fixed and the interior point's barycentric signs decide alone.
     pts = _pts((0, 0), (3, 0), (0, 3), (1, 1))
-    program = simplex_map_lp(pts, 3, pinned=pts[:3], score=[(1, pts[3])])
+    program = simplex_map_lp(pts, 3, pinned=[0, 1, 2], score=[(1, pts[3])])
     assert program.lp is None and program.offset == ratio(1, 3)
     out = program.solve()
     assert out.status is Status.FEASIBLE and out.point == ()
     mapping = decode_map(program, out.point)
     assert apply_map(mapping, pts[3]) == (ratio(1, 3),) * 3
     # A point outside the triangle breaks the pins by itself.
-    program = simplex_map_lp(_pts((0, 0), (3, 0), (0, 3), (2, 2)), 3, pinned=pts[:3])
+    program = simplex_map_lp(_pts((0, 0), (3, 0), (0, 3), (2, 2)), 3, pinned=[0, 1, 2])
     assert program.lp is None and program.solve().status is Status.INFEASIBLE
-    # So does an affinely dependent frame, and pins must be set points.
+    # So does an affinely dependent frame, and pins must index set points.
     line = _pts((0, 0), (1, 1), (2, 2), (0, 1))
-    program = simplex_map_lp(line, 3, pinned=line[:3])
+    program = simplex_map_lp(line, 3, pinned=[0, 1, 2])
     assert program.lp is None and program.solve().status is Status.INFEASIBLE
-    with pytest.raises(GeometryError):
-        simplex_map_lp(line, 2, pinned=[line[0], (ratio(5), ratio(5))])
+    for bad in ([0, 4], [0, -1], [0, line[1]]):
+        with pytest.raises(GeometryError, match="pinned indices"):
+            simplex_map_lp(line, 2, pinned=bad)
 
 
 def test_orthogonal_project_onto_axis():

@@ -142,7 +142,7 @@ def test_map_program_decides_like_the_full_program(instance):
     X, chosen = instance
     k = len(chosen) - 1
     pinned = [X[i] for i in chosen]
-    program = simplex_map_lp(X, k + 1, pinned=pinned)
+    program = simplex_map_lp(X, k + 1, pinned=chosen)
     assert program.offset == 0
     dependent = affine_rank(PointSet(tuple(pinned))) < k
     if program.lp is not None:
@@ -176,8 +176,9 @@ def test_map_program_scores_like_the_full_program(instance, data):
         # The midpoint of two set points, which need not be a set point.
         a, b = data.draw(st.lists(st.sampled_from(X.points), min_size=2, max_size=2, unique=True))
         score.append((data.draw(st.integers(0, k)), tuple((s + t) / 2 for s, t in zip(a, b))))
-    pinned = [X[i] for i in chosen] if data.draw(st.booleans()) else []
-    program = simplex_map_lp(X, k + 1, pinned, score)
+    pins = chosen if data.draw(st.booleans()) else ()
+    pinned = [X[i] for i in pins]
+    program = simplex_map_lp(X, k + 1, pins, score)
     r = affine_rank(X)
     if program.lp is not None:
         assert program.lp.num_vars == (k * (r - k) if pinned else k * (r + 1))
@@ -228,7 +229,7 @@ def test_integer_map_check_matches_rational_reference(instance, q, data):
 
     # Any entry moved by 1/q, which a set that does not span its space may
     # not notice; and a map drawn at random.
-    program = simplex_map_lp(X, k + 1, pinned=[X[i] for i in chosen])
+    program = simplex_map_lp(X, k + 1, pinned=chosen)
     out = program.solve()
     if out.status is Status.FEASIBLE:
         good = decode_map(program, out.point)
