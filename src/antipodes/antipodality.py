@@ -528,12 +528,15 @@ def is_rank_k_antipodal(
 
     Exhaustive mode refuses sets with more than EXHAUSTIVE_LIMIT subsets;
     pass `samples` (a number of random draws, deduplicated) and `seed`.
-    Sampled mode refuses more than EXHAUSTIVE_LIMIT draws.
+    Sampled mode refuses more than EXHAUSTIVE_LIMIT draws, and a seed
+    without `samples` is refused rather than ignored.
     """
     _rank_argument(X, k)
     exhaustive = samples is None
     # An oversized check is refused before any work.
     if exhaustive:
+        if seed is not None:
+            raise AntipodalityError("a seed needs sampled mode; pass samples with it")
         subsets = _all_subsets(len(X), k)
     else:
         if not isinstance(samples, int) or samples < 1:

@@ -128,44 +128,49 @@ def _approx(x) -> str:
         return f"{Decimal(x.numerator) / Decimal(x.denominator):.6g}"
 
 
-def _finalize(tree, decimal: bool):
-    """Convert a report tree into plain JSON values."""
-    if isinstance(tree, Fraction):
-        text = str(tree)
-        if decimal:
-            return f"{text} (approx {_approx(tree)})"
-        return text
-    if isinstance(tree, dict):
-        return {key: _finalize(value, decimal) for key, value in tree.items()}
-    if isinstance(tree, (list, tuple)):
-        return [_finalize(item, decimal) for item in tree]
-    return tree
-
-
 _scalar = json.JSONEncoder(sort_keys=True).encode
 _LITERALS = {True: "true", False: "false", None: "null"}
 
 
-def _render(tree, indent="\n") -> str:
+def _render(tree, decimal=False, indent="\n") -> str:
     """`json.dumps(tree, indent=2, sort_keys=True)` without the reference
     cycle its pure-Python encoder leaves: only scalars and keys go to json.
     Strings, bools, None and ints are written as json writes them, without
     building an encoder per scalar; `int.__repr__` still refuses an int
-    past the digit limit."""
+    past the digit limit.  A Fraction is written as the string "p/q", with
+    " (approx ...)" appended when decimal is set."""
     inner = indent + "  "
     if isinstance(tree, str):
         return encode_basestring_ascii(tree)
+    if isinstance(tree, Fraction):
+        # "p/q" and the approximation need no escaping.
+        if decimal:
+            return f'"{tree} (approx {_approx(tree)})"'
+        return f'"{tree}"'
     if tree is None or isinstance(tree, bool):
         return _LITERALS[tree]
     if isinstance(tree, int):
         return int.__repr__(tree)
     if isinstance(tree, dict) and tree:
-        items = [f"{_render(k)}: {_render(v, inner)}" for k, v in sorted(tree.items())]
+        items = [f"{_render(k)}: {_render(v, decimal, inner)}" for k, v in sorted(tree.items())]
         return "{" + inner + ("," + inner).join(items) + indent + "}"
     if isinstance(tree, (list, tuple)) and tree:
-        items = [_render(v, inner) for v in tree]
+        items = [_render(v, decimal, inner) for v in tree]
         return "[" + inner + ("," + inner).join(items) + indent + "]"
     return _scalar(tree)
+
+
+def _fraction_text(value) -> str:
+    if isinstance(value, Fraction):
+        return str(value)
+    raise TypeError(f"{type(value).__name__} is not a report value")
+
+
+def _canonical(report):
+    """The report as its replay reads it: the report's compact text, in
+    json's C encoder (indent would not run there), read back, so every
+    Fraction is its "p/q" string and every tuple a list."""
+    return json.loads(json.dumps(report, default=_fraction_text))
 
 
 @contextlib.contextmanager
@@ -179,12 +184,8 @@ def _rendering():
         raise RenderError(f"the report cannot be rendered: {exc}") from None
 
 
-def _parse_rational(text: str):
-    return ratio(text.split(" ")[0])
-
-
 def _parse_point(obj):
-    return tuple(_parse_rational(s) for s in obj)
+    return tuple(ratio(s) for s in obj)
 
 
 def _map_obj(mapping: AffineMap) -> dict:
@@ -193,10 +194,7 @@ def _map_obj(mapping: AffineMap) -> dict:
 
 def _parse_map(obj) -> AffineMap:
     # AffineMap reads the "p/q" strings straight into integers.
-    return AffineMap(
-        [[s.split(" ")[0] for s in row] for row in obj["matrix"]],
-        [s.split(" ")[0] for s in obj["offset"]],
-    )
+    return AffineMap(obj["matrix"], obj["offset"])
 
 
 def _cert_obj(cert: AntipodalityCertificate) -> dict:
@@ -216,15 +214,17 @@ def _parse_cert(obj) -> AntipodalityCertificate:
         mapping=_parse_map(obj["map"]) if "map" in obj else None,
         witness=_parse_point(obj["witness"]) if "witness" in obj else None,
         shrink_factors=(
-            tuple(_parse_rational(s) for s in obj["shrink_factors"])
+            tuple(ratio(s) for s in obj["shrink_factors"])
             if "shrink_factors" in obj
             else None
         ),
     )
 
 
-def _log_obj(value) -> dict:
-    return {"coeff": value.coeff, "log_of": value.arg}
+def _log_obj(pair) -> dict:
+    """A growth rate (coeff, arg), which stands for coeff * log(arg)."""
+    coeff, arg = pair
+    return {"coeff": coeff, "log_of": arg}
 
 
 # ---------------------------------------------------------------------------
@@ -261,8 +261,9 @@ def _cmd_check_joint(args):
 def _cmd_check_rank(args):
     X = load_point_set(args.file)
     _refuse_oversized_bound(X.dim, args.k)
-    if args.sample is None and args.k >= 1:
-        # Refused here, so that the hint names the command-line flags.
+    if args.sample is None and args.seed is None and args.k >= 1:
+        # Refused here, so that the hint names the command-line flags; a
+        # seed without --sample is refused by is_rank_k_antipodal.
         _refuse_exhaustive(len(X), args.k, "; pass --sample and --seed")
     result = is_rank_k_antipodal(X, args.k, samples=args.sample, seed=args.seed)
     bound = size_bound(X.dim, args.k)
@@ -326,7 +327,7 @@ def _cmd_check_erdos(args):
     report = _erdos_report(X, args.k)
 
     def replay(parsed):
-        return _finalize(_erdos_report(X, args.k), False) == parsed
+        return _canonical(_erdos_report(X, args.k)) == parsed
 
     return report, EXIT_HOLDS if report["holds"] else EXIT_FAILS, replay
 
@@ -365,7 +366,7 @@ def _cmd_check_strict(args):
         if not parsed["strict"]:
             # A forced coincidence carries no certificate yet: rerun.
             if parsed["cause"] == "forced":
-                return _finalize(_strict_report(X, args.k), False) == parsed
+                return _canonical(_strict_report(X, args.k)) == parsed
             return _failing_claim_holds(X, parsed)
         # One evidence map per (k+1)-subset, in index order.
         evidence = parsed["evidence"]
@@ -535,7 +536,7 @@ def _cmd_bounds(args):
     }
 
     def replay(parsed):
-        return _parse_rational(parsed["bound"]) == size_bound(args.d, args.k)
+        return ratio(parsed["bound"]) == size_bound(args.d, args.k)
 
     return report, EXIT_HOLDS, replay
 
@@ -558,7 +559,7 @@ def _cmd_gap(args):
 
     def replay(parsed):
         again, _, _ = _cmd_gap(args)
-        return _finalize(again, False) == parsed
+        return _canonical(again) == parsed
 
     return report, EXIT_HOLDS, replay
 
@@ -581,10 +582,10 @@ def _cmd_volume_check(args):
     }
 
     def replay(parsed):
-        total = _parse_rational(parsed["total"])
-        copies = [_parse_rational(s) for s in parsed["copies"]]
-        bound = _parse_rational(parsed["bound"])
-        expected = _parse_rational(parsed["ratio_expected"])
+        total = ratio(parsed["total"])
+        copies = [ratio(s) for s in parsed["copies"]]
+        bound = ratio(parsed["bound"])
+        expected = ratio(parsed["ratio_expected"])
         if bound != args.k * total:
             return False
         if any(c != expected * total for c in copies):
@@ -609,7 +610,7 @@ def _cmd_discriminate(args):
     }
 
     def replay(parsed):
-        claimed = _parse_rational(parsed["min_error"])
+        claimed = ratio(parsed["min_error"])
         if parsed["distinguishable"] != (claimed == 0):
             return False
         meas = Measurement(space, _parse_map(parsed["measurement"]))
@@ -717,21 +718,15 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         report, code, replay = args.handler(args)
-        with _rendering():
-            tree = _finalize(report, args.decimal)
         if args.verify:
-            # The replay reads the canonical copy back from its text.  Its
-            # compact dump runs in json's C encoder; setting indent would
-            # not.
             with _rendering():
-                canonical = _finalize(report, False) if args.decimal else tree
-                text = json.dumps(canonical, sort_keys=True)
-            verified = bool(replay(json.loads(text)))
-            tree["verified"] = verified
+                canonical = _canonical(report)
+            verified = bool(replay(canonical))
+            report["verified"] = verified
             if not verified and code == EXIT_HOLDS:
                 code = EXIT_FAILS
         with _rendering():
-            text = _render(tree)
+            text = _render(report, args.decimal)
     except _INPUT_ERRORS as exc:
         text, code = _error_text(exc), EXIT_INPUT
     except _INTERNAL_ERRORS as exc:

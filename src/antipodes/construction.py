@@ -26,7 +26,7 @@ from .geometry import (
     volume,
 )
 from .hashcodes import HashCode, rate_bounds
-from .rationals import LogRatio, ratio
+from .rationals import ONE, ratio
 
 __all__ = [
     "ConstructionError",
@@ -235,8 +235,9 @@ class GapReport:
     k: int
     d0: int
     b: int
-    exponent: LogRatio
-    limit: LogRatio
+    # Growth rates as (coeff, arg) pairs of Fractions: coeff * log(arg).
+    exponent: tuple
+    limit: tuple
     zero_gap: bool
     gap_positive: bool
     equalizing_size: object
@@ -248,9 +249,10 @@ def gap_analysis(k: int, d0: int, b: int) -> GapReport:
 
     With base size b and rank k, codes give at most (b/k)^m points in
     dimension m*d0, an exponent of (1/d0)*log(b/k) per dimension; the
-    size bound allows log((k+1)/k).  The exponents meet only at
-    b = k*((k+1)/k)^d0, which is an integer only in degenerate cases,
-    so the report also says whether that equalizing size is achievable.
+    size bound allows log((k+1)/k).  They meet exactly at the equalizing
+    size k*((k+1)/k)^d0 = size_bound(d0, k): `zero_gap` says b equals it
+    and `gap_positive` that b is below it.  That size is an integer only
+    in degenerate cases, so the report also says whether it is achievable.
     """
     for label, value in (("k", k), ("d0", d0), ("b", b)):
         if not isinstance(value, int) or isinstance(value, bool):
@@ -261,18 +263,16 @@ def gap_analysis(k: int, d0: int, b: int) -> GapReport:
         raise ConstructionError("d0: must be at least k")
     if b < k + 1:
         raise ConstructionError("b: need at least k + 1 base points")
-    _, upper = rate_bounds(b, k + 1)
-    exponent = upper.scaled(ratio(1, d0))
-    limit = LogRatio(1, ratio(k + 1, k))
+    coeff, arg = rate_bounds(b, k + 1)[1]
     equalizing = size_bound(d0, k)
     return GapReport(
         k=k,
         d0=d0,
         b=b,
-        exponent=exponent,
-        limit=limit,
-        zero_gap=exponent == limit,
-        gap_positive=exponent < limit,
+        exponent=(coeff / d0, arg),
+        limit=(ONE, ratio(k + 1, k)),
+        zero_gap=b == equalizing,
+        gap_positive=b < equalizing,
         equalizing_size=equalizing,
         equalizing_integral=equalizing.denominator == 1,
     )

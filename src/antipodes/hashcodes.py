@@ -15,7 +15,7 @@ from itertools import accumulate, combinations, product
 from math import comb, factorial, floor, perm
 from operator import or_
 
-from .rationals import LogRatio, ratio
+from .rationals import ONE, ratio
 
 __all__ = [
     "BATCH_LIMIT",
@@ -475,13 +475,14 @@ def rate_bounds(b: int, k: int) -> tuple:
 
     Sizes grow like base**m; the counting bound caps the base at
     b/(k-1), while the sample-and-delete construction achieves
-    (1/(1-s))^(1/(k-1)).  Returned as (lower, upper) logarithms.
+    (1/(1-s))^(1/(k-1)), s = b!/((b-k)! b^k).  Returned as (lower, upper)
+    logarithms of the base, each a pair (coeff, arg) of Fractions that
+    stands for coeff * log(arg); every arg is above 1, as b >= k >= 2
+    puts s strictly between 0 and 1.
     """
     _check_params(b, k, 1)
     s = ratio(perm(b, k), b**k)
-    lower = LogRatio(ratio(1, k - 1), 1 / (1 - s))
-    upper = LogRatio(1, ratio(b, k - 1))
-    return lower, upper
+    return (ratio(1, k - 1), 1 / (1 - s)), (ONE, ratio(b, k - 1))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Exact rational scalars and exact logarithm comparisons.
+"""Exact rational scalars and the one integer elimination kernel.
 
 Every decision made by this package is carried out in arbitrary-precision
 rational arithmetic, and its one scalar type is the stdlib
@@ -173,58 +173,3 @@ def _bareiss(mat, jordan=False):
         pivots.append(c)
     return pivots, sign
 
-
-class LogRatio:
-    """The number coeff * log(arg) with rational coeff and positive rational arg.
-
-    Supports exact `==` and `<` without evaluating any logarithm:
-    comparing c1*log(a1) with c2*log(a2) is the same as comparing a1**c1
-    with a2**c2, and after clearing the exponent denominators both sides
-    are plain rationals.  Growth rates of code sizes live in this form.
-    """
-
-    __slots__ = ("coeff", "arg")
-
-    def __init__(self, coeff, arg):
-        coeff = ratio(coeff)
-        arg = ratio(arg)
-        if arg <= 0:
-            raise ScalarError("logarithm argument must be positive")
-        # Normalise the two representations of zero so == and hash agree.
-        if coeff == 0 or arg == 1:
-            coeff, arg = ZERO, ONE
-        self.coeff = coeff
-        self.arg = arg
-
-    def scaled(self, factor) -> "LogRatio":
-        return LogRatio(self.coeff * ratio(factor), self.arg)
-
-    def _compare(self, other) -> int:
-        if not isinstance(other, LogRatio):
-            raise TypeError("can only compare LogRatio with LogRatio")
-        # coeff exponents: arg1**(c1*L) vs arg2**(c2*L) with L = lcm of
-        # denominators, so both exponents become integers.
-        scale = math.lcm(self.coeff.denominator, other.coeff.denominator)
-        e1 = int(self.coeff * scale)
-        e2 = int(other.coeff * scale)
-        lhs = ratio(self.arg) ** e1
-        rhs = ratio(other.arg) ** e2
-        if lhs == rhs:
-            return 0
-        return -1 if lhs < rhs else 1
-
-    def __eq__(self, other):
-        if not isinstance(other, LogRatio):
-            return NotImplemented
-        return self._compare(other) == 0
-
-    def __lt__(self, other):
-        return self._compare(other) < 0
-
-    # Equal values admit different (coeff, arg) spellings (2*log 4 == 4*log 2)
-    # and a hash consistent with == would need prime factorisation, so the
-    # type is explicitly unhashable.
-    __hash__ = None
-
-    def __repr__(self):
-        return f"LogRatio({self.coeff}, {self.arg})"

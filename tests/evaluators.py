@@ -1,5 +1,5 @@
 """Exact evaluators that the tests check maps, simplex images, shrunk
-copies and hull membership with.
+copies, hull membership and growth-rate comparisons with.
 
 The library never evaluates a map point by point: it clears a map's images
 over a whole set at once (`AffineMap.cleared_images`), and it decides
@@ -7,7 +7,9 @@ hull membership by a linear program.  These plain rational evaluators are
 the tests' independent reference.
 """
 
+from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 from antipodes.geometry import GeometryError
 from antipodes.rationals import exact_tuple, vdot
@@ -37,6 +39,19 @@ def homothety(center, factor, x) -> tuple:
     return tuple(
         (1 - factor) * c + factor * v for c, v in zip(exact_tuple(center), exact_tuple(x))
     )
+
+
+def log_compare(x, y) -> int:
+    """The sign of c1*log(a1) - c2*log(a2) for growth rates x = (c1, a1)
+    and y = (c2, a2), rational coefficients over positive rational
+    arguments.  No logarithm is taken: with L the lcm of the coefficients'
+    denominators it is the sign of a1**(c1*L) - a2**(c2*L), whose
+    exponents are integers."""
+    (c1, a1), (c2, a2) = ((Fraction(c), Fraction(a)) for c, a in (x, y))
+    assert a1 > 0 and a2 > 0
+    scale = lcm(c1.denominator, c2.denominator)
+    lhs, rhs = a1 ** int(c1 * scale), a2 ** int(c2 * scale)
+    return (lhs > rhs) - (lhs < rhs)
 
 
 def _cross(o, a, b):

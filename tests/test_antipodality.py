@@ -9,7 +9,7 @@ from math import comb
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from antipodes import geometry
+from antipodes import antipodality, geometry
 from antipodes.antipodality import (
     AntipodalityCertificate,
     AntipodalityError,
@@ -181,6 +181,19 @@ def test_sampled_mode_requires_seed_and_is_deterministic():
     b = is_rank_k_antipodal(SQUARE, 1, samples=3, seed=11)
     assert repr(a) == repr(b)
     assert not a.exhaustive
+
+
+def test_seed_without_samples_is_refused(monkeypatch):
+    # A seed is never silently dropped for the exhaustive check: the call
+    # is refused before any subset is counted or solved.
+    calls = []
+    for name in ("_all_subsets", "joint_antipodal_direct"):
+        monkeypatch.setattr(
+            antipodality, name, lambda *args, name=name: calls.append(name)
+        )
+    with pytest.raises(AntipodalityError, match="a seed needs sampled mode"):
+        is_rank_k_antipodal(SQUARE, 1, seed=1)
+    assert calls == []
 
 
 def _counted_draws(monkeypatch):

@@ -9,6 +9,8 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from decimal import Decimal
+from fractions import Fraction
 from itertools import product
 from pathlib import Path
 from types import SimpleNamespace
@@ -465,6 +467,41 @@ def test_render_matches_indented_json_dumps(tree):
     assert cli._render(tree) == json.dumps(tree, indent=2, sort_keys=True)
 
 
+def _fractions_as_text(tree, decimal):
+    """The tree with every Fraction replaced by its report string."""
+    if isinstance(tree, Fraction):
+        return f"{tree} (approx {cli._approx(tree)})" if decimal else str(tree)
+    if isinstance(tree, dict):
+        return {key: _fractions_as_text(v, decimal) for key, v in tree.items()}
+    if isinstance(tree, (list, tuple)):
+        return [_fractions_as_text(v, decimal) for v in tree]
+    return tree
+
+
+_fraction_trees = st.recursive(
+    _leaves | st.fractions() | st.fractions(max_denominator=10**30),
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(st.text(), inner, max_size=4)
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fraction_trees, st.booleans())
+def test_render_writes_fractions_as_report_strings(tree, decimal):
+    want = _fractions_as_text(tree, decimal)
+    assert cli._render(tree, decimal) == json.dumps(want, indent=2, sort_keys=True)
+    assert cli._canonical(tree) == json.loads(json.dumps(_fractions_as_text(tree, False)))
+
+
+def test_canonical_copy_refuses_other_objects():
+    with pytest.raises(TypeError, match="Decimal is not a report value"):
+        cli._canonical({"x": [Decimal(1)]})
+
+
 def test_render_leaves_no_cyclic_garbage(files, capsys):
     code, report, _ = run(capsys, "--verify", "check-strict", files["triangle"], "--k", "1")
     assert code == 0
@@ -658,6 +695,17 @@ def test_check_rank_refuses_too_many_samples(files, capsys, monkeypatch):
     )
     assert code == 0 and report["subsets_checked"] == 1
     assert drawn == [100000]
+
+
+def test_check_rank_refuses_a_seed_without_samples(tmp_path, files, capsys):
+    # Exit 2 rather than a silent exhaustive check, on a small set and on
+    # one whose exhaustive check would be refused for its size.
+    crowd = tmp_path / "crowd.json"
+    dump_point_set(_ps(*((t, t * t) for t in range(90))), crowd)
+    for path in (files["square"], str(crowd)):
+        code, report, _ = run(capsys, "check-rank", path, "--k", "2", "--seed", "3")
+        assert code == 2
+        assert report == {"error": "a seed needs sampled mode; pass samples with it"}
 
 
 def test_sampled_check_rank_stops_drawing_once_every_pair_is_seen(files, capsys, monkeypatch):
@@ -964,7 +1012,7 @@ def test_verify_requires_an_unseparated_batch(files, capsys, monkeypatch):
 def test_hash_verify_replay_reads_the_violating_batch(files, violating):
     args = _build_parser().parse_args(["hash-verify", files["loose_code"]])
     report, _, replay = cli._cmd_hash_verify(args)
-    parsed = json.loads(json.dumps(cli._finalize(report, False)))
+    parsed = cli._canonical(report)
     assert parsed["violating"] == [[1, 1], [1, 2], [2, 2]]
     parsed["violating"] = violating
     assert replay(parsed) is (violating == [[1, 1], [1, 2], [2, 2]])
@@ -987,7 +1035,7 @@ def test_verify_requires_evidence_for_every_subset(files, capsys, monkeypatch):
 def test_strict_replay_checks_the_negative_certificate(files, monkeypatch):
     args = _build_parser().parse_args(["check-strict", files["collinear"], "--k", "1"])
     report, code, replay = cli._cmd_check_strict(args)
-    parsed = json.loads(json.dumps(cli._finalize(report, False)))
+    parsed = cli._canonical(report)
     assert code == 1 and parsed["cause"] == "not_antipodal"
     assert parsed["certificate"]["chosen"] == parsed["failing_subset"] == [0, 1]
     # The replay checks the certificate; it does not run the verb again.
@@ -1005,7 +1053,7 @@ def test_verify_reads_distinguishable_against_the_error(files):
         ["discriminate", files["bit_space"], files["bit_states"]]
     )
     report, _, replay = cli._cmd_discriminate(args)
-    parsed = json.loads(json.dumps(cli._finalize(report, False)))
+    parsed = cli._canonical(report)
     assert replay(parsed)
     parsed["distinguishable"] = not parsed["distinguishable"]
     assert not replay(parsed)
@@ -1016,7 +1064,7 @@ def test_hash_verify_replay_reads_the_input_code(files):
     # no longer names the code in the file.
     args = _build_parser().parse_args(["hash-verify", files["loose_code"]])
     report, _, replay = cli._cmd_hash_verify(args)
-    parsed = json.loads(json.dumps(cli._finalize(report, False)))
+    parsed = cli._canonical(report)
     assert replay(parsed)
     parsed["code"]["words"].append([3, 3])
     assert not replay(parsed)

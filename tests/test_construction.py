@@ -1,5 +1,6 @@
 """Product construction, size bound, volume inequality, gap reports."""
 
+from fractions import Fraction
 from itertools import combinations, product
 from math import floor
 
@@ -23,7 +24,8 @@ from antipodes.construction import (
 )
 from antipodes.geometry import GeometryError, PointSet
 from antipodes.hashcodes import HashCode, max_code
-from antipodes.rationals import LogRatio, ratio
+from antipodes.rationals import ratio
+from evaluators import log_compare
 
 
 def _ps(*rows):
@@ -252,7 +254,8 @@ def test_gap_zero_for_the_segment():
     report = gap_analysis(1, 1, 2)
     assert report.zero_gap
     assert not report.gap_positive
-    assert report.exponent == LogRatio(1, 2)
+    assert report.exponent == report.limit == (1, 2)
+    assert all(type(v) is Fraction for v in report.exponent + report.limit)
     assert report.equalizing_size == 2
     assert report.equalizing_integral
 
@@ -263,6 +266,26 @@ def test_gap_positive_and_non_integral():
         assert report.gap_positive
         assert not report.zero_gap
         assert not report.equalizing_integral
+
+
+def test_gap_verdicts_match_the_growth_rates():
+    # The rates (1/d0) log(b/k) and log((k+1)/k), compared by the power
+    # oracle: the verdicts must not depend on the equalizing size alone.
+    zero = 0
+    for k in range(1, 5):
+        for d0 in range(k, 9):
+            for b in range(k + 1, 3 * k + 12):
+                report = gap_analysis(k, d0, b)
+                exponent, limit = (ratio(1, d0), ratio(b, k)), (1, ratio(k + 1, k))
+                assert report.exponent == exponent and report.limit == limit
+                sign = log_compare(exponent, limit)
+                assert report.zero_gap == (sign == 0), (k, d0, b)
+                assert report.gap_positive == (sign < 0), (k, d0, b)
+                assert report.equalizing_size == size_bound(d0, k)
+                zero += report.zero_gap
+    # The rates meet only at b = 2^d0 for k = 1: b = 2, 4 and 8 here.
+    # For k >= 2 the equalizing size (k+1)^d0 / k^(d0-1) is no integer.
+    assert zero == 3
 
 
 def test_gap_validation():

@@ -2,6 +2,7 @@
 
 import random
 import sys
+from fractions import Fraction
 from itertools import combinations, product
 from math import floor
 
@@ -25,7 +26,8 @@ from antipodes.hashcodes import (
     random_code,
     rate_bounds,
 )
-from antipodes.rationals import LogRatio, ratio
+from antipodes.rationals import ratio
+from evaluators import log_compare
 
 
 def brute_max(b, k, m):
@@ -622,13 +624,17 @@ def test_batch_limit_is_exact():
 
 def test_rate_bounds_binary_meet():
     lower, upper = rate_bounds(2, 2)
-    assert lower == upper == LogRatio(1, 2)
+    assert lower == upper == (1, 2)
+    assert all(type(v) is Fraction for v in lower + upper)
 
 
 def test_rate_bounds_ternary_gap():
+    # s = 3!/3^3 = 2/9: the sample-and-delete base is (9/7)^(1/2).
     lower, upper = rate_bounds(3, 3)
-    assert upper == LogRatio(1, ratio(3, 2))
-    assert LogRatio(0, 1) < lower < upper
+    assert lower == (ratio(1, 2), ratio(9, 7))
+    assert upper == (1, ratio(3, 2))
+    assert log_compare((0, 1), lower) < 0
+    assert log_compare(lower, upper) < 0
 
 
 def test_roundtrip(tmp_path):

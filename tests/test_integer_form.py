@@ -13,7 +13,7 @@ from math import gcd, lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from antipodes.cli import _finalize, _map_obj, _render
+from antipodes.cli import _map_obj, _render
 from antipodes.geometry import (
     AffineMap,
     GeometryError,
@@ -120,9 +120,9 @@ def test_integer_maps_match_their_fractions(outputs, dim, scale, data):
         want = [sum((a * x for a, x in zip(row, p)), b) for row, b in zip(matrix, offset)]
         assert [Fraction(t, iden) for t in image] == want
     assert got.cleared_images(points) == ref.cleared_images(points)
-    text = _render(_finalize(_map_obj(got), False))
-    assert text == _render(_finalize(_map_obj(ref), False))
-    assert text == _render(_finalize({"matrix": matrix, "offset": offset}, False))
+    text = _render(_map_obj(got))
+    assert text == _render(_map_obj(ref))
+    assert text == _render({"matrix": matrix, "offset": offset})
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ the two-column-per-variable simplex tableau, so any drift in pivot order,
 tie-breaking, or the points, maps and witnesses read out of the final
 basis shows up here, even where the new certificate would still verify.
 The hash-search and hash-greedy cases pin the words, node counts and
-optimal flags of the code searches in the same way.
+optimal flags of the code searches in the same way, and the gap, bounds
+and --decimal cases the growth rates, verdicts and approximations that
+the reports render.
 """
 
 import hashlib
@@ -177,6 +179,36 @@ CASES = {
     "hash-greedy-844-verify": (
         ("--verify", "hash-greedy", "--b", "8", "--k", "4", "--m", "4"),
         "a8abb06973108c2b404a3360f485c99b0a9a87704c599ac1670decaed495e5f3",
+    ),
+    # b equals the equalizing size 2^2.
+    "gap-zero": (
+        ("gap", "--k", "1", "--d", "2", "--b", "4"),
+        "3397d84754019abed16c61f73b5aba426caf991b92398322ad7e4b370211946b",
+    ),
+    # b above the equalizing size 27/4, which is not an integer.
+    "gap-above-fractional-size": (
+        ("gap", "--k", "2", "--d", "3", "--b", "9"),
+        "1ea7090dac09f4b6cb5f2956279772676ca21d55ad27b45dc9ccdc8207f50150",
+    ),
+    "gap-positive-verify": (
+        ("--verify", "gap", "--k", "2", "--d", "2", "--b", "3"),
+        "c54af543ba23b062858679a47ffd34aaef1e8c498b81ba65759cc4f08333f739",
+    ),
+    "gap-zero-decimal": (
+        ("--decimal", "gap", "--k", "1", "--d", "3", "--b", "8"),
+        "313878bdbb4161f88137602d6c1cd0ce96a5f45e257cbc5de8c8a857cbfb0f59",
+    ),
+    "bounds-decimal": (
+        ("--decimal", "bounds", "--d", "5", "--k", "2"),
+        "25978154c1e7fcbf8adb2f87b4b9e26303049e49a52c9291a6ae7e66cace8549",
+    ),
+    "joint-direct-witness-decimal-verify": (
+        ("--decimal", "--verify", "check-joint", "hepta", "0", "6"),
+        "312feed59978b18ba4c3c5955aad1096976245f550caf3443818aee7952895c5",
+    ),
+    "discriminate-error-decimal-verify": (
+        ("--decimal", "--verify", "discriminate", "hepta", "states"),
+        "0b873df570fa2397e79998c51dc4ff3af4f3ee0a4db5a078d7bc106f0022c097",
     ),
 }
 
